@@ -53,7 +53,6 @@ from .witnesses import (
     DecompositionCheck,
     FidelityBound,
     Observable,
-    SeesawConvergenceError,
     WitnessReport,
     biseparable_bound,
     biseparable_bound_result,

@@ -52,6 +52,7 @@ from .states import (
 )
 from .tomography import MeasurementSetting, fidelity_with_error, simulate_counts, tomography_linear
 from .witnesses import (
+    B4_GAMMA_MIN,
     MEASURED_J2,
     MEASURED_J2_ERR,
     biseparable_bound_result,
@@ -137,10 +138,22 @@ def _resource(werner_p):
     return werner_dicke(float(werner_p)), float(werner_p)
 
 
+def _gamma_list(key: str, values) -> list[float]:
+    """Config gammas as floats, each inside the range b4(gamma) is defined on."""
+    try:
+        gammas = [float(g) for g in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}") from None
+    for gamma in gammas:
+        if not B4_GAMMA_MIN <= gamma <= 0.0:
+            raise ConfigError(f"{key}: gamma={gamma} outside [{B4_GAMMA_MIN:g}, 0]")
+    return gammas
+
+
 def cmd_resource_check(params: dict, args) -> tuple[str, int]:
     validate_keys(params, ("werner_p", "gamma_grid", "max_depth"), "resource-check")
     werner_p = params.get("werner_p")
-    gammas = [float(g) for g in params.get("gamma_grid", [0.0, -0.12, -1.0, -2.5])]
+    gammas = _gamma_list("gamma_grid", params.get("gamma_grid", [0.0, -0.12, -1.0, -2.5]))
     max_depth = int(params.get("max_depth", 8))
 
     regen_summary = None
@@ -363,20 +376,19 @@ def cmd_odt_table(params: dict, args) -> tuple[str, int]:
 
 def cmd_witness_scan(params: dict, args) -> tuple[str, int]:
     allowed = ("gammas", "gamma_min", "gamma_max", "gamma_points", "source",
-               "jx2", "jy2", "jz2", "d_jx2", "d_jy2", "d_jz2", "werner_p", "restarts")
+               "jx2", "jy2", "jz2", "d_jx2", "d_jy2", "d_jz2", "werner_p")
     validate_keys(params, allowed, "witness-scan")
     source = str(params.get("source", "measured"))
     if source not in ("measured", "state"):
         raise ConfigError(f"source must be 'measured' or 'state', got {source!r}")
     if "gammas" in params:
-        gammas = [float(g) for g in params["gammas"]]
+        gammas = _gamma_list("gammas", params["gammas"])
     elif "gamma_points" in params or "gamma_min" in params or "gamma_max" in params:
-        gammas = [float(g) for g in np.linspace(float(params.get("gamma_min", -3.0)),
-                                                float(params.get("gamma_max", 0.0)),
-                                                int(params.get("gamma_points", 10)))]
+        ends = _gamma_list("gamma_min/gamma_max",
+                           [params.get("gamma_min", -3.0), params.get("gamma_max", 0.0)])
+        gammas = [float(g) for g in np.linspace(*ends, int(params.get("gamma_points", 10)))]
     else:
         gammas = [0.0, -0.12, -1.0, -2.5]
-    restarts = int(params.get("restarts", 24))
 
     if source == "measured":
         moments = {
@@ -405,18 +417,16 @@ def cmd_witness_scan(params: dict, args) -> tuple[str, int]:
     rows = []
     b4_values = {}
     for gamma in gammas:
-        result = biseparable_bound_result(gamma, restarts=restarts)
+        result = biseparable_bound_result(gamma)
         b4_values[gamma] = result.value
         value = result.value - (moments["jx2"] + moments["jy2"] + gamma * moments["jz2"])
         delta = propagate_wcs_error(gamma, errors["jx2"], errors["jy2"], errors["jz2"])
         significance = value / delta if delta > 0 else None
-        if gamma in b4_fixture and restarts == 24:
+        if gamma in b4_fixture:
             checks.append(Check(f"b4_fixture_match_gamma_{gamma}", result.value, b4_fixture[gamma]))
         rows.append({
             "gamma": gamma,
             "b4": result.value,
-            "b4_seesaw": result.seesaw_value,
-            "b4_grid": result.grid_value,
             "value": value,
             "delta": delta,
             "significance": significance,
@@ -451,11 +461,10 @@ def cmd_witness_scan(params: dict, args) -> tuple[str, int]:
     failures = [c for c in checks if not c.passed]
     meta = _meta("witness-scan", args.seed, args.format or "csv", params)
     if (args.format or "csv") == "csv":
-        header = ["gamma", "b4", "b4_seesaw", "b4_grid", "value", "delta",
-                  "significance", "verdict"]
+        header = ["gamma", "b4", "value", "delta", "significance", "verdict"]
         csv_rows = [[r[h] for h in header] for r in rows]
         for note in discrepancies:
-            csv_rows.append(["# note", note, "", "", "", "", "", ""])
+            csv_rows.append(["# note", note, "", "", "", ""])
         text = render_csv(meta, header, csv_rows)
     else:
         text = render_json(meta, {

@@ -8,7 +8,7 @@ from pathlib import Path
 from .circuits import Circuit, find_conversion_circuit
 from .protocols import derive_correction_table
 from .states import RESOURCE_LABELS, dicke, xi_state
-from .witnesses import biseparable_bound_result
+from .witnesses import biseparable_bound
 
 DEFAULT_DIR = Path(__file__).parent / "fixtures"
 CONVERSION_FILE = "conversion_circuit.txt"
@@ -64,15 +64,9 @@ def regenerate_fixtures(directory: str | Path | None = None) -> dict:
     (directory / CORRECTION_FILE).write_text(
         json.dumps(table, indent=2, sort_keys=True) + "\n")
 
-    samples = {}
-    restarts = seed = None
-    for gamma in B4_SAMPLE_GAMMAS:
-        result = biseparable_bound_result(gamma)
-        samples[repr(gamma)] = result.value
-        restarts, seed = result.restarts, 20120917
+    samples = {repr(gamma): biseparable_bound(gamma) for gamma in B4_SAMPLE_GAMMAS}
     (directory / B4_FILE).write_text(
-        json.dumps({"samples": samples, "restarts": restarts, "seed": seed},
-                   indent=2, sort_keys=True) + "\n")
+        json.dumps({"samples": samples}, indent=2, sort_keys=True) + "\n")
 
     return {
         "conversion_depth": search.circuit.depth,

@@ -27,15 +27,6 @@ MEASURED_J2 = {"jx2": 2.568, "jy2": 2.617, "jz2": 0.039}
 MEASURED_J2_ERR = {"jx2": 0.015, "jy2": 0.011, "jz2": 0.028}
 
 
-class SeesawConvergenceError(RuntimeError):
-    """A see-saw restart failed to converge within the iteration cap."""
-
-    def __init__(self, message: str, best_value: float, diagnostics: dict):
-        super().__init__(message)
-        self.best_value = best_value
-        self.diagnostics = diagnostics
-
-
 def pauli_matrix(string: str) -> np.ndarray:
     """Kronecker product of single-qubit Paulis, e.g. "XXI" or "ZZZZ"."""
     out = np.array([[1.0 + 0j]])
@@ -99,14 +90,10 @@ class CollectiveSpinSet:
     sz: Observable
 
 
-def _collective_matrix(n: int, sigma: np.ndarray) -> np.ndarray:
+def _collective_matrix(n: int, axis: str) -> np.ndarray:
     total = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for i in range(n):
-        ops = [sigma if j == i else PAULI_I for j in range(n)]
-        term = np.array([[1.0 + 0j]])
-        for op in ops:
-            term = np.kron(term, op)
-        total += term
+        total += pauli_matrix("I" * i + axis + "I" * (n - 1 - i))
     return total / 2.0
 
 
@@ -116,8 +103,8 @@ def collective_spin(n: int) -> CollectiveSpinSet:
     if not 1 <= n <= 8:
         raise ValueError(f"register size n={n} outside [1, 8]")
     mats = {}
-    for axis, sigma in (("x", PAULI_X), ("y", PAULI_Y), ("z", PAULI_Z)):
-        j = _collective_matrix(n, sigma)
+    for axis in "xyz":
+        j = _collective_matrix(n, axis.upper())
         s = (j @ j - np.eye(2 ** n)) / 2.0
         mats[f"j{axis}"] = Observable(j, name=f"J{axis}")
         mats[f"s{axis}"] = Observable(s, name=f"S{axis}")
@@ -202,155 +189,115 @@ BIPARTITIONS_4 = (
 )
 
 
-def _spin_operator(gamma: float) -> np.ndarray:
-    cs = collective_spin(4)
-    return (cs.jx.matrix @ cs.jx.matrix + cs.jy.matrix @ cs.jy.matrix
-            + gamma * cs.jz.matrix @ cs.jz.matrix)
-
-
 def _haar_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
 
-def _conditioned_operator(op8: np.ndarray, fixed_axes: Sequence[int], fixed_vec: np.ndarray) -> np.ndarray:
-    """<v|A|v> contracted over the fixed factor; returns the operator on the rest."""
-    k = len(fixed_axes)
-    vt = fixed_vec.reshape((2,) * k)
-    out = np.tensordot(op8, vt, axes=([4 + a for a in fixed_axes], list(range(k))))
-    out = np.tensordot(vt.conj(), out, axes=(list(range(k)), list(fixed_axes)))
-    d = 2 ** (4 - k)
-    return out.reshape(d, d)
-
-
 @dataclass(frozen=True)
 class BisepBoundResult:
-    """Biseparability bound with its see-saw and grid-oracle estimates."""
+    """Biseparability bound with the maximum reached in each bipartition class."""
 
     gamma: float
     value: float
-    seesaw_value: float
-    grid_value: float
     per_bipartition: tuple[tuple[str, float], ...]
-    restarts: int
-    max_iterations_used: int
 
 
-GEOMETRIC_TAIL_TOL = 1e-9
-CAP_REMAINDER_TOL = 1e-6
+B4_GAMMA_MIN = -10.0
+# Scan resolution of the b4 solver: grid points per axis (odd, so a zoomed
+# grid keeps its centre, the previous best point) and rounds of zooming.
+ONE_THREE_ANGLES = 101
+TWO_TWO_SLOPES = 21
+ZOOMS = 8
 
 
-def _seesaw_once(op8: np.ndarray, part_a: Sequence[int], part_b: Sequence[int],
-                 rng: np.random.Generator, max_iter: int, tol: float) -> tuple[float, int]:
-    vb = _haar_ket(rng, 2 ** len(part_b))
-    prev = -np.inf
-    prev_delta = np.inf
-    remainder = np.inf
-    slow_ratios: list[float] = []
-    for it in range(1, max_iter + 1):
-        ma = _conditioned_operator(op8, part_b, vb)
-        va = np.linalg.eigh(ma)[1][:, -1]
-        mb = _conditioned_operator(op8, part_a, va)
-        vals, vecs = np.linalg.eigh(mb)
-        vb = vecs[:, -1]
-        value = float(vals[-1])
-        delta = abs(value - prev)
-        if delta < tol:
-            return value, it
-        # Near a degenerate optimum (boundary gamma values) the iteration
-        # contracts with rate r -> 1 and the step criterion is out of reach.
-        # Once three consecutive ratios sit in the slow regime, the remaining
-        # improvement is bounded by delta * r / (1 - r); stop when that
-        # projection is negligible.
-        if np.isfinite(prev_delta) and prev_delta > 0:
-            ratio = delta / prev_delta
-            if 0.8 < ratio < 1.0:
-                slow_ratios.append(ratio)
-                r = max(slow_ratios[-3:])
-                remainder = delta * r / (1.0 - r)
-                if len(slow_ratios) >= 3 and remainder < GEOMETRIC_TAIL_TOL:
-                    return value, it
-            else:
-                slow_ratios.clear()
-                remainder = np.inf
-        prev, prev_delta = value, delta
-    if remainder < CAP_REMAINDER_TOL:
-        # power-law tail at a degenerate boundary: the value is converged to
-        # well below every tolerance this bound is used at
-        return prev, max_iter
-    raise SeesawConvergenceError(
-        f"see-saw did not converge within {max_iter} iterations",
-        best_value=prev,
-        diagnostics={"partition": (tuple(part_a), tuple(part_b)), "iterations": max_iter},
-    )
+def _spin_parts(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, Jx, Jz) on n qubits as real matrices, F = Jx^2 + Jy^2 + gamma Jz^2.
+
+    Real matrices have real top eigenvectors, on which <Jy> = 0.
+    """
+    cs = collective_spin(n)
+    jx, jy, jz = cs.jx.matrix, cs.jy.matrix, cs.jz.matrix
+    return np.real(jx @ jx + jy @ jy + gamma * (jz @ jz)), np.real(jx), np.real(jz)
 
 
-def _coherent_ket(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Batch of single-qubit kets cos(t/2)|0> + e^{i p} sin(t/2)|1>, shape (N, 2)."""
-    return np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
+def _shifted(base: np.ndarray, jx: np.ndarray, jz: np.ndarray,
+             cx: np.ndarray, cz: np.ndarray) -> np.ndarray:
+    """Stack of base + cx Jx + cz Jz, one matrix per pair (cx, cz)."""
+    return base + cx[:, None, None] * jx + cz[:, None, None] * jz
 
 
-def _grid_bound(gamma: float, points: int = 18) -> float:
-    """Coarse grid over products of spin-coherent factors; independent lower oracle."""
-    op = _spin_operator(gamma)
-    thetas = np.linspace(0.0, math.pi, points)
-    phis = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    single = _coherent_ket(tt.ravel(), pp.ravel())          # (K, 2)
-    pair = np.einsum("ka,kb->kab", single, single).reshape(-1, 4)
-    triple = np.einsum("kab,kc->kabc", pair.reshape(-1, 2, 2), single).reshape(-1, 8)
-    best = -np.inf
-    for left, right in ((single, triple), (pair, pair)):
-        states = np.einsum("ia,jb->ijab", left, right).reshape(left.shape[0] * right.shape[0], 16)
-        vals = np.real(np.einsum("si,ij,sj->s", states.conj(), op, states))
-        best = max(best, float(vals.max()))
-    return best
+def _zoom_max(values_at, lo: Sequence[float], hi: Sequence[float], points: int) -> float:
+    """Maximum of values_at over the box [lo, hi]: a grid, re-laid ZOOMS times
+    over the cells next to its best point."""
+    box_lo, box_hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lo, hi = box_lo, box_hi
+    for _ in range(ZOOMS + 1):
+        axes = [np.linspace(a, b, points) for a, b in zip(lo, hi)]
+        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+        values = values_at(*grid)
+        best = int(np.argmax(values))
+        step = (hi - lo) / (points - 1)
+        lo = np.maximum(grid[:, best] - step, box_lo)
+        hi = np.minimum(grid[:, best] + step, box_hi)
+    return float(values[best])
+
+
+def _one_three_max(gamma: float) -> float:
+    """Maximum over 1|3 product states.
+
+    The lone qubit's Bloch vector, rotated about z, is (sin t, 0, cos t) with
+    t in [0, pi]; the three-qubit factor is then the top eigenvector of
+    F_3 + sin t Jx + gamma cos t Jz, and the value (2 + gamma)/4 plus its
+    eigenvalue.
+    """
+    f3, jx, jz = _spin_parts(3, gamma)
+
+    def values(t):
+        return np.linalg.eigvalsh(_shifted(f3, jx, jz, np.sin(t), gamma * np.cos(t)))[:, -1]
+
+    return (2 + gamma) / 4 + _zoom_max(values, [0.0], [math.pi], ONE_THREE_ANGLES)
+
+
+def _two_two_max(gamma: float) -> float:
+    """Maximum over 2|2 product states.
+
+    For a slope n = (n_x >= 0, n_z), pair A takes the top eigenvector a of
+    F_2 + 2 n_x Jx + 2 gamma n_z Jz and pair B the top eigenvector of
+    F_2 + 2 <Jx>_a Jx + 2 gamma <Jz>_a Jz. The value, <F_2>_a plus that
+    eigenvalue, is the product's expectation for every n and the 2|2 maximum
+    when n is the optimal pair B's mean spin.
+    """
+    f2, jx, jz = _spin_parts(2, gamma)
+
+    def values(nx, nz):
+        a = np.linalg.eigh(_shifted(f2, jx, jz, 2 * nx, 2 * gamma * nz))[1][:, :, -1]
+        fa, sx, sz = (np.einsum("ki,ij,kj->k", a, m, a) for m in (f2, 2 * jx, 2 * gamma * jz))
+        return fa + np.linalg.eigvalsh(_shifted(f2, jx, jz, sx, sz))[:, -1]
+
+    return _zoom_max(values, [0.0, -1.0], [1.0, 1.0], TWO_TWO_SLOPES)
 
 
 @lru_cache(maxsize=None)
-def biseparable_bound_result(gamma: float, restarts: int = 24, seed: int = 20120917,
-                             max_iter: int = 2000, tol: float = 1e-12) -> BisepBoundResult:
+def biseparable_bound_result(gamma: float) -> BisepBoundResult:
     """Maximum of <Jx^2 + Jy^2 + gamma Jz^2> over pure biseparable four-qubit states.
 
-    Alternating top-eigenvector see-saw over every 1|3 and 2|2 bipartition with
-    multi-start, cross-checked against a coarse spin-coherent grid. See-saw
-    iterates are feasible states, so both estimates bound the maximum from
-    below; the larger one is returned.
+    The operator is invariant under qubit permutations, which leave two
+    classes of bipartition, 1|3 and 2|2, and commutes with collective
+    z-rotations, which reduce each class to a scan over a few moments (see
+    _one_three_max and _two_two_max). Every scanned value is reached by an
+    explicit product state, so the result bounds the maximum from below.
     """
-    if gamma > 0:
-        raise ValueError(f"gamma={gamma} must be non-positive")
-    if gamma < -10:
-        raise ValueError(f"gamma={gamma} below supported range -10")
-    if restarts < 20:
-        raise ValueError("need at least 20 restarts")
-    op8 = _spin_operator(gamma).reshape((2,) * 8)
-    rng = np.random.default_rng(seed)
-    per_part = []
-    iters_used = 0
-    for part_a, part_b in BIPARTITIONS_4:
-        best = -np.inf
-        for _ in range(restarts):
-            value, iters = _seesaw_once(op8, part_a, part_b, rng, max_iter, tol)
-            iters_used = max(iters_used, iters)
-            best = max(best, value)
-        label = f"{''.join(map(str, part_a))}|{''.join(map(str, part_b))}"
-        per_part.append((label, best))
-    seesaw_value = max(v for _, v in per_part)
-    grid_value = _grid_bound(gamma)
-    return BisepBoundResult(
-        gamma=gamma,
-        value=max(seesaw_value, grid_value),
-        seesaw_value=seesaw_value,
-        grid_value=grid_value,
-        per_bipartition=tuple(per_part),
-        restarts=restarts,
-        max_iterations_used=iters_used,
-    )
+    if not B4_GAMMA_MIN <= gamma <= 0.0:
+        raise ValueError(f"gamma={gamma} outside the supported range [{B4_GAMMA_MIN:g}, 0]")
+    per_part = (("0|123", _one_three_max(gamma)), ("01|23", _two_two_max(gamma)))
+    return BisepBoundResult(gamma=gamma, value=max(v for _, v in per_part),
+                            per_bipartition=per_part)
 
 
-def biseparable_bound(gamma: float, **kwargs) -> float:
+def biseparable_bound(gamma: float) -> float:
     """b4(gamma): see biseparable_bound_result."""
-    return biseparable_bound_result(gamma, **kwargs).value
+    return biseparable_bound_result(gamma).value
 
 
 def random_biseparable_moments(n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -382,12 +329,25 @@ def _permutation_patterns(pattern: str) -> list[str]:
     return sorted(set("".join(p) for p in itertools.permutations(pattern)))
 
 
-def _d3_rearranged_terms(k: int) -> list[tuple[float, str]]:
-    """The rearranged eight-group decomposition of the D3 projector witness.
+def _d3_projector_witness(k: int) -> np.ndarray:
+    """(2/3) I - |D3(k)><D3(k)| for k in {1, 2}."""
+    if k not in (1, 2):
+        raise ValueError(f"excitation number k={k} must be 1 or 2")
+    d3 = dicke(3, k)
+    return (2.0 / 3.0) * np.eye(8) - np.outer(d3.amplitudes, d3.amplitudes.conj())
 
-    Written for k=1; the k=2 form follows by conjugating every qubit with
-    sigma-x, which flips the sign of terms with an odd number of Y or Z.
+
+def _k_sign(k: int, string: str) -> float:
+    """Sign of a Pauli term of the k=1 witness in the k=2 one.
+
+    The k=2 witness is the k=1 one with every qubit conjugated by sigma-x,
+    which flips the sign of terms with an odd number of Y or Z.
     """
+    return -1.0 if k == 2 and sum(ch in "YZ" for ch in string) % 2 else 1.0
+
+
+def _d3_rearranged_terms(k: int) -> list[tuple[float, str]]:
+    """The rearranged eight-group decomposition of the D3 projector witness."""
     groups = [
         (13.0, "III"),
         (3.0, "ZZZ"),
@@ -398,23 +358,13 @@ def _d3_rearranged_terms(k: int) -> list[tuple[float, str]]:
         (-2.0, "XXZ"),
         (-2.0, "YYZ"),
     ]
-    terms = []
-    for coeff, pattern in groups:
-        for string in _permutation_patterns(pattern):
-            sign = 1.0
-            if k == 2:
-                flips = sum(1 for ch in string if ch in "YZ")
-                sign = -1.0 if flips % 2 else 1.0
-            terms.append((coeff * sign / 24.0, string))
-    return terms
+    return [(coeff * _k_sign(k, string) / 24.0, string)
+            for coeff, pattern in groups for string in _permutation_patterns(pattern)]
 
 
 def witness_projector_d3(k: int) -> Observable:
     """Fidelity witness (2/3) I - |D3(k)><D3(k)| with its eight-group settings."""
-    if k not in (1, 2):
-        raise ValueError(f"excitation number k={k} must be 1 or 2")
-    d3 = dicke(3, k)
-    mat = (2.0 / 3.0) * np.eye(8) - np.outer(d3.amplitudes, d3.amplitudes.conj())
+    mat = _d3_projector_witness(k)
     return Observable(mat, settings=tuple(_d3_rearranged_terms(k)), name=f"W_D3({k})")
 
 
@@ -426,15 +376,11 @@ def witness_projector_d3_optimal(k: int) -> Observable:
     five-setting form carries no axis superscript; it is read as ZZ, under
     which the expansion reproduces the projector exactly.
     """
-    if k not in (1, 2):
-        raise ValueError(f"excitation number k={k} must be 1 or 2")
+    mat = _d3_projector_witness(k)
     coeffs: dict[str, float] = {}
 
     def add(coeff: float, string: str) -> None:
-        if k == 2:
-            flips = sum(1 for ch in string if ch in "YZ")
-            coeff = -coeff if flips % 2 else coeff
-        coeffs[string] = coeffs.get(string, 0.0) + coeff
+        coeffs[string] = coeffs.get(string, 0.0) + coeff * _k_sign(k, string)
 
     add(17.0, "III")
     add(7.0, "ZZZ")
@@ -449,8 +395,6 @@ def witness_projector_d3_optimal(k: int) -> Observable:
                 weight = sign ** sum(1 for ch in letters if ch == axis)
                 add(-weight, "".join(letters))
     terms = tuple((c / 24.0, s) for s, c in sorted(coeffs.items()) if abs(c) > 1e-15)
-    d3 = dicke(3, k)
-    mat = (2.0 / 3.0) * np.eye(8) - np.outer(d3.amplitudes, d3.amplitudes.conj())
     return Observable(mat, settings=terms, name=f"W_D3({k}) five-setting")
 
 

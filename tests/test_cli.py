@@ -209,6 +209,21 @@ class TestWitnessScan:
         config.write_text("source = magic\n")
         assert main(["witness-scan", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("command,config_text", [
+        ("witness-scan", "gammas = [0.5]\n"),
+        ("witness-scan", "gammas = [NaN]\n"),
+        ("witness-scan", "gammas = [\"abc\"]\n"),
+        ("witness-scan", "gamma_min = -11\n"),
+        ("witness-scan", "gamma_max = 0.5\ngamma_points = 3\n"),
+        ("resource-check", "gamma_grid = [-11]\n"),
+    ])
+    def test_bad_gamma_is_config_error(self, tmp_path, capsys, command, config_text):
+        config = tmp_path / "c.cfg"
+        config.write_text(config_text)
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
 
 class TestTomographyDemo:
     def test_default_reconstruction(self, tmp_path):

@@ -9,7 +9,6 @@ from dickesim import (
     MixedState,
     Observable,
     RegisterLayout,
-    SeesawConvergenceError,
     WitnessReport,
     basis_ket,
     biseparable_bound,
@@ -201,19 +200,20 @@ class TestBiseparableBound:
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
     def test_result_carries_both_estimates(self):
+        # one entry per bipartition class; at gamma = -1 the 1|3 class holds
+        # 2 + sqrt(7) and the 2|2 class the product-family value 4.5
         result = biseparable_bound_result(-1.0)
-        assert result.grid_value <= result.seesaw_value + 1e-9
-        assert result.value == max(result.seesaw_value, result.grid_value)
-        assert len(result.per_bipartition) == 7
-        assert result.restarts >= 20
+        per_class = dict(result.per_bipartition)
+        assert list(per_class) == ["0|123", "01|23"]
+        assert result.value == max(per_class.values())
+        assert per_class["0|123"] == pytest.approx(2 + math.sqrt(7), abs=1e-9)
+        assert per_class["01|23"] == pytest.approx(oracles.b4_family_lower(-1.0), abs=1e-9)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             biseparable_bound(0.5)
         with pytest.raises(ValueError):
             biseparable_bound(-11.0)
-        with pytest.raises(ValueError):
-            biseparable_bound_result(-1.0, restarts=5)
 
     def test_no_violation_by_random_biseparable_states(self):
         xy, zz = random_biseparable_moments(2000, seed=101)
@@ -226,11 +226,13 @@ class TestBiseparableBound:
         b = random_biseparable_moments(50, seed=3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    def test_iteration_cap_raises_with_diagnostics(self):
-        with pytest.raises(SeesawConvergenceError) as exc:
-            biseparable_bound_result(-0.7, max_iter=1)
-        assert exc.value.diagnostics["iterations"] == 1
-        assert np.isfinite(exc.value.best_value) or exc.value.best_value == -np.inf
+    @pytest.mark.parametrize("gamma", [0.0, -0.12, -1.0, -1.7, -2.0, -2.5, -2.9])
+    def test_within_certified_upper_bound(self, gamma):
+        # the certified bracket's upper end; at -1.7 its 1|3 polygon slack is
+        # about 6e-8, so the lower side allows 1e-7
+        up = max(oracles.b4_one_three_upper(gamma),
+                 oracles.b4_two_two_upper(gamma, oracles.b4_family_lower(gamma)))
+        assert up - 1e-7 <= biseparable_bound(gamma) <= up + 1e-9
 
 
 class TestProjectorWitness:
