@@ -34,11 +34,14 @@ from .protocols import (
 from .register import MixedState, RegisterLayout, fidelity, project, single_qubit
 from .reporting import (
     ConfigError,
+    ListOf,
+    Number,
+    OneOf,
+    Row,
     complex_matrix_json,
     parse_config_text,
     render_csv,
     render_json,
-    validate_keys,
 )
 from .states import (
     ClientParams,
@@ -88,6 +91,81 @@ ODT_TABLE_I = (
 )
 
 SIGNIFICANCE_MILESTONES = {-0.12: -1.0, -2.5: -15.0}
+PAPER_GAMMAS = (0.0, -0.12, -1.0, -2.5)
+# witness-scan's gamma_min, gamma_max, gamma_points when only some of them are given
+GAMMA_RANGE = (-3.0, 0.0, 10)
+MOMENTS = ("jx2", "jy2", "jz2")
+
+DEMO_STATES = {
+    "bell-psi+": lambda: bell("psi+", ("a", "b")),
+    "clone-mix": lambda: MixedState(RegisterLayout(("a",)),
+                                    np.diag([2.0 / 3.0, 1.0 / 3.0]).astype(complex)),
+    "plus": lambda: single_qubit(np.array([1, 1]) / math.sqrt(2), "a"),
+}
+
+PROBABILITY = Number(0.0, 1.0)
+ANGLE = Number(0.0, math.pi)
+GAMMA = Number(B4_GAMMA_MIN, 0.0)
+DEVIATION = Number(0.0)
+COUNT = Number(1, whole=True)
+TRIALS = Number(10, whole=True)  # fewest bootstrap trials fidelity_with_error takes
+
+# command -> (default report format, {key: (parser, default)}); a default is
+# used as it stands, and null is accepted only where the default is null.
+SCHEMAS = {
+    "resource-check": ("json", {
+        "werner_p": (PROBABILITY, None),
+        "gamma_grid": (ListOf(GAMMA), PAPER_GAMMAS),
+        "max_depth": (COUNT, 8),
+    }),
+    "qtc-sweep": ("csv", {
+        "theta_points": (COUNT, 25),
+        "theta_min": (ANGLE, 0.0),
+        "theta_max": (ANGLE, math.pi),
+        "p": (PROBABILITY, 1.0),
+        "dephase_lambda": (PROBABILITY, 0.0),
+        "p_uncertainty": (DEVIATION, 0.0),
+        "phi": (Number(), 0.0),
+        "port": (OneOf(RESOURCE_LABELS), "b"),
+    }),
+    "odt-table": ("csv", {
+        "werner_p": (PROBABILITY, None),
+        "dephase_lambda": (PROBABILITY, 0.0),
+        "configurations": (ListOf(Row((OneOf(("01", "10")), ANGLE, OneOf(RESOURCE_LABELS),
+                                       PROBABILITY, DEVIATION), required=3)), ODT_TABLE_I),
+        "n_per_setting": (COUNT, None),
+        "trials": (TRIALS, 50),
+    }),
+    "witness-scan": ("csv", {
+        "gammas": (ListOf(GAMMA), None),
+        "gamma_min": (GAMMA, None),
+        "gamma_max": (GAMMA, None),
+        "gamma_points": (COUNT, None),
+        "source": (OneOf(("measured", "state")), "measured"),
+        **{name: (Number(), MEASURED_J2[name]) for name in MOMENTS},
+        **{f"d_{name}": (DEVIATION, MEASURED_J2_ERR[name]) for name in MOMENTS},
+        "werner_p": (PROBABILITY, None),
+    }),
+    "tomography-demo": ("json", {
+        "state": (OneOf(tuple(DEMO_STATES)), "bell-psi+"),
+        "n_per_setting": (COUNT, 10000),
+        "trials": (TRIALS, 50),
+    }),
+}
+
+
+def parse_params(command: str, params: dict) -> dict:
+    """Every key of `command`'s schema, typed and range-checked, or a ConfigError."""
+    _, schema = SCHEMAS[command]
+    unknown = sorted(set(params) - set(schema))
+    if unknown:
+        raise ConfigError(
+            f"unknown config keys for {command}: {unknown}; allowed: {sorted(schema)}")
+    typed = {}
+    for key, (parse, default) in schema.items():
+        value = params.get(key, default)
+        typed[key] = value if value is default else parse(key, value)
+    return typed
 
 
 class Check:
@@ -122,55 +200,58 @@ class Check:
         }
 
 
-def _meta(command: str, seed: int, fmt: str, params: dict) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "format": fmt,
-        "config": dict(sorted(params.items())),
-    }
-
-
 def _resource(werner_p):
     if werner_p is None:
         return dicke(4, 2, RESOURCE_LABELS), 1.0
-    return werner_dicke(float(werner_p)), float(werner_p)
+    return werner_dicke(werner_p), werner_p
 
 
-def _gamma_list(key: str, values) -> list[float]:
-    """Config gammas as floats, each inside the range b4(gamma) is defined on."""
-    try:
-        gammas = [float(g) for g in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a list of numbers, got {values!r}") from None
+def _collective_moments(state) -> dict:
+    """<Jx^2>, <Jy^2>, <Jz^2> of a four-qubit state."""
+    cs = collective_spin(4)
+    rho = state.density().matrix
+    return {name: float(np.real(np.trace(rho @ (op.matrix @ op.matrix))))
+            for name, op in zip(MOMENTS, (cs.jx, cs.jy, cs.jz))}
+
+
+def _gamma_scan(gammas, moments: dict, errors: dict, fixtures_dir) -> tuple[list, list]:
+    """Rows of the collective-spin witness b4(gamma) - <Jx^2 + Jy^2 + gamma Jz^2> and its
+    error over `gammas`, with a fixture check for each gamma that has a golden b4."""
+    b4_fixture = load_b4_samples(fixtures_dir)
+    rows, checks = [], []
     for gamma in gammas:
-        if not B4_GAMMA_MIN <= gamma <= 0.0:
-            raise ConfigError(f"{key}: gamma={gamma} outside [{B4_GAMMA_MIN:g}, 0]")
-    return gammas
+        b4 = biseparable_bound_result(gamma).value
+        value = b4 - (moments["jx2"] + moments["jy2"] + gamma * moments["jz2"])
+        delta = propagate_wcs_error(gamma, errors["jx2"], errors["jy2"], errors["jz2"])
+        significance = value / delta if delta > 0 else None
+        if gamma in b4_fixture:
+            checks.append(Check(f"b4_fixture_match_gamma_{gamma}", b4, b4_fixture[gamma]))
+        entangled = significance < -1.0 if significance is not None else value < 0
+        rows.append({
+            "gamma": gamma,
+            "b4": b4,
+            "value": value,
+            "delta": delta,
+            "significance": significance,
+            "verdict": "multipartite-entangled" if entangled else "inconclusive",
+        })
+    return rows, checks
 
 
-def cmd_resource_check(params: dict, args) -> tuple[str, int]:
-    validate_keys(params, ("werner_p", "gamma_grid", "max_depth"), "resource-check")
-    werner_p = params.get("werner_p")
-    gammas = _gamma_list("gamma_grid", params.get("gamma_grid", [0.0, -0.12, -1.0, -2.5]))
-    max_depth = int(params.get("max_depth", 8))
-
-    regen_summary = None
+def cmd_resource_check(cfg: dict, args) -> tuple:
     if args.regen_fixtures:
-        regen_summary = regenerate_fixtures(args.fixtures_dir)
+        regenerate_fixtures(args.fixtures_dir)
 
     circuit = load_conversion_circuit(args.fixtures_dir)
     table_fixture = load_correction_table(args.fixtures_dir)
-    b4_fixture = load_b4_samples(args.fixtures_dir)
 
     target = dicke(4, 2, RESOURCE_LABELS)
     converted = run_circuit(xi_state(), circuit)
-    state, p = _resource(werner_p)
+    state, p = _resource(cfg["werner_p"])
 
     checks = [
         Check("conversion_fidelity", fidelity(converted, target), 1.0, kind="ge"),
-        Check("conversion_depth", circuit.depth, max_depth, kind="le", tol=0),
+        Check("conversion_depth", circuit.depth, cfg["max_depth"], kind="le", tol=0),
     ]
 
     amps = np.abs(target.amplitudes)
@@ -197,36 +278,27 @@ def cmd_resource_check(params: dict, args) -> tuple[str, int]:
                         fidelity(post1, dicke(3, 1)), f_proj3))
 
     pair_fids = []
-    labels = state.labels
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for pattern in ("01", "10"):
-                _, rest = project(state, (labels[i], labels[j]), pattern)
-                pair_fids.append(fidelity(rest, bell("psi+", rest.labels)))
+    for pair in itertools.combinations(state.labels, 2):
+        for pattern in ("01", "10"):
+            _, rest = project(state, pair, pattern)
+            pair_fids.append(fidelity(rest, bell("psi+", rest.labels)))
     checks.append(Check("pair_projection_min_fidelity_vs_psi_plus", min(pair_fids), f_pair))
     checks.append(Check("pair_projection_max_fidelity_vs_psi_plus", max(pair_fids), f_pair))
 
-    wm = witness_wm()
-    wm_cal = witness_wm_calibrated()
-    value_trans = wm.expectation(state)
-    value_cal = wm_cal.expectation(state)
+    value_trans = witness_wm().expectation(state)
+    value_cal = witness_wm_calibrated().expectation(state)
     checks.append(Check("wm_transcribed_value", value_trans, wm_value))
     checks.append(Check("wm_calibrated_value", value_cal, wm_value - 3.75))
 
-    witness_block = {
-        "wm_transcribed": {
-            "value": value_trans,
-            "fidelity_bound": fidelity_bound_from_wm(value_trans).value,
-            "bound_clamped": fidelity_bound_from_wm(value_trans).clamped,
-            "note": "literal transcription; positive on every state (min eigenvalue ~2)",
-        },
-        "wm_reconstructed": {
-            "value": value_cal,
-            "fidelity_bound": fidelity_bound_from_wm(value_cal).value,
-            "bound_clamped": fidelity_bound_from_wm(value_cal).clamped,
-            "note": "identity-shifted so the ideal-state value is -1; calibration only",
-        },
-    }
+    witness_block = {}
+    for name, value, note in (
+            ("wm_transcribed", value_trans,
+             "literal transcription; positive on every state (min eigenvalue ~2)"),
+            ("wm_reconstructed", value_cal,
+             "identity-shifted so the ideal-state value is -1; calibration only")):
+        bound = fidelity_bound_from_wm(value)
+        witness_block[name] = {"value": value, "fidelity_bound": bound.value,
+                               "bound_clamped": bound.clamped, "note": note}
 
     d3_block = {}
     for k, post in ((1, post1), (2, post0)):
@@ -239,105 +311,51 @@ def cmd_resource_check(params: dict, args) -> tuple[str, int]:
         d3_block[f"k{k}"] = {"value": value, "fidelity_bound": bound.value,
                              "direct_fidelity": direct}
 
-    cs = collective_spin(4)
-    jx2 = cs.jx.matrix @ cs.jx.matrix
-    jy2 = cs.jy.matrix @ cs.jy.matrix
-    jz2 = cs.jz.matrix @ cs.jz.matrix
-    rho = state.density().matrix
-    moments = {name: float(np.real(np.trace(rho @ op)))
-               for name, op in (("jx2", jx2), ("jy2", jy2), ("jz2", jz2))}
+    moments = _collective_moments(state)
+    gamma_rows, gamma_checks = _gamma_scan(cfg["gamma_grid"], moments,
+                                           dict.fromkeys(moments, 0.0), args.fixtures_dir)
+    checks += gamma_checks
 
-    gamma_rows = []
-    for gamma in gammas:
-        result = biseparable_bound_result(gamma)
-        value = result.value - (moments["jx2"] + moments["jy2"] + gamma * moments["jz2"])
-        if gamma in b4_fixture:
-            checks.append(Check(f"b4_fixture_match_gamma_{gamma}", result.value,
-                                b4_fixture[gamma]))
-        gamma_rows.append({
-            "gamma": gamma,
-            "b4": result.value,
-            "value": value,
-            "delta": 0.0,
-            "significance": None,
-            "verdict": "multipartite-entangled" if value < 0 else "inconclusive",
-        })
-
-    failures = [c for c in checks if not c.passed]
     data = {
         "checks": [c.to_dict() for c in checks],
         "witnesses": {**witness_block, "projector_d3": d3_block},
         "collective_moments": moments,
         "gamma_scan": gamma_rows,
         "conversion_circuit": [step.to_line() for step in circuit.steps],
-        "fixtures_regenerated": regen_summary is not None,
-        "status": "pass" if not failures else "FAIL",
+        "fixtures_regenerated": args.regen_fixtures,
     }
-    meta = _meta("resource-check", args.seed, args.format or "json", params)
-    if (args.format or "json") == "json":
-        text = render_json(meta, data)
-    else:
-        rows = [["check", c.name, c.to_dict()["status"], c.value, c.expected] for c in checks]
-        rows += [["gamma-scan", row["gamma"], row["verdict"], row["value"], row["b4"]]
-                 for row in gamma_rows]
-        text = render_csv(meta, ["row_type", "name", "status", "value", "expected"], rows)
-    return text, EXIT_OK if not failures else EXIT_CHECK_FAILED
+    rows = [["check", c.name, c.to_dict()["status"], c.value, c.expected] for c in checks]
+    rows += [["gamma-scan", row["gamma"], row["verdict"], row["value"], row["b4"]]
+             for row in gamma_rows]
+    header = ["row_type", "name", "status", "value", "expected"]
+    return data, header, rows, all(c.passed for c in checks)
 
 
-def cmd_qtc_sweep(params: dict, args) -> tuple[str, int]:
-    validate_keys(params, ("theta_points", "theta_min", "theta_max", "p",
-                           "dephase_lambda", "p_uncertainty", "phi", "port"), "qtc-sweep")
-    points = int(params.get("theta_points", 25))
-    if points < 1:
-        raise ConfigError("theta_points must be at least 1")
-    theta_min = float(params.get("theta_min", 0.0))
-    theta_max = float(params.get("theta_max", math.pi))
-    p = float(params.get("p", 1.0))
-    lam = float(params.get("dephase_lambda", 0.0))
-    dp = float(params.get("p_uncertainty", 0.0))
-    phi = float(params.get("phi", 0.0))
-    port = str(params.get("port", "b"))
-
-    thetas = np.linspace(theta_min, theta_max, points)
+def cmd_qtc_sweep(cfg: dict, args) -> tuple:
+    p, lam, dp = cfg["p"], cfg["dephase_lambda"], cfg["p_uncertainty"]
+    phi, port = cfg["phi"], cfg["port"]
     rows = []
     failures = 0
-    for theta in thetas:
-        theory = qtc_theory_fidelity(float(theta))
-        ideal = run_qtc(ClientParams(theta=float(theta), phi=phi), port=port).average_clone_fidelity
-        low, high = qtc_mixed_band(float(theta), p, lam, dp, phi=phi, port=port)
+    for theta in np.linspace(cfg["theta_min"], cfg["theta_max"], cfg["theta_points"]).tolist():
+        theory = qtc_theory_fidelity(theta)
+        ideal = run_qtc(ClientParams(theta=theta, phi=phi), port=port).average_clone_fidelity
+        low, high = qtc_mixed_band(theta, p, lam, dp, phi=phi, port=port)
         if abs(ideal - theory) > CHECK_TOL:
             failures += 1
         if p == 1.0 and lam == 0.0 and dp == 0.0 and not (low - CHECK_TOL <= theory <= high + CHECK_TOL):
             failures += 1
-        rows.append([float(theta), theory, ideal, low, high])
+        rows.append([theta, theory, ideal, low, high])
 
-    meta = _meta("qtc-sweep", args.seed, args.format or "csv", params)
     header = ["theta", "theory_fidelity", "ideal_fidelity", "band_low", "band_high"]
-    if (args.format or "csv") == "csv":
-        text = render_csv(meta, header, rows)
-    else:
-        text = render_json(meta, {"rows": [dict(zip(header, row)) for row in rows],
-                                  "status": "pass" if not failures else "FAIL"})
-    return text, EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+    return {"rows": [dict(zip(header, row)) for row in rows]}, header, rows, failures == 0
 
 
-def cmd_odt_table(params: dict, args) -> tuple[str, int]:
-    validate_keys(params, ("werner_p", "dephase_lambda", "configurations",
-                           "n_per_setting", "trials"), "odt-table")
-    werner_p = params.get("werner_p")
-    lam = float(params.get("dephase_lambda", 0.0))
-    n_per_setting = params.get("n_per_setting")
-    trials = int(params.get("trials", 50))
-    configs = params.get("configurations")
-    if configs is None:
-        configs = [[proj, theta, recv, f, df] for proj, theta, recv, f, df in ODT_TABLE_I]
-
+def cmd_odt_table(cfg: dict, args) -> tuple:
+    werner_p, lam, n_per_setting = cfg["werner_p"], cfg["dephase_lambda"], cfg["n_per_setting"]
     rows = []
     failures = 0
-    for row_index, entry in enumerate(configs):
-        proj, theta, receiver = str(entry[0]), float(entry[1]), str(entry[2])
-        ref_f = float(entry[3]) if len(entry) > 3 else None
-        ref_df = float(entry[4]) if len(entry) > 4 else None
+    for row_index, (proj, theta, receiver, *reference) in enumerate(cfg["configurations"]):
+        ref_f, ref_df = (reference + [None, None])[:2]
         port = "b" if receiver != "b" else "a"
         client = ClientParams(theta=theta)
         ideal = run_odt(client, port=port, receiver=receiver, sodt_projection=proj)
@@ -346,7 +364,7 @@ def cmd_odt_table(params: dict, args) -> tuple[str, int]:
         noisy_f = noisy_unc = None
         if werner_p is not None or lam > 0.0:
             noisy_client = ClientParams(theta=theta, dephase_lambda=lam)
-            resource = werner_dicke(float(werner_p)) if werner_p is not None else None
+            resource = werner_dicke(werner_p) if werner_p is not None else None
             noisy = run_odt(noisy_client, resource=resource, port=port,
                             receiver=receiver, sodt_projection=proj)
             noisy_f = noisy.teleport_fidelity
@@ -354,149 +372,70 @@ def cmd_odt_table(params: dict, args) -> tuple[str, int]:
                 # score the receiver through simulated single-qubit tomography
                 target = client_ket(client)
                 settings = [MeasurementSetting((axis,)) for axis in "XYZ"]
-                records = [simulate_counts(noisy.receiver_state, s, int(n_per_setting),
+                records = [simulate_counts(noisy.receiver_state, s, n_per_setting,
                                            seed=args.seed + 10 * row_index + i)
                            for i, s in enumerate(settings)]
                 noisy_f, noisy_unc = fidelity_with_error(records, target,
-                                                         trials=trials, seed=args.seed)
+                                                         trials=cfg["trials"], seed=args.seed)
         rows.append([proj, theta, receiver, port, ideal.teleport_fidelity,
                      ideal.success_probability, noisy_f, noisy_unc, ref_f, ref_df])
 
-    meta = _meta("odt-table", args.seed, args.format or "csv", params)
     header = ["projection", "theta", "receiver", "port", "fidelity_ideal",
               "success_probability", "fidelity_noisy", "fidelity_noisy_uncertainty",
               "reference_fidelity", "reference_uncertainty"]
-    if (args.format or "csv") == "csv":
-        text = render_csv(meta, header, rows)
+    return {"rows": [dict(zip(header, row)) for row in rows]}, header, rows, failures == 0
+
+
+def _scan_gammas(cfg: dict) -> list:
+    """`gammas`, else a linspace over the range keys given (others at GAMMA_RANGE), else PAPER_GAMMAS."""
+    grid = (cfg["gamma_min"], cfg["gamma_max"], cfg["gamma_points"])
+    if cfg["gammas"] is not None:
+        return cfg["gammas"]
+    if grid == (None, None, None):
+        return list(PAPER_GAMMAS)
+    lo, hi, points = (default if v is None else v for v, default in zip(grid, GAMMA_RANGE))
+    return np.linspace(lo, hi, points).tolist()
+
+
+def cmd_witness_scan(cfg: dict, args) -> tuple:
+    if cfg["source"] == "measured":
+        moments = {name: cfg[name] for name in MOMENTS}
+        errors = {name: cfg["d_" + name] for name in MOMENTS}
     else:
-        text = render_json(meta, {"rows": [dict(zip(header, row)) for row in rows],
-                                  "status": "pass" if not failures else "FAIL"})
-    return text, EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+        moments = _collective_moments(_resource(cfg["werner_p"])[0])
+        errors = dict.fromkeys(MOMENTS, 0.0)
+    rows, checks = _gamma_scan(_scan_gammas(cfg), moments, errors, args.fixtures_dir)
 
-
-def cmd_witness_scan(params: dict, args) -> tuple[str, int]:
-    allowed = ("gammas", "gamma_min", "gamma_max", "gamma_points", "source",
-               "jx2", "jy2", "jz2", "d_jx2", "d_jy2", "d_jz2", "werner_p")
-    validate_keys(params, allowed, "witness-scan")
-    source = str(params.get("source", "measured"))
-    if source not in ("measured", "state"):
-        raise ConfigError(f"source must be 'measured' or 'state', got {source!r}")
-    if "gammas" in params:
-        gammas = _gamma_list("gammas", params["gammas"])
-    elif "gamma_points" in params or "gamma_min" in params or "gamma_max" in params:
-        ends = _gamma_list("gamma_min/gamma_max",
-                           [params.get("gamma_min", -3.0), params.get("gamma_max", 0.0)])
-        gammas = [float(g) for g in np.linspace(*ends, int(params.get("gamma_points", 10)))]
-    else:
-        gammas = [0.0, -0.12, -1.0, -2.5]
-
-    if source == "measured":
-        moments = {
-            "jx2": float(params.get("jx2", MEASURED_J2["jx2"])),
-            "jy2": float(params.get("jy2", MEASURED_J2["jy2"])),
-            "jz2": float(params.get("jz2", MEASURED_J2["jz2"])),
-        }
-        errors = {
-            "jx2": float(params.get("d_jx2", MEASURED_J2_ERR["jx2"])),
-            "jy2": float(params.get("d_jy2", MEASURED_J2_ERR["jy2"])),
-            "jz2": float(params.get("d_jz2", MEASURED_J2_ERR["jz2"])),
-        }
-    else:
-        state, _ = _resource(params.get("werner_p"))
-        cs = collective_spin(4)
-        rho = state.density().matrix
-        moments = {
-            "jx2": float(np.real(np.trace(rho @ cs.jx.matrix @ cs.jx.matrix))),
-            "jy2": float(np.real(np.trace(rho @ cs.jy.matrix @ cs.jy.matrix))),
-            "jz2": float(np.real(np.trace(rho @ cs.jz.matrix @ cs.jz.matrix))),
-        }
-        errors = {"jx2": 0.0, "jy2": 0.0, "jz2": 0.0}
-
-    b4_fixture = load_b4_samples(args.fixtures_dir)
-    checks = []
-    rows = []
-    b4_values = {}
-    for gamma in gammas:
-        result = biseparable_bound_result(gamma)
-        b4_values[gamma] = result.value
-        value = result.value - (moments["jx2"] + moments["jy2"] + gamma * moments["jz2"])
-        delta = propagate_wcs_error(gamma, errors["jx2"], errors["jy2"], errors["jz2"])
-        significance = value / delta if delta > 0 else None
-        if gamma in b4_fixture:
-            checks.append(Check(f"b4_fixture_match_gamma_{gamma}", result.value, b4_fixture[gamma]))
-        rows.append({
-            "gamma": gamma,
-            "b4": result.value,
-            "value": value,
-            "delta": delta,
-            "significance": significance,
-            "verdict": "multipartite-entangled"
-                       if (significance is not None and significance < -1.0) or
-                          (significance is None and value < 0)
-                       else "inconclusive",
-        })
-
-    if 0.0 in b4_values:
-        for gamma, b4 in b4_values.items():
-            if gamma < 0.0:
-                checks.append(Check(f"b4_monotone_gamma_{gamma}", b4, b4_values[0.0], kind="le"))
-
-    milestones = []
-    if source == "measured":
-        for gamma, threshold in SIGNIFICANCE_MILESTONES.items():
-            row = next((r for r in rows if r["gamma"] == gamma), None)
-            if row is None or row["significance"] is None:
-                continue
-            milestones.append({
-                "gamma": gamma,
-                "threshold": threshold,
-                "significance": row["significance"],
-                "met": row["significance"] <= threshold,
-            })
+    by_gamma = {row["gamma"]: row for row in rows}
+    if 0.0 in by_gamma:
+        checks += [Check(f"b4_monotone_gamma_{gamma}", row["b4"], by_gamma[0.0]["b4"], kind="le")
+                   for gamma, row in by_gamma.items() if gamma < 0.0]
+    # significance is None throughout in state mode, whose moments carry no error
+    milestones = [{"gamma": gamma, "threshold": threshold,
+                   "significance": by_gamma[gamma]["significance"],
+                   "met": by_gamma[gamma]["significance"] <= threshold}
+                  for gamma, threshold in SIGNIFICANCE_MILESTONES.items()
+                  if gamma in by_gamma and by_gamma[gamma]["significance"] is not None]
     discrepancies = [
         f"gamma={m['gamma']}: significance {m['significance']:.4f} does not reach "
         f"threshold {m['threshold']}" for m in milestones if not m["met"]
     ]
 
-    failures = [c for c in checks if not c.passed]
-    meta = _meta("witness-scan", args.seed, args.format or "csv", params)
-    if (args.format or "csv") == "csv":
-        header = ["gamma", "b4", "value", "delta", "significance", "verdict"]
-        csv_rows = [[r[h] for h in header] for r in rows]
-        for note in discrepancies:
-            csv_rows.append(["# note", note, "", "", "", ""])
-        text = render_csv(meta, header, csv_rows)
-    else:
-        text = render_json(meta, {
-            "rows": rows,
-            "checks": [c.to_dict() for c in checks],
-            "significance_milestones": milestones,
-            "discrepancies": discrepancies,
-            "status": "pass" if not failures else "FAIL",
-        })
-    return text, EXIT_OK if not failures else EXIT_CHECK_FAILED
+    data = {
+        "rows": rows,
+        "checks": [c.to_dict() for c in checks],
+        "significance_milestones": milestones,
+        "discrepancies": discrepancies,
+    }
+    header = ["gamma", "b4", "value", "delta", "significance", "verdict"]
+    csv_rows = [[r[h] for h in header] for r in rows]
+    csv_rows += [["# note", note, "", "", "", ""] for note in discrepancies]
+    return data, header, csv_rows, all(c.passed for c in checks)
 
 
-def _demo_state(name: str):
-    if name == "bell-psi+":
-        state = bell("psi+", ("a", "b"))
-        return state, state
-    if name == "clone-mix":
-        mat = np.diag([2.0 / 3.0, 1.0 / 3.0]).astype(complex)
-        state = MixedState(RegisterLayout(("a",)), mat)
-        return state, state
-    if name == "plus":
-        state = single_qubit(np.array([1, 1]) / math.sqrt(2), "a")
-        return state, state
-    raise ConfigError(f"unknown demo state {name!r}; use bell-psi+, clone-mix, or plus")
-
-
-def cmd_tomography_demo(params: dict, args) -> tuple[str, int]:
-    validate_keys(params, ("state", "n_per_setting", "trials"), "tomography-demo")
-    name = str(params.get("state", "bell-psi+"))
-    n = int(params.get("n_per_setting", 10000))
-    trials = int(params.get("trials", 50))
-    state, target = _demo_state(name)
+def cmd_tomography_demo(cfg: dict, args) -> tuple:
+    name, n, trials = cfg["state"], cfg["n_per_setting"], cfg["trials"]
+    state = target = DEMO_STATES[name]()
 
     settings = [MeasurementSetting(axes) for axes in itertools.product("XYZ", repeat=state.n)]
     records = [simulate_counts(state, s, n, seed=args.seed + i)
@@ -505,11 +444,7 @@ def cmd_tomography_demo(params: dict, args) -> tuple[str, int]:
     point = fidelity(reconstructed, target)
     boot_mean, unc = fidelity_with_error(records, target, trials=trials, seed=args.seed)
 
-    matrix = complex_matrix_json(reconstructed.matrix)
     threshold = 0.99 if (name == "bell-psi+" and n >= 10000) else None
-    passed = point >= threshold if threshold is not None else True
-
-    meta = _meta("tomography-demo", args.seed, args.format or "json", params)
     data = {
         "state": name,
         "n_per_setting": n,
@@ -518,20 +453,12 @@ def cmd_tomography_demo(params: dict, args) -> tuple[str, int]:
         "bootstrap_mean_fidelity": boot_mean,
         "uncertainty": unc,
         "fidelity_threshold": threshold,
-        "reconstructed_matrix": matrix,
+        "reconstructed_matrix": complex_matrix_json(reconstructed.matrix),
         "counts": [r.to_json_dict() for r in records],
-        "status": "pass" if passed else "FAIL",
     }
-    if (args.format or "json") == "json":
-        text = render_json(meta, data)
-    else:
-        rows = []
-        for record in records:
-            for setting, outcome, count in record.to_csv_rows():
-                rows.append([setting, outcome, count])
-        rows.append(["fidelity", point, unc])
-        text = render_csv(meta, ["setting", "outcome", "count"], rows)
-    return text, EXIT_OK if passed else EXIT_CHECK_FAILED
+    rows = [row for record in records for row in record.to_csv_rows()]
+    rows.append(["fidelity", point, unc])
+    return data, ["setting", "outcome", "count"], rows, threshold is None or point >= threshold
 
 
 COMMANDS = {
@@ -541,6 +468,25 @@ COMMANDS = {
     "witness-scan": cmd_witness_scan,
     "tomography-demo": cmd_tomography_demo,
 }
+
+
+def run_command(command: str, params: dict, args) -> tuple[str, int]:
+    """Run `command` on the config `params` and render its report, which embeds
+    `params` as written (a count given as 5.0 stays 5.0), not the parsed values."""
+    data, header, rows, passed = COMMANDS[command](parse_params(command, params), args)
+    fmt = args.format or SCHEMAS[command][0]
+    meta = {
+        "command": command,
+        "version": __version__,
+        "seed": args.seed,
+        "format": fmt,
+        "config": dict(sorted(params.items())),
+    }
+    if fmt == "json":
+        text = render_json(meta, {**data, "status": "pass" if passed else "FAIL"})
+    else:
+        text = render_csv(meta, header, rows)
+    return text, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,7 +513,7 @@ def main(argv=None) -> int:
             if not args.config.exists():
                 raise ConfigError(f"config file not found: {args.config}")
             params = parse_config_text(args.config.read_text())
-        text, code = COMMANDS[args.command](params, args)
+        text, code = run_command(args.command, params, args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

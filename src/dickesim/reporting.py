@@ -6,7 +6,9 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+import math
+import sys
+from typing import Any, Callable, NamedTuple, Sequence
 
 
 class ConfigError(ValueError):
@@ -47,11 +49,56 @@ def parse_config_text(text: str) -> dict:
     return params
 
 
-def validate_keys(params: dict, allowed: Sequence[str], command: str) -> None:
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys for {command}: {unknown}; allowed: {sorted(allowed)}")
+class Number(NamedTuple):
+    """Parser for a finite JSON number in [lo, hi]: a float, or with `whole` an int."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    whole: bool = False
+
+    def __call__(self, key: str, value: Any) -> float | int:
+        # abs() <= float max also refuses NaN, infinities and ints too big for a float
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (abs(value) <= sys.float_info.max and self.lo <= value <= self.hi)
+                or (self.whole and value != int(value))):
+            raise ConfigError(f"{key} must be a {'whole' if self.whole else 'finite'} number "
+                              f"in [{self.lo:g}, {self.hi:g}], got {value!r}")
+        return int(value) if self.whole else float(value)
+
+
+class OneOf(NamedTuple):
+    """Parser for a value out of a fixed set of strings."""
+
+    options: tuple[str, ...]
+
+    def __call__(self, key: str, value: Any) -> str:
+        if value not in self.options:
+            raise ConfigError(f"{key} must be one of {list(self.options)}, got {value!r}")
+        return value
+
+
+class ListOf(NamedTuple):
+    """Parser for a JSON list whose every item parses with `item`."""
+
+    item: Callable[[str, Any], Any]
+
+    def __call__(self, key: str, value: Any) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return [self.item(key, entry) for entry in value]
+
+
+class Row(NamedTuple):
+    """Parser for a JSON list of `required` to len(items) positional fields."""
+
+    items: tuple[Callable[[str, Any], Any], ...]
+    required: int
+
+    def __call__(self, key: str, value: Any) -> list:
+        if not isinstance(value, list) or not self.required <= len(value) <= len(self.items):
+            raise ConfigError(f"{key}: each row needs {self.required} to {len(self.items)} "
+                              f"fields, got {value!r}")
+        return [parse(key, entry) for parse, entry in zip(self.items, value)]
 
 
 def fmt_value(value: Any) -> str:

@@ -2,12 +2,66 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dickesim.cli import main
+from dickesim.cli import SCHEMAS, main, parse_params
 from dickesim.fixtures import regenerate_fixtures
-from dickesim.reporting import ConfigError, parse_config_text
+from dickesim.reporting import ConfigError, ListOf, Number, OneOf, Row, parse_config_text
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SCHEMA_KEYS = [(command, key) for command, (_, schema) in SCHEMAS.items() for key in schema]
+
+
+def _bound(x):
+    return None if math.isinf(x) else x
+
+
+def valid_values(parse):
+    """Values that `parse` accepts and returns unchanged."""
+    if isinstance(parse, Number):
+        if parse.whole:
+            whole = st.integers(_bound(parse.lo), _bound(parse.hi))
+            return whole | whole.map(float)
+        return st.floats(_bound(parse.lo), _bound(parse.hi), allow_nan=False, allow_infinity=False)
+    if isinstance(parse, OneOf):
+        return st.sampled_from(parse.options)
+    if isinstance(parse, ListOf):
+        return st.lists(valid_values(parse.item), max_size=3)
+    assert isinstance(parse, Row)
+    return st.integers(parse.required, len(parse.items)).flatmap(
+        lambda n: st.tuples(*map(valid_values, parse.items[:n])).map(list))
+
+
+NOT_A_NUMBER = (st.booleans() | st.text(max_size=4) | st.sampled_from([math.nan, math.inf, -math.inf])
+                | st.floats(-10, 10).map(repr) | st.just([0.5]))
+
+
+def invalid_values(parse):
+    """Values that `parse` must refuse with a ConfigError."""
+    if isinstance(parse, Number):
+        bad = NOT_A_NUMBER
+        if not math.isinf(parse.lo):
+            bad |= st.floats(max_value=parse.lo, allow_infinity=False).filter(lambda x: x < parse.lo)
+        if not math.isinf(parse.hi):
+            bad |= st.floats(min_value=parse.hi, allow_infinity=False).filter(lambda x: x > parse.hi)
+        if parse.whole:
+            bad |= st.floats(parse.lo, 1e9).filter(lambda x: not x.is_integer())
+        return bad
+    if isinstance(parse, OneOf):
+        return st.text(max_size=12).filter(lambda v: v not in parse.options) | st.integers() | st.booleans()
+    if isinstance(parse, ListOf):
+        one_bad = st.tuples(st.lists(valid_values(parse.item), max_size=2), invalid_values(parse.item))
+        return one_bad.map(lambda t: t[0] + [t[1]]) | st.floats(allow_nan=False) | st.text(max_size=4)
+    wrong_length = st.lists(st.just("10"), max_size=parse.required - 1) | st.lists(
+        st.just(0.5), min_size=len(parse.items) + 1, max_size=len(parse.items) + 2)
+    # a full-length valid row with field i replaced by a bad value
+    return wrong_length | st.integers(0, len(parse.items) - 1).flatmap(lambda i: st.tuples(
+        valid_values(Row(parse.items, len(parse.items))), invalid_values(parse.items[i])
+    ).map(lambda t: t[0][:i] + [t[1]] + t[0][i + 1:]))
 
 
 class TestConfigParsing:
@@ -43,6 +97,34 @@ class TestConfigParsing:
         assert parse_config_text("{}") == {}
 
 
+class TestConfigSchema:
+    @settings(derandomize=True, max_examples=300)
+    @given(data=st.data())
+    def test_values_parse_to_themselves_or_raise(self, data):
+        command, key = data.draw(st.sampled_from(SCHEMA_KEYS))
+        parse, _ = SCHEMAS[command][1][key]
+        good = data.draw(valid_values(parse))
+        parsed = parse_params(command, {key: good})[key]
+        assert parsed == good
+        if isinstance(parse, Number):
+            assert type(parsed) is (int if parse.whole else float)
+        bad = data.draw(invalid_values(parse))
+        with pytest.raises(ConfigError):
+            parse_params(command, {key: bad})
+
+    def test_readme_table_lists_the_schema_keys(self):
+        section = README.read_text().split("### Config files", 1)[1].split("\n#", 1)[0]
+        documented, command = {}, None
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if not line.startswith("|") or len(cells) < 2 or "`" not in cells[1]:
+                continue
+            command = cells[0].strip("`") or command
+            documented.setdefault(command, []).extend(re.findall(r"`(\w+)`", cells[1]))
+        assert {c: sorted(keys) for c, keys in documented.items()} == {
+            c: sorted(schema) for c, (_, schema) in SCHEMAS.items()}
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_config_error(self, tmp_path):
         config = tmp_path / "c.cfg"
@@ -63,6 +145,40 @@ class TestExitCodes:
     def test_default_runs_pass(self, tmp_path):
         assert main(["qtc-sweep", "--out", str(tmp_path / "q.csv")]) == 0
         assert main(["odt-table", "--out", str(tmp_path / "o.csv")]) == 0
+
+    @pytest.mark.parametrize("command,config_text", [
+        ("witness-scan", "gammas = [0.5]\n"),
+        ("witness-scan", "gammas = [NaN]\n"),
+        ("witness-scan", "gammas = [\"abc\"]\n"),
+        ("witness-scan", "gamma_min = -11\n"),
+        ("witness-scan", "gamma_max = 0.5\ngamma_points = 3\n"),
+        ("resource-check", "gamma_grid = [-11]\n"),
+        ("resource-check", "werner_p = 2\n"),
+        ("resource-check", "max_depth = \"x\"\n"),
+        ("qtc-sweep", "theta_max = 4\n"),
+        ("qtc-sweep", "theta_points = \"abc\"\n"),
+        ("qtc-sweep", "p = NaN\n"),
+        ("qtc-sweep", "p = 2\n"),
+        ("qtc-sweep", "port = z\n"),
+        ("odt-table", "werner_p = 0.9\nn_per_setting = 0\n"),
+        ("odt-table", "configurations = 5\n"),
+        ("odt-table", "configurations = [[\"10\", 0.0, \"z\"]]\n"),
+        ("witness-scan", "gamma_points = -1\n"),
+        ("witness-scan", "gamma_points = 0\n"),
+        ("witness-scan", "gamma_points = \"x\"\n"),
+        ("witness-scan", "jx2 = \"abc\"\n"),
+        ("witness-scan", "d_jx2 = -1\n"),
+        ("witness-scan", "source = magic\n"),
+        ("tomography-demo", "trials = 0\n"),
+        ("tomography-demo", "n_per_setting = 2.5\n"),
+        ("tomography-demo", "state = nonsense\n"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, command, config_text):
+        config = tmp_path / "c.cfg"
+        config.write_text(config_text)
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 class TestResourceCheck:
@@ -204,26 +320,6 @@ class TestWitnessScan:
         assert main(["witness-scan", "--out", str(out)]) == 0
         assert "does not reach threshold -15" in out.read_text()
 
-    def test_bad_source(self, tmp_path):
-        config = tmp_path / "c.cfg"
-        config.write_text("source = magic\n")
-        assert main(["witness-scan", "--config", str(config)]) == 2
-
-    @pytest.mark.parametrize("command,config_text", [
-        ("witness-scan", "gammas = [0.5]\n"),
-        ("witness-scan", "gammas = [NaN]\n"),
-        ("witness-scan", "gammas = [\"abc\"]\n"),
-        ("witness-scan", "gamma_min = -11\n"),
-        ("witness-scan", "gamma_max = 0.5\ngamma_points = 3\n"),
-        ("resource-check", "gamma_grid = [-11]\n"),
-    ])
-    def test_bad_gamma_is_config_error(self, tmp_path, capsys, command, config_text):
-        config = tmp_path / "c.cfg"
-        config.write_text(config_text)
-        assert main([command, "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-
 
 class TestTomographyDemo:
     def test_default_reconstruction(self, tmp_path):
@@ -243,11 +339,6 @@ class TestTomographyDemo:
         report = json.loads(out.read_text())
         assert report["fidelity"] > 0.99
         assert report["fidelity_threshold"] is None
-
-    def test_unknown_state(self, tmp_path):
-        config = tmp_path / "c.cfg"
-        config.write_text("state = nonsense\n")
-        assert main(["tomography-demo", "--config", str(config)]) == 2
 
 
 class TestFixtureRegeneration:
