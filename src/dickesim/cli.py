@@ -53,7 +53,13 @@ from .states import (
     werner_dicke,
     xi_state,
 )
-from .tomography import MeasurementSetting, fidelity_with_error, simulate_counts, tomography_linear
+from .tomography import (
+    MeasurementSetting,
+    MissingSettingError,
+    fidelity_with_error,
+    simulate_counts,
+    tomography_linear,
+)
 from .witnesses import (
     B4_GAMMA_MIN,
     MEASURED_J2,
@@ -107,6 +113,8 @@ PROBABILITY = Number(0.0, 1.0)
 ANGLE = Number(0.0, math.pi)
 GAMMA = Number(B4_GAMMA_MIN, 0.0)
 DEVIATION = Number(0.0)
+# (2 + B4_GAMMA_MIN^2) * 1e300 keeps the witness error's quadrature sum a finite float
+WITNESS_DEVIATION = Number(0.0, 1e150)
 COUNT = Number(1, whole=True)
 TRIALS = Number(10, whole=True)  # fewest bootstrap trials fidelity_with_error takes
 
@@ -143,7 +151,7 @@ SCHEMAS = {
         "gamma_points": (COUNT, None),
         "source": (OneOf(("measured", "state")), "measured"),
         **{name: (Number(), MEASURED_J2[name]) for name in MOMENTS},
-        **{f"d_{name}": (DEVIATION, MEASURED_J2_ERR[name]) for name in MOMENTS},
+        **{f"d_{name}": (WITNESS_DEVIATION, MEASURED_J2_ERR[name]) for name in MOMENTS},
         "werner_p": (PROBABILITY, None),
     }),
     "tomography-demo": ("json", {
@@ -198,6 +206,11 @@ class Check:
             "expected": self.expected,
             "kind": self.kind,
         }
+
+
+def _no_counts(err: MissingSettingError, n_per_setting: int) -> ConfigError:
+    return ConfigError(f"n_per_setting = {n_per_setting} drew no counts for setting "
+                       f"{', '.join(err.missing)}; tomography needs counts for every setting")
 
 
 def _resource(werner_p):
@@ -375,8 +388,11 @@ def cmd_odt_table(cfg: dict, args) -> tuple:
                 records = [simulate_counts(noisy.receiver_state, s, n_per_setting,
                                            seed=args.seed + 10 * row_index + i)
                            for i, s in enumerate(settings)]
-                noisy_f, noisy_unc = fidelity_with_error(records, target,
-                                                         trials=cfg["trials"], seed=args.seed)
+                try:
+                    noisy_f, noisy_unc = fidelity_with_error(records, target,
+                                                             trials=cfg["trials"], seed=args.seed)
+                except MissingSettingError as err:
+                    raise _no_counts(err, n_per_setting) from None
         rows.append([proj, theta, receiver, port, ideal.teleport_fidelity,
                      ideal.success_probability, noisy_f, noisy_unc, ref_f, ref_df])
 
@@ -440,7 +456,10 @@ def cmd_tomography_demo(cfg: dict, args) -> tuple:
     settings = [MeasurementSetting(axes) for axes in itertools.product("XYZ", repeat=state.n)]
     records = [simulate_counts(state, s, n, seed=args.seed + i)
                for i, s in enumerate(settings)]
-    reconstructed = tomography_linear(records, labels=state.labels)
+    try:
+        reconstructed = tomography_linear(records, labels=state.labels)
+    except MissingSettingError as err:
+        raise _no_counts(err, n) from None
     point = fidelity(reconstructed, target)
     boot_mean, unc = fidelity_with_error(records, target, trials=trials, seed=args.seed)
 

@@ -165,8 +165,38 @@ def exact_counts(state: State, setting: MeasurementSetting, n: float = 1.0) -> C
                         seed=None, exact=True)
 
 
-def _string_compatible(pauli_string: str, letters: Sequence[str]) -> bool:
-    return all(p == "I" or p == l for p, l in zip(pauli_string, letters))
+def _parities(record: CountsRecord, pauli_string: str) -> list[float] | None:
+    """Parity (+1 or -1) of each of the record's outcomes, in its dict order, over
+    the string's non-identity positions; None when the record cannot estimate
+    the string. Identity positions marginalize, so XI pools XX, XY and XZ."""
+    letters = record.setting.letters()
+    if len(letters) != len(pauli_string) or any(
+            p not in ("I", l) for p, l in zip(pauli_string, letters)):
+        return None
+    active = [i for i, p in enumerate(pauli_string) if p != "I"]
+    return [-1.0 if sum(int(outcome[i]) for i in active) % 2 else 1.0
+            for outcome in record.counts]
+
+
+def _parity_table(records: Sequence[CountsRecord], strings: Sequence[str]) -> np.ndarray:
+    """(columns x strings) parity weights, 0 where a record cannot estimate the
+    string; a column is one (record, outcome) pair in record and dict order.
+    The pooling weights are its absolute values."""
+    table = np.zeros((sum(len(r.counts) for r in records), len(strings)))
+    for j, string in enumerate(strings):
+        start = 0
+        for record in records:
+            weights = _parities(record, string)
+            if weights is not None:
+                table[start:start + len(weights), j] = weights
+            start += len(record.counts)
+        if not table[:, j].any():
+            raise MissingSettingError(f"no record covers Pauli string {string!r}", (string,))
+    return table
+
+
+def _column_counts(records: Sequence[CountsRecord]) -> np.ndarray:
+    return np.array([count for r in records for count in r.counts.values()], dtype=float)
 
 
 def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> tuple[float, float]:
@@ -177,26 +207,16 @@ def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> t
     counts; the uncertainty follows from Poisson fluctuations of the two
     parity classes, sqrt((1 - v^2)/T).
     """
-    matching = [r for r in records
-                if r.setting.n == len(pauli_string)
-                and _string_compatible(pauli_string, r.setting.letters())]
-    if not matching:
-        raise MissingSettingError(
-            f"no record covers Pauli string {pauli_string!r}", (pauli_string,))
-    active = [i for i, p in enumerate(pauli_string) if p != "I"]
-    signed = 0.0
-    total = 0.0
-    for record in matching:
-        for outcome, count in record.counts.items():
-            parity = -1.0 if sum(int(outcome[i]) for i in active) % 2 else 1.0
-            signed += parity * count
-        total += record.total
+    records = list(records)
+    parity = _parity_table(records, (pauli_string,))[:, 0]
+    counts = _column_counts(records)
+    total = counts @ np.abs(parity)
     if total <= 0:
         raise ValueError("records have zero total counts")
-    value = signed / total
-    if all(r.exact for r in matching):
-        return float(value), 0.0
-    return float(value), float(math.sqrt(max(1.0 - value ** 2, 0.0) / total))
+    value = float(counts @ parity / total)
+    if all(r.exact for r in records if _parities(r, pauli_string) is not None):
+        return value, 0.0
+    return value, float(math.sqrt(max(1.0 - value ** 2, 0.0) / total))
 
 
 def estimate_witness(records: Iterable[CountsRecord], observable: Observable) -> WitnessReport:
@@ -230,77 +250,106 @@ def estimate_witness(records: Iterable[CountsRecord], observable: Observable) ->
     )
 
 
-def _required_pauli_settings(k: int) -> list[tuple[str, ...]]:
-    return [letters for letters in itertools.product("XYZ", repeat=k)]
+class _Inversion:
+    """Linear inversion rho = 2^-k sum <P> P of one record list, built once and
+    applied to any stack of count vectors over its columns (one (record,
+    outcome) pair each, in record and dict order)."""
+
+    def __init__(self, records: Iterable[CountsRecord]):
+        records = list(records)
+        if not records:
+            raise ValueError("no records supplied")
+        self.k = k = records[0].setting.n
+        if k > 2:
+            raise ValueError("linear inversion is provided for 1 or 2 qubits")
+        totals: dict[tuple[str, ...], float] = {}
+        for r in records:
+            letters = r.setting.letters()
+            totals[letters] = totals.get(letters, 0.0) + r.total
+        needed = list(itertools.product("XYZ", repeat=k))
+        absent = ["".join(s) for s in needed if s not in totals]
+        if absent:
+            raise MissingSettingError(
+                f"records missing {len(absent)} of {len(needed)} Pauli settings", tuple(absent))
+        empty = ["".join(s) for s in needed if totals[s] <= 0]
+        if empty:
+            raise MissingSettingError(f"no counts for Pauli settings {empty}", tuple(empty))
+        self.records = records
+        # the identity string comes first; its expectation is 1
+        strings = ["".join(combo) for combo in itertools.product("IXYZ", repeat=k)]
+        self.paulis = [pauli_matrix(s) for s in strings]
+        self.parity = _parity_table(records, strings[1:])
+        self.counts = _column_counts(records)
+        self.owner = np.repeat(np.arange(len(records)), [len(r.counts) for r in records])
+        self.exact = np.array([r.exact for r in records])[self.owner]
+
+    def matrices(self, counts: np.ndarray) -> np.ndarray:
+        """PSD reconstructions (trials x 2^k x 2^k), one per row of `counts`."""
+        values = np.ones((len(counts), len(self.paulis)))
+        # stochastic counts are integers, so these sums are exact in any order
+        values[:, 1:] = (counts @ self.parity) / (counts @ np.abs(self.parity))
+        dim = 2 ** self.k
+        rho = np.zeros((len(counts), dim, dim), dtype=complex)
+        for value, pauli in zip(values.T, self.paulis):
+            rho += value[:, None, None] * pauli
+        rho /= dim
+        return _project_psd(rho)
+
+    def redraw(self, trials: int, seed: int) -> np.ndarray:
+        """(trials x columns) parametric bootstrap counts.
+
+        Trial t redraws every stochastic column from Poisson(observed) with
+        default_rng((seed, t)), in column order; exact columns stay, and a
+        record whose redraw totals zero keeps its observed counts.
+        """
+        counts = np.tile(self.counts, (trials, 1))
+        stochastic = ~self.exact
+        for t in range(trials):
+            counts[t, stochastic] = np.random.default_rng((seed, t)).poisson(
+                self.counts[stochastic])
+        totals = counts @ (self.owner[:, None] == np.arange(len(self.records)))
+        keep = (totals == 0)[:, self.owner]
+        counts[keep] = np.broadcast_to(self.counts, counts.shape)[keep]
+        return counts
 
 
 def tomography_linear(records: Iterable[CountsRecord],
                       labels: Sequence[str] | None = None) -> MixedState:
     """Linear-inversion reconstruction rho = 2^-k sum <P> P, then PSD clip.
 
-    Requires records covering all 3^k Pauli settings for k <= 2 qubits.
-    Negative eigenvalues from shot noise are clipped to zero and the trace
-    renormalized.
+    Requires records covering all 3^k Pauli settings for k <= 2 qubits, each
+    with counts; MissingSettingError names the settings that are absent or
+    have none. Negative eigenvalues from shot noise are clipped to zero and
+    the trace renormalized.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("no records supplied")
-    k = records[0].setting.n
-    if k > 2:
-        raise ValueError("linear inversion is provided for 1 or 2 qubits")
-    have = {r.setting.letters() for r in records}
-    needed = _required_pauli_settings(k)
-    absent = [s for s in needed if s not in have]
-    if absent:
-        raise MissingSettingError(
-            f"records missing {len(absent)} of {len(needed)} Pauli settings",
-            tuple("".join(s) for s in absent))
-    dim = 2 ** k
-    rho = np.zeros((dim, dim), dtype=complex)
-    for combo in itertools.product("IXYZ", repeat=k):
-        string = "".join(combo)
-        if set(string) == {"I"}:
-            expectation = 1.0
-        else:
-            expectation, _ = estimate_correlator(records, string)
-        rho += expectation * pauli_matrix(string)
-    rho /= dim
-    rho = _project_psd(rho)
-    layout = RegisterLayout(tuple(labels) if labels is not None else tuple(f"q{i}" for i in range(k)))
-    return MixedState(layout, rho)
+    inversion = _Inversion(records)
+    layout = RegisterLayout(tuple(labels) if labels is not None
+                            else tuple(f"q{i}" for i in range(inversion.k)))
+    return MixedState(layout, inversion.matrices(inversion.counts[None])[0])
 
 
 def _project_psd(rho: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues and restore the trace.
+    """Clip negative eigenvalues and restore the trace, over a stack of matrices.
 
     Each clipped deficit is spread uniformly over the remaining (larger)
     eigenvalues, walking them in ascending order; this is the standard
     trace-restoring projection and loses less fidelity than a global
     rescale of the spectrum.
     """
-    rho = (rho + rho.conj().T) / 2
-    vals, vecs = np.linalg.eigh(rho)
-    lam = vals.real.copy()
-    for i in range(len(lam)):
-        if lam[i] < 0:
-            remaining = len(lam) - i - 1
-            if remaining:
-                lam[i + 1:] += lam[i] / remaining
-            lam[i] = 0.0
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
+    lam, vecs = np.linalg.eigh(rho)
+    dim = lam.shape[-1]
+    for i in range(dim):
+        neg = lam[:, i] < 0
+        if i + 1 < dim:
+            lam[neg, i + 1:] += lam[neg, i, None] / (dim - i - 1)
+        lam[neg, i] = 0.0
     lam = np.clip(lam, 0.0, None)
-    total = lam.sum()
-    if total <= 0:
+    total = lam.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("reconstruction collapsed to the zero matrix")
     lam /= total
-    return (vecs * lam) @ vecs.conj().T
-
-
-def _resample(record: CountsRecord, rng: np.random.Generator) -> CountsRecord:
-    counts = {o: int(rng.poisson(c)) for o, c in record.counts.items()}
-    if sum(counts.values()) == 0:
-        counts = dict(record.counts)
-    return CountsRecord(setting=record.setting, counts=counts,
-                        total_requested=record.total_requested, seed=None, exact=record.exact)
+    return (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def fidelity_with_error(records: Iterable[CountsRecord], target: State,
@@ -313,16 +362,13 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     """
     if trials < 10:
         raise ValueError("need at least 10 bootstrap trials")
-    records = list(records)
-    base = tomography_linear(records, labels=target.labels)
-    point = fidelity(base, target)
-    if all(r.exact for r in records):
+    inversion = _Inversion(records)
+    layout = RegisterLayout(target.labels)
+    point = fidelity(MixedState(layout, inversion.matrices(inversion.counts[None])[0]), target)
+    if inversion.exact.all():
         return float(point), 0.0
-    values = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        redrawn = [_resample(r, rng) if not r.exact else r for r in records]
-        values[t] = fidelity(tomography_linear(redrawn, labels=target.labels), target)
+    values = [fidelity(MixedState(layout, rho), target)
+              for rho in inversion.matrices(inversion.redraw(trials, seed))]
     return float(np.mean(values)), float(np.std(values))
 
 

@@ -168,6 +168,7 @@ class TestExitCodes:
         ("witness-scan", "gamma_points = \"x\"\n"),
         ("witness-scan", "jx2 = \"abc\"\n"),
         ("witness-scan", "d_jx2 = -1\n"),
+        ("witness-scan", "d_jx2 = 1e300\nd_jy2 = 1e300\n"),
         ("witness-scan", "source = magic\n"),
         ("tomography-demo", "trials = 0\n"),
         ("tomography-demo", "n_per_setting = 2.5\n"),
@@ -179,6 +180,21 @@ class TestExitCodes:
         assert main([command, "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("command,config_text,seed,setting", [
+        ("tomography-demo", "state = bell-psi+\nn_per_setting = 3\ntrials = 10\n", 7, "YY"),
+        ("odt-table", "werner_p = 0.9\nn_per_setting = 1\n", 0, "Z"),
+    ])
+    def test_setting_without_counts_is_config_error(self, tmp_path, capsys, command,
+                                                    config_text, seed, setting):
+        config = tmp_path / "c.cfg"
+        config.write_text(config_text)
+        assert main([command, "--config", str(config), "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        n = re.search(r"n_per_setting = \d+", config_text).group()
+        assert n in err and f"setting {setting};" in err
 
 
 class TestResourceCheck:

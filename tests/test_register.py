@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dickesim import (
     ClientParams,
@@ -327,3 +329,71 @@ class TestPermute:
     def test_not_a_permutation(self):
         with pytest.raises(RegisterError):
             permute_to(bell("psi+"), ("a", "q"))
+
+
+LABELS = ("a", "b", "c")
+
+
+@st.composite
+def states(draw, n=None):
+    """A Haar-random ket or a random density matrix of any rank on 1-3 qubits."""
+    n = n or draw(st.integers(1, len(LABELS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    layout = RegisterLayout(LABELS[:n])
+    if draw(st.booleans()):
+        return PureState(layout, oracles.haar_ket(rng, 2 ** n))
+    return MixedState(layout, oracles.random_density(rng, 2 ** n, draw(st.integers(1, 2 ** n))))
+
+
+def some_labels(state, max_size):
+    """A non-empty ordered selection of at most `max_size` of the state's labels."""
+    return st.permutations(state.labels).flatmap(
+        lambda order: st.integers(1, max_size).map(lambda k: tuple(order[:k])))
+
+
+class TestRegisterProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_apply_gate_keeps_the_norm(self, data):
+        state = data.draw(states())
+        labels = data.draw(some_labels(state, min(2, state.n)))
+        gate = oracles.haar_unitary(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                                    2 ** len(labels))
+        out = apply_gate(state, gate, labels)
+        if isinstance(out, PureState):
+            assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
+        else:
+            assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_partial_trace_keeps_trace_and_positivity(self, data):
+        state = data.draw(states())
+        reduced = partial_trace(state, data.draw(some_labels(state, state.n)))
+        assert abs(np.trace(reduced.matrix) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(reduced.matrix).min() >= -1e-12
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fidelity_is_symmetric_and_in_unit_interval(self, data):
+        first = data.draw(states())
+        second = data.draw(states(n=first.n))
+        forward, backward = fidelity(first, second), fidelity(second, first)
+        # the pure/pure overlap is not clamped, so equal kets may read 1 + a few ulp
+        assert 0.0 <= forward <= 1.0 + 1e-12 and 0.0 <= backward <= 1.0 + 1e-12
+        # Uhlmann takes square roots of rounding-level eigenvalues when a rank is low
+        assert abs(forward - backward) <= 1e-7
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_project_probabilities_sum_to_one(self, data):
+        state = data.draw(states().filter(lambda s: s.n > 1))
+        labels = data.draw(some_labels(state, state.n - 1))
+        total = 0.0
+        for bits in itertools.product("01", repeat=len(labels)):
+            try:
+                prob, _ = project(state, labels, "".join(bits))
+            except ImpossibleBranchError as err:
+                prob = err.probability
+            total += prob
+        assert abs(total - 1.0) <= 1e-12

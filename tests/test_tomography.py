@@ -304,6 +304,16 @@ class TestLinearInversion:
             tomography_linear(records)
         assert "XX" in exc.value.missing
 
+    def test_settings_without_counts_listed(self):
+        records = poisson_records(bell("psi+"), 2, 1000, seed=2)
+        records[4] = CountsRecord(records[4].setting, dict.fromkeys(records[4].counts, 0),
+                                  1000.0, seed=None)
+        for call in (lambda: tomography_linear(records),
+                     lambda: fidelity_with_error(records, bell("psi+"), trials=10)):
+            with pytest.raises(MissingSettingError) as exc:
+                call()
+            assert exc.value.missing == ("YY",)
+
     def test_too_many_qubits(self):
         records = [exact_counts(dicke(3, 1), MeasurementSetting(("Z", "Z", "Z")))]
         with pytest.raises(ValueError, match="1 or 2"):
@@ -339,6 +349,66 @@ class TestFidelityWithError:
         first = fidelity_with_error(records, bell("psi+"), trials=15, seed=8)
         second = fidelity_with_error(records, bell("psi+"), trials=15, seed=8)
         assert first == second
+
+
+def _one_qubit_records():
+    rho = MixedState(RegisterLayout(("a",)), oracles.random_density(np.random.default_rng(3), 2))
+    return [simulate_counts(rho, s, 200, seed=10 + i) for i, s in enumerate(all_settings(1))], rho
+
+
+def _two_qubit_records():
+    psi = PureState(RegisterLayout(("a", "b")), oracles.haar_ket(np.random.default_rng(4), 4))
+    return poisson_records(psi, 2, 300, seed=6), psi
+
+
+def _shuffled_outcomes():
+    records, psi = _two_qubit_records()
+    return [CountsRecord(r.setting, dict(reversed(list(r.counts.items()))), r.total_requested,
+                         r.seed) for r in records], psi
+
+
+def _missing_outcomes():
+    records = poisson_records(bell("psi+"), 2, 300, seed=7)
+    # ZZ never yields 00 or 11 on psi+; drop those keys rather than count them as 0
+    records[8] = CountsRecord(records[8].setting, {"10": 140, "01": 155}, 300.0, seed=None)
+    assert records[8].setting.letters() == ("Z", "Z")
+    return records, bell("psi+")
+
+
+def _exact_and_stochastic():
+    state = bell("phi-")
+    return [exact_counts(state, s, n=300.0) if i % 2 else simulate_counts(state, s, 300, seed=i)
+            for i, s in enumerate(all_settings(2))], state
+
+
+def _small_counts():
+    plus = single_qubit(np.array([1, 1]) / math.sqrt(2), "a")
+    counts = ({"0": 1, "1": 0}, {"1": 1, "0": 1}, {"0": 0, "1": 2})
+    return [CountsRecord(s, c, 2.0, seed=None) for s, c in zip(all_settings(1), counts)], plus
+
+
+class TestBootstrapOracle:
+    """The batched inversion and bootstrap against a per-trial oracle that
+    redraws one outcome at a time."""
+
+    CASES = {"one-qubit": _one_qubit_records, "two-qubit": _two_qubit_records,
+             "shuffled-outcomes": _shuffled_outcomes, "missing-outcomes": _missing_outcomes,
+             "exact-and-stochastic": _exact_and_stochastic, "small-counts": _small_counts}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_trial_oracle(self, case):
+        records, target = self.CASES[case]()
+        plain = [(r.setting.letters(), r.counts, r.exact) for r in records]
+        dense = target.amplitudes if isinstance(target, PureState) else target.matrix
+        rho = tomography_linear(records, labels=target.labels).matrix
+        assert np.abs(rho - oracles.linear_inversion(plain)).max() <= 1e-12
+        fid, unc = fidelity_with_error(records, target, trials=40, seed=3)
+        mean, std, kept = oracles.bootstrap_fidelity(plain, dense, trials=40, seed=3)
+        assert fid == pytest.approx(mean, abs=1e-12)
+        assert unc == pytest.approx(std, abs=1e-12)
+        assert unc > 0
+        if case == "small-counts":
+            assert kept > 0
 
 
 class TestSerialization:
