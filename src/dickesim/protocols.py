@@ -229,8 +229,8 @@ def run_qtc(client: ClientParams, resource: State | None = None, port: str = "b"
     """Run 1->3 telecloning: Bell-measure (X, port), correct, score the clones.
 
     Clone fidelities are taken against the client's input state; for a pure
-    client that is the target ket itself. The density-matrix path is used as
-    soon as either the resource or the client is mixed.
+    client that is the target ket itself. A pure client stays a ket even on a
+    mixed resource, so its fidelities are the exact overlaps <psi|rho|psi>.
     """
     if resource is None:
         resource = dicke(4, 2, RESOURCE_LABELS)
@@ -239,7 +239,7 @@ def run_qtc(client: ClientParams, resource: State | None = None, port: str = "b"
     clone_labels = tuple(x for x in resource.labels if x != port)
     table = derive_correction_table(dicke(4, 2, resource.labels), port)
 
-    pure_path = isinstance(resource, PureState) and client.dephase_lambda == 0.0
+    pure_path = client.dephase_lambda == 0.0
     client_in: State = client_ket(client) if pure_path else client_state(client)
     full = tensor(client_in, resource)
     raw_branches = bell_measure(full, CLIENT_LABEL, port)
@@ -309,7 +309,7 @@ def run_odt(client: ClientParams, resource: State | None = None, port: str = "b"
             raise RegisterError(f"{label!r} not in resource labels {resource.labels}")
     sodt = tuple(x for x in resource.labels if x not in (receiver, port))
 
-    pure_path = isinstance(resource, PureState) and client.dephase_lambda == 0.0
+    pure_path = client.dephase_lambda == 0.0
     client_in: State = client_ket(client) if pure_path else client_state(client)
     full = tensor(client_in, resource)
     full = _apply_cx(full, CLIENT_LABEL, port)

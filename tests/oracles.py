@@ -185,6 +185,91 @@ def bootstrap_fidelity(records, target: np.ndarray, trials: int, seed: int):
     return float(np.mean(values)), float(np.std(values)), kept
 
 
+# --- telecloning and open-destination teleportation, one kron chain each ----
+#
+# Qubit order (X, a, b, c, d): the client X, then the Werner-Dicke resource
+# p |D><D| + (1 - p) I/16. Every operator is a full 32 x 32 matrix and every
+# reduction goes through partial_trace_indices.
+
+RESOURCE = ("a", "b", "c", "d")
+KET0 = np.array([1, 0], dtype=complex)
+KET1 = np.array([0, 1], dtype=complex)
+KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
+CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+# Bell outcome (sigma-x on X, sigma-z on the port) -> the Pauli applied to each clone
+TELECLONE_CORRECTIONS = (((KET_PLUS, KET0), SX), ((KET_MINUS, KET0), SY),
+                         ((KET_PLUS, KET1), I2), ((KET_MINUS, KET1), SZ))
+
+
+def client_ket(theta: float, phi: float) -> np.ndarray:
+    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+
+def client_density(theta: float, phi: float, dephase: float) -> np.ndarray:
+    psi = client_ket(theta, phi)
+    rho = np.outer(psi, psi.conj())
+    return rho * np.array([[1, 1 - dephase], [1 - dephase, 1]])
+
+
+def werner_dicke_density(p: float) -> np.ndarray:
+    d = dicke_by_permutations(4, 2)
+    return p * np.outer(d, d.conj()) + (1 - p) * np.eye(16) / 16
+
+
+def qubit_fidelity(target: np.ndarray, rho: np.ndarray) -> float:
+    """<psi|rho|psi> for a target ket; for a 2 x 2 target density matrix the
+    qubit closed form tr(sigma rho) + 2 sqrt(det sigma det rho)."""
+    if target.ndim == 1:
+        return float(np.real(target.conj() @ rho @ target))
+    dets = np.real(np.linalg.det(target)) * np.real(np.linalg.det(rho))
+    return float(np.real(np.trace(target @ rho)) + 2 * np.sqrt(max(dets, 0.0)))
+
+
+def _projector(kets: dict) -> np.ndarray:
+    """Outer product |k><k| on the qubits in `kets` (0 = X, 1..4 = a..d), I elsewhere."""
+    return kron_chain([np.outer(kets[q], kets[q].conj()) if q in kets else I2 for q in range(5)])
+
+
+def telecloning_fidelity(theta: float, phi: float, p: float, dephase: float, port: str) -> float:
+    """Branch-averaged mean clone fidelity of 1 -> 3 telecloning, scored
+    against the client's input state (its ket when dephase = 0)."""
+    target = client_ket(theta, phi) if dephase == 0 else client_density(theta, phi, dephase)
+    q_port = 1 + RESOURCE.index(port)
+    full = np.kron(client_density(theta, phi, dephase), werner_dicke_density(p))
+    cx = embed_unitary(CX, (0, q_port), 5)
+    full = cx @ full @ cx.conj().T
+    clones = [q for q in range(1, 5) if q != q_port]
+    average = 0.0
+    for (x_ket, z_ket), pauli in TELECLONE_CORRECTIONS:
+        proj = _projector({0: x_ket, q_port: z_ket})
+        branch = proj @ full @ proj
+        prob = float(np.real(np.trace(branch)))
+        fix = kron_chain([pauli if q in clones else I2 for q in range(5)])
+        branch = fix @ branch @ fix.conj().T / prob
+        per_clone = [qubit_fidelity(target, partial_trace_indices(branch, [q], 5)) for q in clones]
+        average += prob * sum(per_clone) / len(per_clone)
+    return average
+
+
+def odt_fidelity(theta: float, phi: float, p: float, dephase: float, port: str,
+                 receiver: str, pattern: str) -> tuple[float, float]:
+    """(teleportation fidelity, success probability) of open-destination
+    teleportation: CX from X onto the port, the other two resource qubits
+    projected onto `pattern`, (X, port) post-selected on |+>|1>."""
+    target = client_ket(theta, phi) if dephase == 0 else client_density(theta, phi, dephase)
+    q_port, q_recv = 1 + RESOURCE.index(port), 1 + RESOURCE.index(receiver)
+    others = [q for q in range(1, 5) if q not in (q_port, q_recv)]
+    full = np.kron(client_density(theta, phi, dephase), werner_dicke_density(p))
+    cx = embed_unitary(CX, (0, q_port), 5)
+    full = cx @ full @ cx.conj().T
+    kets = {q: KET1 if bit == "1" else KET0 for q, bit in zip(others, pattern)}
+    proj = _projector({**kets, 0: KET_PLUS, q_port: KET1})
+    branch = proj @ full @ proj
+    prob = float(np.real(np.trace(branch)))
+    return qubit_fidelity(target, partial_trace_indices(branch / prob, [q_recv], 5)), prob
+
+
 # --- certified bracket for b4(gamma) ---------------------------------------
 #
 # For a product |a>|b> over a bipartition A|B the operator

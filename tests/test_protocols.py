@@ -144,6 +144,16 @@ class TestRunQtc:
             result = run_qtc(ClientParams(theta=0.0), resource=werner_dicke(p))
             assert result.average_clone_fidelity == pytest.approx(0.5 + p / 6, abs=1e-9)
 
+    @pytest.mark.parametrize("port", ["a", "b", "c", "d"])
+    def test_werner_resource_pure_client_closed_form(self, port):
+        # the noise part leaves every clone at I/2, so F = p (9 - cos 2 theta)/12 + (1 - p)/2
+        for p in (0.0, 0.3, 0.8, 0.97, 1.0):
+            resource = werner_dicke(p)
+            for theta in np.linspace(0, math.pi, 9):
+                result = run_qtc(ClientParams(theta=float(theta), phi=0.9), resource=resource, port=port)
+                expected = p * (9 - math.cos(2 * theta)) / 12 + (1 - p) / 2
+                assert abs(result.average_clone_fidelity - expected) <= 1e-12, (p, theta)
+
     def test_unknown_port(self):
         with pytest.raises(RegisterError):
             run_qtc(ClientParams(theta=1.0), port="q")
@@ -244,6 +254,29 @@ class TestRunOdt:
         assert result.teleport_fidelity == pytest.approx(expected, abs=1e-9)
         assert result.teleport_fidelity < 1.0
         assert result.teleport_fidelity == pytest.approx(0.9065155805954777, abs=1e-9)
+        # the same value at every theta: the ideal and noise branches have
+        # theta-independent weights p/12 and (1-p)/16
+        for p in (0.3, p, 1.0):
+            expected = (p / 12 + (1 - p) / 32) / (p / 12 + (1 - p) / 16)
+            for theta in np.linspace(0, math.pi, 7):
+                for projection, receiver in (("01", "a"), ("10", "a"), ("01", "b"), ("10", "b")):
+                    result = run_odt(ClientParams(theta=float(theta), phi=0.4), resource=werner_dicke(p),
+                                     port=_odt_port(receiver), receiver=receiver,
+                                     sodt_projection=projection)
+                    assert abs(result.teleport_fidelity - expected) <= 1e-12, (p, theta)
+
+    @pytest.mark.parametrize("p,dephase", [(0.3, 0.0), (0.8, 0.2), (1.0, 0.5)])
+    def test_matches_kron_chain_oracle(self, p, dephase):
+        for theta in np.linspace(0, math.pi, 5):
+            for projection, receiver in (("01", "a"), ("10", "b")):
+                port = _odt_port(receiver)
+                result = run_odt(ClientParams(theta=float(theta), phi=0.4, dephase_lambda=dephase),
+                                 resource=werner_dicke(p), port=port, receiver=receiver,
+                                 sodt_projection=projection)
+                fid, prob = oracles.odt_fidelity(float(theta), 0.4, p, dephase, port, receiver,
+                                                 projection)
+                assert abs(result.teleport_fidelity - fid) <= 1e-12
+                assert abs(result.success_probability - prob) <= 1e-12
 
     def test_dephased_client(self):
         result = run_odt(ClientParams(theta=math.pi / 2, dephase_lambda=0.18))
