@@ -347,17 +347,20 @@ def cmd_resource_check(cfg: dict, args) -> tuple:
 def cmd_qtc_sweep(cfg: dict, args) -> tuple:
     p, lam, dp = cfg["p"], cfg["dephase_lambda"], cfg["p_uncertainty"]
     phi, port = cfg["phi"], cfg["port"]
+    thetas = np.linspace(cfg["theta_min"], cfg["theta_max"], cfg["theta_points"]).tolist()
+    # the whole grid is one stack: one run_qtc call per resource
+    ideal = run_qtc([ClientParams(theta=theta, phi=phi) for theta in thetas],
+                    port=port).average_clone_fidelity
+    low, high = qtc_mixed_band(thetas, p, lam, dp, phi=phi, port=port, ideal=ideal)
     rows = []
     failures = 0
-    for theta in np.linspace(cfg["theta_min"], cfg["theta_max"], cfg["theta_points"]).tolist():
+    for theta, ideal_f, low_f, high_f in zip(thetas, ideal.tolist(), low.tolist(), high.tolist()):
         theory = qtc_theory_fidelity(theta)
-        ideal = run_qtc(ClientParams(theta=theta, phi=phi), port=port).average_clone_fidelity
-        low, high = qtc_mixed_band(theta, p, lam, dp, phi=phi, port=port)
-        if abs(ideal - theory) > CHECK_TOL:
+        if abs(ideal_f - theory) > CHECK_TOL:
             failures += 1
-        if p == 1.0 and lam == 0.0 and dp == 0.0 and not (low - CHECK_TOL <= theory <= high + CHECK_TOL):
+        if p == 1.0 and lam == 0.0 and dp == 0.0 and not (low_f - CHECK_TOL <= theory <= high_f + CHECK_TOL):
             failures += 1
-        rows.append([theta, theory, ideal, low, high])
+        rows.append([theta, theory, ideal_f, low_f, high_f])
 
     header = ["theta", "theory_fidelity", "ideal_fidelity", "band_low", "band_high"]
     return {"rows": [dict(zip(header, row)) for row in rows]}, header, rows, failures == 0

@@ -5,16 +5,22 @@ CX with X as control and the port as target, and post-select projective
 outcomes. Clone and receiver fidelities are evaluated against the client's
 actual input state (equal to the pure target ket whenever the client is
 pure), matching how the experiment scores its output states.
+
+Telecloning takes a sequence of clients as one stack (see register): a whole
+theta grid is one pass through the register, and a single client is the
+one-member stack.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .register import (
+    BRANCH_TOL,
     ImpossibleBranchError,
     MixedState,
     PAULI_I,
@@ -65,7 +71,10 @@ class CorrectionSearchError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class BranchOutcome:
-    """One measurement branch: label, probability, post-selected state, correction."""
+    """One measurement branch: label, probability, post-selected state, correction.
+
+    For a stacked state the probability is an array and the post-state a stack.
+    """
 
     outcome_label: str
     probability: float
@@ -82,13 +91,31 @@ class BranchOutcome:
 
 @dataclass(frozen=True, eq=False)
 class QtcResult:
-    """Telecloning run: corrected branches and per-branch, per-clone fidelities."""
+    """Telecloning run: corrected branches and per-branch, per-clone fidelities.
+
+    For a stack of clients every number is an array over the clients and
+    every post-state a stack; `member` gives one client's result.
+    """
 
     branches: tuple[BranchOutcome, ...]
     clone_labels: tuple[str, ...]
     clone_fidelities: dict
-    average_clone_fidelity: float
+    average_clone_fidelity: float | np.ndarray
     port: str
+
+    def member(self, index: int) -> "QtcResult":
+        return QtcResult(
+            branches=tuple(
+                BranchOutcome(b.outcome_label, float(b.probability[index]),
+                              None if b.post_state is None else b.post_state.member(index),
+                              b.correction)
+                for b in self.branches),
+            clone_labels=self.clone_labels,
+            clone_fidelities={outcome: {label: float(v[index]) for label, v in per_clone.items()}
+                              for outcome, per_clone in self.clone_fidelities.items()},
+            average_clone_fidelity=float(self.average_clone_fidelity[index]),
+            port=self.port,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -131,7 +158,9 @@ def bell_measure(state: State, q1: str, q2: str) -> list[BranchOutcome]:
     """Bell measurement on (q1, q2): CX then sigma-x on q1 and sigma-z on q2.
 
     All four branches are returned in the fixed order phi+, phi-, psi+, psi-;
-    a branch whose probability vanishes carries post_state None.
+    a branch whose probability vanishes carries post_state None. On a stack a
+    branch that vanishes for some members only raises RegisterError: one
+    post-state stack cannot hold it.
     """
     if q1 == q2:
         raise RegisterError("Bell measurement needs two distinct qubits")
@@ -144,11 +173,18 @@ def bell_measure(state: State, q1: str, q2: str) -> list[BranchOutcome]:
             try:
                 prob, post = project(rotated, (q1, q2), onto)
             except ImpossibleBranchError as err:
-                prob, post = max(err.probability, 0.0), None
+                if isinstance(err.probability, float):
+                    prob = max(err.probability, 0.0)
+                elif (err.probability >= BRANCH_TOL).any():
+                    raise RegisterError(
+                        f"Bell outcome {bell_label} vanishes for some stack members only") from None
+                else:
+                    prob = np.maximum(err.probability, 0.0)
+                post = None
             outcomes[bell_label] = BranchOutcome(bell_label, prob, post)
     branches = [outcomes[label] for label in BELL_LABELS]
     total = sum(b.probability for b in branches)
-    if abs(total - 1.0) > BRANCH_SUM_TOL:
+    if np.any(np.abs(total - 1.0) > BRANCH_SUM_TOL):
         raise RegisterError(f"branch probabilities sum to {total}, not 1")
     return branches
 
@@ -225,12 +261,17 @@ def qtc_theory_fidelity(theta: float) -> float:
     return (9.0 - math.cos(2.0 * theta)) / 12.0
 
 
-def run_qtc(client: ClientParams, resource: State | None = None, port: str = "b") -> QtcResult:
+def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | None = None,
+            port: str = "b") -> QtcResult:
     """Run 1->3 telecloning: Bell-measure (X, port), correct, score the clones.
 
     Clone fidelities are taken against the client's input state; for a pure
     client that is the target ket itself. A pure client stays a ket even on a
     mixed resource, so its fidelities are the exact overlaps <psi|rho|psi>.
+
+    A sequence of clients, all pure or all dephased, runs as one stack and
+    gives a stacked result (see QtcResult) whose member i equals the run of
+    client i alone bit for bit. One client is run as a one-member stack.
     """
     if resource is None:
         resource = dicke(4, 2, RESOURCE_LABELS)
@@ -239,14 +280,17 @@ def run_qtc(client: ClientParams, resource: State | None = None, port: str = "b"
     clone_labels = tuple(x for x in resource.labels if x != port)
     table = derive_correction_table(dicke(4, 2, resource.labels), port)
 
-    pure_path = client.dephase_lambda == 0.0
-    client_in: State = client_ket(client) if pure_path else client_state(client)
-    full = tensor(client_in, resource)
-    raw_branches = bell_measure(full, CLIENT_LABEL, port)
+    single = isinstance(client, ClientParams)
+    clients = [client] if single else list(client)
+    pure_path = {c.dephase_lambda == 0.0 for c in clients}
+    if len(pure_path) != 1:
+        raise ValueError("a stack of clients must be all pure or all dephased")
+    client_in: State = client_ket(clients) if pure_path.pop() else client_state(clients)
+    raw_branches = bell_measure(tensor(client_in, resource), CLIENT_LABEL, port)
 
     branches = []
-    fidelities: dict[str, dict[str, float]] = {}
-    average = 0.0
+    fidelities: dict[str, dict[str, np.ndarray]] = {}
+    average = np.zeros(len(clients))
     for branch in raw_branches:
         pauli = table[branch.outcome_label]
         if branch.post_state is None:
@@ -260,34 +304,47 @@ def run_qtc(client: ClientParams, resource: State | None = None, port: str = "b"
             per_clone[label] = fidelity(client_in, reduced)
         fidelities[branch.outcome_label] = per_clone
         average += branch.probability * (sum(per_clone.values()) / len(per_clone))
-    return QtcResult(
+    result = QtcResult(
         branches=tuple(branches),
         clone_labels=clone_labels,
         clone_fidelities=fidelities,
-        average_clone_fidelity=float(average),
+        average_clone_fidelity=average,
         port=port,
     )
+    return result.member(0) if single else result
 
 
-def qtc_mixed_band(theta: float, p: "float | WernerParams", dephase_lambda: float,
-                   p_uncertainty: float = 0.0, phi: float = 0.0,
-                   port: str = "b") -> tuple[float, float]:
-    """Telecloning-fidelity interval for a dephased client over Werner weight p +- dp."""
+def qtc_mixed_band(theta: float | Sequence[float], p: "float | WernerParams",
+                   dephase_lambda: float, p_uncertainty: float = 0.0, phi: float = 0.0,
+                   port: str = "b", ideal: np.ndarray | None = None):
+    """Telecloning-fidelity interval for a dephased client over Werner weight p +- dp.
+
+    A sequence of thetas runs as one stack per band end and gives two arrays.
+    `ideal`, the noise-free run_qtc fidelities at these thetas, phi and port,
+    stands in for a band end at weight 1 without dephasing: that end is the
+    same call on the same inputs.
+    """
     if isinstance(p, WernerParams):
         p = p.p
     if p_uncertainty < 0:
         raise ValueError("p_uncertainty must be non-negative")
     lo = min(max(p - p_uncertainty, 0.0), 1.0)
     hi = min(max(p + p_uncertainty, 0.0), 1.0)
-    params = ClientParams(theta=theta, phi=phi, dephase_lambda=dephase_lambda)
+    single = np.ndim(theta) == 0
+    clients = [ClientParams(theta=t, phi=phi, dephase_lambda=dephase_lambda)
+               for t in ([theta] if single else theta)]
     values = []
     for weight in sorted({lo, hi}):
         if weight == 1.0 and dephase_lambda == 0.0:
+            if ideal is not None:
+                values.append(np.asarray(ideal).reshape(len(clients)))
+                continue
             resource: State = dicke(4, 2, RESOURCE_LABELS)
         else:
             resource = werner_dicke(weight)
-        values.append(run_qtc(params, resource, port).average_clone_fidelity)
-    return (min(values), max(values))
+        values.append(run_qtc(clients, resource, port).average_clone_fidelity)
+    low, high = np.min(values, axis=0), np.max(values, axis=0)
+    return (float(low[0]), float(high[0])) if single else (low, high)
 
 
 def run_odt(client: ClientParams, resource: State | None = None, port: str = "b",

@@ -3,10 +3,16 @@
 States are immutable values over an ordered register of labeled qubits.
 Basis ordering is big-endian in layout order: the first label is the most
 significant bit of the computational-basis index.
+
+A state may also be a stack: one leading axis of members over the same
+layout (amplitudes of shape (S, dim), matrices of shape (S, dim, dim)).
+Every operation below acts on each member as it would on that member alone,
+bit for bit, and every member of a stack gets the checks a single state gets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -14,6 +20,7 @@ import numpy as np
 NORM_TOL = 1e-10
 PSD_TOL = -1e-8
 BRANCH_TOL = 1e-12
+CHECK_BLOCK = 8  # members per step of a stacked Hermitian check
 
 PAULI_I = np.array([[1, 0], [0, 1]], dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,22 +88,46 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _member_error(bad: np.ndarray, stacked: bool, message) -> RegisterError:
+    """RegisterError(message(i)) for the first member i flagged in `bad`,
+    naming the member when the state is a stack."""
+    index = int(np.argmax(bad))
+    return RegisterError((f"stack member {index}: " if stacked else "") + message(index))
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized complex amplitude vector over a labeled register."""
+    """Normalized complex amplitude vector over a labeled register.
+
+    A 2-D array whose rows have the register's dimension is a stack of kets.
+    """
 
     layout: RegisterLayout
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _freeze(np.asarray(self.amplitudes).reshape(-1))
-        if amps.shape != (self.layout.dim,):
+        amps = np.asarray(self.amplitudes)
+        if not (amps.ndim == 2 and amps.shape[1] == self.layout.dim):
+            amps = amps.reshape(-1)
+        amps = _freeze(amps)
+        if amps.shape[-1] != self.layout.dim:
             raise RegisterError(
-                f"amplitude vector has length {amps.shape[0]}, layout needs {self.layout.dim}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise RegisterError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+                f"amplitude vector has length {amps.shape[-1]}, layout needs {self.layout.dim}")
+        if amps.size == 0:
+            raise RegisterError("a stack needs at least one member")
+        norms = np.linalg.norm(amps.reshape(-1, self.layout.dim), axis=1)
+        if abs(norms - 1.0).max() > NORM_TOL:
+            raise _member_error(abs(norms - 1.0) > NORM_TOL, amps.ndim == 2,
+                                lambda i: f"state norm {norms[i]} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """() for a single state, (S,) for a stack of S members."""
+        return self.amplitudes.shape[:-1]
+
+    def member(self, index: int) -> "PureState":
+        return PureState(self.layout, self.amplitudes[index])
 
     @property
     def n(self) -> int:
@@ -110,32 +141,51 @@ class PureState:
         return complex(self.amplitudes[int(bits, 2)])
 
     def density(self) -> "MixedState":
-        return MixedState(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
+        amps = self.amplitudes
+        return MixedState(self.layout, amps[..., :, None] * amps.conj()[..., None, :])
 
 
 @dataclass(frozen=True, eq=False)
 class MixedState:
-    """Hermitian, unit-trace, positive-semidefinite operator over a register."""
+    """Hermitian, unit-trace, positive-semidefinite operator over a register.
+
+    A 3-D array of shape (S, dim, dim) is a stack of S density matrices.
+    """
 
     layout: RegisterLayout
     matrix: np.ndarray
-    _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         mat = _freeze(np.asarray(self.matrix))
         d = self.layout.dim
-        if mat.shape != (d, d):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d):
             raise RegisterError(f"matrix shape {mat.shape} does not match register dimension {d}")
-        if self._validate:
-            if np.abs(mat - mat.conj().T).max() > NORM_TOL:
-                raise RegisterError("matrix is not Hermitian within 1e-10")
-            tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > NORM_TOL:
-                raise RegisterError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
-            lo = float(np.linalg.eigvalsh(mat).min())
-            if lo < PSD_TOL:
-                raise RegisterError(f"matrix has eigenvalue {lo} below PSD tolerance {PSD_TOL}")
+        if mat.size == 0:
+            raise RegisterError("a stack needs at least one member")
+        flat, stacked = mat.reshape(-1, d, d), mat.ndim == 3
+        # CHECK_BLOCK members at a time, so a stack needs no temporary of its own size
+        blocks = (flat[i:i + CHECK_BLOCK] for i in range(0, len(flat), CHECK_BLOCK))
+        if max(abs(b - b.conj().transpose(0, 2, 1)).max() for b in blocks) > NORM_TOL:
+            skew = np.array([abs(m - m.conj().T).max() for m in flat])
+            raise _member_error(skew > NORM_TOL, stacked,
+                                lambda i: "matrix is not Hermitian within 1e-10")
+        tr = flat.trace(axis1=1, axis2=2)
+        if abs(tr - 1.0).max() > NORM_TOL:
+            raise _member_error(abs(tr - 1.0) > NORM_TOL, stacked,
+                                lambda i: f"trace {complex(tr[i])} deviates from 1 beyond {NORM_TOL}")
+        lo = np.linalg.eigvalsh(flat)[:, 0]  # ascending: each member's smallest
+        if lo.min() < PSD_TOL:
+            raise _member_error(lo < PSD_TOL, stacked, lambda i: (
+                f"matrix has eigenvalue {float(lo[i])} below PSD tolerance {PSD_TOL}"))
         object.__setattr__(self, "matrix", mat)
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """() for a single state, (S,) for a stack of S members."""
+        return self.matrix.shape[:-2]
+
+    def member(self, index: int) -> "MixedState":
+        return MixedState(self.layout, self.matrix[index])
 
     @property
     def n(self) -> int:
@@ -176,16 +226,23 @@ def from_terms(terms: Sequence[tuple[str, complex]], labels: Sequence[str]) -> P
 
 
 def tensor(s1: State, s2: State) -> State:
-    """Kronecker composition; layouts concatenate, label sets must be disjoint."""
+    """Kronecker composition; layouts concatenate, label sets must be disjoint.
+
+    At most one factor may be a stack; the single one joins every member.
+    """
     overlap = set(s1.labels) & set(s2.labels)
     if overlap:
         raise RegisterError(f"duplicate qubit label {sorted(overlap)[0]!r} in tensor product")
+    if s1.stack_shape and s2.stack_shape:
+        raise RegisterError("tensor product of two stacks is not defined")
     layout = RegisterLayout(s1.labels + s2.labels)
-    if isinstance(s1, PureState) and isinstance(s2, PureState):
-        return PureState(layout, np.kron(s1.amplitudes, s2.amplitudes))
-    m1 = s1.density().matrix
-    m2 = s2.density().matrix
-    return MixedState(layout, np.kron(m1, m2))
+    pure = isinstance(s1, PureState) and isinstance(s2, PureState)
+    a, b = (s.amplitudes if pure else s.density().matrix for s in (s1, s2))
+    if s1.stack_shape:
+        b = b[None]
+    elif s2.stack_shape:
+        a = a[None]
+    return (PureState if pure else MixedState)(layout, np.kron(a, b))
 
 
 def _check_unitary(gate: np.ndarray, k: int) -> np.ndarray:
@@ -198,30 +255,42 @@ def _check_unitary(gate: np.ndarray, k: int) -> np.ndarray:
     return gate
 
 
-def _apply_to_axes(tensor_arr: np.ndarray, gate: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    k = len(axes)
-    g = gate.reshape((2,) * (2 * k))
-    out = np.tensordot(g, tensor_arr, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(out, range(k), axes)
+def _matrices(t: np.ndarray, lead: int, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """t as one (rows x cols) matrix per member; its first `lead` axes are the stack.
+
+    Contractions below multiply these with np.matmul, which makes for each
+    member the BLAS call that np.tensordot makes for a single state, so a
+    member's result does not depend on the stack it sits in.
+    """
+    t = t.transpose([*range(lead), *rows, *cols])
+    return t.reshape(t.shape[:lead] + (math.prod(t.shape[lead:lead + len(rows)]), -1))
+
+
+def _apply_to_axes(t: np.ndarray, gate: np.ndarray, axes: Sequence[int], lead: int) -> np.ndarray:
+    free = [i for i in range(lead, t.ndim) if i not in axes]
+    order = [*range(lead), *axes, *free]
+    out = (gate @ _matrices(t, lead, axes, free)).reshape([t.shape[i] for i in order])
+    return out.transpose(sorted(range(t.ndim), key=order.__getitem__))  # undo the regrouping
 
 
 def apply_gate(state: State, gate: np.ndarray, labels: Sequence[str] | str) -> State:
-    """Embed a k-qubit unitary at the named positions and apply it."""
+    """Embed a k-qubit unitary at the named positions and apply it (to every member)."""
     if isinstance(labels, str):
         labels = (labels,)
     pos = state.layout.positions(labels)
     if len(set(pos)) != len(pos):
         raise RegisterError("gate labels must be distinct")
     gate = _check_unitary(gate, len(pos))
-    n = state.n
+    n, lead = state.n, state.stack_shape
+    rows = [len(lead) + p for p in pos]
     if isinstance(state, PureState):
-        t = state.amplitudes.reshape((2,) * n)
-        t = _apply_to_axes(t, gate, pos)
-        return PureState(state.layout, t.reshape(-1))
-    t = state.matrix.reshape((2,) * (2 * n))
-    t = _apply_to_axes(t, gate, pos)
-    t = _apply_to_axes(t, gate.conj(), [n + p for p in pos])
-    return MixedState(state.layout, t.reshape(state.layout.dim, state.layout.dim))
+        t = state.amplitudes.reshape(lead + (2,) * n)
+        t = _apply_to_axes(t, gate, rows, len(lead))
+        return PureState(state.layout, t.reshape(lead + (-1,)))
+    t = state.matrix.reshape(lead + (2,) * (2 * n))
+    t = _apply_to_axes(t, gate, rows, len(lead))
+    t = _apply_to_axes(t, gate.conj(), [n + r for r in rows], len(lead))
+    return MixedState(state.layout, t.reshape(lead + (state.layout.dim,) * 2))
 
 
 def _projection_ket(onto: np.ndarray | str, k: int) -> np.ndarray:
@@ -244,7 +313,8 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
 
     Returns (probability, post-state on the remaining labels); the post-state
     is renormalized. Raises ImpossibleBranchError when the branch probability
-    is below 1e-12.
+    is below 1e-12. For a stack the probability is an array with one entry
+    per member, and the error is raised when any member's branch vanishes.
     """
     if isinstance(labels, str):
         labels = (labels,)
@@ -253,29 +323,38 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
     rest = state.layout.drop(labels)
     if rest.labels == ():
         raise RegisterError("projection must leave at least one qubit in the register")
-    n = state.n
-    kt = ket.reshape((2,) * len(pos))
+    n, lead = state.n, state.stack_shape
+    rows = [len(lead) + p for p in pos]
+    bra = ket.conj()[None, :]
     if isinstance(state, PureState):
-        t = state.amplitudes.reshape((2,) * n)
-        out = np.tensordot(kt.conj(), t, axes=(list(range(len(pos))), list(pos)))
-        amp = out.reshape(-1)
-        prob = float(np.real(np.vdot(amp, amp)))
-        if prob < BRANCH_TOL:
-            raise ImpossibleBranchError(
-                f"projection of {tuple(labels)} has probability {prob}", prob)
-        return prob, PureState(rest, amp / np.sqrt(prob))
-    t = state.matrix.reshape((2,) * (2 * n))
-    out = np.tensordot(kt.conj(), t, axes=(list(range(len(pos))), list(pos)))
+        t = state.amplitudes.reshape(lead + (2,) * n)
+        free = [i for i in range(len(lead), t.ndim) if i not in rows]
+        amp = (bra @ _matrices(t, len(lead), rows, free)).reshape(lead + (-1,))
+        # one vdot per member keeps each member's summation order
+        prob = np.array([np.real(np.vdot(a, a)) for a in amp.reshape(-1, rest.dim)]).reshape(lead)
+        _check_branch(prob, labels)
+        return _scalar(prob), PureState(rest, amp / np.sqrt(prob)[..., None])
+    t = state.matrix.reshape(lead + (2,) * (2 * n))
+    free = [i for i in range(len(lead), t.ndim) if i not in rows]
+    out = (bra @ _matrices(t, len(lead), rows, free)).reshape(lead + (2,) * (2 * n - len(pos)))
     # after the row contraction the column axes sit behind the n - k kept rows
-    col_axes = [(n - len(pos)) + p for p in pos]
-    out = np.tensordot(out, kt, axes=(col_axes, list(range(len(pos)))))
-    d = rest.dim
-    mat = out.reshape(d, d)
-    prob = float(np.real(np.trace(mat)))
-    if prob < BRANCH_TOL:
+    cols = [(n - len(pos)) + r for r in rows]
+    free = [i for i in range(len(lead), out.ndim) if i not in cols]
+    mat = (_matrices(out, len(lead), free, cols) @ ket[:, None]).reshape(lead + (rest.dim,) * 2)
+    prob = np.real(np.trace(mat, axis1=-2, axis2=-1))
+    _check_branch(prob, labels)
+    return _scalar(prob), MixedState(rest, mat / prob[..., None, None])
+
+
+def _scalar(values: np.ndarray):
+    """A Python float for a single state's value, the array for a stack's."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _check_branch(prob: np.ndarray, labels) -> None:
+    if prob.min() < BRANCH_TOL:
         raise ImpossibleBranchError(
-            f"projection of {tuple(labels)} has probability {prob}", prob)
-    return prob, MixedState(rest, mat / prob)
+            f"projection of {tuple(labels)} has probability {float(prob.min())}", _scalar(prob))
 
 
 def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
@@ -285,18 +364,21 @@ def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
     if not keep:
         raise RegisterError("partial trace must keep at least one qubit")
     keep_pos = state.layout.positions(keep)
-    n = state.n
+    n, lead = state.n, state.stack_shape
     drop_pos = [i for i in range(n) if i not in keep_pos]
     kept_layout = RegisterLayout(tuple(x for x in state.labels if x in set(keep)))
-    d = kept_layout.dim
+    shape = lead + (kept_layout.dim,) * 2
     if isinstance(state, PureState):
-        t = state.amplitudes.reshape((2,) * n)
-        rho = np.tensordot(t, t.conj(), axes=(drop_pos, drop_pos))
-        return MixedState(kept_layout, rho.reshape(d, d))
-    t = state.matrix.reshape((2,) * (2 * n))
+        t = state.amplitudes.reshape(lead + (2,) * n)
+        kept = [len(lead) + p for p in sorted(keep_pos)]
+        dropped = [len(lead) + p for p in drop_pos]
+        rho = _matrices(t, len(lead), kept, dropped) @ _matrices(t.conj(), len(lead), dropped, kept)
+        return MixedState(kept_layout, rho.reshape(shape))
+    t = state.matrix.reshape(lead + (2,) * (2 * n))
     for p in sorted(drop_pos, reverse=True):
-        t = np.trace(t, axis1=p, axis2=p + t.ndim // 2)
-    return MixedState(kept_layout, t.reshape(d, d))
+        row = len(lead) + p
+        t = np.trace(t, axis1=row, axis2=row + (t.ndim - len(lead)) // 2)
+    return MixedState(kept_layout, t.reshape(shape))
 
 
 def permute_to(state: State, label_order: Sequence[str]) -> State:
@@ -304,21 +386,22 @@ def permute_to(state: State, label_order: Sequence[str]) -> State:
     order = tuple(label_order)
     if set(order) != set(state.labels) or len(order) != state.n:
         raise RegisterError(f"label order {order} is not a permutation of {state.labels}")
-    perm = state.layout.positions(order)
     layout = RegisterLayout(order)
-    n = state.n
+    n, lead = state.n, state.stack_shape
+    perm = tuple(len(lead) + p for p in state.layout.positions(order))
+    stack_axes = tuple(range(len(lead)))
     if isinstance(state, PureState):
-        t = state.amplitudes.reshape((2,) * n).transpose(perm)
-        return PureState(layout, t.reshape(-1))
-    t = state.matrix.reshape((2,) * (2 * n))
-    t = t.transpose(tuple(perm) + tuple(n + p for p in perm))
-    return MixedState(layout, t.reshape(layout.dim, layout.dim))
+        t = state.amplitudes.reshape(lead + (2,) * n).transpose(stack_axes + perm)
+        return PureState(layout, t.reshape(lead + (-1,)))
+    t = state.matrix.reshape(lead + (2,) * (2 * n))
+    t = t.transpose(stack_axes + perm + tuple(n + p for p in perm))
+    return MixedState(layout, t.reshape(lead + (layout.dim,) * 2))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def _aligned_pair(s1: State, s2: State) -> tuple[State, State]:
@@ -332,24 +415,39 @@ def _aligned_pair(s1: State, s2: State) -> tuple[State, State]:
     return s1, s2
 
 
-def fidelity(s1: State, s2: State) -> float:
+def fidelity(s1: State, s2: State):
     """State fidelity in the squared-overlap convention.
 
     pure/pure |<psi|phi>|^2, pure/mixed <psi|rho|psi>, mixed/mixed Uhlmann
-    (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+    (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2. A float for two single states;
+    with a stack (or two stacks of one size) an array, one value per member.
     """
     s1, s2 = _aligned_pair(s1, s2)
+    if s1.stack_shape and s2.stack_shape and s1.stack_shape != s2.stack_shape:
+        raise RegisterError(f"stack shapes {s1.stack_shape} and {s2.stack_shape} differ")
+    lead = s1.stack_shape or s2.stack_shape
     if isinstance(s1, PureState) and isinstance(s2, PureState):
-        return float(abs(np.vdot(s1.amplitudes, s2.amplitudes)) ** 2)
+        pairs = zip(_members(s1, lead), _members(s2, lead))
+        return _scalar(np.array([abs(np.vdot(a, b)) ** 2 for a, b in pairs]).reshape(lead))
     if isinstance(s1, PureState):
-        val = np.real(s1.amplitudes.conj() @ s2.matrix @ s1.amplitudes)
-        return float(np.clip(val, 0.0, 1.0))
+        psi = s1.amplitudes
+        val = np.real(psi.conj()[..., None, :] @ s2.matrix @ psi[..., :, None])[..., 0, 0]
+        return _scalar(np.clip(val, 0.0, 1.0))
     if isinstance(s2, PureState):
         return fidelity(s2, s1)
     root = _psd_sqrt(s1.matrix)
     inner = root @ s2.matrix @ root
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(min(np.sum(np.sqrt(vals)) ** 2, 1.0))
+    sums = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
+    # a NumPy scalar's ** 2 is libm pow, an array's is x * x: square each member's sum alone
+    return _scalar(np.array([min(total ** 2, 1.0) for total in sums.reshape(-1)]).reshape(lead))
+
+
+def _members(state: State, lead: tuple[int, ...]) -> np.ndarray:
+    """The state's amplitudes or matrix broadcast to the stack shape `lead`,
+    one member per row (a single state is one row)."""
+    arr = state.amplitudes if isinstance(state, PureState) else state.matrix
+    core = arr.shape[len(state.stack_shape):]
+    return np.broadcast_to(arr, lead + core).reshape((-1,) + core)
 
 
 def states_close(s1: State, s2: State, tol: float = 1e-10) -> bool:

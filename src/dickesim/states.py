@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Sequence
 
 import numpy as np
 
@@ -159,17 +160,29 @@ def werner_weight_for_fidelity(target_fidelity: float) -> float:
     return p
 
 
-def client_ket(params: ClientParams, label: str = CLIENT_LABEL) -> PureState:
-    """Pure client state; requires dephase_lambda = 0."""
-    if params.dephase_lambda != 0.0:
+def client_ket(params: ClientParams | Sequence[ClientParams],
+               label: str = CLIENT_LABEL) -> PureState:
+    """Pure client state; requires dephase_lambda = 0. A sequence of params
+    gives a stack with one member per client."""
+    single = isinstance(params, ClientParams)
+    stack = [params] if single else list(params)
+    if any(p.dephase_lambda != 0.0 for p in stack):
         raise ValueError("client_ket is only defined for dephase_lambda = 0")
-    return PureState(RegisterLayout((label,)), np.array([params.alpha, params.beta]))
+    amps = np.array([[p.alpha, p.beta] for p in stack])
+    return PureState(RegisterLayout((label,)), amps[0] if single else amps)
 
 
-def client_state(params: ClientParams, label: str = CLIENT_LABEL) -> MixedState:
-    """Client density matrix with off-diagonals scaled by (1 - dephase_lambda)."""
+def _client_matrix(params: ClientParams) -> np.ndarray:
     amps = np.array([params.alpha, params.beta])
     rho = np.outer(amps, amps.conj())
     scale = 1.0 - params.dephase_lambda
-    mat = np.array([[rho[0, 0], rho[0, 1] * scale], [rho[1, 0] * scale, rho[1, 1]]])
+    return np.array([[rho[0, 0], rho[0, 1] * scale], [rho[1, 0] * scale, rho[1, 1]]])
+
+
+def client_state(params: ClientParams | Sequence[ClientParams],
+                 label: str = CLIENT_LABEL) -> MixedState:
+    """Client density matrix with off-diagonals scaled by (1 - dephase_lambda).
+    A sequence of params gives a stack with one member per client."""
+    mat = (_client_matrix(params) if isinstance(params, ClientParams)
+           else np.array([_client_matrix(p) for p in params]))
     return MixedState(RegisterLayout((label,)), mat)

@@ -367,8 +367,8 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     point = fidelity(MixedState(layout, inversion.matrices(inversion.counts[None])[0]), target)
     if inversion.exact.all():
         return float(point), 0.0
-    values = [fidelity(MixedState(layout, rho), target)
-              for rho in inversion.matrices(inversion.redraw(trials, seed))]
+    # every trial's rho is one member of a stack: one checked MixedState, one fidelity call
+    values = fidelity(MixedState(layout, inversion.matrices(inversion.redraw(trials, seed))), target)
     return float(np.mean(values)), float(np.std(values))
 
 

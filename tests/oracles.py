@@ -185,11 +185,12 @@ def bootstrap_fidelity(records, target: np.ndarray, trials: int, seed: int):
     return float(np.mean(values)), float(np.std(values)), kept
 
 
-# --- telecloning and open-destination teleportation, one kron chain each ----
+# --- telecloning and open-destination teleportation, by kron chains --------
 #
 # Qubit order (X, a, b, c, d): the client X, then the Werner-Dicke resource
-# p |D><D| + (1 - p) I/16. Every operator is a full 32 x 32 matrix and every
-# reduction goes through partial_trace_indices.
+# p |D><D| + (1 - p) I/16. CX is embedded and single-qubit marginals are taken
+# by basis-index arithmetic, and a projective outcome is a kron chain of bras
+# (the identity on the kept qubits), so no axis contraction is used.
 
 RESOURCE = ("a", "b", "c", "d")
 KET0 = np.array([1, 0], dtype=complex)
@@ -226,9 +227,26 @@ def qubit_fidelity(target: np.ndarray, rho: np.ndarray) -> float:
     return float(np.real(np.trace(target @ rho)) + 2 * np.sqrt(max(dets, 0.0)))
 
 
-def _projector(kets: dict) -> np.ndarray:
-    """Outer product |k><k| on the qubits in `kets` (0 = X, 1..4 = a..d), I elsewhere."""
-    return kron_chain([np.outer(kets[q], kets[q].conj()) if q in kets else I2 for q in range(5)])
+def _after_cx(theta: float, phi: float, p: float, dephase: float, q_port: int) -> np.ndarray:
+    full = np.kron(client_density(theta, phi, dephase), werner_dicke_density(p))
+    cx = embed_unitary(CX, (0, q_port), 5)
+    return cx @ full @ cx.conj().T
+
+
+def _bra_chain(bras: dict) -> np.ndarray:
+    """<k| on each qubit in `bras` (0 = X, 1..4 = a..d), the identity on the rest."""
+    return kron_chain([bras[q].conj()[None, :] if q in bras else I2 for q in range(5)])
+
+
+def _qubit_marginal(rho: np.ndarray, keep: int, n: int) -> np.ndarray:
+    """Reduced state of qubit `keep`: out[a, b] sums rho[i, j] over the index
+    pairs that agree off `keep` and read a and b on it."""
+    shift = n - 1 - keep
+    out = np.zeros((2, 2), dtype=complex)
+    for i in range(2 ** n):
+        for b in (0, 1):
+            out[(i >> shift) & 1, b] += rho[i, (i & ~(1 << shift)) | (b << shift)]
+    return out
 
 
 def telecloning_fidelity(theta: float, phi: float, p: float, dephase: float, port: str) -> float:
@@ -236,19 +254,16 @@ def telecloning_fidelity(theta: float, phi: float, p: float, dephase: float, por
     against the client's input state (its ket when dephase = 0)."""
     target = client_ket(theta, phi) if dephase == 0 else client_density(theta, phi, dephase)
     q_port = 1 + RESOURCE.index(port)
-    full = np.kron(client_density(theta, phi, dephase), werner_dicke_density(p))
-    cx = embed_unitary(CX, (0, q_port), 5)
-    full = cx @ full @ cx.conj().T
-    clones = [q for q in range(1, 5) if q != q_port]
+    full = _after_cx(theta, phi, p, dephase, q_port)
     average = 0.0
     for (x_ket, z_ket), pauli in TELECLONE_CORRECTIONS:
-        proj = _projector({0: x_ket, q_port: z_ket})
-        branch = proj @ full @ proj
-        prob = float(np.real(np.trace(branch)))
-        fix = kron_chain([pauli if q in clones else I2 for q in range(5)])
-        branch = fix @ branch @ fix.conj().T / prob
-        per_clone = [qubit_fidelity(target, partial_trace_indices(branch, [q], 5)) for q in clones]
-        average += prob * sum(per_clone) / len(per_clone)
+        bra = _bra_chain({0: x_ket, q_port: z_ket})
+        clones = bra @ full @ bra.conj().T           # the three clones, unnormalized
+        prob = float(np.real(np.trace(clones)))
+        fix = kron_chain([pauli] * 3)
+        clones = fix @ clones @ fix.conj().T / prob
+        per_clone = [qubit_fidelity(target, _qubit_marginal(clones, q, 3)) for q in range(3)]
+        average += prob * sum(per_clone) / 3
     return average
 
 
@@ -260,14 +275,12 @@ def odt_fidelity(theta: float, phi: float, p: float, dephase: float, port: str,
     target = client_ket(theta, phi) if dephase == 0 else client_density(theta, phi, dephase)
     q_port, q_recv = 1 + RESOURCE.index(port), 1 + RESOURCE.index(receiver)
     others = [q for q in range(1, 5) if q not in (q_port, q_recv)]
-    full = np.kron(client_density(theta, phi, dephase), werner_dicke_density(p))
-    cx = embed_unitary(CX, (0, q_port), 5)
-    full = cx @ full @ cx.conj().T
-    kets = {q: KET1 if bit == "1" else KET0 for q, bit in zip(others, pattern)}
-    proj = _projector({**kets, 0: KET_PLUS, q_port: KET1})
-    branch = proj @ full @ proj
-    prob = float(np.real(np.trace(branch)))
-    return qubit_fidelity(target, partial_trace_indices(branch / prob, [q_recv], 5)), prob
+    full = _after_cx(theta, phi, p, dephase, q_port)
+    bras = {q: KET1 if bit == "1" else KET0 for q, bit in zip(others, pattern)}
+    bra = _bra_chain({**bras, 0: KET_PLUS, q_port: KET1})
+    receiver_state = bra @ full @ bra.conj().T       # 2 x 2, unnormalized
+    prob = float(np.real(np.trace(receiver_state)))
+    return qubit_fidelity(target, receiver_state / prob), prob
 
 
 # --- certified bracket for b4(gamma) ---------------------------------------

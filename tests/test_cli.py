@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dickesim.cli import SCHEMAS, main, parse_params
+from dickesim.cli import SCHEMAS, build_parser, main, parse_params, run_command
 from dickesim.fixtures import regenerate_fixtures
 from dickesim.reporting import ConfigError, ListOf, Number, OneOf, Row, parse_config_text
 
@@ -267,6 +267,27 @@ class TestQtcSweep:
         assert rows[1]["theta"] == pytest.approx(math.pi / 2)
         assert rows[1]["band_low"] > 5 / 6
         assert rows[0]["band_high"] < 2 / 3
+
+    @pytest.mark.parametrize("config", [
+        {"phi": 0.4, "port": "d"},
+        {"p": 0.9, "dephase_lambda": 0.05, "p_uncertainty": 0.03, "phi": 1.1, "port": "c"},
+    ], ids=["pure", "noisy"])
+    def test_grid_rows_equal_one_point_sweeps(self, tmp_path, config):
+        """The theta grid runs as one stack; each row is still the run of its theta alone."""
+        def data_rows(text):
+            return [line for line in text.splitlines() if not line.startswith("#")][1:]
+
+        path, out = tmp_path / "c.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({**config, "theta_points": 101}))
+        assert main(["qtc-sweep", "--config", str(path), "--out", str(out)]) == 0
+        grid = data_rows(out.read_text())
+        assert len(grid) == 101
+        args = build_parser().parse_args(["qtc-sweep"])
+        for row in grid:
+            theta = float(row.split(",")[0])
+            text, code = run_command("qtc-sweep", {**config, "theta_points": 1, "theta_min": theta,
+                                                   "theta_max": theta}, args)
+            assert code == 0 and data_rows(text) == [row]
 
 
 class TestOdtTable:

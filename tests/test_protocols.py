@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -147,16 +148,78 @@ class TestRunQtc:
     @pytest.mark.parametrize("port", ["a", "b", "c", "d"])
     def test_werner_resource_pure_client_closed_form(self, port):
         # the noise part leaves every clone at I/2, so F = p (9 - cos 2 theta)/12 + (1 - p)/2
+        thetas = np.linspace(0, math.pi, 9)
+        clients = [ClientParams(theta=float(theta), phi=0.9) for theta in thetas]
         for p in (0.0, 0.3, 0.8, 0.97, 1.0):
-            resource = werner_dicke(p)
-            for theta in np.linspace(0, math.pi, 9):
-                result = run_qtc(ClientParams(theta=float(theta), phi=0.9), resource=resource, port=port)
-                expected = p * (9 - math.cos(2 * theta)) / 12 + (1 - p) / 2
-                assert abs(result.average_clone_fidelity - expected) <= 1e-12, (p, theta)
+            result = run_qtc(clients, resource=werner_dicke(p), port=port)
+            expected = p * (9 - np.cos(2 * thetas)) / 12 + (1 - p) / 2
+            assert np.abs(result.average_clone_fidelity - expected).max() <= 1e-12, p
 
     def test_unknown_port(self):
         with pytest.raises(RegisterError):
             run_qtc(ClientParams(theta=1.0), port="q")
+
+
+THETA_GRID = np.linspace(0, math.pi, 5).tolist()
+
+
+class TestStackedTelecloning:
+    """A theta grid runs as one stack; member i is the run of client i alone."""
+
+    @pytest.mark.parametrize("dephase", [0.0, 0.05, 0.5])
+    def test_matches_kron_chain_oracle(self, dephase):
+        clients = [ClientParams(theta=t, phi=0.7, dephase_lambda=dephase) for t in THETA_GRID]
+        for port, p in itertools.product("abcd", (0.3, 0.8, 1.0)):
+            result = run_qtc(clients, resource=werner_dicke(p), port=port)
+            expected = [oracles.telecloning_fidelity(t, 0.7, p, dephase, port) for t in THETA_GRID]
+            assert np.abs(result.average_clone_fidelity - expected).max() <= 1e-12, (port, p)
+
+    @pytest.mark.parametrize("dephase,resource", [
+        (0.0, None), (0.0, werner_dicke(0.8)), (0.3, werner_dicke(0.8)), (0.3, dicke(4, 2))])
+    def test_members_equal_single_runs(self, dephase, resource):
+        clients = [ClientParams(theta=t, phi=1.9, dephase_lambda=dephase) for t in THETA_GRID]
+        stacked = run_qtc(clients, resource=resource, port="c")
+        for i, client in enumerate(clients):
+            single, member = run_qtc(client, resource=resource, port="c"), stacked.member(i)
+            assert single.average_clone_fidelity == member.average_clone_fidelity
+            assert single.clone_fidelities == member.clone_fidelities
+            for a, b in zip(single.branches, member.branches):
+                assert (a.outcome_label, a.probability, a.correction) == (
+                    b.outcome_label, b.probability, b.correction)
+                assert type(a.post_state) is type(b.post_state)
+                post_a, post_b = (x.post_state.amplitudes if isinstance(x.post_state, PureState)
+                                  else x.post_state.matrix for x in (a, b))
+                assert np.array_equal(post_a, post_b)
+
+    def test_band_members_equal_single_bands(self):
+        low, high = qtc_mixed_band(THETA_GRID, p=0.9, dephase_lambda=0.05, p_uncertainty=0.04,
+                                   phi=0.3, port="d")
+        for i, theta in enumerate(THETA_GRID):
+            assert (low[i], high[i]) == qtc_mixed_band(theta, p=0.9, dephase_lambda=0.05,
+                                                       p_uncertainty=0.04, phi=0.3, port="d")
+
+    def test_ideal_band_end_reuses_the_ideal_run(self):
+        ideal = run_qtc([ClientParams(theta=t, phi=0.3) for t in THETA_GRID], port="a")
+        for p, dp in ((1.0, 0.0), (0.97, 0.05)):
+            reused = qtc_mixed_band(THETA_GRID, p, 0.0, dp, phi=0.3, port="a",
+                                    ideal=ideal.average_clone_fidelity)
+            fresh = qtc_mixed_band(THETA_GRID, p, 0.0, dp, phi=0.3, port="a")
+            assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+
+    def test_pure_and_dephased_clients_do_not_share_a_stack(self):
+        with pytest.raises(ValueError, match="all pure or all dephased"):
+            run_qtc([ClientParams(theta=1.0), ClientParams(theta=1.0, dephase_lambda=0.1)])
+
+    def test_branch_vanishing_for_some_members_only_raises(self):
+        # the port reads |0>, so the psi branches vanish exactly when beta = 0
+        resource = basis_ket("0000", ("a", "b", "c", "d"))
+        alone = run_qtc(ClientParams(theta=0.0), resource=resource)
+        assert {b.outcome_label for b in alone.branches if b.post_state is None} == {"psi+", "psi-"}
+        both = run_qtc([ClientParams(theta=0.0)] * 2, resource=resource)
+        assert [b.post_state is None for b in both.branches] == [
+            b.post_state is None for b in alone.branches]
+        with pytest.raises(RegisterError, match="some stack members only"):
+            run_qtc([ClientParams(theta=0.0), ClientParams(theta=1.0)], resource=resource)
 
 
 class TestTheoryFidelity:
@@ -258,7 +321,7 @@ class TestRunOdt:
         # theta-independent weights p/12 and (1-p)/16
         for p in (0.3, p, 1.0):
             expected = (p / 12 + (1 - p) / 32) / (p / 12 + (1 - p) / 16)
-            for theta in np.linspace(0, math.pi, 7):
+            for theta in np.linspace(0, math.pi, 5):
                 for projection, receiver in (("01", "a"), ("10", "a"), ("01", "b"), ("10", "b")):
                     result = run_odt(ClientParams(theta=float(theta), phi=0.4), resource=werner_dicke(p),
                                      port=_odt_port(receiver), receiver=receiver,

@@ -397,3 +397,122 @@ class TestRegisterProperties:
                 prob = err.probability
             total += prob
         assert abs(total - 1.0) <= 1e-12
+
+
+@st.composite
+def stacks(draw, n=None):
+    """(stack, members): 1-7 Haar-random kets or random density matrices of
+    any rank on 1-3 qubits, as one stacked state and as single states."""
+    n = n or draw(st.integers(1, len(LABELS)))
+    size = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    layout = RegisterLayout(LABELS[:n])
+    if draw(st.booleans()):
+        arr = np.array([oracles.haar_ket(rng, 2 ** n) for _ in range(size)])
+        return PureState(layout, arr), [PureState(layout, a) for a in arr]
+    arr = np.array([oracles.random_density(rng, 2 ** n, int(rng.integers(1, 2 ** n + 1)))
+                    for _ in range(size)])
+    return MixedState(layout, arr), [MixedState(layout, a) for a in arr]
+
+
+def _array(state):
+    return state.amplitudes if isinstance(state, PureState) else state.matrix
+
+
+def _same_members(stacked, singles) -> bool:
+    """Member i of `stacked` equals singles[i] bit for bit."""
+    return all(np.array_equal(_array(stacked)[i], _array(s)) for i, s in enumerate(singles))
+
+
+class TestStacks:
+    """A stack gives each member exactly what the member gives alone (==)."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_apply_gate_matches_members(self, data):
+        stack, members = data.draw(stacks())
+        labels = data.draw(some_labels(stack, min(2, stack.n)))
+        gate = oracles.haar_unitary(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                                    2 ** len(labels))
+        out = apply_gate(stack, gate, labels)
+        assert out.stack_shape == (len(members),)
+        assert _same_members(out, [apply_gate(m, gate, labels) for m in members])
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_project_matches_members(self, data):
+        stack, members = data.draw(stacks().filter(lambda s: s[0].n > 1))
+        labels = data.draw(some_labels(stack, stack.n - 1))
+        ket = oracles.haar_ket(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                               2 ** len(labels))
+        probs, post = project(stack, labels, ket)
+        singles = [project(m, labels, ket) for m in members]
+        assert all(probs[i] == prob for i, (prob, _) in enumerate(singles))
+        assert _same_members(post, [state for _, state in singles])
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_partial_trace_matches_members(self, data):
+        stack, members = data.draw(stacks())
+        keep = data.draw(some_labels(stack, stack.n))
+        assert _same_members(partial_trace(stack, keep), [partial_trace(m, keep) for m in members])
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_fidelity_matches_members(self, data):
+        first, first_members = data.draw(stacks())
+        second, second_members = data.draw(stacks(n=first.n))
+        one = second_members[0]
+        values = fidelity(first, one)
+        assert all(values[i] == fidelity(m, one) for i, m in enumerate(first_members))
+        size = min(len(first_members), len(second_members))
+        first = type(first)(first.layout, _array(first)[:size])
+        second = type(second)(second.layout, _array(second)[:size])
+        values = fidelity(first, second)
+        assert all(values[i] == fidelity(a, b)
+                   for i, (a, b) in enumerate(zip(first_members, second_members[:size])))
+
+    def test_uhlmann_square_is_taken_per_member(self):
+        # for this pair the root-eigenvalue sum squared by libm pow (a NumPy
+        # scalar's ** 2) and by x * x (an array's ** 2) differ in the last bit
+        rng = np.random.default_rng(69)
+        rho, sigma = (oracles.random_density(rng, 2) for _ in range(2))
+        layout = RegisterLayout(("a",))
+        vals, vecs = np.linalg.eigh(rho)
+        root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+        total = np.sum(np.sqrt(np.linalg.eigvalsh(root @ sigma @ root)))
+        assert total ** 2 != (np.array([total]) ** 2)[0]
+        single = fidelity(MixedState(layout, rho), MixedState(layout, sigma))
+        stack = MixedState(layout, np.array([rho, np.eye(2) / 2, rho]))
+        assert list(fidelity(stack, MixedState(layout, sigma))) == [
+            single, fidelity(MixedState(layout, np.eye(2) / 2), MixedState(layout, sigma)), single]
+
+    @pytest.mark.parametrize("bad,match", [
+        (np.diag([1.5, -0.5]), "stack member 1: matrix has eigenvalue"),
+        (np.eye(2), "stack member 1: trace"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "stack member 1: matrix is not Hermitian"),
+    ])
+    def test_one_bad_member_raises(self, bad, match):
+        good = np.eye(2) / 2
+        with pytest.raises(RegisterError, match=match):
+            MixedState(RegisterLayout(("a",)), np.array([good, bad, good]))
+
+    def test_one_unnormalized_ket_raises(self):
+        kets = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(RegisterError, match="stack member 1: state norm"):
+            PureState(RegisterLayout(("a",)), kets)
+
+    def test_single_states_keep_their_shape(self):
+        assert basis_ket("01", ("a", "b")).stack_shape == ()
+        assert werner_dicke(0.5).stack_shape == ()
+        assert PureState(RegisterLayout(("a", "b")), np.eye(4)[1].reshape(2, 2)).stack_shape == ()
+
+    def test_tensor_joins_the_single_factor_to_every_member(self):
+        rng = np.random.default_rng(8)
+        layout = RegisterLayout(("a", "b"))
+        arr = np.array([oracles.random_density(rng, 4) for _ in range(3)])
+        other = PureState(RegisterLayout(("c",)), oracles.haar_ket(rng, 2))
+        stacked = tensor(MixedState(layout, arr), other)
+        assert _same_members(stacked, [tensor(MixedState(layout, a), other) for a in arr])
+        with pytest.raises(RegisterError, match="two stacks"):
+            tensor(MixedState(layout, arr), PureState(RegisterLayout(("c",)), np.eye(2)))
