@@ -84,7 +84,7 @@ class BranchOutcome:
     def to_json_dict(self) -> dict:
         return {
             "outcome": self.outcome_label,
-            "probability": self.probability,
+            "probability": np.asarray(self.probability).tolist(),
             "correction": self.correction,
         }
 
@@ -104,6 +104,7 @@ class QtcResult:
     port: str
 
     def member(self, index: int) -> "QtcResult":
+        """The result of client `index` of a stacked run, as a single run gives it."""
         return QtcResult(
             branches=tuple(
                 BranchOutcome(b.outcome_label, float(b.probability[index]),
@@ -122,8 +123,9 @@ class QtcResult:
             "port": self.port,
             "clone_labels": list(self.clone_labels),
             "branches": [b.to_json_dict() for b in self.branches],
-            "clone_fidelities": {k: dict(v) for k, v in self.clone_fidelities.items()},
-            "average_clone_fidelity": self.average_clone_fidelity,
+            "clone_fidelities": {k: {label: np.asarray(f).tolist() for label, f in v.items()}
+                                 for k, v in self.clone_fidelities.items()},
+            "average_clone_fidelity": np.asarray(self.average_clone_fidelity).tolist(),
         }
 
 

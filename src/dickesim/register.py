@@ -127,6 +127,7 @@ class PureState:
         return self.amplitudes.shape[:-1]
 
     def member(self, index: int) -> "PureState":
+        """Member `index` of a stack, as a single (checked) state."""
         return PureState(self.layout, self.amplitudes[index])
 
     @property
@@ -185,6 +186,7 @@ class MixedState:
         return self.matrix.shape[:-2]
 
     def member(self, index: int) -> "MixedState":
+        """Member `index` of a stack, as a single (checked) state."""
         return MixedState(self.layout, self.matrix[index])
 
     @property
@@ -427,7 +429,8 @@ def fidelity(s1: State, s2: State):
         raise RegisterError(f"stack shapes {s1.stack_shape} and {s2.stack_shape} differ")
     lead = s1.stack_shape or s2.stack_shape
     if isinstance(s1, PureState) and isinstance(s2, PureState):
-        pairs = zip(_members(s1, lead), _members(s2, lead))
+        kets = np.broadcast_arrays(s1.amplitudes, s2.amplitudes)
+        pairs = zip(*(k.reshape(-1, k.shape[-1]) for k in kets))
         return _scalar(np.array([abs(np.vdot(a, b)) ** 2 for a, b in pairs]).reshape(lead))
     if isinstance(s1, PureState):
         psi = s1.amplitudes
@@ -440,14 +443,6 @@ def fidelity(s1: State, s2: State):
     sums = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
     # a NumPy scalar's ** 2 is libm pow, an array's is x * x: square each member's sum alone
     return _scalar(np.array([min(total ** 2, 1.0) for total in sums.reshape(-1)]).reshape(lead))
-
-
-def _members(state: State, lead: tuple[int, ...]) -> np.ndarray:
-    """The state's amplitudes or matrix broadcast to the stack shape `lead`,
-    one member per row (a single state is one row)."""
-    arr = state.amplitudes if isinstance(state, PureState) else state.matrix
-    core = arr.shape[len(state.stack_shape):]
-    return np.broadcast_to(arr, lead + core).reshape((-1,) + core)
 
 
 def states_close(s1: State, s2: State, tol: float = 1e-10) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -179,6 +180,8 @@ class TestStackedTelecloning:
     def test_members_equal_single_runs(self, dephase, resource):
         clients = [ClientParams(theta=t, phi=1.9, dephase_lambda=dephase) for t in THETA_GRID]
         stacked = run_qtc(clients, resource=resource, port="c")
+        payload = json.loads(json.dumps(stacked.to_json_dict()))
+        assert payload["average_clone_fidelity"] == stacked.average_clone_fidelity.tolist()
         for i, client in enumerate(clients):
             single, member = run_qtc(client, resource=resource, port="c"), stacked.member(i)
             assert single.average_clone_fidelity == member.average_clone_fidelity

@@ -507,6 +507,16 @@ class TestStacks:
         assert werner_dicke(0.5).stack_shape == ()
         assert PureState(RegisterLayout(("a", "b")), np.eye(4)[1].reshape(2, 2)).stack_shape == ()
 
+    def test_relabelled_fidelity_permutes_every_member(self):
+        rng = np.random.default_rng(12)
+        layout, swapped = RegisterLayout(("a", "b", "c")), RegisterLayout(("c", "a", "b"))
+        arr = np.array([oracles.random_density(rng, 8, 2) for _ in range(3)])
+        other = MixedState(swapped, oracles.random_density(rng, 8))
+        stack = MixedState(layout, arr)
+        assert _same_members(permute_to(stack, swapped.labels),
+                             [permute_to(MixedState(layout, a), swapped.labels) for a in arr])
+        assert list(fidelity(other, stack)) == [fidelity(other, MixedState(layout, a)) for a in arr]
+
     def test_tensor_joins_the_single_factor_to_every_member(self):
         rng = np.random.default_rng(8)
         layout = RegisterLayout(("a", "b"))
