@@ -260,9 +260,10 @@ def _check_unitary(gate: np.ndarray, k: int) -> np.ndarray:
 def _matrices(t: np.ndarray, lead: int, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
     """t as one (rows x cols) matrix per member; its first `lead` axes are the stack.
 
-    Contractions below multiply these with np.matmul, which makes for each
-    member the BLAS call that np.tensordot makes for a single state, so a
-    member's result does not depend on the stack it sits in.
+    Contractions below multiply these with np.matmul, which makes one BLAS
+    call per member with that member's shapes, so a member's result does not
+    depend on the stack it sits in (one BLAS call over the whole stack would:
+    its kernels change with the matrix width).
     """
     t = t.transpose([*range(lead), *rows, *cols])
     return t.reshape(t.shape[:lead] + (math.prod(t.shape[lead:lead + len(rows)]), -1))
