@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .register import HADAMARD, PAULI_I, PAULI_X, PAULI_Z, PureState, apply_gate
+from .register import CX, HADAMARD, PAULI_I, PAULI_X, PAULI_Z, PureState, apply_gate
 
 GATE_KINDS = ("H", "X", "Z", "PHASE", "CX", "CZBAR")
 
@@ -58,7 +58,7 @@ class GateSpec:
         if self.kind == "PHASE":
             return np.array([[1, 0], [0, np.exp(1j * self.phi)]])
         if self.kind == "CX":
-            return np.kron(_P0, PAULI_I) + np.kron(_P1, PAULI_X)
+            return CX
         return np.kron(_P1, PAULI_I) + np.kron(_P0, PAULI_Z)
 
     def is_self_inverse(self) -> bool:

@@ -1,10 +1,13 @@
 """Branch-resolved 1->3 telecloning and open-destination teleportation.
 
 Both protocols tensor a client qubit X onto the four-qubit resource, apply
-CX with X as control and the port as target, and post-select projective
-outcomes. Clone and receiver fidelities are evaluated against the client's
-actual input state (equal to the pure target ket whenever the client is
-pure), matching how the experiment scores its output states.
+CX with X as control and the port as target, and project (X, port) onto the
+four sigma-x (x) sigma-z outcomes in one loop (_bell_branches). Telecloning
+corrects every outcome; open-destination teleportation first projects the
+other two server qubits and keeps only |+1> (psi+). Clone and receiver
+fidelities are evaluated against the client's actual input state (equal to
+the pure target ket whenever the client is pure), matching how the
+experiment scores its output states.
 
 Telecloning takes a sequence of clients as one stack (see register): a whole
 theta grid is one pass through the register, and a single client is the
@@ -21,12 +24,10 @@ import numpy as np
 
 from .register import (
     BRANCH_TOL,
+    CX,
+    PAULIS,
     ImpossibleBranchError,
     MixedState,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PureState,
     RegisterError,
     State,
@@ -40,7 +41,6 @@ from .states import (
     CLIENT_LABEL,
     ClientParams,
     RESOURCE_LABELS,
-    WernerParams,
     client_ket,
     client_state,
     dicke,
@@ -48,17 +48,16 @@ from .states import (
 )
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
-PAULI_LABELS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+# each Bell element's (sigma-x outcome on the control, sigma-z outcome on the target)
+_BELL_XZ = ("+0", "-0", "+1", "-1")
 BRANCH_SUM_TOL = 1e-9
 
-_CX = np.kron(np.array([[1, 0], [0, 0]]), PAULI_I) + np.kron(np.array([[0, 0], [0, 1]]), PAULI_X)
-_KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-_KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
-_KET0 = np.array([1, 0], dtype=complex)
-_KET1 = np.array([0, 1], dtype=complex)
-
-# (sigma-x outcome on the control, sigma-z outcome on the target) -> Bell element
-_XZ_TO_BELL = {("+", "0"): "phi+", ("-", "0"): "phi-", ("+", "1"): "psi+", ("-", "1"): "psi-"}
+_KETS = {
+    "+": np.array([1, 1], dtype=complex) / np.sqrt(2),
+    "-": np.array([1, -1], dtype=complex) / np.sqrt(2),
+    "0": np.array([1, 0], dtype=complex),
+    "1": np.array([0, 1], dtype=complex),
+}
 
 
 class CorrectionSearchError(RuntimeError):
@@ -141,19 +140,7 @@ class OdtResult:
     receiver_state: MixedState
     teleport_fidelity: float
     intermediate_state: State
-    intermediate_labels: tuple[str, ...]
     alternative_outcomes: tuple[tuple[str, float], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "projection": self.projection_used,
-            "receiver": self.receiver,
-            "port": self.port,
-            "success_probability": self.success_probability,
-            "sodt_probability": self.sodt_probability,
-            "teleport_fidelity": self.teleport_fidelity,
-            "alternative_outcomes": {k: v for k, v in self.alternative_outcomes},
-        }
 
 
 def bell_measure(state: State, q1: str, q2: str) -> list[BranchOutcome]:
@@ -166,39 +153,37 @@ def bell_measure(state: State, q1: str, q2: str) -> list[BranchOutcome]:
     """
     if q1 == q2:
         raise RegisterError("Bell measurement needs two distinct qubits")
-    rotated = _apply_cx(state, q1, q2)
-    outcomes = {}
-    for x_label, x_ket in (("+", _KET_PLUS), ("-", _KET_MINUS)):
-        for z_label, z_ket in (("0", _KET0), ("1", _KET1)):
-            bell_label = _XZ_TO_BELL[(x_label, z_label)]
-            onto = np.kron(x_ket, z_ket)
-            try:
-                prob, post = project(rotated, (q1, q2), onto)
-            except ImpossibleBranchError as err:
-                if isinstance(err.probability, float):
-                    prob = max(err.probability, 0.0)
-                elif (err.probability >= BRANCH_TOL).any():
-                    raise RegisterError(
-                        f"Bell outcome {bell_label} vanishes for some stack members only") from None
-                else:
-                    prob = np.maximum(err.probability, 0.0)
-                post = None
-            outcomes[bell_label] = BranchOutcome(bell_label, prob, post)
-    branches = [outcomes[label] for label in BELL_LABELS]
+    branches = _bell_branches(apply_gate(state, CX, (q1, q2)), q1, q2)
     total = sum(b.probability for b in branches)
     if np.any(np.abs(total - 1.0) > BRANCH_SUM_TOL):
         raise RegisterError(f"branch probabilities sum to {total}, not 1")
     return branches
 
 
-def _apply_cx(state: State, control: str, target: str) -> State:
-    return apply_gate(state, _CX, (control, target))
+def _bell_branches(rotated: State, q1: str, q2: str) -> list[BranchOutcome]:
+    """Project (q1, q2) of a state already rotated by CX onto the four
+    sigma-x (x) sigma-z outcomes, in BELL_LABELS order."""
+    branches = []
+    for bell_label, (x, z) in zip(BELL_LABELS, _BELL_XZ):
+        try:
+            prob, post = project(rotated, (q1, q2), np.kron(_KETS[x], _KETS[z]))
+        except ImpossibleBranchError as err:
+            if isinstance(err.probability, float):
+                prob = max(err.probability, 0.0)
+            elif (err.probability >= BRANCH_TOL).any():
+                raise RegisterError(
+                    f"Bell outcome {bell_label} vanishes for some stack members only") from None
+            else:
+                prob = np.maximum(err.probability, 0.0)
+            post = None
+        branches.append(BranchOutcome(bell_label, prob, post))
+    return branches
 
 
 def _apply_same_pauli(state: State, pauli: str, labels) -> State:
     out = state
     for label in labels:
-        out = apply_gate(out, PAULI_LABELS[pauli], (label,))
+        out = apply_gate(out, PAULIS[pauli], (label,))
     return out
 
 
@@ -209,13 +194,6 @@ def _canonical_teleclone_target(alpha: complex, beta: complex, labels) -> PureSt
     return PureState(d1.layout, amps / np.linalg.norm(amps))
 
 
-@lru_cache(maxsize=8)
-def _correction_table_cached(port: str, resource_labels: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-    resource = dicke(4, 2, resource_labels)
-    table = _derive_correction_table(resource, port)
-    return tuple(sorted(table.items()))
-
-
 def derive_correction_table(resource: PureState, port: str = "b") -> dict[str, str]:
     """Map each Bell outcome to the Pauli P with P^{x3} restoring the canonical state.
 
@@ -224,14 +202,14 @@ def derive_correction_table(resource: PureState, port: str = "b") -> dict[str, s
     """
     if not isinstance(resource, PureState) or fidelity(resource, dicke(4, 2, resource.labels)) < 1 - 1e-9:
         raise RegisterError("correction table is defined for the ideal Dicke resource")
-    if resource.labels == RESOURCE_LABELS:
-        return dict(_correction_table_cached(port, resource.labels))
-    return _derive_correction_table(resource, port)
+    return dict(_correction_table(port, resource.labels))
 
 
-def _derive_correction_table(resource: PureState, port: str) -> dict[str, str]:
+@lru_cache(maxsize=8)
+def _correction_table(port: str, labels: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     samples = (ClientParams(theta=0.8, phi=0.37), ClientParams(theta=2.1, phi=2.0))
-    clone_labels = tuple(x for x in resource.labels if x != port)
+    resource = dicke(4, 2, labels)
+    clone_labels = tuple(x for x in labels if x != port)
     table: dict[str, str] = {}
     for params in samples:
         full = tensor(client_ket(params), resource)
@@ -239,7 +217,7 @@ def _derive_correction_table(resource: PureState, port: str) -> dict[str, str]:
         target = _canonical_teleclone_target(params.alpha, params.beta, clone_labels)
         for branch in branches:
             winners = set()
-            for pauli in PAULI_LABELS:
+            for pauli in PAULIS:
                 corrected = _apply_same_pauli(branch.post_state, pauli, clone_labels)
                 if fidelity(corrected, target) >= 1 - 1e-9:
                     winners.add(pauli)
@@ -253,7 +231,7 @@ def _derive_correction_table(resource: PureState, port: str) -> dict[str, str]:
                         f"correction for {branch.outcome_label} is sample-dependent",
                         branch.outcome_label)
             table[branch.outcome_label] = sorted(winners)[0]
-    return table
+    return tuple(sorted(table.items()))
 
 
 def qtc_theory_fidelity(theta: float) -> float:
@@ -316,7 +294,7 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     return result.member(0) if single else result
 
 
-def qtc_mixed_band(theta: float | Sequence[float], p: "float | WernerParams",
+def qtc_mixed_band(theta: float | Sequence[float], p: float,
                    dephase_lambda: float, p_uncertainty: float = 0.0, phi: float = 0.0,
                    port: str = "b", ideal: np.ndarray | None = None):
     """Telecloning-fidelity interval for a dephased client over Werner weight p +- dp.
@@ -326,8 +304,6 @@ def qtc_mixed_band(theta: float | Sequence[float], p: "float | WernerParams",
     stands in for a band end at weight 1 without dephasing: that end is the
     same call on the same inputs.
     """
-    if isinstance(p, WernerParams):
-        p = p.p
     if p_uncertainty < 0:
         raise ValueError("p_uncertainty must be non-negative")
     lo = min(max(p - p_uncertainty, 0.0), 1.0)
@@ -370,34 +346,24 @@ def run_odt(client: ClientParams, resource: State | None = None, port: str = "b"
 
     pure_path = client.dephase_lambda == 0.0
     client_in: State = client_ket(client) if pure_path else client_state(client)
-    full = tensor(client_in, resource)
-    full = _apply_cx(full, CLIENT_LABEL, port)
-
+    full = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, port))
     prob_sodt, after_sodt = project(full, sodt, sodt_projection)
-    plus_one = np.kron(_KET_PLUS, _KET1)
-    prob_accept, receiver_post = project(after_sodt, (CLIENT_LABEL, port), plus_one)
 
-    alternatives = []
-    for x_label, x_ket in (("+", _KET_PLUS), ("-", _KET_MINUS)):
-        for z_label, z_ket in (("0", _KET0), ("1", _KET1)):
-            if (x_label, z_label) == ("+", "1"):
-                continue
-            try:
-                alt_prob, _ = project(after_sodt, (CLIENT_LABEL, port), np.kron(x_ket, z_ket))
-            except ImpossibleBranchError as err:
-                alt_prob = max(err.probability, 0.0)
-            alternatives.append((f"{x_label}{z_label}", float(alt_prob)))
-
-    receiver_mixed = receiver_post.density() if isinstance(receiver_post, PureState) else receiver_post
+    branches = dict(zip(_BELL_XZ, _bell_branches(after_sodt, CLIENT_LABEL, port)))
+    accepted = branches.pop("+1")  # psi+
+    if accepted.post_state is None:
+        raise ImpossibleBranchError(
+            f"outcome |+1> of {(CLIENT_LABEL, port)} has probability {accepted.probability}",
+            accepted.probability)
+    receiver_mixed = accepted.post_state.density()
     return OdtResult(
         projection_used=sodt_projection,
         receiver=receiver,
         port=port,
-        success_probability=float(prob_sodt * prob_accept),
+        success_probability=float(prob_sodt * accepted.probability),
         sodt_probability=float(prob_sodt),
         receiver_state=receiver_mixed,
         teleport_fidelity=fidelity(client_in, receiver_mixed),
         intermediate_state=after_sodt,
-        intermediate_labels=after_sodt.labels,
-        alternative_outcomes=tuple(alternatives),
+        alternative_outcomes=tuple((xz, float(b.probability)) for xz, b in branches.items()),
     )

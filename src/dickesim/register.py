@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -27,8 +28,10 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+CX = np.kron(np.diag([1, 0]), PAULI_I) + np.kron(np.diag([0, 1]), PAULI_X)  # control first
+PAULIS = MappingProxyType({"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z})
 
-for _m in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, HADAMARD):
+for _m in (*PAULIS.values(), HADAMARD, CX):
     _m.setflags(write=False)
 
 
@@ -88,11 +91,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _member_error(bad: np.ndarray, stacked: bool, message) -> RegisterError:
-    """RegisterError(message(i)) for the first member i flagged in `bad`,
-    naming the member when the state is a stack."""
-    index = int(np.argmax(bad))
-    return RegisterError((f"stack member {index}: " if stacked else "") + message(index))
+def _require(ok: np.ndarray, stacked: bool, message) -> None:
+    """Raise RegisterError(message(i)) for the first member i not flagged in `ok`
+    (a NaN fails every `x <= tol` flag), naming the member when the state is a stack."""
+    if not ok.all():
+        index = int(np.argmin(ok))
+        raise RegisterError((f"stack member {index}: " if stacked else "") + message(index))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +120,8 @@ class PureState:
         if amps.size == 0:
             raise RegisterError("a stack needs at least one member")
         norms = np.linalg.norm(amps.reshape(-1, self.layout.dim), axis=1)
-        if abs(norms - 1.0).max() > NORM_TOL:
-            raise _member_error(abs(norms - 1.0) > NORM_TOL, amps.ndim == 2,
-                                lambda i: f"state norm {norms[i]} deviates from 1 beyond {NORM_TOL}")
+        _require(abs(norms - 1.0) <= NORM_TOL, amps.ndim == 2,
+                 lambda i: f"state norm {norms[i]} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -166,18 +169,17 @@ class MixedState:
         flat, stacked = mat.reshape(-1, d, d), mat.ndim == 3
         # CHECK_BLOCK members at a time, so a stack needs no temporary of its own size
         blocks = (flat[i:i + CHECK_BLOCK] for i in range(0, len(flat), CHECK_BLOCK))
-        if max(abs(b - b.conj().transpose(0, 2, 1)).max() for b in blocks) > NORM_TOL:
+        # np.max, unlike Python's max, propagates a NaN whatever its position
+        if not np.max([abs(b - b.conj().transpose(0, 2, 1)).max() for b in blocks]) <= NORM_TOL:
             skew = np.array([abs(m - m.conj().T).max() for m in flat])
-            raise _member_error(skew > NORM_TOL, stacked,
-                                lambda i: "matrix is not Hermitian within 1e-10")
+            _require(skew <= NORM_TOL, stacked,
+                     lambda i: f"matrix is not Hermitian within 1e-10 (skew {skew[i]})")
         tr = flat.trace(axis1=1, axis2=2)
-        if abs(tr - 1.0).max() > NORM_TOL:
-            raise _member_error(abs(tr - 1.0) > NORM_TOL, stacked,
-                                lambda i: f"trace {complex(tr[i])} deviates from 1 beyond {NORM_TOL}")
+        _require(abs(tr - 1.0) <= NORM_TOL, stacked,
+                 lambda i: f"trace {complex(tr[i])} deviates from 1 beyond {NORM_TOL}")
         lo = np.linalg.eigvalsh(flat)[:, 0]  # ascending: each member's smallest
-        if lo.min() < PSD_TOL:
-            raise _member_error(lo < PSD_TOL, stacked, lambda i: (
-                f"matrix has eigenvalue {float(lo[i])} below PSD tolerance {PSD_TOL}"))
+        _require(lo >= PSD_TOL, stacked,
+                 lambda i: f"matrix has eigenvalue {float(lo[i])} below PSD tolerance {PSD_TOL}")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -252,7 +254,7 @@ def _check_unitary(gate: np.ndarray, k: int) -> np.ndarray:
     d = 2 ** k
     if gate.shape != (d, d):
         raise RegisterError(f"gate shape {gate.shape} does not act on {k} qubits")
-    if np.abs(gate.conj().T @ gate - np.eye(d)).max() > NORM_TOL:
+    if not np.abs(gate.conj().T @ gate - np.eye(d)).max() <= NORM_TOL:
         raise RegisterError("gate matrix is not unitary within 1e-10")
     return gate
 
@@ -306,7 +308,7 @@ def _projection_ket(onto: np.ndarray | str, k: int) -> np.ndarray:
     vec = np.asarray(onto, dtype=complex).reshape(-1)
     if vec.shape != (2 ** k,):
         raise RegisterError(f"projection ket has length {vec.shape[0]}, expected {2 ** k}")
-    if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
+    if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:
         raise RegisterError("projection ket is not normalized")
     return vec
 
@@ -355,7 +357,7 @@ def _scalar(values: np.ndarray):
 
 
 def _check_branch(prob: np.ndarray, labels) -> None:
-    if prob.min() < BRANCH_TOL:
+    if not prob.min() >= BRANCH_TOL:
         raise ImpossibleBranchError(
             f"projection of {tuple(labels)} has probability {float(prob.min())}", _scalar(prob))
 

@@ -16,10 +16,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .register import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PureState, State
+from .register import PAULIS, PureState, State
 from .states import dicke
 
-PAULI_BY_CHAR = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 SETTING_TOL = 1e-10
 
 # reference measured second moments of the collective spin, with uncertainties
@@ -31,7 +30,7 @@ def pauli_matrix(string: str) -> np.ndarray:
     """Kronecker product of single-qubit Paulis, e.g. "XXI" or "ZZZZ"."""
     out = np.array([[1.0 + 0j]])
     for ch in string:
-        out = np.kron(out, PAULI_BY_CHAR[ch])
+        out = np.kron(out, PAULIS[ch])
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from dickesim import (
     ClientParams,
+    ImpossibleBranchError,
     MixedState,
     PureState,
     RegisterError,
@@ -32,6 +33,7 @@ from dickesim import (
 )
 from dickesim.fixtures import load_correction_table
 from dickesim.protocols import BELL_LABELS
+from dickesim.states import RESOURCE_LABELS
 
 import oracles
 
@@ -309,9 +311,16 @@ class TestRunOdt:
     def test_alternative_outcomes_complete_the_branch(self):
         result = run_odt(ClientParams(theta=0.9))
         assert len(result.alternative_outcomes) == 3
+        assert tuple(label for label, _ in result.alternative_outcomes) == ("+0", "-0", "-1")
         conditional_accept = result.success_probability / result.sodt_probability
         total = conditional_accept + sum(p for _, p in result.alternative_outcomes)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_vanishing_accepted_outcome_raises(self):
+        # |0> on X and b = 0 leave (X, b) in |00>, which has no |+1> component
+        with pytest.raises(ImpossibleBranchError) as exc:
+            run_odt(ClientParams(theta=0.0), resource=basis_ket("0001", RESOURCE_LABELS))
+        assert exc.value.probability == 0.0
 
     def test_werner_resource_closed_form(self):
         p = WERNER_P

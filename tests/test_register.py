@@ -73,6 +73,41 @@ class TestStateValidation:
             state.amplitudes[0] = 0.0
 
 
+class TestNanRejected:
+    """NaN compares False with every tolerance, so each check is written to fail on it."""
+
+    def test_nan_ket(self):
+        with pytest.raises(RegisterError, match="norm nan"):
+            PureState(RegisterLayout(("a",)), np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+    def test_nan_matrix(self, entry):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[entry] = np.nan
+        with pytest.raises(RegisterError, match="skew nan"):
+            MixedState(RegisterLayout(("a",)), mat)
+
+    def test_nan_gate(self):
+        with pytest.raises(RegisterError, match="unitary"):
+            apply_gate(basis_ket("0", ("a",)), np.array([[np.nan, 0.0], [0.0, 1.0]]), "a")
+
+    def test_nan_projection_ket(self):
+        with pytest.raises(RegisterError, match="normalized"):
+            project(basis_ket("00", ("a", "b")), "a", np.array([np.nan, 1.0]))
+
+    # 10 members span two blocks of the Hermitian check; member 9 sits in the second
+    @pytest.mark.parametrize("member", [0, 9])
+    def test_one_nan_stack_member(self, member):
+        mats = np.array([np.eye(2, dtype=complex) / 2] * 10)
+        mats[member, 0, 1] = np.nan
+        with pytest.raises(RegisterError, match=f"stack member {member}: matrix is not Hermitian"):
+            MixedState(RegisterLayout(("a",)), mats)
+        kets = np.array([[1.0, 0.0]] * 10)
+        kets[member, 1] = np.nan
+        with pytest.raises(RegisterError, match=f"stack member {member}: state norm nan"):
+            PureState(RegisterLayout(("a",)), kets)
+
+
 class TestTensor:
     def test_basis_case(self):
         out = tensor(basis_ket("0", ("a",)), basis_ket("0", ("b",)))
