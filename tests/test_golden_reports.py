@@ -1,7 +1,8 @@
 """Report bytes pinned against files in tests/golden/.
 
-The five default reports in csv and json, plus a noisy odt-table and a noisy
-qtc-sweep, are rendered in-process through run_command and compared byte for
+The five default reports in csv and json, plus a noisy odt-table, a noisy
+qtc-sweep and a qtc-sweep of a pure client on a Werner resource at port c,
+are rendered in-process through run_command and compared byte for
 byte. A deliberate change to a report must regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -23,6 +24,8 @@ CASES = {
     **{command: (command, {}) for command in SCHEMAS},
     "odt-table-noisy": ("odt-table", {"werner_p": 0.8, "dephase_lambda": 0.05, "n_per_setting": 400}),
     "qtc-sweep-noisy": ("qtc-sweep", {"p": 0.85, "dephase_lambda": 0.1, "p_uncertainty": 0.04}),
+    "qtc-sweep-werner-port-c": ("qtc-sweep", {"p": 0.8, "dephase_lambda": 0.0, "p_uncertainty": 0.02,
+                                              "port": "c", "phi": 1.3}),
 }
 REPORTS = [(name, fmt) for name in CASES for fmt in ("csv", "json")]
 
