@@ -16,6 +16,7 @@ import numpy as np
 from .register import CX, HADAMARD, PAULI_I, PAULI_X, PAULI_Z, PureState, apply_gate
 
 GATE_KINDS = ("H", "X", "Z", "PHASE", "CX", "CZBAR")
+MATCH_TOL = 1e-9
 
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -147,27 +148,25 @@ def find_conversion_circuit(
     target: PureState,
     pool: tuple[GateSpec, ...] | None = None,
     max_depth: int = 8,
-    tol: float = 1e-9,
 ) -> ConversionSearch:
     """Breadth-first search for a pool sequence mapping source to target.
 
-    Deterministic: fixed pool order, lexicographic tie-break by construction,
-    and duplicate states (up to global phase) pruned. Immediate repeats of
-    self-inverse gates are skipped. Exhaustion returns a not-found result
-    carrying the best fidelity seen.
+    A sequence is found when its fidelity with the target is within
+    MATCH_TOL of 1. Deterministic: fixed pool order, lexicographic tie-break
+    by construction, and duplicate states (up to global phase) pruned.
+    Exhaustion returns a not-found result carrying the best fidelity seen.
     """
     if pool is None:
         pool = conversion_pool()
     if max_depth > 8:
         raise ValueError("conversion search is bounded at depth 8")
-    self_inverse = {gate: gate.is_self_inverse() for gate in pool}
 
     def fid(amps: np.ndarray) -> float:
         return float(abs(np.vdot(target.amplitudes, amps)) ** 2)
 
     start = source.amplitudes
     best_f, best_path = fid(start), ()
-    if best_f >= 1.0 - tol:
+    if best_f >= 1.0 - MATCH_TOL:
         return ConversionSearch(True, Circuit(()), best_f, best_f, Circuit(()), 1, max_depth)
 
     seen = {_canonical_key(start)}
@@ -178,8 +177,6 @@ def find_conversion_circuit(
         if len(path) == max_depth:
             continue
         for gate in pool:
-            if path and path[-1] == gate and self_inverse[gate]:
-                continue
             nxt = apply_gate(PureState(source.layout, amps), gate.matrix(), gate.labels).amplitudes
             key = _canonical_key(nxt)
             if key in seen:
@@ -190,7 +187,7 @@ def find_conversion_circuit(
             f = fid(nxt)
             if f > best_f:
                 best_f, best_path = f, new_path
-            if f >= 1.0 - tol:
+            if f >= 1.0 - MATCH_TOL:
                 circ = Circuit(new_path)
                 return ConversionSearch(True, circ, f, f, circ, explored, max_depth)
             queue.append((nxt, new_path))

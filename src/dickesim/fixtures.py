@@ -26,25 +26,23 @@ def fixtures_dir(override: str | Path | None = None) -> Path:
     return Path(override) if override is not None else DEFAULT_DIR
 
 
-def load_conversion_circuit(directory: str | Path | None = None) -> Circuit:
-    path = fixtures_dir(directory) / CONVERSION_FILE
+def _read(directory: str | Path | None, name: str) -> str:
+    path = fixtures_dir(directory) / name
     if not path.exists():
         raise FixtureError(f"missing fixture {path}; run with --regen-fixtures")
-    return Circuit.from_text(path.read_text())
+    return path.read_text()
+
+
+def load_conversion_circuit(directory: str | Path | None = None) -> Circuit:
+    return Circuit.from_text(_read(directory, CONVERSION_FILE))
 
 
 def load_correction_table(directory: str | Path | None = None) -> dict[str, str]:
-    path = fixtures_dir(directory) / CORRECTION_FILE
-    if not path.exists():
-        raise FixtureError(f"missing fixture {path}; run with --regen-fixtures")
-    return json.loads(path.read_text())
+    return json.loads(_read(directory, CORRECTION_FILE))
 
 
 def load_b4_samples(directory: str | Path | None = None) -> dict[float, float]:
-    path = fixtures_dir(directory) / B4_FILE
-    if not path.exists():
-        raise FixtureError(f"missing fixture {path}; run with --regen-fixtures")
-    raw = json.loads(path.read_text())
+    raw = json.loads(_read(directory, B4_FILE))
     return {float(k): float(v) for k, v in raw["samples"].items()}
 
 

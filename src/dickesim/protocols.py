@@ -46,6 +46,7 @@ from .states import (
     dicke,
     werner_dicke,
 )
+from .witnesses import pauli_matrix
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 # each Bell element's (sigma-x outcome on the control, sigma-z outcome on the target)
@@ -181,10 +182,8 @@ def _bell_branches(rotated: State, q1: str, q2: str) -> list[BranchOutcome]:
 
 
 def _apply_same_pauli(state: State, pauli: str, labels) -> State:
-    out = state
-    for label in labels:
-        out = apply_gate(out, PAULIS[pauli], (label,))
-    return out
+    """P on every named qubit as one gate P (x) ... (x) P; entries 0, +-1, +-i multiply exactly."""
+    return apply_gate(state, pauli_matrix(pauli * len(labels)), labels)
 
 
 def _canonical_teleclone_target(alpha: complex, beta: complex, labels) -> PureState:

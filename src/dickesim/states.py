@@ -160,16 +160,15 @@ def werner_weight_for_fidelity(target_fidelity: float) -> float:
     return p
 
 
-def client_ket(params: ClientParams | Sequence[ClientParams],
-               label: str = CLIENT_LABEL) -> PureState:
-    """Pure client state; requires dephase_lambda = 0. A sequence of params
-    gives a stack with one member per client."""
+def client_ket(params: ClientParams | Sequence[ClientParams]) -> PureState:
+    """Pure client state on qubit X; requires dephase_lambda = 0. A sequence of
+    params gives a stack with one member per client."""
     single = isinstance(params, ClientParams)
     stack = [params] if single else list(params)
     if any(p.dephase_lambda != 0.0 for p in stack):
         raise ValueError("client_ket is only defined for dephase_lambda = 0")
     amps = np.array([[p.alpha, p.beta] for p in stack])
-    return PureState(RegisterLayout((label,)), amps[0] if single else amps)
+    return PureState(RegisterLayout((CLIENT_LABEL,)), amps[0] if single else amps)
 
 
 def _client_matrix(params: ClientParams) -> np.ndarray:
@@ -179,10 +178,9 @@ def _client_matrix(params: ClientParams) -> np.ndarray:
     return np.array([[rho[0, 0], rho[0, 1] * scale], [rho[1, 0] * scale, rho[1, 1]]])
 
 
-def client_state(params: ClientParams | Sequence[ClientParams],
-                 label: str = CLIENT_LABEL) -> MixedState:
-    """Client density matrix with off-diagonals scaled by (1 - dephase_lambda).
+def client_state(params: ClientParams | Sequence[ClientParams]) -> MixedState:
+    """Client density matrix on qubit X, off-diagonals scaled by (1 - dephase_lambda).
     A sequence of params gives a stack with one member per client."""
     mat = (_client_matrix(params) if isinstance(params, ClientParams)
            else np.array([_client_matrix(p) for p in params]))
-    return MixedState(RegisterLayout((label,)), mat)
+    return MixedState(RegisterLayout((CLIENT_LABEL,)), mat)

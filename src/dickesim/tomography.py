@@ -42,8 +42,6 @@ class MissingSettingError(LookupError):
 def _axis_letter(axis) -> str:
     """Normalize an axis spec to X/Y/Z; path-phase angles map onto the equator."""
     if isinstance(axis, str):
-        if axis not in ("X", "Y", "Z"):
-            raise ValueError(f"unknown measurement axis {axis!r}")
         return axis
     phi = float(axis)
     if abs(phi) < _AXIS_TOL:
@@ -205,14 +203,16 @@ def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> t
     Identity positions marginalize, so a string like XI is estimated from all
     of XX, XY, XZ. Value is the parity-weighted count ratio over the pooled
     counts; the uncertainty follows from Poisson fluctuations of the two
-    parity classes, sqrt((1 - v^2)/T).
+    parity classes, sqrt((1 - v^2)/T). MissingSettingError names the string
+    when no record covers it or the records that do have no counts.
     """
     records = list(records)
     parity = _parity_table(records, (pauli_string,))[:, 0]
     counts = _column_counts(records)
     total = counts @ np.abs(parity)
     if total <= 0:
-        raise ValueError("records have zero total counts")
+        raise MissingSettingError(
+            f"records covering Pauli string {pauli_string!r} have no counts", (pauli_string,))
     value = float(counts @ parity / total)
     if all(r.exact for r in records if _parities(r, pauli_string) is not None):
         return value, 0.0
@@ -364,9 +364,8 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
         raise ValueError("need at least 10 bootstrap trials")
     inversion = _Inversion(records)
     layout = RegisterLayout(target.labels)
-    point = fidelity(MixedState(layout, inversion.matrices(inversion.counts[None])[0]), target)
     if inversion.exact.all():
-        return float(point), 0.0
+        return fidelity(MixedState(layout, inversion.matrices(inversion.counts[None])[0]), target), 0.0
     # every trial's rho is one member of a stack: one checked MixedState, one fidelity call
     values = fidelity(MixedState(layout, inversion.matrices(inversion.redraw(trials, seed))), target)
     return float(np.mean(values)), float(np.std(values))

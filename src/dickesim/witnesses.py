@@ -34,14 +34,14 @@ def pauli_matrix(string: str) -> np.ndarray:
     return out
 
 
-def pauli_decompose(matrix: np.ndarray, tol: float = 1e-12) -> list[tuple[float, str]]:
-    """Real coefficients of a Hermitian operator in the Pauli-string basis."""
+def pauli_decompose(matrix: np.ndarray) -> list[tuple[float, str]]:
+    """Real coefficients above 1e-12 of a Hermitian operator in the Pauli-string basis."""
     n = int(round(math.log2(matrix.shape[0])))
     coeffs = []
     for combo in itertools.product("IXYZ", repeat=n):
         s = "".join(combo)
         c = float(np.real(np.sum(pauli_matrix(s).T * matrix))) / 2 ** n
-        if abs(c) > tol:
+        if abs(c) > 1e-12:
             coeffs.append((c, s))
     return coeffs
 
@@ -65,10 +65,6 @@ class Observable:
             # agreement with the matrix is surfaced by decomposition_check,
             # not silently enforced here
             object.__setattr__(self, "settings", tuple((float(c), s) for c, s in self.settings))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def expectation(self, state: State) -> float:
         if isinstance(state, PureState):
@@ -111,10 +107,6 @@ def collective_spin(n: int) -> CollectiveSpinSet:
                              sx=mats["sx"], sy=mats["sy"], sz=mats["sz"])
 
 
-def _axis_settings(matrix: np.ndarray) -> tuple[tuple[float, str], ...]:
-    return tuple(pauli_decompose(matrix))
-
-
 @lru_cache(maxsize=None)
 def witness_wm() -> Observable:
     """Four-qubit collective-spin witness, literal transcription.
@@ -130,7 +122,7 @@ def witness_wm() -> Observable:
     jz2 = cs.jz.matrix @ cs.jz.matrix
     mat = (24 * eye + jx2 @ cs.sx.matrix + jy2 @ cs.sy.matrix
            + jz2 @ (31 * eye - 7 * jz2)) / 12
-    return Observable(mat, settings=_axis_settings(mat), name="W_m (transcribed)")
+    return Observable(mat, settings=pauli_decompose(mat), name="W_m (transcribed)")
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +137,7 @@ def witness_wm_calibrated() -> Observable:
     base = witness_wm()
     ideal = base.expectation(dicke(4, 2))
     mat = base.matrix - (ideal + 1.0) * np.eye(16)
-    return Observable(mat, settings=_axis_settings(mat),
+    return Observable(mat, settings=pauli_decompose(mat),
                       name="W_m (reconstructed)", reconstructed=True)
 
 
@@ -154,11 +146,14 @@ class FidelityBound(NamedTuple):
     clamped: bool
 
 
-def fidelity_bound_from_wm(value: float) -> FidelityBound:
-    """Fidelity lower bound F >= (2 - <W_m>)/3, clamped to [0, 1] with a flag."""
-    raw = (2.0 - value) / 3.0
+def _clamped(raw: float) -> FidelityBound:
     clipped = min(max(raw, 0.0), 1.0)
     return FidelityBound(clipped, clipped != raw)
+
+
+def fidelity_bound_from_wm(value: float) -> FidelityBound:
+    """Fidelity lower bound F >= (2 - <W_m>)/3, clamped to [0, 1] with a flag."""
+    return _clamped((2.0 - value) / 3.0)
 
 
 def witness_wcs(gamma: float, b4: float) -> Observable:
@@ -166,7 +161,7 @@ def witness_wcs(gamma: float, b4: float) -> Observable:
     cs = collective_spin(4)
     mat = b4 * np.eye(16) - (cs.jx.matrix @ cs.jx.matrix + cs.jy.matrix @ cs.jy.matrix
                              + gamma * cs.jz.matrix @ cs.jz.matrix)
-    return Observable(mat, settings=_axis_settings(mat), name=f"W_cs(gamma={gamma})")
+    return Observable(mat, settings=pauli_decompose(mat), name=f"W_cs(gamma={gamma})")
 
 
 def propagate_wcs_error(gamma: float, d_jx2: float, d_jy2: float, d_jz2: float) -> float:
@@ -399,9 +394,7 @@ def witness_projector_d3_optimal(k: int) -> Observable:
 
 def fidelity_bound_from_d3_witness(value: float) -> FidelityBound:
     """Projector-witness bound F >= 2/3 - <W>, clamped to [0, 1] with a flag."""
-    raw = 2.0 / 3.0 - value
-    clipped = min(max(raw, 0.0), 1.0)
-    return FidelityBound(clipped, clipped != raw)
+    return _clamped(2.0 / 3.0 - value)
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,15 @@ class TestConversionSearch:
         assert result.best_circuit.depth <= 3
         assert result.states_explored > 1
 
+    def test_states_explored_pinned(self):
+        # an immediate repeat of a self-inverse gate recreates a state already
+        # seen, so the seen-state pruning alone decides these counts
+        found = find_conversion_circuit(xi_state(), dicke(4, 2, ("a", "b", "c", "d")))
+        assert found.states_explored == 265
+        target = PureState(RegisterLayout(("a", "b", "c", "d")),
+                           oracles.haar_ket(np.random.default_rng(12), 16))
+        assert find_conversion_circuit(xi_state(), target, max_depth=3).states_explored == 90
+
     def test_depth_cap(self):
         with pytest.raises(ValueError, match="depth 8"):
             find_conversion_circuit(xi_state(), dicke(4, 2, ("a", "b", "c", "d")), max_depth=9)

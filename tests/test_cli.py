@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -356,6 +357,16 @@ class TestWitnessScan:
         out = tmp_path / "w.csv"
         assert main(["witness-scan", "--out", str(out)]) == 0
         assert "does not reach threshold -15" in out.read_text()
+
+    @pytest.mark.parametrize("config,gammas", [
+        ({"gamma_min": -3, "gamma_max": 0, "gamma_points": 10}, np.linspace(-3, 0, 10)),
+        ({"gamma_points": 4}, np.linspace(-3, 0, 4)),  # the range ends from GAMMA_RANGE
+    ], ids=["all-three-keys", "points-only"])
+    def test_range_keys_give_a_linspace(self, config, gammas):
+        args = build_parser().parse_args(["witness-scan", "--format", "json"])
+        text, code = run_command("witness-scan", config, args)
+        assert code == 0
+        assert [row["gamma"] for row in json.loads(text)["rows"]] == gammas.tolist()
 
 
 class TestTomographyDemo:

@@ -561,3 +561,29 @@ class TestStacks:
         assert _same_members(stacked, [tensor(MixedState(layout, a), other) for a in arr])
         with pytest.raises(RegisterError, match="two stacks"):
             tensor(MixedState(layout, arr), PureState(RegisterLayout(("c",)), np.eye(2)))
+
+    @pytest.mark.parametrize("single_first", [True, False], ids=["single-first", "stack-first"])
+    @pytest.mark.parametrize("pure", [True, False], ids=["kets", "densities"])
+    def test_tensor_member_equals_member_tensor(self, pure, single_first):
+        rng = np.random.default_rng(9)
+        stack_layout, single_layout = RegisterLayout(("b", "c")), RegisterLayout(("a",))
+        if pure:
+            stack = PureState(stack_layout, np.array([oracles.haar_ket(rng, 4) for _ in range(3)]))
+            single = PureState(single_layout, oracles.haar_ket(rng, 2))
+        else:
+            stack = MixedState(stack_layout, np.array([oracles.random_density(rng, 4) for _ in range(3)]))
+            single = MixedState(single_layout, oracles.random_density(rng, 2))
+        pair = (lambda s: tensor(single, s)) if single_first else (lambda s: tensor(s, single))
+        out = pair(stack)
+        assert out.stack_shape == (3,)
+        assert _same_members(out, [pair(stack.member(i)) for i in range(3)])
+
+    @pytest.mark.parametrize("first_pure,second_pure", [(True, True), (True, False), (False, False)],
+                             ids=["pure-pure", "pure-mixed", "mixed-mixed"])
+    def test_fidelity_of_stacks_of_different_sizes_raises(self, first_pure, second_pure):
+        def stack(size, pure):
+            kets = PureState(RegisterLayout(("a",)), np.tile([1.0, 0.0], (size, 1)))
+            return kets if pure else kets.density()
+
+        with pytest.raises(RegisterError, match="stack shapes"):
+            fidelity(stack(3, first_pure), stack(5, second_pure))

@@ -171,6 +171,19 @@ class TestEstimateCorrelator:
             estimate_correlator(records, "XX")
         assert exc.value.missing == ("XX",)
 
+    def test_zero_counts_are_a_missing_setting(self):
+        records = [CountsRecord(MeasurementSetting(("Z", "Z")),
+                                dict.fromkeys(("00", "01", "10", "11"), 0), 1000.0, seed=None)]
+        with pytest.raises(MissingSettingError) as exc:
+            estimate_correlator(records, "ZZ")
+        assert exc.value.missing == ("ZZ",)
+        strings = ("XX", "ZI", "ZZ")
+        observable = Observable(sum(pauli_matrix(s) for s in strings),
+                                settings=tuple((1.0, s) for s in strings))
+        with pytest.raises(MissingSettingError) as exc:
+            estimate_witness(records, observable)
+        assert exc.value.missing == strings
+
 
 class TestEstimateWitness:
     def test_ideal_d3_exact(self):
