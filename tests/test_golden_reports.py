@@ -1,9 +1,10 @@
 """Report bytes pinned against files in tests/golden/.
 
 The five default reports in csv and json, plus a noisy odt-table, a noisy
-qtc-sweep and a qtc-sweep of a pure client on a Werner resource at port c,
-are rendered in-process through run_command and compared byte for
-byte. A deliberate change to a report must regenerate the files with
+qtc-sweep, a qtc-sweep of a pure client on a Werner resource at port c, and
+a resource-check and a state-mode witness-scan on a Werner resource, are
+rendered in-process through run_command and compared byte for byte. A
+deliberate change to a report must regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -26,6 +27,8 @@ CASES = {
     "qtc-sweep-noisy": ("qtc-sweep", {"p": 0.85, "dephase_lambda": 0.1, "p_uncertainty": 0.04}),
     "qtc-sweep-werner-port-c": ("qtc-sweep", {"p": 0.8, "dephase_lambda": 0.0, "p_uncertainty": 0.02,
                                               "port": "c", "phi": 1.3}),
+    "resource-check-werner": ("resource-check", {"werner_p": 0.85}),
+    "witness-scan-state-werner": ("witness-scan", {"source": "state", "werner_p": 0.7}),
 }
 REPORTS = [(name, fmt) for name in CASES for fmt in ("csv", "json")]
 
