@@ -116,6 +116,9 @@ DEVIATION = Number(0.0)
 # (2 + B4_GAMMA_MIN^2) * 1e300 keeps the witness error's quadrature sum a finite float
 WITNESS_DEVIATION = Number(0.0, 1e150)
 COUNT = Number(1, whole=True)
+# Shots per setting: below numpy's Poisson limit (~9.2e18), and three records
+# pooled for one Pauli string still sum below 2^53, exact in any order.
+SHOTS = Number(1, 10 ** 15, whole=True)
 TRIALS = Number(10, whole=True)  # fewest bootstrap trials fidelity_with_error takes
 
 # command -> (default report format, {key: (parser, default)}); a default is
@@ -141,7 +144,7 @@ SCHEMAS = {
         "dephase_lambda": (PROBABILITY, 0.0),
         "configurations": (ListOf(Row((OneOf(("01", "10")), ANGLE, OneOf(RESOURCE_LABELS),
                                        PROBABILITY, DEVIATION), required=3)), ODT_TABLE_I),
-        "n_per_setting": (COUNT, None),
+        "n_per_setting": (SHOTS, None),
         "trials": (TRIALS, 50),
     }),
     "witness-scan": ("csv", {
@@ -156,7 +159,7 @@ SCHEMAS = {
     }),
     "tomography-demo": ("json", {
         "state": (OneOf(tuple(DEMO_STATES)), "bell-psi+"),
-        "n_per_setting": (COUNT, 10000),
+        "n_per_setting": (SHOTS, 10000),
         "trials": (TRIALS, 50),
     }),
 }
@@ -223,8 +226,7 @@ def _collective_moments(state) -> dict:
     """<Jx^2>, <Jy^2>, <Jz^2> of a four-qubit state."""
     cs = collective_spin(4)
     rho = state.density().matrix
-    return {name: float(np.real(np.trace(rho @ (op.matrix @ op.matrix))))
-            for name, op in zip(MOMENTS, (cs.jx, cs.jy, cs.jz))}
+    return {name: float(np.real(np.trace(rho @ getattr(cs, name)))) for name in MOMENTS}
 
 
 def _gamma_scan(gammas, moments: dict, errors: dict, fixtures_dir) -> tuple[list, list]:
@@ -283,12 +285,10 @@ def cmd_resource_check(cfg: dict, args) -> tuple:
     wm_value = 3.25 - 0.5 * p
 
     checks.append(Check("resource_fidelity_vs_dicke", fidelity(state, target), f_res))
-    _, post0 = project(state, "d", "0")
-    _, post1 = project(state, "d", "1")
-    checks.append(Check("projection_d0_fidelity_vs_D3k2",
-                        fidelity(post0, dicke(3, 2)), f_proj3))
-    checks.append(Check("projection_d1_fidelity_vs_D3k1",
-                        fidelity(post1, dicke(3, 1)), f_proj3))
+    posts = {k: project(state, "d", bit)[1] for k, bit in ((2, "0"), (1, "1"))}
+    direct = {k: fidelity(post, dicke(3, k)) for k, post in posts.items()}
+    checks.append(Check("projection_d0_fidelity_vs_D3k2", direct[2], f_proj3))
+    checks.append(Check("projection_d1_fidelity_vs_D3k1", direct[1], f_proj3))
 
     pair_fids = []
     for pair in itertools.combinations(state.labels, 2):
@@ -314,15 +314,13 @@ def cmd_resource_check(cfg: dict, args) -> tuple:
                                "bound_clamped": bound.clamped, "note": note}
 
     d3_block = {}
-    for k, post in ((1, post1), (2, post0)):
-        w = witness_projector_d3(k)
-        value = w.expectation(post)
+    for k in (1, 2):
+        value = witness_projector_d3(k).expectation(posts[k])
         bound = fidelity_bound_from_d3_witness(value)
-        direct = fidelity(post, dicke(3, k))
         checks.append(Check(f"d3_k{k}_witness_value", value, -p / 3 + (1 - p) * 13 / 24))
-        checks.append(Check(f"d3_k{k}_bound_tightness", bound.value, direct))
+        checks.append(Check(f"d3_k{k}_bound_tightness", bound.value, direct[k]))
         d3_block[f"k{k}"] = {"value": value, "fidelity_bound": bound.value,
-                             "direct_fidelity": direct}
+                             "direct_fidelity": direct[k]}
 
     moments = _collective_moments(state)
     gamma_rows, gamma_checks = _gamma_scan(cfg["gamma_grid"], moments,
@@ -380,8 +378,7 @@ def cmd_odt_table(cfg: dict, args) -> tuple:
         noisy_f = noisy_unc = None
         if werner_p is not None or lam > 0.0:
             noisy_client = ClientParams(theta=theta, dephase_lambda=lam)
-            resource = werner_dicke(werner_p) if werner_p is not None else None
-            noisy = run_odt(noisy_client, resource=resource, port=port,
+            noisy = run_odt(noisy_client, resource=_resource(werner_p)[0], port=port,
                             receiver=receiver, sodt_projection=proj)
             noisy_f = noisy.teleport_fidelity
             if n_per_setting is not None:

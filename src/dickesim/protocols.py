@@ -25,6 +25,8 @@ import numpy as np
 from .register import (
     BRANCH_TOL,
     CX,
+    HADAMARD,
+    PAULI_I,
     PAULIS,
     ImpossibleBranchError,
     MixedState,
@@ -34,6 +36,7 @@ from .register import (
     apply_gate,
     fidelity,
     partial_trace,
+    pauli_matrix,
     project,
     tensor,
 )
@@ -46,19 +49,13 @@ from .states import (
     dicke,
     werner_dicke,
 )
-from .witnesses import pauli_matrix
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 # each Bell element's (sigma-x outcome on the control, sigma-z outcome on the target)
 _BELL_XZ = ("+0", "-0", "+1", "-1")
 BRANCH_SUM_TOL = 1e-9
 
-_KETS = {
-    "+": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "-": np.array([1, -1], dtype=complex) / np.sqrt(2),
-    "0": np.array([1, 0], dtype=complex),
-    "1": np.array([0, 1], dtype=complex),
-}
+_KETS = dict(zip("+-01", (*HADAMARD, *PAULI_I)))
 
 
 class CorrectionSearchError(RuntimeError):
@@ -152,8 +149,6 @@ def bell_measure(state: State, q1: str, q2: str) -> list[BranchOutcome]:
     branch that vanishes for some members only raises RegisterError: one
     post-state stack cannot hold it.
     """
-    if q1 == q2:
-        raise RegisterError("Bell measurement needs two distinct qubits")
     branches = _bell_branches(apply_gate(state, CX, (q1, q2)), q1, q2)
     total = sum(b.probability for b in branches)
     if np.any(np.abs(total - 1.0) > BRANCH_SUM_TOL):
@@ -233,6 +228,15 @@ def _correction_table(port: str, labels: tuple[str, ...]) -> tuple[tuple[str, st
     return tuple(sorted(table.items()))
 
 
+def _client_input(client: ClientParams | Sequence[ClientParams]) -> State:
+    """Pure clients as a ket, dephased ones as a density matrix; a stack may not mix them."""
+    clients = [client] if isinstance(client, ClientParams) else client
+    pure = {c.dephase_lambda == 0.0 for c in clients}
+    if len(pure) != 1:
+        raise ValueError("a stack of clients must be all pure or all dephased")
+    return client_ket(client) if pure.pop() else client_state(client)
+
+
 def qtc_theory_fidelity(theta: float) -> float:
     """Closed-form clone fidelity (9 - cos 2 theta)/12 for a pure client."""
     if not 0.0 <= theta <= math.pi:
@@ -254,17 +258,12 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     """
     if resource is None:
         resource = dicke(4, 2, RESOURCE_LABELS)
-    if port not in resource.labels:
-        raise RegisterError(f"port {port!r} not in resource labels {resource.labels}")
     clone_labels = tuple(x for x in resource.labels if x != port)
-    table = derive_correction_table(dicke(4, 2, resource.labels), port)
+    table = dict(_correction_table(port, resource.labels))
 
     single = isinstance(client, ClientParams)
     clients = [client] if single else list(client)
-    pure_path = {c.dephase_lambda == 0.0 for c in clients}
-    if len(pure_path) != 1:
-        raise ValueError("a stack of clients must be all pure or all dephased")
-    client_in: State = client_ket(clients) if pure_path.pop() else client_state(clients)
+    client_in = _client_input(clients)
     raw_branches = bell_measure(tensor(client_in, resource), CLIENT_LABEL, port)
 
     branches = []
@@ -336,15 +335,10 @@ def run_odt(client: ClientParams, resource: State | None = None, port: str = "b"
         resource = dicke(4, 2, RESOURCE_LABELS)
     if sodt_projection not in ("01", "10"):
         raise ValueError(f"sodt_projection must be '01' or '10', got {sodt_projection!r}")
-    if receiver == port:
-        raise RegisterError("receiver and port must be distinct")
-    for label in (receiver, port):
-        if label not in resource.labels:
-            raise RegisterError(f"{label!r} not in resource labels {resource.labels}")
-    sodt = tuple(x for x in resource.labels if x not in (receiver, port))
+    pos = resource.layout.positions((receiver, port))
+    sodt = tuple(x for i, x in enumerate(resource.labels) if i not in pos)
 
-    pure_path = client.dephase_lambda == 0.0
-    client_in: State = client_ket(client) if pure_path else client_state(client)
+    client_in = _client_input(client)
     full = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, port))
     prob_sodt, after_sodt = project(full, sodt, sodt_projection)
 

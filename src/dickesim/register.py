@@ -39,6 +39,14 @@ class RegisterError(ValueError):
     """Contract violation on a register operation."""
 
 
+def pauli_matrix(string: str) -> np.ndarray:
+    """Kronecker product of single-qubit Paulis, e.g. "XXI" or "ZZZZ"."""
+    out = np.array([[1.0 + 0j]])
+    for ch in string:
+        out = np.kron(out, PAULIS[ch])
+    return out
+
+
 class ImpossibleBranchError(RegisterError):
     """Projection onto an outcome whose probability is numerically zero."""
 
@@ -60,7 +68,7 @@ class RegisterLayout:
             raise RegisterError("register needs at least one qubit")
         if len(set(labels)) != len(labels):
             dup = next(x for x in labels if labels.count(x) > 1)
-            raise RegisterError(f"duplicate qubit label {dup!r}")
+            raise RegisterError(f"duplicate qubit label {dup!r} in {labels} (must be distinct)")
 
     @property
     def n(self) -> int:
@@ -76,13 +84,11 @@ class RegisterLayout:
         except ValueError:
             raise RegisterError(f"unknown qubit label {label!r} (register has {self.labels})") from None
 
-    def positions(self, labels: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.position(x) for x in labels)
-
-    def drop(self, labels: Iterable[str]) -> "RegisterLayout":
-        gone = set(labels)
-        kept = tuple(x for x in self.labels if x not in gone)
-        return RegisterLayout(kept)
+    def positions(self, labels: Iterable[str] | str) -> tuple[int, ...]:
+        """Positions of one label, or of several in the order given; like any
+        register, the named labels must be at least one and none repeated."""
+        named = RegisterLayout((labels,) if isinstance(labels, str) else tuple(labels))
+        return tuple(self.position(x) for x in named.labels)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -232,9 +238,6 @@ def tensor(s1: State, s2: State) -> State:
 
     At most one factor may be a stack; the single one joins every member.
     """
-    overlap = set(s1.labels) & set(s2.labels)
-    if overlap:
-        raise RegisterError(f"duplicate qubit label {sorted(overlap)[0]!r} in tensor product")
     if s1.stack_shape and s2.stack_shape:
         raise RegisterError("tensor product of two stacks is not defined")
     layout = RegisterLayout(s1.labels + s2.labels)
@@ -275,11 +278,7 @@ def _apply_to_axes(t: np.ndarray, gate: np.ndarray, axes: Sequence[int], lead: i
 
 def apply_gate(state: State, gate: np.ndarray, labels: Sequence[str] | str) -> State:
     """Embed a k-qubit unitary at the named positions and apply it (to every member)."""
-    if isinstance(labels, str):
-        labels = (labels,)
     pos = state.layout.positions(labels)
-    if len(set(pos)) != len(pos):
-        raise RegisterError("gate labels must be distinct")
     gate = _check_unitary(gate, len(pos))
     n, lead = state.n, state.stack_shape
     rows = [len(lead) + p for p in pos]
@@ -316,14 +315,10 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
     is below 1e-12. For a stack the probability is an array with one entry
     per member, and the error is raised when any member's branch vanishes.
     """
-    if isinstance(labels, str):
-        labels = (labels,)
     pos = state.layout.positions(labels)
     ket = _projection_ket(onto, len(pos))
-    rest = state.layout.drop(labels)
-    if rest.labels == ():
-        raise RegisterError("projection must leave at least one qubit in the register")
     n, lead = state.n, state.stack_shape
+    rest = RegisterLayout(tuple(x for i, x in enumerate(state.labels) if i not in pos))
     rows = [len(lead) + p for p in pos]
     bra = ket.conj()[None, :]
     if isinstance(state, PureState):
@@ -332,7 +327,7 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
         amp = (bra @ _matrices(t, len(lead), rows, free)).reshape(lead + (-1,))
         # one vdot per member keeps each member's summation order
         prob = np.array([np.real(np.vdot(a, a)) for a in amp.reshape(-1, rest.dim)]).reshape(lead)
-        _check_branch(prob, labels)
+        _check_branch(prob, [state.labels[p] for p in pos])
         return _scalar(prob), PureState(rest, amp / np.sqrt(prob)[..., None])
     t = state.matrix.reshape(lead + (2,) * (2 * n))
     free = [i for i in range(len(lead), t.ndim) if i not in rows]
@@ -342,7 +337,7 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
     free = [i for i in range(len(lead), out.ndim) if i not in cols]
     mat = (_matrices(out, len(lead), free, cols) @ ket[:, None]).reshape(lead + (rest.dim,) * 2)
     prob = np.real(np.trace(mat, axis1=-2, axis2=-1))
-    _check_branch(prob, labels)
+    _check_branch(prob, [state.labels[p] for p in pos])
     return _scalar(prob), MixedState(rest, mat / prob[..., None, None])
 
 
@@ -359,18 +354,14 @@ def _check_branch(prob: np.ndarray, labels) -> None:
 
 def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
     """Reduced density operator on the kept labels (layout order preserved)."""
-    if isinstance(keep, str):
-        keep = (keep,)
-    if not keep:
-        raise RegisterError("partial trace must keep at least one qubit")
-    keep_pos = state.layout.positions(keep)
+    keep_pos = sorted(state.layout.positions(keep))
     n, lead = state.n, state.stack_shape
     drop_pos = [i for i in range(n) if i not in keep_pos]
-    kept_layout = RegisterLayout(tuple(x for x in state.labels if x in set(keep)))
+    kept_layout = RegisterLayout(tuple(state.labels[p] for p in keep_pos))
     shape = lead + (kept_layout.dim,) * 2
     if isinstance(state, PureState):
         t = state.amplitudes.reshape(lead + (2,) * n)
-        kept = [len(lead) + p for p in sorted(keep_pos)]
+        kept = [len(lead) + p for p in keep_pos]
         dropped = [len(lead) + p for p in drop_pos]
         rho = _matrices(t, len(lead), kept, dropped) @ _matrices(t.conj(), len(lead), dropped, kept)
         return MixedState(kept_layout, rho.reshape(shape))
@@ -384,7 +375,7 @@ def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
 def permute_to(state: State, label_order: Sequence[str]) -> State:
     """Same state re-expressed with the register labels in a new order."""
     order = tuple(label_order)
-    if set(order) != set(state.labels) or len(order) != state.n:
+    if len(order) != state.n:
         raise RegisterError(f"label order {order} is not a permutation of {state.labels}")
     layout = RegisterLayout(order)
     n, lead = state.n, state.stack_shape

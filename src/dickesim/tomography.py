@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,8 +26,9 @@ from .register import (
     State,
     apply_gate,
     fidelity,
+    pauli_matrix,
 )
-from .witnesses import Observable, WitnessReport, pauli_matrix
+from .witnesses import Observable, WitnessReport
 
 _AXIS_TOL = 1e-12
 
@@ -313,6 +315,12 @@ class _Inversion:
         return counts
 
 
+@lru_cache(maxsize=1)
+def _inversion(records: tuple[CountsRecord, ...]) -> _Inversion:
+    """_Inversion(records), kept for a bootstrap of the same record objects."""
+    return _Inversion(records)
+
+
 def tomography_linear(records: Iterable[CountsRecord],
                       labels: Sequence[str] | None = None) -> MixedState:
     """Linear-inversion reconstruction rho = 2^-k sum <P> P, then PSD clip.
@@ -322,7 +330,7 @@ def tomography_linear(records: Iterable[CountsRecord],
     have none. Negative eigenvalues from shot noise are clipped to zero and
     the trace renormalized.
     """
-    inversion = _Inversion(records)
+    inversion = _inversion(tuple(records))
     layout = RegisterLayout(tuple(labels) if labels is not None
                             else tuple(f"q{i}" for i in range(inversion.k)))
     return MixedState(layout, inversion.matrices(inversion.counts[None])[0])
@@ -362,7 +370,7 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     """
     if trials < 10:
         raise ValueError("need at least 10 bootstrap trials")
-    inversion = _Inversion(records)
+    inversion = _inversion(tuple(records))
     layout = RegisterLayout(target.labels)
     if inversion.exact.all():
         return fidelity(MixedState(layout, inversion.matrices(inversion.counts[None])[0]), target), 0.0

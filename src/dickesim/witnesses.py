@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .register import PAULIS, PureState, State
+from .register import PureState, State, pauli_matrix
 from .states import dicke
 
 SETTING_TOL = 1e-10
@@ -24,14 +24,6 @@ SETTING_TOL = 1e-10
 # reference measured second moments of the collective spin, with uncertainties
 MEASURED_J2 = {"jx2": 2.568, "jy2": 2.617, "jz2": 0.039}
 MEASURED_J2_ERR = {"jx2": 0.015, "jy2": 0.011, "jz2": 0.028}
-
-
-def pauli_matrix(string: str) -> np.ndarray:
-    """Kronecker product of single-qubit Paulis, e.g. "XXI" or "ZZZZ"."""
-    out = np.array([[1.0 + 0j]])
-    for ch in string:
-        out = np.kron(out, PAULIS[ch])
-    return out
 
 
 def pauli_decompose(matrix: np.ndarray) -> list[tuple[float, str]]:
@@ -74,12 +66,15 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class CollectiveSpinSet:
-    """J_k = sum_i sigma_i^k / 2 and S_k = (J_k^2 - 1)/2 for one register size."""
+    """J_k = sum_i sigma_i^k / 2, its square J_k^2 and S_k = (J_k^2 - 1)/2 for one register size."""
 
     n: int
     jx: Observable
     jy: Observable
     jz: Observable
+    jx2: np.ndarray
+    jy2: np.ndarray
+    jz2: np.ndarray
     sx: Observable
     sy: Observable
     sz: Observable
@@ -100,11 +95,11 @@ def collective_spin(n: int) -> CollectiveSpinSet:
     mats = {}
     for axis in "xyz":
         j = _collective_matrix(n, axis.upper())
-        s = (j @ j - np.eye(2 ** n)) / 2.0
+        mats[f"j{axis}2"] = j2 = j @ j
+        j2.setflags(write=False)
         mats[f"j{axis}"] = Observable(j, name=f"J{axis}")
-        mats[f"s{axis}"] = Observable(s, name=f"S{axis}")
-    return CollectiveSpinSet(n=n, jx=mats["jx"], jy=mats["jy"], jz=mats["jz"],
-                             sx=mats["sx"], sy=mats["sy"], sz=mats["sz"])
+        mats[f"s{axis}"] = Observable((j2 - np.eye(2 ** n)) / 2.0, name=f"S{axis}")
+    return CollectiveSpinSet(n=n, **mats)
 
 
 @lru_cache(maxsize=None)
@@ -117,11 +112,8 @@ def witness_wm() -> Observable:
     """
     cs = collective_spin(4)
     eye = np.eye(16)
-    jx2 = cs.jx.matrix @ cs.jx.matrix
-    jy2 = cs.jy.matrix @ cs.jy.matrix
-    jz2 = cs.jz.matrix @ cs.jz.matrix
-    mat = (24 * eye + jx2 @ cs.sx.matrix + jy2 @ cs.sy.matrix
-           + jz2 @ (31 * eye - 7 * jz2)) / 12
+    mat = (24 * eye + cs.jx2 @ cs.sx.matrix + cs.jy2 @ cs.sy.matrix
+           + cs.jz2 @ (31 * eye - 7 * cs.jz2)) / 12
     return Observable(mat, settings=pauli_decompose(mat), name="W_m (transcribed)")
 
 
@@ -159,8 +151,7 @@ def fidelity_bound_from_wm(value: float) -> FidelityBound:
 def witness_wcs(gamma: float, b4: float) -> Observable:
     """Generalized collective-spin witness b4(gamma) I - (Jx^2 + Jy^2 + gamma Jz^2)."""
     cs = collective_spin(4)
-    mat = b4 * np.eye(16) - (cs.jx.matrix @ cs.jx.matrix + cs.jy.matrix @ cs.jy.matrix
-                             + gamma * cs.jz.matrix @ cs.jz.matrix)
+    mat = b4 * np.eye(16) - (cs.jx2 + cs.jy2 + gamma * cs.jz2)
     return Observable(mat, settings=pauli_decompose(mat), name=f"W_cs(gamma={gamma})")
 
 
@@ -211,8 +202,7 @@ def _spin_parts(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Real matrices have real top eigenvectors, on which <Jy> = 0.
     """
     cs = collective_spin(n)
-    jx, jy, jz = cs.jx.matrix, cs.jy.matrix, cs.jz.matrix
-    return np.real(jx @ jx + jy @ jy + gamma * (jz @ jz)), np.real(jx), np.real(jz)
+    return np.real(cs.jx2 + cs.jy2 + gamma * cs.jz2), np.real(cs.jx.matrix), np.real(cs.jz.matrix)
 
 
 def _shifted(base: np.ndarray, jx: np.ndarray, jz: np.ndarray,
@@ -302,8 +292,7 @@ def random_biseparable_moments(n_samples: int, seed: int) -> tuple[np.ndarray, n
     """
     rng = np.random.default_rng(seed)
     cs = collective_spin(4)
-    op_xy = cs.jx.matrix @ cs.jx.matrix + cs.jy.matrix @ cs.jy.matrix
-    op_z = cs.jz.matrix @ cs.jz.matrix
+    op_xy = cs.jx2 + cs.jy2
     xy = np.empty(n_samples)
     zz = np.empty(n_samples)
     for i in range(n_samples):
@@ -314,7 +303,7 @@ def random_biseparable_moments(n_samples: int, seed: int) -> tuple[np.ndarray, n
         order = list(part_a) + list(part_b)
         vec = np.kron(va, vb).reshape((2,) * 4).transpose(np.argsort(order)).reshape(-1)
         xy[i] = np.real(vec.conj() @ op_xy @ vec)
-        zz[i] = np.real(vec.conj() @ op_z @ vec)
+        zz[i] = np.real(vec.conj() @ cs.jz2 @ vec)
     return xy, zz
 
 

@@ -173,6 +173,8 @@ class TestExitCodes:
         ("witness-scan", "source = magic\n"),
         ("tomography-demo", "trials = 0\n"),
         ("tomography-demo", "n_per_setting = 2.5\n"),
+        ("tomography-demo", "n_per_setting = 1e20\n"),
+        ("odt-table", "werner_p = 0.9\nn_per_setting = 1e20\n"),
         ("tomography-demo", "state = nonsense\n"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, config_text):

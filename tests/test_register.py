@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ class TestPartialTrace:
     def test_empty_keep_rejected(self):
         with pytest.raises(RegisterError, match="at least one"):
             partial_trace(bell("psi+"), ())
+
+
+class TestRepeatedLabels:
+    """A repeated label is refused, naming the labels, for pure and mixed states."""
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    @pytest.mark.parametrize("operation,labels", [
+        (lambda state, labels: project(state, labels, "01"), ("a", "a")),
+        (partial_trace, ("a", "a")),
+        (partial_trace, ("a", "a", "b")),
+    ], ids=["project", "partial_trace", "partial_trace_three"])
+    def test_repeated_label_rejected(self, mixed, operation, labels):
+        state = dicke(4, 2).density() if mixed else dicke(4, 2)
+        with pytest.raises(RegisterError, match=re.escape(repr(labels))):
+            operation(state, labels)
 
 
 class TestFidelity:

@@ -54,6 +54,12 @@ class TestCollectiveSpin:
         expected = (cs.jy.matrix @ cs.jy.matrix - np.eye(8)) / 2
         assert np.abs(cs.sy.matrix - expected).max() < 1e-12
 
+    def test_squares_are_stored_read_only(self):
+        cs = collective_spin(4)
+        for j, j2 in ((cs.jx, cs.jx2), (cs.jy, cs.jy2), (cs.jz, cs.jz2)):
+            assert j2.tobytes() == (j.matrix @ j.matrix).tobytes()
+            assert not j2.flags.writeable
+
     def test_matches_oracle_sum(self):
         cs = collective_spin(4)
         assert np.abs(cs.jx.matrix - oracles.collective_j(4, oracles.SX)).max() < 1e-12
