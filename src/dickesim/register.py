@@ -106,14 +106,48 @@ def _require(ok: np.ndarray, stacked: bool, message) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
+class _State:
+    """What a ket and a density matrix share: a layout, and a tensor with SIDES
+    size-2 axes per qubit (a ket's one; a density matrix's rows, then columns)
+    behind the stack axes. A density matrix is a ket with a row copy and a
+    column copy of every qubit axis, so the contractions below loop over sides."""
+
+    layout: RegisterLayout
+
+    @property
+    def n(self) -> int:
+        return self.layout.n
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.layout.labels
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """() for a single state, (S,) for a stack of S members."""
+        return self._array.shape[:-self.SIDES]
+
+    def member(self, index: int):
+        """Member `index` of a stack, as a single (checked) state."""
+        return type(self)(self.layout, self._array[index])
+
+    def _tensor(self) -> np.ndarray:
+        return self._array.reshape(self.stack_shape + (2,) * (self.SIDES * self.n))
+
+    def _like(self, layout: RegisterLayout, t: np.ndarray):
+        """A checked state of this kind and stack shape over `layout`, from a tensor."""
+        return type(self)(layout, t.reshape(self.stack_shape + (layout.dim,) * self.SIDES))
+
+
+@dataclass(frozen=True, eq=False)
+class PureState(_State):
     """Normalized complex amplitude vector over a labeled register.
 
     A 2-D array whose rows have the register's dimension is a stack of kets.
     """
 
-    layout: RegisterLayout
     amplitudes: np.ndarray
+    SIDES = 1
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
@@ -131,21 +165,8 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def stack_shape(self) -> tuple[int, ...]:
-        """() for a single state, (S,) for a stack of S members."""
-        return self.amplitudes.shape[:-1]
-
-    def member(self, index: int) -> "PureState":
-        """Member `index` of a stack, as a single (checked) state."""
-        return PureState(self.layout, self.amplitudes[index])
-
-    @property
-    def n(self) -> int:
-        return self.layout.n
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.layout.labels
+    def _array(self) -> np.ndarray:
+        return self.amplitudes
 
     def amplitude(self, bits: str) -> complex:
         return complex(self.amplitudes[int(bits, 2)])
@@ -156,14 +177,14 @@ class PureState:
 
 
 @dataclass(frozen=True, eq=False)
-class MixedState:
+class MixedState(_State):
     """Hermitian, unit-trace, positive-semidefinite operator over a register.
 
     A 3-D array of shape (S, dim, dim) is a stack of S density matrices.
     """
 
-    layout: RegisterLayout
     matrix: np.ndarray
+    SIDES = 2
 
     def __post_init__(self):
         mat = _freeze(np.asarray(self.matrix))
@@ -187,21 +208,8 @@ class MixedState:
         object.__setattr__(self, "matrix", mat)
 
     @property
-    def stack_shape(self) -> tuple[int, ...]:
-        """() for a single state, (S,) for a stack of S members."""
-        return self.matrix.shape[:-2]
-
-    def member(self, index: int) -> "MixedState":
-        """Member `index` of a stack, as a single (checked) state."""
-        return MixedState(self.layout, self.matrix[index])
-
-    @property
-    def n(self) -> int:
-        return self.layout.n
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.layout.labels
+    def _array(self) -> np.ndarray:
+        return self.matrix
 
     def density(self) -> "MixedState":
         return self
@@ -270,26 +278,24 @@ def _matrices(t: np.ndarray, lead: int, rows: Sequence[int], cols: Sequence[int]
 
 
 def _apply_to_axes(t: np.ndarray, gate: np.ndarray, axes: Sequence[int], lead: int) -> np.ndarray:
+    """Multiply the named axes of t by a 2^k x 2^k gate, or contract them with a
+    1 x 2^k bra, which drops them; the other axes keep their order."""
     free = [i for i in range(lead, t.ndim) if i not in axes]
-    order = [*range(lead), *axes, *free]
+    order = [*range(lead), *(axes if len(gate) > 1 else ()), *free]
     out = (gate @ _matrices(t, lead, axes, free)).reshape([t.shape[i] for i in order])
-    return out.transpose(sorted(range(t.ndim), key=order.__getitem__))  # undo the regrouping
+    return out.transpose(sorted(range(len(order)), key=order.__getitem__))  # undo the regrouping
 
 
 def apply_gate(state: State, gate: np.ndarray, labels: Sequence[str] | str) -> State:
-    """Embed a k-qubit unitary at the named positions and apply it (to every member)."""
+    """Embed a k-qubit unitary at the named positions and apply it (to every member):
+    the gate on the rows, its conjugate on a density matrix's columns."""
     pos = state.layout.positions(labels)
     gate = _check_unitary(gate, len(pos))
-    n, lead = state.n, state.stack_shape
-    rows = [len(lead) + p for p in pos]
-    if isinstance(state, PureState):
-        t = state.amplitudes.reshape(lead + (2,) * n)
-        t = _apply_to_axes(t, gate, rows, len(lead))
-        return PureState(state.layout, t.reshape(lead + (-1,)))
-    t = state.matrix.reshape(lead + (2,) * (2 * n))
-    t = _apply_to_axes(t, gate, rows, len(lead))
-    t = _apply_to_axes(t, gate.conj(), [n + r for r in rows], len(lead))
-    return MixedState(state.layout, t.reshape(lead + (state.layout.dim,) * 2))
+    lead = len(state.stack_shape)
+    t = state._tensor()
+    for side, g in zip(range(state.SIDES), (gate, gate.conj())):
+        t = _apply_to_axes(t, g, [lead + side * state.n + p for p in pos], lead)
+    return state._like(state.layout, t)
 
 
 def _projection_ket(onto: np.ndarray | str, k: int) -> np.ndarray:
@@ -317,28 +323,23 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
     """
     pos = state.layout.positions(labels)
     ket = _projection_ket(onto, len(pos))
-    n, lead = state.n, state.stack_shape
+    lead = state.stack_shape
     rest = RegisterLayout(tuple(x for i, x in enumerate(state.labels) if i not in pos))
-    rows = [len(lead) + p for p in pos]
-    bra = ket.conj()[None, :]
-    if isinstance(state, PureState):
-        t = state.amplitudes.reshape(lead + (2,) * n)
-        free = [i for i in range(len(lead), t.ndim) if i not in rows]
-        amp = (bra @ _matrices(t, len(lead), rows, free)).reshape(lead + (-1,))
+    t = state._tensor()
+    # the bra contracts the rows, the ket a density matrix's columns, which
+    # sit behind the n - k rows left after the first contraction
+    for side, vec in zip(range(state.SIDES), (ket.conj(), ket)):
+        axes = [len(lead) + side * rest.n + p for p in pos]
+        t = _apply_to_axes(t, vec[None, :], axes, len(lead))
+    t = t.reshape(lead + (rest.dim,) * state.SIDES)
+    if state.SIDES == 1:
         # one vdot per member keeps each member's summation order
-        prob = np.array([np.real(np.vdot(a, a)) for a in amp.reshape(-1, rest.dim)]).reshape(lead)
-        _check_branch(prob, [state.labels[p] for p in pos])
-        return _scalar(prob), PureState(rest, amp / np.sqrt(prob)[..., None])
-    t = state.matrix.reshape(lead + (2,) * (2 * n))
-    free = [i for i in range(len(lead), t.ndim) if i not in rows]
-    out = (bra @ _matrices(t, len(lead), rows, free)).reshape(lead + (2,) * (2 * n - len(pos)))
-    # after the row contraction the column axes sit behind the n - k kept rows
-    cols = [(n - len(pos)) + r for r in rows]
-    free = [i for i in range(len(lead), out.ndim) if i not in cols]
-    mat = (_matrices(out, len(lead), free, cols) @ ket[:, None]).reshape(lead + (rest.dim,) * 2)
-    prob = np.real(np.trace(mat, axis1=-2, axis2=-1))
+        prob = np.array([np.real(np.vdot(a, a)) for a in t.reshape(-1, rest.dim)]).reshape(lead)
+        norm = np.sqrt(prob)
+    else:
+        prob = norm = np.real(np.trace(t, axis1=-2, axis2=-1))
     _check_branch(prob, [state.labels[p] for p in pos])
-    return _scalar(prob), MixedState(rest, mat / prob[..., None, None])
+    return _scalar(prob), state._like(rest, t / norm.reshape(lead + (1,) * state.SIDES))
 
 
 def _scalar(values: np.ndarray):
@@ -358,18 +359,16 @@ def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
     n, lead = state.n, state.stack_shape
     drop_pos = [i for i in range(n) if i not in keep_pos]
     kept_layout = RegisterLayout(tuple(state.labels[p] for p in keep_pos))
-    shape = lead + (kept_layout.dim,) * 2
+    t = state._tensor()
     if isinstance(state, PureState):
-        t = state.amplitudes.reshape(lead + (2,) * n)
         kept = [len(lead) + p for p in keep_pos]
         dropped = [len(lead) + p for p in drop_pos]
-        rho = _matrices(t, len(lead), kept, dropped) @ _matrices(t.conj(), len(lead), dropped, kept)
-        return MixedState(kept_layout, rho.reshape(shape))
-    t = state.matrix.reshape(lead + (2,) * (2 * n))
-    for p in sorted(drop_pos, reverse=True):
-        row = len(lead) + p
-        t = np.trace(t, axis1=row, axis2=row + (t.ndim - len(lead)) // 2)
-    return MixedState(kept_layout, t.reshape(shape))
+        t = _matrices(t, len(lead), kept, dropped) @ _matrices(t.conj(), len(lead), dropped, kept)
+    else:
+        for p in sorted(drop_pos, reverse=True):
+            row = len(lead) + p
+            t = np.trace(t, axis1=row, axis2=row + (t.ndim - len(lead)) // 2)
+    return MixedState(kept_layout, t.reshape(lead + (kept_layout.dim,) * 2))
 
 
 def permute_to(state: State, label_order: Sequence[str]) -> State:
@@ -377,16 +376,10 @@ def permute_to(state: State, label_order: Sequence[str]) -> State:
     order = tuple(label_order)
     if len(order) != state.n:
         raise RegisterError(f"label order {order} is not a permutation of {state.labels}")
-    layout = RegisterLayout(order)
-    n, lead = state.n, state.stack_shape
-    perm = tuple(len(lead) + p for p in state.layout.positions(order))
-    stack_axes = tuple(range(len(lead)))
-    if isinstance(state, PureState):
-        t = state.amplitudes.reshape(lead + (2,) * n).transpose(stack_axes + perm)
-        return PureState(layout, t.reshape(lead + (-1,)))
-    t = state.matrix.reshape(lead + (2,) * (2 * n))
-    t = t.transpose(stack_axes + perm + tuple(n + p for p in perm))
-    return MixedState(layout, t.reshape(lead + (layout.dim,) * 2))
+    perm = state.layout.positions(order)
+    lead = len(state.stack_shape)
+    axes = [lead + side * state.n + p for side in range(state.SIDES) for p in perm]
+    return state._like(RegisterLayout(order), state._tensor().transpose([*range(lead), *axes]))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -104,8 +104,9 @@ class CountsRecord:
         for outcome, value in self.counts.items():
             if len(outcome) != self.setting.n or set(outcome) - {"0", "1"}:
                 raise ValueError(f"bad outcome key {outcome!r}")
-            if value < 0:
-                raise ValueError(f"negative count for outcome {outcome!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"count {value!r} for outcome {outcome!r} is not finite and non-negative")
             if not self.exact and value != int(value):
                 raise ValueError("stochastic counts must be integers")
 
@@ -165,33 +166,29 @@ def exact_counts(state: State, setting: MeasurementSetting, n: float = 1.0) -> C
                         seed=None, exact=True)
 
 
-def _parities(record: CountsRecord, pauli_string: str) -> list[float] | None:
-    """Parity (+1 or -1) of each of the record's outcomes, in its dict order, over
-    the string's non-identity positions; None when the record cannot estimate
-    the string. Identity positions marginalize, so XI pools XX, XY and XZ."""
-    letters = record.setting.letters()
-    if len(letters) != len(pauli_string) or any(
-            p not in ("I", l) for p, l in zip(pauli_string, letters)):
-        return None
-    active = [i for i, p in enumerate(pauli_string) if p != "I"]
-    return [-1.0 if sum(int(outcome[i]) for i in active) % 2 else 1.0
-            for outcome in record.counts]
-
-
 def _parity_table(records: Sequence[CountsRecord], strings: Sequence[str]) -> np.ndarray:
-    """(columns x strings) parity weights, 0 where a record cannot estimate the
-    string; a column is one (record, outcome) pair in record and dict order.
-    The pooling weights are its absolute values."""
+    """(columns x strings) parity weights; a column is one (record, outcome)
+    pair in record and dict order. An entry is the outcome's parity (+1 or -1)
+    over the string's non-identity positions, or 0 where the record's setting
+    cannot estimate the string; identity positions marginalize, so XI pools
+    XX, XY and XZ. The pooling weights are the absolute values.
+    MissingSettingError names every string that no record with counts covers."""
     table = np.zeros((sum(len(r.counts) for r in records), len(strings)))
     for j, string in enumerate(strings):
+        active = [i for i, p in enumerate(string) if p != "I"]
         start = 0
         for record in records:
-            weights = _parities(record, string)
-            if weights is not None:
-                table[start:start + len(weights), j] = weights
+            letters = record.setting.letters()
+            if len(letters) == len(string) and all(p in ("I", l) for p, l in zip(string, letters)):
+                table[start:start + len(record.counts), j] = [
+                    -1.0 if sum(int(outcome[i]) for i in active) % 2 else 1.0
+                    for outcome in record.counts]
             start += len(record.counts)
-        if not table[:, j].any():
-            raise MissingSettingError(f"no record covers Pauli string {string!r}", (string,))
+    covered = _column_counts(records) @ np.abs(table) > 0
+    missing = tuple(s for s, ok in zip(strings, covered) if not ok)
+    if missing:
+        raise MissingSettingError(
+            f"no record with counts covers Pauli strings {list(missing)}", missing)
     return table
 
 
@@ -199,56 +196,43 @@ def _column_counts(records: Sequence[CountsRecord]) -> np.ndarray:
     return np.array([count for r in records for count in r.counts.values()], dtype=float)
 
 
+def _pooled(records: Sequence[CountsRecord], strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """estimate_correlator's values and uncertainties for several strings at once."""
+    parity = _parity_table(records, strings)
+    counts = _column_counts(records)
+    totals = counts @ np.abs(parity)
+    values = counts @ parity / totals
+    stochastic = np.array([not r.exact for r in records for _ in r.counts], dtype=float)
+    noise = np.sqrt(np.clip(1.0 - values ** 2, 0.0, None) / totals)
+    return values, np.where(stochastic @ np.abs(parity) > 0, noise, 0.0)
+
+
 def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> tuple[float, float]:
     """Estimate <P> for a Pauli string, pooling every compatible record.
 
     Identity positions marginalize, so a string like XI is estimated from all
     of XX, XY, XZ. Value is the parity-weighted count ratio over the pooled
-    counts; the uncertainty follows from Poisson fluctuations of the two
-    parity classes, sqrt((1 - v^2)/T). MissingSettingError names the string
-    when no record covers it or the records that do have no counts.
+    counts T; the uncertainty follows from Poisson fluctuations of the two
+    parity classes, sqrt((1 - v^2)/T), and is 0 when only exact records cover
+    the string. MissingSettingError names the string when no record with
+    counts covers it.
     """
-    records = list(records)
-    parity = _parity_table(records, (pauli_string,))[:, 0]
-    counts = _column_counts(records)
-    total = counts @ np.abs(parity)
-    if total <= 0:
-        raise MissingSettingError(
-            f"records covering Pauli string {pauli_string!r} have no counts", (pauli_string,))
-    value = float(counts @ parity / total)
-    if all(r.exact for r in records if _parities(r, pauli_string) is not None):
-        return value, 0.0
-    return value, float(math.sqrt(max(1.0 - value ** 2, 0.0) / total))
+    values, uncertainties = _pooled(list(records), (pauli_string,))
+    return float(values[0]), float(uncertainties[0])
 
 
 def estimate_witness(records: Iterable[CountsRecord], observable: Observable) -> WitnessReport:
     """Witness expectation from local-setting records, errors in quadrature."""
     if observable.settings is None:
         raise ValueError("observable carries no settings decomposition")
-    records = list(records)
-    missing = []
-    value = 0.0
-    variance = 0.0
-    for coeff, string in observable.settings:
-        if set(string) == {"I"}:
-            value += coeff
-            continue
-        try:
-            v, u = estimate_correlator(records, string)
-        except MissingSettingError:
-            missing.append(string)
-            continue
-        value += coeff * v
-        variance += (coeff * u) ** 2
-    if missing:
-        raise MissingSettingError(
-            f"records missing settings for {len(missing)} Pauli strings: {missing}",
-            tuple(missing))
+    terms = [(c, s) for c, s in observable.settings if set(s) != {"I"}]
+    values, uncertainties = _pooled(list(records), [s for _, s in terms])
+    coeffs = np.array([c for c, _ in terms])
     return WitnessReport.build(
         witness=observable.name or "witness",
-        value=value,
-        uncertainty=math.sqrt(variance),
-        parameters={"n_settings": len({s for _, s in observable.settings if set(s) != {'I'}})},
+        value=sum(c for c, s in observable.settings if set(s) == {"I"}) + float(coeffs @ values),
+        uncertainty=math.sqrt(float(((coeffs * uncertainties) ** 2).sum())),
+        parameters={"n_settings": len({s for _, s in terms})},
     )
 
 
@@ -264,18 +248,8 @@ class _Inversion:
         self.k = k = records[0].setting.n
         if k > 2:
             raise ValueError("linear inversion is provided for 1 or 2 qubits")
-        totals: dict[tuple[str, ...], float] = {}
-        for r in records:
-            letters = r.setting.letters()
-            totals[letters] = totals.get(letters, 0.0) + r.total
-        needed = list(itertools.product("XYZ", repeat=k))
-        absent = ["".join(s) for s in needed if s not in totals]
-        if absent:
-            raise MissingSettingError(
-                f"records missing {len(absent)} of {len(needed)} Pauli settings", tuple(absent))
-        empty = ["".join(s) for s in needed if totals[s] <= 0]
-        if empty:
-            raise MissingSettingError(f"no counts for Pauli settings {empty}", tuple(empty))
+        # a string with an I pools these, so they name every missing setting
+        _parity_table(records, ["".join(s) for s in itertools.product("XYZ", repeat=k)])
         self.records = records
         # the identity string comes first; its expectation is 1
         strings = ["".join(combo) for combo in itertools.product("IXYZ", repeat=k)]

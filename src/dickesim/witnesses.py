@@ -49,7 +49,7 @@ class Observable:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex, copy=True)
-        if np.abs(mat - mat.conj().T).max() > SETTING_TOL:
+        if not np.abs(mat - mat.conj().T).max() <= SETTING_TOL:
             raise ValueError("observable matrix is not Hermitian within 1e-10")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -158,7 +158,7 @@ def witness_wcs(gamma: float, b4: float) -> Observable:
 def propagate_wcs_error(gamma: float, d_jx2: float, d_jy2: float, d_jz2: float) -> float:
     """Quadrature propagation sqrt(dJx2^2 + dJy2^2 + gamma^2 dJz2^2)."""
     for name, dev in (("d_jx2", d_jx2), ("d_jy2", d_jy2), ("d_jz2", d_jz2)):
-        if dev < 0:
+        if not dev >= 0:
             raise ValueError(f"{name}={dev} must be non-negative")
     return math.sqrt(d_jx2 ** 2 + d_jy2 ** 2 + gamma ** 2 * d_jz2 ** 2)
 
@@ -417,8 +417,8 @@ class WitnessReport:
     def build(cls, witness: str, value: float, uncertainty: float,
               parameters: dict | None = None, fidelity_bound: float | None = None,
               sigma_multiplier: float = 1.0) -> "WitnessReport":
-        if uncertainty < 0:
-            raise ValueError("uncertainty must be non-negative")
+        if not uncertainty >= 0:
+            raise ValueError(f"uncertainty {uncertainty} must be non-negative")
         entangled = value + sigma_multiplier * uncertainty < 0
         return cls(
             witness=witness,

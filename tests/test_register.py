@@ -377,6 +377,18 @@ class TestPermute:
             reordered = bits[1] + bits[2] + bits[0]
             assert out.amplitude(bits) == pytest.approx(psi.amplitude(reordered))
 
+    def test_density_matrix_matches_permutation_matrix(self):
+        rng = np.random.default_rng(43)
+        rho = MixedState(RegisterLayout(("a", "b", "c")), oracles.random_density(rng, 8))
+        out = permute_to(rho, ("c", "a", "b"))
+        # P maps basis index (a b c) to (c a b), one bit at a time
+        perm = np.zeros((8, 8))
+        for old in range(8):
+            a, b, c = (old >> 2) & 1, (old >> 1) & 1, old & 1
+            perm[(c << 2) | (a << 1) | b, old] = 1.0
+        assert out.labels == ("c", "a", "b")
+        assert np.array_equal(out.matrix, perm @ rho.matrix @ perm.T)
+
     def test_not_a_permutation(self):
         with pytest.raises(RegisterError):
             permute_to(bell("psi+"), ("a", "q"))
@@ -500,6 +512,13 @@ class TestStacks:
         singles = [project(m, labels, ket) for m in members]
         assert all(probs[i] == prob for i, (prob, _) in enumerate(singles))
         assert _same_members(post, [state for _, state in singles])
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_permute_to_matches_members(self, data):
+        stack, members = data.draw(stacks())
+        order = data.draw(st.permutations(stack.labels))
+        assert _same_members(permute_to(stack, order), [permute_to(m, order) for m in members])
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(data=st.data())

@@ -125,6 +125,15 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match="integers"):
             CountsRecord(MeasurementSetting(("Z",)), {"0": 0.5, "1": 0.5}, 1, seed=0)
 
+    def test_nan_exact_count_rejected(self):
+        with pytest.raises(ValueError, match="count nan"):
+            CountsRecord(MeasurementSetting(("Z",)), {"0": math.nan, "1": 5.0}, 5.0,
+                         seed=None, exact=True)
+
+    def test_infinite_stochastic_count_rejected(self):
+        with pytest.raises(ValueError, match="count inf"):
+            CountsRecord(MeasurementSetting(("Z",)), {"0": math.inf, "1": 5}, 5.0, seed=0)
+
 
 class TestEstimateCorrelator:
     def test_exact_deterministic(self):
@@ -164,6 +173,29 @@ class TestEstimateCorrelator:
             expected = oracles.dense_expectation(pauli_matrix(string), psi.amplitudes)
             assert value == pytest.approx(expected, abs=1e-10), string
             assert unc == 0.0
+
+    def test_pooling_over_exact_and_poisson_records(self):
+        rng = np.random.default_rng(37)
+        rho = MixedState(RegisterLayout(("a", "b")), oracles.random_density(rng, 4))
+        # X-first settings exact only; ZZ both exact and Poisson; the rest Poisson only
+        records = [exact_counts(rho, s, 1000.0) if s.letters()[0] == "X"
+                   else simulate_counts(rho, s, 1000, seed=700 + i)
+                   for i, s in enumerate(all_settings(2))]
+        records.append(exact_counts(rho, MeasurementSetting(("Z", "Z")), 1000.0))
+        strings = ["".join(combo) for combo in itertools.product("IXYZ", repeat=2)]
+        coeffs = rng.normal(size=len(strings))
+        observable = Observable(sum(c * pauli_matrix(s) for c, s in zip(coeffs, strings)),
+                                settings=tuple(zip(coeffs, strings)))
+        singles = [estimate_correlator(records, s) for s in strings[1:]]
+        report = estimate_witness(records, observable)
+        value = coeffs[0] + sum(c * v for c, (v, _) in zip(coeffs[1:], singles))
+        assert report.value == pytest.approx(value, abs=1e-12)
+        uncertainty = math.sqrt(sum((c * u) ** 2 for c, (_, u) in zip(coeffs[1:], singles)))
+        assert report.uncertainty == pytest.approx(uncertainty, abs=1e-12)
+        for string in ("ZZ", "ZI", "IZ"):
+            assert estimate_correlator(records, string)[1] > 0, string
+        for string in ("XX", "XY", "XZ", "XI"):
+            assert estimate_correlator(records, string)[1] == 0.0, string
 
     def test_missing_setting(self):
         records = [exact_counts(bell("psi+"), MeasurementSetting(("Z", "Z")))]
@@ -326,6 +358,20 @@ class TestLinearInversion:
             with pytest.raises(MissingSettingError) as exc:
                 call()
             assert exc.value.missing == ("YY",)
+
+    def test_absent_and_countless_settings_named_together(self):
+        records = [r for r in poisson_records(bell("psi+"), 2, 1000, seed=4)
+                   if r.setting.letters() != ("X", "X")]
+        records[0] = CountsRecord(records[0].setting, dict.fromkeys(records[0].counts, 0),
+                                  1000.0, seed=None)
+        assert records[0].setting.letters() == ("X", "Y")
+        without_x = [r for r in records if r.setting.letters()[0] != "X"]
+        for kept, missing in ((records, ("XX", "XY")), (without_x, ("XX", "XY", "XZ"))):
+            for call in (lambda: tomography_linear(kept),
+                         lambda: fidelity_with_error(kept, bell("psi+"), trials=10)):
+                with pytest.raises(MissingSettingError) as exc:
+                    call()
+                assert exc.value.missing == missing
 
     def test_too_many_qubits(self):
         records = [exact_counts(dicke(3, 1), MeasurementSetting(("Z", "Z", "Z")))]

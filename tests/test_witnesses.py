@@ -186,6 +186,10 @@ class TestPropagateError:
         with pytest.raises(ValueError):
             propagate_wcs_error(0.0, -0.1, 0.0, 0.0)
 
+    def test_nan_deviation_rejected(self):
+        with pytest.raises(ValueError, match="d_jx2=nan"):
+            propagate_wcs_error(-1.0, math.nan, 0.0, 0.0)
+
 
 class TestBiseparableBound:
     def test_b4_zero_bracket(self):
@@ -290,6 +294,14 @@ class TestProjectorWitness:
         assert w.expectation(post) == pytest.approx(-p / 3 + (1 - p) * 13 / 24, abs=1e-10)
 
 
+class TestObservable:
+    @pytest.mark.parametrize("matrix", [[[0.0, 1.0], [0.0, 0.0]], np.full((2, 2), np.nan)],
+                             ids=["non-hermitian", "nan"])
+    def test_rejected_matrix(self, matrix):
+        with pytest.raises(ValueError, match="Hermitian"):
+            Observable(np.array(matrix))
+
+
 class TestDecompositionCheck:
     def test_identity_observable(self):
         obs = Observable(np.eye(8), settings=((1.0, "III"),))
@@ -321,6 +333,10 @@ class TestWitnessReport:
     def test_negative_uncertainty_rejected(self):
         with pytest.raises(ValueError):
             WitnessReport.build("w", 0.0, -0.1)
+
+    def test_nan_uncertainty_rejected(self):
+        with pytest.raises(ValueError, match="uncertainty nan"):
+            WitnessReport.build("w", 0.1, math.nan)
 
     def test_json_fields(self):
         payload = WitnessReport.build("w", -0.2, 0.01, fidelity_bound=0.87).to_json_dict()
