@@ -149,7 +149,7 @@ def _outcome_strings(n: int) -> list[str]:
 
 def simulate_counts(state: State, setting: MeasurementSetting, n: int, seed: int) -> CountsRecord:
     """Poisson(N * p) draw per outcome; deterministic under the given seed."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError("total_requested must be at least 1")
     probs = born_probabilities(state, setting)
     rng = np.random.default_rng(seed)
@@ -342,7 +342,7 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     observed value and repeats the inversion; exact records bootstrap to a
     zero-width uncertainty. Trial seeds derive from (seed, trial index).
     """
-    if trials < 10:
+    if not trials >= 10:
         raise ValueError("need at least 10 bootstrap trials")
     inversion = _inversion(tuple(records))
     layout = RegisterLayout(target.labels)

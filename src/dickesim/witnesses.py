@@ -417,6 +417,8 @@ class WitnessReport:
     def build(cls, witness: str, value: float, uncertainty: float,
               parameters: dict | None = None, fidelity_bound: float | None = None,
               sigma_multiplier: float = 1.0) -> "WitnessReport":
+        if not abs(value) < math.inf:
+            raise ValueError(f"value {value} must be finite")
         if not uncertainty >= 0:
             raise ValueError(f"uncertainty {uncertainty} must be non-negative")
         entangled = value + sigma_multiplier * uncertainty < 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from dickesim import (
     werner_dicke,
     xi_state,
 )
-from dickesim.register import HADAMARD, PAULI_X
+from dickesim.register import CHECK_BYTES, HADAMARD, PAULI_X, PSD_TOL
 
 import oracles
 
@@ -96,7 +97,7 @@ class TestNanRejected:
         with pytest.raises(RegisterError, match="normalized"):
             project(basis_ket("00", ("a", "b")), "a", np.array([np.nan, 1.0]))
 
-    # 10 members span two blocks of the Hermitian check; member 9 sits in the second
+    # the first and the last of 10 members
     @pytest.mark.parametrize("member", [0, 9])
     def test_one_nan_stack_member(self, member):
         mats = np.array([np.eye(2, dtype=complex) / 2] * 10)
@@ -622,3 +623,87 @@ class TestStacks:
 
         with pytest.raises(RegisterError, match="stack shapes"):
             fidelity(stack(3, first_pure), stack(5, second_pure))
+
+
+FIVE = ("a", "b", "c", "d", "e")
+
+
+def _spectral_member(d: int, low: float, seed: int) -> np.ndarray:
+    """Unit-trace Q diag(lambda) Q^dagger with smallest eigenvalue `low`, Q Haar-random."""
+    rest = np.linspace(1.0, 2.0, d - 1)
+    lam = np.concatenate([[low], rest * (1.0 - low) / rest.sum()])
+    q = oracles.haar_unitary(np.random.default_rng(seed), d)
+    return (q * lam) @ q.conj().T
+
+
+def _psd_message(m: np.ndarray) -> str:
+    return f"matrix has eigenvalue {float(np.linalg.eigvalsh(m)[0])} below PSD tolerance {PSD_TOL}"
+
+
+def _valid_stack() -> np.ndarray:
+    """101 random 32x32 density matrices of every rank from 1 to 32."""
+    rng = np.random.default_rng(21)
+    return np.array([oracles.random_density(rng, 32, 1 + i % 32) for i in range(101)])
+
+
+class TestPsdCertificate:
+    """MixedState accepts a member exactly when eigvalsh puts its smallest eigenvalue
+    at or above PSD_TOL, and rejects it with the eigvalsh message."""
+
+    @pytest.mark.parametrize("low", [PSD_TOL - 1e-12, PSD_TOL + 1e-12, PSD_TOL - 1e-9,
+                                     PSD_TOL + 1e-9, 0.0, -1e-17])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_verdict_matches_eigvalsh(self, n, low):
+        m = _spectral_member(2 ** n, low, seed=n)
+        valid = np.linalg.eigvalsh(m).min() >= PSD_TOL
+        assert valid == (low >= PSD_TOL)  # the spectrum lands on the intended side
+        if valid:
+            assert np.array_equal(MixedState(RegisterLayout(FIVE[:n]), m).matrix, m)
+        else:
+            with pytest.raises(RegisterError) as exc:
+                MixedState(RegisterLayout(FIVE[:n]), m)
+            assert str(exc.value) == _psd_message(m)
+
+    # at d = 32 a block holds CHECK_BYTES // 16 KiB = 8 members; bad member 9 is in the second
+    @pytest.mark.parametrize("bad", [0, CHECK_BYTES // (32 * 32 * 16) + 1],
+                             ids=["first-block", "second-block"])
+    def test_stack_names_its_bad_member(self, bad):
+        members = [_spectral_member(32, 0.0, seed=i) for i in range(12)]
+        members[bad] = _spectral_member(32, PSD_TOL - 1e-9, seed=99)
+        with pytest.raises(RegisterError) as exc:
+            MixedState(RegisterLayout(FIVE), np.array(members))
+        assert str(exc.value) == f"stack member {bad}: " + _psd_message(members[bad])
+
+
+class TestPsdCheckCost:
+    """A valid stack is certified without an eigensolve and in bounded extra memory."""
+
+    @staticmethod
+    def _count_eigvalsh(monkeypatch) -> list:
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+        return calls
+
+    def test_valid_stack_computes_no_eigenvalues(self, monkeypatch):
+        stack = _valid_stack()
+        calls = self._count_eigvalsh(monkeypatch)
+        MixedState(RegisterLayout(FIVE), stack)
+        assert len(calls) == 0
+
+    def test_invalid_stack_computes_eigenvalues_once(self, monkeypatch):
+        stack = _valid_stack()
+        stack[57] = _spectral_member(32, PSD_TOL - 1e-9, seed=5)
+        calls = self._count_eigvalsh(monkeypatch)
+        with pytest.raises(RegisterError, match="stack member 57: matrix has eigenvalue"):
+            MixedState(RegisterLayout(FIVE), stack)
+        assert len(calls) == 1
+
+    def test_peak_memory_is_one_copy_and_a_few_blocks(self):
+        stack = _valid_stack()
+        tracemalloc.start()
+        try:
+            MixedState(RegisterLayout(FIVE), stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stack.nbytes + 4 * CHECK_BYTES

@@ -121,6 +121,10 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             simulate_counts(bell("psi+"), MeasurementSetting(("Z", "Z")), 0, seed=1)
 
+    def test_nan_n_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            simulate_counts(bell("psi+"), MeasurementSetting(("Z", "Z")), math.nan, seed=1)
+
     def test_integer_counts_enforced(self):
         with pytest.raises(ValueError, match="integers"):
             CountsRecord(MeasurementSetting(("Z",)), {"0": 0.5, "1": 0.5}, 1, seed=0)
@@ -402,6 +406,10 @@ class TestFidelityWithError:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             fidelity_with_error(exact_records(bell("psi+"), 2), bell("psi+"), trials=5)
+
+    def test_nan_trials_rejected(self):
+        with pytest.raises(ValueError, match="at least 10"):
+            fidelity_with_error(exact_records(bell("psi+"), 2), bell("psi+"), trials=math.nan)
 
     def test_bootstrap_deterministic(self):
         records = poisson_records(bell("psi+"), 2, 2000, seed=3)

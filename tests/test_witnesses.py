@@ -338,6 +338,10 @@ class TestWitnessReport:
         with pytest.raises(ValueError, match="uncertainty nan"):
             WitnessReport.build("w", 0.1, math.nan)
 
+    def test_nan_value_rejected(self):
+        with pytest.raises(ValueError, match="value nan"):
+            WitnessReport.build("w", math.nan, 0.1)
+
     def test_json_fields(self):
         payload = WitnessReport.build("w", -0.2, 0.01, fidelity_bound=0.87).to_json_dict()
         assert set(payload) == {"witness", "parameters", "value", "uncertainty",
