@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .register import PureState, State, pauli_matrix
+from .register import PAULIS, PureState, State, pauli_matrix
 from .states import dicke
 
 SETTING_TOL = 1e-10
@@ -26,16 +26,48 @@ MEASURED_J2 = {"jx2": 2.568, "jy2": 2.617, "jz2": 0.039}
 MEASURED_J2_ERR = {"jx2": 0.015, "jy2": 0.011, "jz2": 0.028}
 
 
+_LETTERS = "IXYZ"
+# P_a[r, c] at [a, r, c], a indexing _LETTERS
+_PAULI_BASIS = np.stack([PAULIS[ch] for ch in _LETTERS])
+_PAULI_BASIS.setflags(write=False)
+
+
+def _qubit_count(shape: tuple[int, ...]) -> int:
+    """n of a 2^n x 2^n operator, n >= 1; a ValueError naming the shape otherwise."""
+    dim = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"operator of shape {shape} is not 2^n x 2^n with n >= 1")
+    return dim.bit_length() - 1
+
+
+def _qubit_pairs(n: int) -> list[int]:
+    """Axes of a (2,)*2n operator tensor regrouped qubit by qubit: (row, column) pairs."""
+    return [axis for q in range(n) for axis in (q, q + n)]
+
+
+def _each_qubit(t: np.ndarray, n: int, axes: list[int], basis_axes: list[int]) -> np.ndarray:
+    """Contract the leading axes of t with _PAULI_BASIS, once per qubit.
+
+    Each contraction moves the basis's free axes to the end, so after n of
+    them they appear in qubit order.
+    """
+    for _ in range(n):
+        t = np.tensordot(t, _PAULI_BASIS, axes=(axes, basis_axes))
+    return t
+
+
 def pauli_decompose(matrix: np.ndarray) -> list[tuple[float, str]]:
-    """Real coefficients above 1e-12 of a Hermitian operator in the Pauli-string basis."""
-    n = int(round(math.log2(matrix.shape[0])))
-    coeffs = []
-    for combo in itertools.product("IXYZ", repeat=n):
-        s = "".join(combo)
-        c = float(np.real(np.sum(pauli_matrix(s).T * matrix))) / 2 ** n
-        if abs(c) > 1e-12:
-            coeffs.append((c, s))
-    return coeffs
+    """Real coefficients above 1e-12 of a Hermitian operator in the Pauli-string basis.
+
+    c_s = tr(P_s M) / 2^n for every string s in itertools.product order, by one
+    (row, column) contraction per qubit: O(n 4^n) work, not O(16^n) for 4^n
+    Kronecker chains (Hantzko, Binkowski & Gupta, arXiv:2310.13421).
+    """
+    n = _qubit_count(matrix.shape)
+    paired = matrix.reshape((2,) * (2 * n)).transpose(_qubit_pairs(n))
+    coeffs = np.real(_each_qubit(paired, n, [0, 1], [2, 1])).ravel() / 2 ** n
+    return [(float(c), "".join(s)) for c, s in zip(coeffs, itertools.product(_LETTERS, repeat=n))
+            if abs(c) > 1e-12]
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,10 +425,21 @@ class DecompositionCheck:
 
 
 def decomposition_check(observable: Observable) -> DecompositionCheck:
-    """Rebuild the matrix from the settings list; report the max-norm deviation."""
+    """Rebuild the matrix from the settings list; report the max-norm deviation.
+
+    A setting string that is not one of I, X, Y, Z per qubit raises ValueError.
+    """
     if observable.settings is None:
         raise ValueError("observable carries no settings decomposition")
-    rebuilt = sum(c * pauli_matrix(s) for c, s in observable.settings)
+    n = _qubit_count(observable.matrix.shape)
+    coeffs = np.zeros((4,) * n)
+    for c, s in observable.settings:
+        if len(s) != n or not set(s) <= set(_LETTERS):
+            raise ValueError(f"setting {s!r} is not {n} letters from {_LETTERS}")
+        coeffs[tuple(_LETTERS.index(ch) for ch in s)] += c
+    # the inverse of pauli_decompose's contraction: sum_s c_s P_s
+    paired = _each_qubit(coeffs, n, [0], [0])
+    rebuilt = paired.transpose(np.argsort(_qubit_pairs(n))).reshape(2 ** n, 2 ** n)
     dev = float(np.abs(rebuilt - observable.matrix).max())
     return DecompositionCheck(max_deviation=dev, equal=dev <= SETTING_TOL)
 

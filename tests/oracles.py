@@ -15,6 +15,7 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 HG = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+PAULI_BY_LETTER = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
 
 
 def kron_chain(ops):
@@ -107,14 +108,22 @@ def collective_j(n: int, sigma: np.ndarray) -> np.ndarray:
     return total / 2.0
 
 
+def pauli_coefficients(matrix: np.ndarray) -> list[tuple[float, str]]:
+    """(tr(P M) / 2^n, P) above 1e-12 for every Pauli string P, each a Kronecker chain."""
+    n = int(np.log2(len(matrix)))
+    out = []
+    for combo in itertools.product("IXYZ", repeat=n):
+        c = float(np.trace(kron_chain([PAULI_BY_LETTER[p] for p in combo]) @ matrix).real) / 2 ** n
+        if abs(c) > 1e-12:
+            out.append((c, "".join(combo)))
+    return out
+
+
 # --- tomography: linear inversion and its bootstrap, one trial at a time ----
 #
 # A record is (letters, counts, exact): the per-qubit axes "X"/"Y"/"Z", a dict
 # outcome bitstring -> count, and whether the counts are infinite-statistics
 # values that the bootstrap leaves alone.
-
-PAULI_BY_LETTER = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
-
 
 def linear_inversion(records) -> np.ndarray:
     """rho = 2^-k sum_P <P> P over kron-built Pauli strings, then the walking clip.

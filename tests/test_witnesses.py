@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ import oracles
 # frozen dense-oracle values for the transcribed four-qubit witness
 WM_IDEAL_TRANSCRIBED = 2.75
 WM_MAXIMALLY_MIXED = 3.25
+
+
+def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return m + m.conj().T
 
 
 class TestCollectiveSpin:
@@ -82,6 +88,30 @@ class TestPauliTools:
         terms = pauli_decompose(herm)
         rebuilt = sum(c * pauli_matrix(s) for c, s in terms)
         assert np.abs(rebuilt - herm).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_decompose_matches_oracle(self, n):
+        herm = _random_hermitian(np.random.default_rng(40 + n), 2 ** n)
+        terms, expected = pauli_decompose(herm), oracles.pauli_coefficients(herm)
+        assert [s for _, s in terms] == [s for _, s in expected]
+        assert max(abs(c - e) for (c, _), (e, _) in zip(terms, expected)) < 1e-12
+
+    @pytest.mark.parametrize("make", [witness_wm, witness_wm_calibrated,
+                                      lambda: witness_wcs(-2.5, 129 / 32)],
+                             ids=["wm", "wm-calibrated", "wcs"])
+    def test_witness_settings_equal_oracle(self, make):
+        obs = make()
+        assert list(obs.settings) == oracles.pauli_coefficients(np.asarray(obs.matrix))
+
+    def test_tiny_component_dropped(self):
+        mat = (oracles.kron_chain([oracles.SZ, oracles.SX])
+               + 1e-13 * oracles.kron_chain([oracles.SX, oracles.SY]))
+        assert pauli_decompose(mat) == [(1.0, "ZX")]
+
+    @pytest.mark.parametrize("shape", [(3, 3), (6, 6), (4, 2), (1, 1)])
+    def test_decompose_rejects_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            pauli_decompose(np.zeros(shape))
 
 
 class TestWitnessWm:
@@ -317,6 +347,20 @@ class TestDecompositionCheck:
     def test_requires_settings(self):
         with pytest.raises(ValueError, match="settings"):
             decomposition_check(Observable(np.eye(4)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_round_trip(self, n):
+        herm = _random_hermitian(np.random.default_rng(50 + n), 2 ** n)
+        check = decomposition_check(Observable(herm, settings=pauli_decompose(herm)))
+        assert check.equal and check.max_deviation < 1e-12
+
+    def test_wrong_length_setting_named(self):
+        with pytest.raises(ValueError, match="'III'"):
+            decomposition_check(Observable(np.eye(4), settings=((1.0, "III"),)))
+
+    def test_unknown_letter_named(self):
+        with pytest.raises(ValueError, match="'IQ'"):
+            decomposition_check(Observable(np.eye(4), settings=((1.0, "II"), (0.0, "IQ"))))
 
 
 class TestWitnessReport:
