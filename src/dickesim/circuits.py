@@ -8,18 +8,20 @@ realizations of the conversion stage; PHASE models the glass-plate phases.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .register import CX, HADAMARD, PAULI_I, PAULI_X, PAULI_Z, PureState, apply_gate
 
-GATE_KINDS = ("H", "X", "Z", "PHASE", "CX", "CZBAR")
+CZBAR = np.kron(np.diag([0, 1]), PAULI_I) + np.kron(np.diag([1, 0]), PAULI_Z)  # control first
+CZBAR.setflags(write=False)
+# kind -> matrix; PHASE's is built from its angle
+_MATRICES = MappingProxyType(
+    {"H": HADAMARD, "X": PAULI_X, "Z": PAULI_Z, "PHASE": None, "CX": CX, "CZBAR": CZBAR})
+GATE_KINDS = tuple(_MATRICES)
 MATCH_TOL = 1e-9
-
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -34,14 +36,13 @@ class GateSpec:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind in ("CX", "CZBAR") and self.control is None:
-            raise ValueError(f"{self.kind} gate needs a control label")
-        if self.kind not in ("CX", "CZBAR") and self.control is not None:
-            raise ValueError(f"{self.kind} gate takes no control label")
-        if self.kind == "PHASE" and self.phi is None:
-            raise ValueError("PHASE gate needs an angle")
-        if self.kind != "PHASE" and self.phi is not None:
-            raise ValueError(f"{self.kind} gate takes no angle")
+        # a control is given exactly for CX and CZBAR, an angle exactly for PHASE
+        if (self.control is None) == (self.kind in ("CX", "CZBAR")):
+            raise ValueError(f"{self.kind} gate " + (
+                "needs a control label" if self.control is None else "takes no control label"))
+        if (self.phi is None) == (self.kind == "PHASE"):
+            raise ValueError(f"{self.kind} gate " + (
+                "needs an angle" if self.phi is None else "takes no angle"))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -50,17 +51,9 @@ class GateSpec:
         return (self.target,)
 
     def matrix(self) -> np.ndarray:
-        if self.kind == "H":
-            return HADAMARD
-        if self.kind == "X":
-            return PAULI_X
-        if self.kind == "Z":
-            return PAULI_Z
-        if self.kind == "PHASE":
+        if self.phi is not None:
             return np.array([[1, 0], [0, np.exp(1j * self.phi)]])
-        if self.kind == "CX":
-            return CX
-        return np.kron(_P1, PAULI_I) + np.kron(_P0, PAULI_Z)
+        return _MATRICES[self.kind]
 
     def is_self_inverse(self) -> bool:
         m = self.matrix()
@@ -153,43 +146,39 @@ def find_conversion_circuit(
 
     A sequence is found when its fidelity with the target is within
     MATCH_TOL of 1. Deterministic: fixed pool order, lexicographic tie-break
-    by construction, and duplicate states (up to global phase) pruned.
-    Exhaustion returns a not-found result carrying the best fidelity seen.
+    by construction, and duplicate states (up to global phase) pruned. The
+    states kept at one depth are expanded as one stack. Exhaustion returns
+    a not-found result carrying the best fidelity seen.
     """
     if pool is None:
         pool = conversion_pool()
     if max_depth > 8:
         raise ValueError("conversion search is bounded at depth 8")
 
-    def fid(amps: np.ndarray) -> float:
-        return float(abs(np.vdot(target.amplitudes, amps)) ** 2)
-
-    start = source.amplitudes
-    best_f, best_path = fid(start), ()
-    if best_f >= 1.0 - MATCH_TOL:
-        return ConversionSearch(True, Circuit(()), best_f, best_f, Circuit(()), 1, max_depth)
-
-    seen = {_canonical_key(start)}
-    queue = deque([(start, ())])
-    explored = 1
-    while queue:
-        amps, path = queue.popleft()
-        if len(path) == max_depth:
-            continue
-        for gate in pool:
-            nxt = apply_gate(PureState(source.layout, amps), gate.matrix(), gate.labels).amplitudes
-            key = _canonical_key(nxt)
+    seen: set[bytes] = set()
+    best_f, best_path, explored = -math.inf, (), 0
+    # the states made at one depth, in the order a FIFO queue would make them
+    made = [(source.amplitudes, ())]
+    for depth in range(max_depth + 1):
+        kept = []
+        for amps, path in made:
+            key = _canonical_key(amps)
             if key in seen:
                 continue
             seen.add(key)
             explored += 1
-            new_path = path + (gate,)
-            f = fid(nxt)
+            f = float(abs(np.vdot(target.amplitudes, amps)) ** 2)
             if f > best_f:
-                best_f, best_path = f, new_path
+                best_f, best_path = f, path
             if f >= 1.0 - MATCH_TOL:
-                circ = Circuit(new_path)
+                circ = Circuit(path)
                 return ConversionSearch(True, circ, f, f, circ, explored, max_depth)
-            queue.append((nxt, new_path))
+            kept.append((amps, path))
+        if not kept or depth == max_depth:
+            break
+        stack = PureState(source.layout, np.array([amps for amps, _ in kept]))
+        out = [apply_gate(stack, gate.matrix(), gate.labels).amplitudes for gate in pool]
+        made = [(out[j][i], path + (gate,))
+                for i, (_, path) in enumerate(kept) for j, gate in enumerate(pool)]
     return ConversionSearch(
         False, None, 0.0, best_f, Circuit(best_path), explored, max_depth)

@@ -64,6 +64,7 @@ from .witnesses import (
     B4_GAMMA_MIN,
     MEASURED_J2,
     MEASURED_J2_ERR,
+    PAPER_GAMMAS,
     biseparable_bound_result,
     collective_spin,
     fidelity_bound_from_d3_witness,
@@ -97,7 +98,6 @@ ODT_TABLE_I = (
 )
 
 SIGNIFICANCE_MILESTONES = {-0.12: -1.0, -2.5: -15.0}
-PAPER_GAMMAS = (0.0, -0.12, -1.0, -2.5)
 # witness-scan's gamma_min, gamma_max, gamma_points when only some of them are given
 GAMMA_RANGE = (-3.0, 0.0, 10)
 MOMENTS = ("jx2", "jy2", "jz2")

@@ -8,14 +8,12 @@ from pathlib import Path
 from .circuits import Circuit, find_conversion_circuit
 from .protocols import derive_correction_table
 from .states import RESOURCE_LABELS, dicke, xi_state
-from .witnesses import biseparable_bound
+from .witnesses import PAPER_GAMMAS, biseparable_bound
 
 DEFAULT_DIR = Path(__file__).parent / "fixtures"
 CONVERSION_FILE = "conversion_circuit.txt"
 CORRECTION_FILE = "correction_table.json"
 B4_FILE = "b4_samples.json"
-
-B4_SAMPLE_GAMMAS = (0.0, -0.12, -1.0, -2.5)
 
 
 class FixtureError(RuntimeError):
@@ -62,7 +60,7 @@ def regenerate_fixtures(directory: str | Path | None = None) -> dict:
     (directory / CORRECTION_FILE).write_text(
         json.dumps(table, indent=2, sort_keys=True) + "\n")
 
-    samples = {repr(gamma): biseparable_bound(gamma) for gamma in B4_SAMPLE_GAMMAS}
+    samples = {repr(gamma): biseparable_bound(gamma) for gamma in PAPER_GAMMAS}
     (directory / B4_FILE).write_text(
         json.dumps({"samples": samples}, indent=2, sort_keys=True) + "\n")
 

@@ -23,10 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .register import (
+    AXIS_BASES,
     BRANCH_TOL,
     CX,
-    HADAMARD,
-    PAULI_I,
     PAULIS,
     ImpossibleBranchError,
     MixedState,
@@ -55,7 +54,7 @@ BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 _BELL_XZ = ("+0", "-0", "+1", "-1")
 BRANCH_SUM_TOL = 1e-9
 
-_KETS = dict(zip("+-01", (*HADAMARD, *PAULI_I)))
+_KETS = dict(zip("+-01", (*AXIS_BASES["X"], *AXIS_BASES["Z"])))
 
 
 class CorrectionSearchError(RuntimeError):
@@ -181,13 +180,6 @@ def _apply_same_pauli(state: State, pauli: str, labels) -> State:
     return apply_gate(state, pauli_matrix(pauli * len(labels)), labels)
 
 
-def _canonical_teleclone_target(alpha: complex, beta: complex, labels) -> PureState:
-    d1 = dicke(3, 1, tuple(labels))
-    d2 = dicke(3, 2, tuple(labels))
-    amps = alpha * d1.amplitudes + beta * d2.amplitudes
-    return PureState(d1.layout, amps / np.linalg.norm(amps))
-
-
 def derive_correction_table(resource: PureState, port: str = "b") -> dict[str, str]:
     """Map each Bell outcome to the Pauli P with P^{x3} restoring the canonical state.
 
@@ -201,31 +193,25 @@ def derive_correction_table(resource: PureState, port: str = "b") -> dict[str, s
 
 @lru_cache(maxsize=8)
 def _correction_table(port: str, labels: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-    samples = (ClientParams(theta=0.8, phi=0.37), ClientParams(theta=2.1, phi=2.0))
-    resource = dicke(4, 2, labels)
+    """Both sample clients run as one stack; a branch's correction is the first
+    Pauli in PAULIS order that restores every member."""
+    clients = client_ket((ClientParams(theta=0.8, phi=0.37), ClientParams(theta=2.1, phi=2.0)))
+    branches = bell_measure(tensor(clients, dicke(4, 2, labels)), CLIENT_LABEL, port)
     clone_labels = tuple(x for x in labels if x != port)
-    table: dict[str, str] = {}
-    for params in samples:
-        full = tensor(client_ket(params), resource)
-        branches = bell_measure(full, CLIENT_LABEL, port)
-        target = _canonical_teleclone_target(params.alpha, params.beta, clone_labels)
-        for branch in branches:
-            winners = set()
-            for pauli in PAULIS:
-                corrected = _apply_same_pauli(branch.post_state, pauli, clone_labels)
-                if fidelity(corrected, target) >= 1 - 1e-9:
-                    winners.add(pauli)
-            if not winners:
-                raise CorrectionSearchError(
-                    f"no Pauli corrects outcome {branch.outcome_label}", branch.outcome_label)
-            if branch.outcome_label in table:
-                winners &= {table[branch.outcome_label]}
-                if not winners:
-                    raise CorrectionSearchError(
-                        f"correction for {branch.outcome_label} is sample-dependent",
-                        branch.outcome_label)
-            table[branch.outcome_label] = sorted(winners)[0]
-    return tuple(sorted(table.items()))
+    # the canonical clones alpha|D(3,1)> + beta|D(3,2)> of each client alpha|0> + beta|1>
+    d1, d2 = (dicke(3, k, clone_labels) for k in (1, 2))
+    target = PureState(d1.layout, clients.amplitudes @ np.array([d1.amplitudes, d2.amplitudes]))
+    table = []
+    for branch in branches:
+        for pauli in PAULIS:
+            corrected = _apply_same_pauli(branch.post_state, pauli, clone_labels)
+            if np.all(fidelity(corrected, target) >= 1 - 1e-9):
+                break
+        else:
+            raise CorrectionSearchError(
+                f"no Pauli corrects outcome {branch.outcome_label}", branch.outcome_label)
+        table.append((branch.outcome_label, pauli))
+    return tuple(sorted(table))
 
 
 def _client_input(client: ClientParams | Sequence[ClientParams]) -> State:

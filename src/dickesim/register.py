@@ -37,10 +37,13 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# each Pauli axis's basis change: its rows are the bras of the + and - outcomes
+AXIS_BASES = MappingProxyType(
+    {"X": HADAMARD, "Y": np.array([[1, -1j], [1, 1j]]) / np.sqrt(2), "Z": PAULI_I})
 CX = np.kron(np.diag([1, 0]), PAULI_I) + np.kron(np.diag([0, 1]), PAULI_X)  # control first
 PAULIS = MappingProxyType({"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z})
 
-for _m in (*PAULIS.values(), HADAMARD, CX):
+for _m in (*PAULIS.values(), *AXIS_BASES.values(), CX):
     _m.setflags(write=False)
 
 

@@ -18,9 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .register import (
-    HADAMARD,
+    AXIS_BASES,
     MixedState,
-    PAULI_I,
     PureState,
     RegisterLayout,
     State,
@@ -56,13 +55,9 @@ def _axis_letter(axis) -> str:
 def _axis_unitary(axis) -> np.ndarray:
     """Basis-change unitary whose rows are the measurement bras."""
     if isinstance(axis, str):
-        if axis == "Z":
-            return PAULI_I
-        if axis == "X":
-            return HADAMARD
-        if axis == "Y":
-            return np.array([[1, -1j], [1, 1j]]) / np.sqrt(2)
-        raise ValueError(f"unknown measurement axis {axis!r}")
+        if axis not in AXIS_BASES:
+            raise ValueError(f"unknown measurement axis {axis!r}")
+        return AXIS_BASES[axis]
     phi = float(axis)
     return np.array([[1, np.exp(-1j * phi)], [1, -np.exp(-1j * phi)]]) / np.sqrt(2)
 

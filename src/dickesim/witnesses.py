@@ -24,6 +24,8 @@ SETTING_TOL = 1e-10
 # reference measured second moments of the collective spin, with uncertainties
 MEASURED_J2 = {"jx2": 2.568, "jy2": 2.617, "jz2": 0.039}
 MEASURED_J2_ERR = {"jx2": 0.015, "jy2": 0.011, "jz2": 0.028}
+# the gammas at which the paper evaluates b4(gamma) and the witness
+PAPER_GAMMAS = (0.0, -0.12, -1.0, -2.5)
 
 
 _LETTERS = "IXYZ"

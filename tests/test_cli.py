@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dickesim.cli import SCHEMAS, build_parser, main, parse_params, run_command
-from dickesim.fixtures import regenerate_fixtures
+from dickesim.fixtures import (
+    CONVERSION_FILE,
+    CORRECTION_FILE,
+    DEFAULT_DIR,
+    load_b4_samples,
+    regenerate_fixtures,
+)
 from dickesim.reporting import ConfigError, ListOf, Number, OneOf, Row, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -405,6 +411,17 @@ class TestFixtureRegeneration:
         code = main(["resource-check", "--config", str(config),
                      "--fixtures-dir", str(target), "--out", str(out)])
         assert code == 0
+
+    def test_regenerated_fixtures_match_packaged(self, tmp_path):
+        """Both searches rebuild the packaged circuit and table byte for byte;
+        the b4 samples agree to 1e-9 (their last bits differ)."""
+        regenerate_fixtures(tmp_path)
+        for name in (CONVERSION_FILE, CORRECTION_FILE):
+            assert (tmp_path / name).read_bytes() == (DEFAULT_DIR / name).read_bytes()
+        fresh, packaged = load_b4_samples(tmp_path), load_b4_samples()
+        assert fresh.keys() == packaged.keys()
+        for gamma, value in packaged.items():
+            assert abs(fresh[gamma] - value) <= 1e-9
 
     def test_regen_flag_from_cli(self, tmp_path):
         target = tmp_path / "fx"

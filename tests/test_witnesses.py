@@ -295,6 +295,15 @@ class TestProjectorWitness:
             assert check.equal
             assert check.max_deviation < 1e-10
 
+    def test_five_setting_form_is_eight_group_form(self):
+        """Read with ZZ for its unlabelled product term, the five-setting form
+        expands to the eight-group decomposition term for term."""
+        for k in (1, 2):
+            groups = witness_projector_d3(k).settings
+            five = witness_projector_d3_optimal(k).settings
+            assert len({s for _, s in groups}) == len(groups) == len(five)
+            assert {s: c for c, s in five} == {s: c for c, s in groups}
+
     def test_group_bookkeeping_on_d31(self):
         """Per-group expectations on the one-excitation state sum to -8/24."""
         d31 = dicke(3, 1).amplitudes
