@@ -55,6 +55,9 @@ _BELL_XZ = ("+0", "-0", "+1", "-1")
 BRANCH_SUM_TOL = 1e-9
 
 _KETS = dict(zip("+-01", (*AXIS_BASES["X"], *AXIS_BASES["Z"])))
+# each Bell element's projection ket on (control, target), in BELL_LABELS order
+_BELL_KETS = np.array([np.kron(_KETS[x], _KETS[z]) for x, z in _BELL_XZ])
+_BELL_KETS.setflags(write=False)
 
 
 class CorrectionSearchError(RuntimeError):
@@ -159,9 +162,9 @@ def _bell_branches(rotated: State, q1: str, q2: str) -> list[BranchOutcome]:
     """Project (q1, q2) of a state already rotated by CX onto the four
     sigma-x (x) sigma-z outcomes, in BELL_LABELS order."""
     branches = []
-    for bell_label, (x, z) in zip(BELL_LABELS, _BELL_XZ):
+    for bell_label, ket in zip(BELL_LABELS, _BELL_KETS):
         try:
-            prob, post = project(rotated, (q1, q2), np.kron(_KETS[x], _KETS[z]))
+            prob, post = project(rotated, (q1, q2), ket)
         except ImpossibleBranchError as err:
             if isinstance(err.probability, float):
                 prob = max(err.probability, 0.0)
@@ -173,11 +176,6 @@ def _bell_branches(rotated: State, q1: str, q2: str) -> list[BranchOutcome]:
             post = None
         branches.append(BranchOutcome(bell_label, prob, post))
     return branches
-
-
-def _apply_same_pauli(state: State, pauli: str, labels) -> State:
-    """P on every named qubit as one gate P (x) ... (x) P; entries 0, +-1, +-i multiply exactly."""
-    return apply_gate(state, pauli_matrix(pauli * len(labels)), labels)
 
 
 def derive_correction_table(resource: PureState, port: str = "b") -> dict[str, str]:
@@ -194,23 +192,23 @@ def derive_correction_table(resource: PureState, port: str = "b") -> dict[str, s
 @lru_cache(maxsize=8)
 def _correction_table(port: str, labels: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     """Both sample clients run as one stack; a branch's correction is the first
-    Pauli in PAULIS order that restores every member."""
+    Pauli P in PAULIS order with |<target|P(x)P(x)P|post>|^2 >= 1 - 1e-9 for every
+    member, all four P taken in one contraction."""
     clients = client_ket((ClientParams(theta=0.8, phi=0.37), ClientParams(theta=2.1, phi=2.0)))
     branches = bell_measure(tensor(clients, dicke(4, 2, labels)), CLIENT_LABEL, port)
     clone_labels = tuple(x for x in labels if x != port)
     # the canonical clones alpha|D(3,1)> + beta|D(3,2)> of each client alpha|0> + beta|1>
     d1, d2 = (dicke(3, k, clone_labels) for k in (1, 2))
-    target = PureState(d1.layout, clients.amplitudes @ np.array([d1.amplitudes, d2.amplitudes]))
+    target = clients.amplitudes @ np.array([d1.amplitudes, d2.amplitudes])
+    corrections = np.array([pauli_matrix(p * len(clone_labels)) for p in PAULIS])
     table = []
-    for branch in branches:
-        for pauli in PAULIS:
-            corrected = _apply_same_pauli(branch.post_state, pauli, clone_labels)
-            if np.all(fidelity(corrected, target) >= 1 - 1e-9):
-                break
-        else:
+    for branch in branches:  # each post-state is over clone_labels, in resource order
+        overlaps = np.einsum("si,pij,sj->ps", target.conj(), corrections, branch.post_state.amplitudes)
+        restored = (abs(overlaps) ** 2 >= 1 - 1e-9).all(axis=1)
+        if not restored.any():
             raise CorrectionSearchError(
                 f"no Pauli corrects outcome {branch.outcome_label}", branch.outcome_label)
-        table.append((branch.outcome_label, pauli))
+        table.append((branch.outcome_label, list(PAULIS)[int(np.argmax(restored))]))
     return tuple(sorted(table))
 
 
@@ -260,7 +258,8 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
         if branch.post_state is None:
             branches.append(BranchOutcome(branch.outcome_label, branch.probability, None, pauli))
             continue
-        corrected = _apply_same_pauli(branch.post_state, pauli, clone_labels)
+        # P on every clone as one gate P (x) P (x) P; entries 0, +-1, +-i multiply exactly
+        corrected = apply_gate(branch.post_state, pauli_matrix(pauli * len(clone_labels)), clone_labels)
         branches.append(BranchOutcome(branch.outcome_label, branch.probability, corrected, pauli))
         per_clone = {}
         for label in clone_labels:

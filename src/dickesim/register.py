@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Sequence, Union
 
@@ -51,11 +52,13 @@ class RegisterError(ValueError):
     """Contract violation on a register operation."""
 
 
+@lru_cache(maxsize=64)
 def pauli_matrix(string: str) -> np.ndarray:
-    """Kronecker product of single-qubit Paulis, e.g. "XXI" or "ZZZZ"."""
+    """Kronecker product of single-qubit Paulis, e.g. "XXI"; cached, so read-only."""
     out = np.array([[1.0 + 0j]])
     for ch in string:
         out = np.kron(out, PAULIS[ch])
+    out.setflags(write=False)
     return out
 
 
@@ -267,10 +270,14 @@ def tensor(s1: State, s2: State) -> State:
     if s1.stack_shape and s2.stack_shape:
         raise RegisterError("tensor product of two stacks is not defined")
     layout = RegisterLayout(s1.labels + s2.labels)
-    pure = isinstance(s1, PureState) and isinstance(s2, PureState)
-    a, b = (s.amplitudes if pure else s.density().matrix for s in (s1, s2))
-    # np.kron prepends the single factor's missing stack axis
-    return (PureState if pure else MixedState)(layout, np.kron(a, b))
+    lead = s1.stack_shape or s2.stack_shape
+    # one complex product per entry, as in np.kron; the single factor broadcasts over the stack
+    if isinstance(s1, PureState) and isinstance(s2, PureState):
+        product = s1.amplitudes[..., :, None] * s2.amplitudes[..., None, :]
+        return PureState(layout, product.reshape(lead + (layout.dim,)))
+    a, b = s1.density().matrix, s2.density().matrix
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return MixedState(layout, product.reshape(lead + (layout.dim,) * 2))
 
 
 def _check_unitary(gate: np.ndarray, k: int) -> np.ndarray:
@@ -351,8 +358,9 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
         t = _apply_to_axes(t, vec[None, :], axes, len(lead))
     t = t.reshape(lead + (rest.dim,) * state.SIDES)
     if state.SIDES == 1:
-        # one vdot per member keeps each member's summation order
-        prob = np.array([np.real(np.vdot(a, a)) for a in t.reshape(-1, rest.dim)]).reshape(lead)
+        # np.vecdot calls BLAS zdotc once per member on the member's own strides,
+        # as np.vdot would on that member alone, so every member keeps its bits
+        prob = np.real(np.vecdot(t, t))
         norm = np.sqrt(prob)
     else:
         prob = norm = np.real(np.trace(t, axis1=-2, axis2=-1))
@@ -429,9 +437,10 @@ def fidelity(s1: State, s2: State):
         raise RegisterError(f"stack shapes {s1.stack_shape} and {s2.stack_shape} differ")
     lead = s1.stack_shape or s2.stack_shape
     if isinstance(s1, PureState) and isinstance(s2, PureState):
-        kets = np.broadcast_arrays(s1.amplitudes, s2.amplitudes)
-        pairs = zip(*(k.reshape(-1, k.shape[-1]) for k in kets))
-        return _scalar(np.array([abs(np.vdot(a, b)) ** 2 for a, b in pairs]).reshape(lead))
+        # one zdotc per member (see project); abs and ** 2 stay NumPy-scalar
+        # operations, as their array forms round differently
+        overlaps = np.vecdot(s1.amplitudes, s2.amplitudes).reshape(-1)
+        return _scalar(np.array([abs(x) ** 2 for x in overlaps]).reshape(lead))
     if isinstance(s1, PureState):
         psi = s1.amplitudes
         val = np.real(psi.conj()[..., None, :] @ s2.matrix @ psi[..., :, None])[..., 0, 0]

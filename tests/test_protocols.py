@@ -31,8 +31,10 @@ from dickesim import (
     werner_dicke,
     werner_weight_for_fidelity,
 )
+from dickesim import protocols
 from dickesim.fixtures import load_correction_table
-from dickesim.protocols import BELL_LABELS
+from dickesim.protocols import BELL_LABELS, CorrectionSearchError
+from dickesim.register import PAULIS
 from dickesim.states import RESOURCE_LABELS
 
 import oracles
@@ -104,6 +106,26 @@ class TestCorrectionTable:
     def test_port_choice(self):
         table = derive_correction_table(dicke(4, 2), port="c")
         assert set(table) == set(BELL_LABELS)
+
+    @pytest.mark.parametrize("port", "abcd")
+    def test_every_port_gives_the_packaged_table(self, port):
+        assert derive_correction_table(dicke(4, 2), port=port) == load_correction_table()
+
+    def test_no_fitting_pauli_names_the_branch(self, monkeypatch):
+        # without X nothing restores phi+, the first outcome searched
+        monkeypatch.setattr(protocols, "PAULIS", {k: v for k, v in PAULIS.items() if k != "X"})
+        protocols._correction_table.cache_clear()
+        with pytest.raises(CorrectionSearchError, match="no Pauli corrects outcome phi\\+") as exc:
+            derive_correction_table(dicke(4, 2))
+        assert exc.value.branch == "phi+"
+
+    def test_bell_kets_are_built_once_and_read_only(self):
+        kets = protocols._BELL_KETS
+        expected = [np.kron(protocols._KETS[x], protocols._KETS[z]) for x, z in protocols._BELL_XZ]
+        assert np.array_equal(kets, expected)
+        assert not kets.flags.writeable
+        with pytest.raises(ValueError):
+            kets[0, 0] = 0.0
 
 
 class TestRunQtc:

@@ -31,7 +31,16 @@ from dickesim import (
     werner_dicke,
     xi_state,
 )
-from dickesim.register import CHECK_BYTES, HADAMARD, PAULI_X, PSD_TOL
+from dickesim import register
+from dickesim.register import (
+    AXIS_BASES,
+    CHECK_BYTES,
+    HADAMARD,
+    PAULI_X,
+    PAULI_Z,
+    PSD_TOL,
+    pauli_matrix,
+)
 
 import oracles
 
@@ -707,3 +716,160 @@ class TestPsdCheckCost:
         finally:
             tracemalloc.stop()
         assert peak <= stack.nbytes + 4 * CHECK_BYTES
+
+
+SIX = ("a", "b", "c", "d", "e", "f")
+LAYOUTS = {
+    "contiguous": np.ascontiguousarray,
+    "strided": lambda arr: np.repeat(arr, 2, axis=-1)[..., ::2],  # a [:, ::2] slice
+    "fortran": np.asfortranarray,  # kept by PureState: each member strided by the stack size
+}
+
+
+@st.composite
+def ket_stacks(draw, n=None):
+    """(n, amplitudes): 1-257 random kets on 1-6 qubits, some with zero
+    amplitudes, laid out contiguously, as a [:, ::2] slice or column-major."""
+    n = n or draw(st.integers(1, len(SIX)))
+    size = draw(st.integers(1, 257))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arr = rng.normal(size=(size, 2 ** n)) + 1j * rng.normal(size=(size, 2 ** n))
+    arr[rng.random(arr.shape) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    arr[~arr.any(axis=1), 0] = 1.0
+    arr /= np.linalg.norm(arr, axis=1)[:, None]
+    return n, LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](arr)
+
+
+def _vdot_fidelities(first: np.ndarray, second: np.ndarray) -> list:
+    """The pure/pure fidelity formula with one np.vdot per member."""
+    first, second = np.broadcast_arrays(first, second)
+    return [abs(np.vdot(a, b)) ** 2 for a, b in zip(first, second)]
+
+
+class TestBatchedDots:
+    """A stack's inner products equal one np.vdot per member bit for bit,
+    whatever the members' strides."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_vecdot_is_vdot_per_member(self, data):
+        n, first = data.draw(ket_stacks())
+        _, second = data.draw(ket_stacks(n=n))
+        size = min(len(first), len(second))
+        for a, b in ((first[:size], second[:size]), (first, second[0]), (first, first)):
+            a, b = np.broadcast_arrays(a, b)
+            assert np.array_equal(np.vecdot(a, b), [np.vdot(x, y) for x, y in zip(a, b)])
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pure_fidelity_is_vdot_per_member(self, data):
+        n, first = data.draw(ket_stacks())
+        _, second = data.draw(ket_stacks(n=n))
+        size = min(len(first), len(second))
+        layout = RegisterLayout(SIX[:n])
+        stack, other = PureState(layout, first[:size]), PureState(layout, second[:size])
+        assert list(fidelity(stack, other)) == _vdot_fidelities(stack.amplitudes, other.amplitudes)
+        one = PureState(layout, second[0])
+        assert list(fidelity(stack, one)) == _vdot_fidelities(stack.amplitudes, one.amplitudes)
+        assert list(fidelity(stack, stack)) == _vdot_fidelities(stack.amplitudes, stack.amplitudes)
+        member = stack.member(0).amplitudes  # a fresh contiguous copy of a column-major row
+        assert fidelity(one, stack.member(0)) == _vdot_fidelities(one.amplitudes[None], member[None])[0]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ket_projection_is_vdot_per_member(self, data):
+        n, arr = data.draw(ket_stacks().filter(lambda s: s[0] > 1))
+        stack = PureState(RegisterLayout(SIX[:n]), arr)
+        labels = data.draw(some_labels(stack, n - 1))
+        ket = oracles.haar_ket(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                               2 ** len(labels))
+        # the contraction project makes, then the probability formula with one vdot per member
+        lead, pos = 1, stack.layout.positions(labels)
+        t = register._apply_to_axes(stack._tensor(), ket.conj()[None, :], [lead + p for p in pos], lead)
+        rows = t.reshape(len(arr), -1)
+        expected = np.array([np.real(np.vdot(a, a)) for a in rows])
+        try:
+            probs, post = project(stack, labels, ket)
+        except ImpossibleBranchError as err:
+            assert np.array_equal(err.probability, expected)
+            return
+        assert np.array_equal(probs, expected)
+        assert np.array_equal(post.amplitudes, rows / np.sqrt(expected)[:, None])
+
+    def test_column_major_members_stay_strided(self):
+        arr = np.asfortranarray(np.eye(4, dtype=complex)[:3])
+        assert PureState(RegisterLayout(("a", "b")), arr).amplitudes.strides == (16, 48)
+
+    def test_equal_kets_keep_their_unclamped_self_fidelity(self):
+        # the pure/pure overlap is not clamped (a known issue): equal kets may read above 1
+        rng = np.random.default_rng(0)
+        arr = np.array([oracles.haar_ket(rng, 4) for _ in range(200)])
+        expected = _vdot_fidelities(arr, arr)
+        assert max(expected) > 1.0
+        stack = PureState(RegisterLayout(("a", "b")), arr)
+        assert list(fidelity(stack, stack)) == expected
+        above = int(np.argmax(expected))
+        assert fidelity(stack.member(above), stack.member(above)) == expected[above] > 1.0
+
+
+@st.composite
+def single_states(draw, labels, pure, size=None):
+    """A random ket or density matrix of any rank on `labels`, or a stack of
+    `size` of them; kets may have zero amplitudes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    layout, d = RegisterLayout(labels), 2 ** len(labels)
+    shape = () if size is None else (size,)
+    if pure:
+        arr = np.array([oracles.haar_ket(rng, d) for _ in range(size or 1)]).reshape(shape + (d,))
+        if draw(st.booleans()):
+            arr = np.zeros_like(arr)
+            arr[..., int(rng.integers(d))] = 1.0
+        return PureState(layout, arr)
+    arr = np.array([oracles.random_density(rng, d, int(rng.integers(1, d + 1))) for _ in range(size or 1)])
+    return MixedState(layout, arr.reshape(shape + (d, d)))
+
+
+class TestTensorIsKron:
+    """tensor's broadcast product equals np.kron bit for bit."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data(), kinds=st.sampled_from([(True, True), (False, False), (True, False), (False, True)]),
+           stacked=st.sampled_from([None, 0, 1]))
+    def test_matches_kron(self, data, kinds, stacked):
+        n1, n2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        size = data.draw(st.integers(1, 9))
+        labels = (SIX[:n1], SIX[n1:n1 + n2])
+        first, second = (data.draw(single_states(labels[i], kinds[i], size if stacked == i else None))
+                         for i in range(2))
+        out = tensor(first, second)
+        if all(kinds):
+            expected = np.kron(first.amplitudes, second.amplitudes)
+            assert isinstance(out, PureState)
+        else:  # a ket joins a density matrix as its density()
+            expected = np.kron(first.density().matrix, second.density().matrix)
+            assert isinstance(out, MixedState)
+        assert out.labels == labels[0] + labels[1]
+        assert np.array_equal(_array(out), expected)
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["kets", "densities"])
+    def test_two_stacks_raise(self, pure):
+        kets = np.tile([1.0, 0.0], (3, 1))
+        first = PureState(RegisterLayout(("a",)), kets)
+        second = PureState(RegisterLayout(("b",)), kets)
+        if not pure:
+            first, second = first.density(), second.density()
+        with pytest.raises(RegisterError, match="two stacks"):
+            tensor(first, second)
+
+
+class TestCachedPaulis:
+    def test_pauli_matrix_is_built_once_and_read_only(self):
+        xz = pauli_matrix("XZ")
+        assert pauli_matrix("XZ") is xz
+        assert np.array_equal(xz, np.kron(PAULI_X, PAULI_Z))
+        with pytest.raises(ValueError):
+            xz[0, 1] = 5.0
+
+    def test_axis_bases_are_read_only(self):
+        for basis in AXIS_BASES.values():
+            assert not basis.flags.writeable

@@ -28,6 +28,7 @@ from dickesim import (
     witness_wm,
     witness_wm_calibrated,
 )
+from dickesim import witnesses
 from dickesim.witnesses import MEASURED_J2, MEASURED_J2_ERR, pauli_decompose, pauli_matrix
 
 import oracles
@@ -73,6 +74,20 @@ class TestCollectiveSpin:
     def test_range(self):
         with pytest.raises(ValueError):
             collective_spin(0)
+
+    def test_sum_does_not_touch_the_shared_paulis(self):
+        # each J sums into its own array; the cached Pauli strings it adds stay as built
+        expected = np.zeros((8, 8), dtype=complex)
+        for i in range(3):
+            term = np.eye(1)
+            for ch in "I" * i + "Y" + "I" * (2 - i):
+                term = np.kron(term, {"I": np.eye(2), "Y": oracles.SY}[ch])
+            expected += term
+        first = witnesses._collective_matrix(3, "Y")
+        assert np.array_equal(witnesses._collective_matrix(3, "Y"), first)
+        assert np.array_equal(first, expected / 2.0)
+        assert np.array_equal(collective_spin(3).jy.matrix, first)
+        assert np.array_equal(pauli_matrix("IYI"), np.kron(np.kron(np.eye(2), oracles.SY), np.eye(2)))
         with pytest.raises(ValueError):
             collective_spin(9)
 
