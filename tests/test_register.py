@@ -862,7 +862,7 @@ class TestTensorIsKron:
             tensor(first, second)
 
 
-class TestCachedPaulis:
+class TestReadOnlyConstants:
     def test_pauli_matrix_is_built_once_and_read_only(self):
         xz = pauli_matrix("XZ")
         assert pauli_matrix("XZ") is xz
