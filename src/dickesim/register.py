@@ -107,7 +107,8 @@ class RegisterLayout:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex, copy=True)
+    # C order: every stored member is unit-stride, as member() returns it
+    out = np.array(arr, dtype=complex, order="C", copy=True)
     out.setflags(write=False)
     return out
 
@@ -270,14 +271,10 @@ def tensor(s1: State, s2: State) -> State:
     if s1.stack_shape and s2.stack_shape:
         raise RegisterError("tensor product of two stacks is not defined")
     layout = RegisterLayout(s1.labels + s2.labels)
-    lead = s1.stack_shape or s2.stack_shape
-    # one complex product per entry, as in np.kron; the single factor broadcasts over the stack
-    if isinstance(s1, PureState) and isinstance(s2, PureState):
-        product = s1.amplitudes[..., :, None] * s2.amplitudes[..., None, :]
-        return PureState(layout, product.reshape(lead + (layout.dim,)))
-    a, b = s1.density().matrix, s2.density().matrix
-    product = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return MixedState(layout, product.reshape(lead + (layout.dim,) * 2))
+    pure = isinstance(s1, PureState) and isinstance(s2, PureState)
+    a, b = (s.amplitudes if pure else s.density().matrix for s in (s1, s2))
+    # np.kron prepends the single factor's missing stack axis
+    return (PureState if pure else MixedState)(layout, np.kron(a, b))
 
 
 def _check_unitary(gate: np.ndarray, k: int) -> np.ndarray:
@@ -358,14 +355,19 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
         t = _apply_to_axes(t, vec[None, :], axes, len(lead))
     t = t.reshape(lead + (rest.dim,) * state.SIDES)
     if state.SIDES == 1:
-        # np.vecdot calls BLAS zdotc once per member on the member's own strides,
-        # as np.vdot would on that member alone, so every member keeps its bits
-        prob = np.real(np.vecdot(t, t))
+        prob = np.real(_dots(t, t))
         norm = np.sqrt(prob)
     else:
         prob = norm = np.real(np.trace(t, axis1=-2, axis2=-1))
     _check_branch(prob, [state.labels[p] for p in pos])
     return _scalar(prob), state._like(rest, t / norm.reshape(lead + (1,) * state.SIDES))
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> per member, bit for bit np.vdot(a, b): np.matmul makes one BLAS dot
+    per member on a conjugated copy of a and on b with its own strides (BLAS
+    takes another kernel when an increment changes, so b is never copied)."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _scalar(values: np.ndarray):
@@ -437,9 +439,8 @@ def fidelity(s1: State, s2: State):
         raise RegisterError(f"stack shapes {s1.stack_shape} and {s2.stack_shape} differ")
     lead = s1.stack_shape or s2.stack_shape
     if isinstance(s1, PureState) and isinstance(s2, PureState):
-        # one zdotc per member (see project); abs and ** 2 stay NumPy-scalar
-        # operations, as their array forms round differently
-        overlaps = np.vecdot(s1.amplitudes, s2.amplitudes).reshape(-1)
+        # abs and ** 2 stay NumPy-scalar operations: their array forms round differently
+        overlaps = _dots(s1.amplitudes, s2.amplitudes).reshape(-1)
         return _scalar(np.array([abs(x) ** 2 for x in overlaps]).reshape(lead))
     if isinstance(s1, PureState):
         psi = s1.amplitudes

@@ -722,22 +722,22 @@ SIX = ("a", "b", "c", "d", "e", "f")
 LAYOUTS = {
     "contiguous": np.ascontiguousarray,
     "strided": lambda arr: np.repeat(arr, 2, axis=-1)[..., ::2],  # a [:, ::2] slice
-    "fortran": np.asfortranarray,  # kept by PureState: each member strided by the stack size
+    "fortran": np.asfortranarray,  # each member strided by the stack size
 }
 
 
 @st.composite
-def ket_stacks(draw, n=None):
+def ket_stacks(draw, n=None, size=None, layouts=tuple(LAYOUTS)):
     """(n, amplitudes): 1-257 random kets on 1-6 qubits, some with zero
     amplitudes, laid out contiguously, as a [:, ::2] slice or column-major."""
     n = n or draw(st.integers(1, len(SIX)))
-    size = draw(st.integers(1, 257))
+    size = size or draw(st.integers(1, 257))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     arr = rng.normal(size=(size, 2 ** n)) + 1j * rng.normal(size=(size, 2 ** n))
     arr[rng.random(arr.shape) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
     arr[~arr.any(axis=1), 0] = 1.0
     arr /= np.linalg.norm(arr, axis=1)[:, None]
-    return n, LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](arr)
+    return n, LAYOUTS[draw(st.sampled_from(sorted(layouts)))](arr)
 
 
 def _vdot_fidelities(first: np.ndarray, second: np.ndarray) -> list:
@@ -748,17 +748,19 @@ def _vdot_fidelities(first: np.ndarray, second: np.ndarray) -> list:
 
 class TestBatchedDots:
     """A stack's inner products equal one np.vdot per member bit for bit,
-    whatever the members' strides."""
+    whatever layout the stack was built from."""
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_vecdot_is_vdot_per_member(self, data):
-        n, first = data.draw(ket_stacks())
-        _, second = data.draw(ket_stacks(n=n))
-        size = min(len(first), len(second))
-        for a, b in ((first[:size], second[:size]), (first, second[0]), (first, first)):
-            a, b = np.broadcast_arrays(a, b)
-            assert np.array_equal(np.vecdot(a, b), [np.vdot(x, y) for x, y in zip(a, b)])
+    def test_dots_are_vdot_per_member(self, data):
+        # the conjugated operand is compact, as every stored or contracted ket
+        # is; the other may have any strides
+        n, first = data.draw(ket_stacks(layouts=("contiguous", "fortran")))
+        _, second = data.draw(ket_stacks(n=n, size=len(first)))
+        one = np.ascontiguousarray(second[0])
+        for a, b in ((first, second), (first, second[0]), (one, first), (first, first)):
+            expected = [np.vdot(x, y) for x, y in zip(*np.broadcast_arrays(a, b))]
+            assert np.array_equal(register._dots(a, b), expected)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(data=st.data())
@@ -772,8 +774,6 @@ class TestBatchedDots:
         one = PureState(layout, second[0])
         assert list(fidelity(stack, one)) == _vdot_fidelities(stack.amplitudes, one.amplitudes)
         assert list(fidelity(stack, stack)) == _vdot_fidelities(stack.amplitudes, stack.amplitudes)
-        member = stack.member(0).amplitudes  # a fresh contiguous copy of a column-major row
-        assert fidelity(one, stack.member(0)) == _vdot_fidelities(one.amplitudes[None], member[None])[0]
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(data=st.data())
@@ -796,9 +796,15 @@ class TestBatchedDots:
         assert np.array_equal(probs, expected)
         assert np.array_equal(post.amplitudes, rows / np.sqrt(expected)[:, None])
 
-    def test_column_major_members_stay_strided(self):
-        arr = np.asfortranarray(np.eye(4, dtype=complex)[:3])
-        assert PureState(RegisterLayout(("a", "b")), arr).amplitudes.strides == (16, 48)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_stack_member_reads_as_the_member_alone(self, data):
+        n, first = data.draw(ket_stacks())
+        _, second = data.draw(ket_stacks(n=n))
+        layout = RegisterLayout(SIX[:n])
+        stack, one = PureState(layout, first), PureState(layout, second[0])
+        values = fidelity(stack, one)
+        assert [fidelity(stack.member(i), one) for i in range(len(first))] == list(values)
 
     def test_equal_kets_keep_their_unclamped_self_fidelity(self):
         # the pure/pure overlap is not clamped (a known issue): equal kets may read above 1
@@ -830,7 +836,8 @@ def single_states(draw, labels, pure, size=None):
 
 
 class TestTensorIsKron:
-    """tensor's broadcast product equals np.kron bit for bit."""
+    """tensor equals np.kron of the amplitudes, or of the density matrices
+    when either factor is mixed, bit for bit, with a stack on either side."""
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(data=st.data(), kinds=st.sampled_from([(True, True), (False, False), (True, False), (False, True)]),

@@ -74,6 +74,8 @@ class TestCollectiveSpin:
     def test_range(self):
         with pytest.raises(ValueError):
             collective_spin(0)
+        with pytest.raises(ValueError):
+            collective_spin(9)
 
     def test_sum_does_not_touch_the_shared_paulis(self):
         # each J sums into its own array; the cached Pauli strings it adds stay as built
@@ -88,8 +90,6 @@ class TestCollectiveSpin:
         assert np.array_equal(first, expected / 2.0)
         assert np.array_equal(collective_spin(3).jy.matrix, first)
         assert np.array_equal(pauli_matrix("IYI"), np.kron(np.kron(np.eye(2), oracles.SY), np.eye(2)))
-        with pytest.raises(ValueError):
-            collective_spin(9)
 
 
 class TestPauliTools:
