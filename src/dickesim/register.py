@@ -364,9 +364,10 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a|b> per member, bit for bit np.vdot(a, b): np.matmul makes one BLAS dot
-    per member on a conjugated copy of a and on b with its own strides (BLAS
-    takes another kernel when an increment changes, so b is never copied)."""
+    """<a|b> per member: np.matmul makes one BLAS dot per member on a conjugated
+    copy of a and on b as it is. BLAS picks its kernel by the increments, so this
+    is np.vdot(a, b) bit for bit only while the copy keeps a's strides (a is
+    compact, as stored and contracted kets are) and b is not copied."""
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
