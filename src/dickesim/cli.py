@@ -179,41 +179,32 @@ def parse_params(command: str, params: dict) -> dict:
     return typed
 
 
-class Check:
-    """One golden check with its observed and expected values."""
+# each check kind's pass rule on (value, expected, tol)
+_CHECK_RULES = {
+    "eq": lambda value, expected, tol: abs(value - expected) <= tol,
+    "ge": lambda value, expected, tol: value >= expected - tol,
+    "le": lambda value, expected, tol: value <= expected + tol,
+    "str": lambda value, expected, tol: value == expected,
+    "bool": lambda value, expected, tol: bool(value),
+}
 
-    def __init__(self, name: str, value, expected, kind: str = "eq", tol: float = CHECK_TOL):
-        self.name = name
-        self.value = value
-        self.expected = expected
-        self.kind = kind
-        self.tol = tol
-        if kind == "eq":
-            self.passed = abs(value - expected) <= tol
-        elif kind == "ge":
-            self.passed = value >= expected - tol
-        elif kind == "le":
-            self.passed = value <= expected + tol
-        elif kind == "str":
-            self.passed = value == expected
-        elif kind == "bool":
-            self.passed = bool(value)
-        else:
-            raise ValueError(f"unknown check kind {kind!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "FAIL",
-            "value": self.value,
-            "expected": self.expected,
-            "kind": self.kind,
-        }
+def _check(name: str, value, expected, kind: str = "eq", tol: float = CHECK_TOL) -> dict:
+    """One golden check's report entry, with its status under its kind's rule."""
+    passed = _CHECK_RULES[kind](value, expected, tol)
+    return {"name": name, "status": "pass" if passed else "FAIL", "value": value,
+            "expected": expected, "kind": kind}
 
 
 def _no_counts(err: MissingSettingError, n_per_setting: int) -> ConfigError:
     return ConfigError(f"n_per_setting = {n_per_setting} drew no counts for setting "
                        f"{', '.join(err.missing)}; tomography needs counts for every setting")
+
+
+def _pauli_records(state, n_per_setting: int, seed: int) -> list:
+    """A record per Pauli setting of the state's qubits, XYZ order; setting i at seed + i."""
+    return [simulate_counts(state, MeasurementSetting(axes), n_per_setting, seed=seed + i)
+            for i, axes in enumerate(itertools.product("XYZ", repeat=state.n))]
 
 
 def _resource(werner_p):
@@ -240,7 +231,7 @@ def _gamma_scan(gammas, moments: dict, errors: dict, fixtures_dir) -> tuple[list
         delta = propagate_wcs_error(gamma, errors["jx2"], errors["jy2"], errors["jz2"])
         significance = value / delta if delta > 0 else None
         if gamma in b4_fixture:
-            checks.append(Check(f"b4_fixture_match_gamma_{gamma}", b4, b4_fixture[gamma]))
+            checks.append(_check(f"b4_fixture_match_gamma_{gamma}", b4, b4_fixture[gamma]))
         entangled = significance < -1.0 if significance is not None else value < 0
         rows.append({
             "gamma": gamma,
@@ -265,18 +256,18 @@ def cmd_resource_check(cfg: dict, args) -> tuple:
     state, p = _resource(cfg["werner_p"])
 
     checks = [
-        Check("conversion_fidelity", fidelity(converted, target), 1.0, kind="ge"),
-        Check("conversion_depth", circuit.depth, cfg["max_depth"], kind="le", tol=0),
+        _check("conversion_fidelity", fidelity(converted, target), 1.0, kind="ge"),
+        _check("conversion_depth", circuit.depth, cfg["max_depth"], kind="le", tol=0),
     ]
 
     amps = np.abs(target.amplitudes)
     expected_amps = np.where(amps > 1e-12, 1 / math.sqrt(6), 0.0)
-    checks.append(Check("dicke_amplitude_deviation", float(np.abs(amps - expected_amps).max()), 0.0))
-    checks.append(Check("dicke_support_size", int(np.sum(amps > 1e-12)), 6, tol=0))
-    checks.append(Check("physical_permutation", "".join(physical_logical_permutation()),
-                        "".join(RESOURCE_LABELS), kind="str"))
-    checks.append(Check("correction_table_matches_fixture",
-                        derive_correction_table(target, "b") == table_fixture, True, kind="bool"))
+    checks.append(_check("dicke_amplitude_deviation", float(np.abs(amps - expected_amps).max()), 0.0))
+    checks.append(_check("dicke_support_size", int(np.sum(amps > 1e-12)), 6, tol=0))
+    checks.append(_check("physical_permutation", "".join(physical_logical_permutation()),
+                         "".join(RESOURCE_LABELS), kind="str"))
+    checks.append(_check("correction_table_matches_fixture",
+                         derive_correction_table(target, "b") == table_fixture, True, kind="bool"))
 
     # closed-form golden values as functions of the Werner weight (p = 1 ideal)
     f_res = p + (1 - p) / 16
@@ -284,24 +275,24 @@ def cmd_resource_check(cfg: dict, args) -> tuple:
     f_pair = (p / 3 + (1 - p) / 16) / (p / 3 + (1 - p) / 4)
     wm_value = 3.25 - 0.5 * p
 
-    checks.append(Check("resource_fidelity_vs_dicke", fidelity(state, target), f_res))
+    checks.append(_check("resource_fidelity_vs_dicke", fidelity(state, target), f_res))
     posts = {k: project(state, "d", bit)[1] for k, bit in ((2, "0"), (1, "1"))}
     direct = {k: fidelity(post, dicke(3, k)) for k, post in posts.items()}
-    checks.append(Check("projection_d0_fidelity_vs_D3k2", direct[2], f_proj3))
-    checks.append(Check("projection_d1_fidelity_vs_D3k1", direct[1], f_proj3))
+    checks.append(_check("projection_d0_fidelity_vs_D3k2", direct[2], f_proj3))
+    checks.append(_check("projection_d1_fidelity_vs_D3k1", direct[1], f_proj3))
 
     pair_fids = []
     for pair in itertools.combinations(state.labels, 2):
         for pattern in ("01", "10"):
             _, rest = project(state, pair, pattern)
             pair_fids.append(fidelity(rest, bell("psi+", rest.labels)))
-    checks.append(Check("pair_projection_min_fidelity_vs_psi_plus", min(pair_fids), f_pair))
-    checks.append(Check("pair_projection_max_fidelity_vs_psi_plus", max(pair_fids), f_pair))
+    checks.append(_check("pair_projection_min_fidelity_vs_psi_plus", min(pair_fids), f_pair))
+    checks.append(_check("pair_projection_max_fidelity_vs_psi_plus", max(pair_fids), f_pair))
 
     value_trans = witness_wm().expectation(state)
     value_cal = witness_wm_calibrated().expectation(state)
-    checks.append(Check("wm_transcribed_value", value_trans, wm_value))
-    checks.append(Check("wm_calibrated_value", value_cal, wm_value - 3.75))
+    checks.append(_check("wm_transcribed_value", value_trans, wm_value))
+    checks.append(_check("wm_calibrated_value", value_cal, wm_value - 3.75))
 
     witness_block = {}
     for name, value, note in (
@@ -317,8 +308,8 @@ def cmd_resource_check(cfg: dict, args) -> tuple:
     for k in (1, 2):
         value = witness_projector_d3(k).expectation(posts[k])
         bound = fidelity_bound_from_d3_witness(value)
-        checks.append(Check(f"d3_k{k}_witness_value", value, -p / 3 + (1 - p) * 13 / 24))
-        checks.append(Check(f"d3_k{k}_bound_tightness", bound.value, direct[k]))
+        checks.append(_check(f"d3_k{k}_witness_value", value, -p / 3 + (1 - p) * 13 / 24))
+        checks.append(_check(f"d3_k{k}_bound_tightness", bound.value, direct[k]))
         d3_block[f"k{k}"] = {"value": value, "fidelity_bound": bound.value,
                              "direct_fidelity": direct[k]}
 
@@ -328,18 +319,18 @@ def cmd_resource_check(cfg: dict, args) -> tuple:
     checks += gamma_checks
 
     data = {
-        "checks": [c.to_dict() for c in checks],
+        "checks": checks,
         "witnesses": {**witness_block, "projector_d3": d3_block},
         "collective_moments": moments,
         "gamma_scan": gamma_rows,
         "conversion_circuit": [step.to_line() for step in circuit.steps],
         "fixtures_regenerated": args.regen_fixtures,
     }
-    rows = [["check", c.name, c.to_dict()["status"], c.value, c.expected] for c in checks]
+    rows = [["check", c["name"], c["status"], c["value"], c["expected"]] for c in checks]
     rows += [["gamma-scan", row["gamma"], row["verdict"], row["value"], row["b4"]]
              for row in gamma_rows]
     header = ["row_type", "name", "status", "value", "expected"]
-    return data, header, rows, all(c.passed for c in checks)
+    return data, header, rows, all(c["status"] == "pass" for c in checks)
 
 
 def cmd_qtc_sweep(cfg: dict, args) -> tuple:
@@ -383,13 +374,10 @@ def cmd_odt_table(cfg: dict, args) -> tuple:
             noisy_f = noisy.teleport_fidelity
             if n_per_setting is not None:
                 # score the receiver through simulated single-qubit tomography
-                target = client_ket(client)
-                settings = [MeasurementSetting((axis,)) for axis in "XYZ"]
-                records = [simulate_counts(noisy.receiver_state, s, n_per_setting,
-                                           seed=args.seed + 10 * row_index + i)
-                           for i, s in enumerate(settings)]
+                records = _pauli_records(noisy.receiver_state, n_per_setting,
+                                         args.seed + 10 * row_index)
                 try:
-                    noisy_f, noisy_unc = fidelity_with_error(records, target,
+                    noisy_f, noisy_unc = fidelity_with_error(records, client_ket(client),
                                                              trials=cfg["trials"], seed=args.seed)
                 except MissingSettingError as err:
                     raise _no_counts(err, n_per_setting) from None
@@ -424,7 +412,7 @@ def cmd_witness_scan(cfg: dict, args) -> tuple:
 
     by_gamma = {row["gamma"]: row for row in rows}
     if 0.0 in by_gamma:
-        checks += [Check(f"b4_monotone_gamma_{gamma}", row["b4"], by_gamma[0.0]["b4"], kind="le")
+        checks += [_check(f"b4_monotone_gamma_{gamma}", row["b4"], by_gamma[0.0]["b4"], kind="le")
                    for gamma, row in by_gamma.items() if gamma < 0.0]
     # significance is None throughout in state mode, whose moments carry no error
     milestones = [{"gamma": gamma, "threshold": threshold,
@@ -439,23 +427,21 @@ def cmd_witness_scan(cfg: dict, args) -> tuple:
 
     data = {
         "rows": rows,
-        "checks": [c.to_dict() for c in checks],
+        "checks": checks,
         "significance_milestones": milestones,
         "discrepancies": discrepancies,
     }
     header = ["gamma", "b4", "value", "delta", "significance", "verdict"]
     csv_rows = [[r[h] for h in header] for r in rows]
     csv_rows += [["# note", note, "", "", "", ""] for note in discrepancies]
-    return data, header, csv_rows, all(c.passed for c in checks)
+    return data, header, csv_rows, all(c["status"] == "pass" for c in checks)
 
 
 def cmd_tomography_demo(cfg: dict, args) -> tuple:
     name, n, trials = cfg["state"], cfg["n_per_setting"], cfg["trials"]
     state = target = DEMO_STATES[name]()
 
-    settings = [MeasurementSetting(axes) for axes in itertools.product("XYZ", repeat=state.n)]
-    records = [simulate_counts(state, s, n, seed=args.seed + i)
-               for i, s in enumerate(settings)]
+    records = _pauli_records(state, n, args.seed)
     try:
         reconstructed = tomography_linear(records, labels=state.labels)
     except MissingSettingError as err:

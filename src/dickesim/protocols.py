@@ -166,14 +166,10 @@ def _bell_branches(rotated: State, q1: str, q2: str) -> list[BranchOutcome]:
         try:
             prob, post = project(rotated, (q1, q2), ket)
         except ImpossibleBranchError as err:
-            if isinstance(err.probability, float):
-                prob = max(err.probability, 0.0)
-            elif (err.probability >= BRANCH_TOL).any():
+            if np.any(err.probability >= BRANCH_TOL):
                 raise RegisterError(
                     f"Bell outcome {bell_label} vanishes for some stack members only") from None
-            else:
-                prob = np.maximum(err.probability, 0.0)
-            post = None
+            prob, post = np.maximum(err.probability, 0.0), None
         branches.append(BranchOutcome(bell_label, prob, post))
     return branches
 
@@ -296,14 +292,12 @@ def qtc_mixed_band(theta: float | Sequence[float], p: float,
                for t in ([theta] if single else theta)]
     values = []
     for weight in sorted({lo, hi}):
-        if weight == 1.0 and dephase_lambda == 0.0:
-            if ideal is not None:
-                values.append(np.asarray(ideal).reshape(len(clients)))
-                continue
-            resource: State = dicke(4, 2, RESOURCE_LABELS)
+        ideal_end = weight == 1.0 and dephase_lambda == 0.0  # on run_qtc's default resource
+        if ideal_end and ideal is not None:
+            values.append(np.asarray(ideal).reshape(len(clients)))
         else:
-            resource = werner_dicke(weight)
-        values.append(run_qtc(clients, resource, port).average_clone_fidelity)
+            resource = None if ideal_end else werner_dicke(weight)
+            values.append(run_qtc(clients, resource, port).average_clone_fidelity)
     low, high = np.min(values, axis=0), np.max(values, axis=0)
     return (float(low[0]), float(high[0])) if single else (low, high)
 

@@ -242,12 +242,7 @@ State = Union[PureState, MixedState]
 
 def basis_ket(bits: str, labels: Sequence[str]) -> PureState:
     """Computational-basis state, e.g. basis_ket("01", ("a", "b"))."""
-    layout = RegisterLayout(tuple(labels))
-    if len(bits) != layout.n:
-        raise RegisterError(f"bitstring {bits!r} does not match {layout.n} qubits")
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return PureState(layout, amps)
+    return from_terms(((bits, 1),), labels)
 
 
 def single_qubit(amplitudes: Sequence[complex], label: str) -> PureState:
@@ -259,6 +254,8 @@ def from_terms(terms: Sequence[tuple[str, complex]], labels: Sequence[str]) -> P
     layout = RegisterLayout(tuple(labels))
     amps = np.zeros(layout.dim, dtype=complex)
     for bits, coeff in terms:
+        if len(bits) != layout.n:
+            raise RegisterError(f"bitstring {bits!r} does not match {layout.n} qubits")
         amps[int(bits, 2)] += coeff
     return PureState(layout, amps / np.linalg.norm(amps))
 

@@ -75,11 +75,8 @@ def dicke(n: int, k: int, labels: tuple[str, ...] | None = None) -> PureState:
         raise ValueError(f"qubit count n={n} outside [1, 8]")
     if labels is None:
         labels = DEFAULT_LABELS[:n]
-    amps = np.zeros(2 ** n, dtype=complex)
-    for idx in range(2 ** n):
-        if bin(idx).count("1") == k:
-            amps[idx] = 1.0
-    return PureState(RegisterLayout(tuple(labels)), amps / np.linalg.norm(amps))
+    return from_terms([(format(idx, f"0{n}b"), 1) for idx in range(2 ** n)
+                       if bin(idx).count("1") == k], labels)
 
 
 _BELL_TERMS = {
@@ -146,10 +143,9 @@ def werner_dicke(p: float | WernerParams) -> MixedState:
     if isinstance(p, WernerParams):
         p = p.p
     params = WernerParams(float(p))
-    d42 = dicke(4, 2, RESOURCE_LABELS)
-    proj = np.outer(d42.amplitudes, d42.amplitudes.conj())
-    mat = params.p * proj + (1 - params.p) * np.eye(16) / 16
-    return MixedState(d42.layout, mat)
+    proj = dicke(4, 2, RESOURCE_LABELS).density()
+    mat = params.p * proj.matrix + (1 - params.p) * np.eye(16) / 16
+    return MixedState(proj.layout, mat)
 
 
 def werner_weight_for_fidelity(target_fidelity: float) -> float:
@@ -160,27 +156,28 @@ def werner_weight_for_fidelity(target_fidelity: float) -> float:
     return p
 
 
+def _client_amplitudes(params: ClientParams | Sequence[ClientParams]):
+    """(single, clients, amplitudes): one row (alpha, beta) per client."""
+    single = isinstance(params, ClientParams)
+    stack = [params] if single else list(params)
+    return single, stack, np.array([[p.alpha, p.beta] for p in stack]).reshape(-1, 2)
+
+
 def client_ket(params: ClientParams | Sequence[ClientParams]) -> PureState:
     """Pure client state on qubit X; requires dephase_lambda = 0. A sequence of
     params gives a stack with one member per client."""
-    single = isinstance(params, ClientParams)
-    stack = [params] if single else list(params)
+    single, stack, amps = _client_amplitudes(params)
     if any(p.dephase_lambda != 0.0 for p in stack):
         raise ValueError("client_ket is only defined for dephase_lambda = 0")
-    amps = np.array([[p.alpha, p.beta] for p in stack])
     return PureState(RegisterLayout((CLIENT_LABEL,)), amps[0] if single else amps)
-
-
-def _client_matrix(params: ClientParams) -> np.ndarray:
-    amps = np.array([params.alpha, params.beta])
-    rho = np.outer(amps, amps.conj())
-    scale = 1.0 - params.dephase_lambda
-    return np.array([[rho[0, 0], rho[0, 1] * scale], [rho[1, 0] * scale, rho[1, 1]]])
 
 
 def client_state(params: ClientParams | Sequence[ClientParams]) -> MixedState:
     """Client density matrix on qubit X, off-diagonals scaled by (1 - dephase_lambda).
     A sequence of params gives a stack with one member per client."""
-    mat = (_client_matrix(params) if isinstance(params, ClientParams)
-           else np.array([_client_matrix(p) for p in params]))
-    return MixedState(RegisterLayout((CLIENT_LABEL,)), mat)
+    single, stack, amps = _client_amplitudes(params)
+    mat = amps[:, :, None] * amps.conj()[:, None, :]
+    scale = 1.0 - np.array([p.dephase_lambda for p in stack])
+    mat[:, 0, 1] *= scale
+    mat[:, 1, 0] *= scale
+    return MixedState(RegisterLayout((CLIENT_LABEL,)), mat[0] if single else mat)

@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -87,15 +88,17 @@ class MeasurementSetting:
 
 @dataclass(frozen=True, eq=False)
 class CountsRecord:
-    """Simulated coincidence counts for one measurement setting."""
+    """Simulated coincidence counts for one measurement setting. `counts` is kept
+    as a read-only copy: reconstructions are cached on record identity."""
 
     setting: MeasurementSetting
-    counts: dict
+    counts: Mapping[str, float]
     total_requested: float
     seed: int | None
     exact: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         for outcome, value in self.counts.items():
             if len(outcome) != self.setting.n or set(outcome) - {"0", "1"}:
                 raise ValueError(f"bad outcome key {outcome!r}")
@@ -236,8 +239,7 @@ class _Inversion:
     applied to any stack of count vectors over its columns (one (record,
     outcome) pair each, in record and dict order)."""
 
-    def __init__(self, records: Iterable[CountsRecord]):
-        records = list(records)
+    def __init__(self, records: tuple[CountsRecord, ...]):
         if not records:
             raise ValueError("no records supplied")
         self.k = k = records[0].setting.n
@@ -339,10 +341,11 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     """
     if not trials >= 10:
         raise ValueError("need at least 10 bootstrap trials")
-    inversion = _inversion(tuple(records))
+    records = tuple(records)
+    inversion = _inversion(records)
     layout = RegisterLayout(target.labels)
     if inversion.exact.all():
-        return fidelity(MixedState(layout, inversion.matrices(inversion.counts[None])[0]), target), 0.0
+        return fidelity(tomography_linear(records, target.labels), target), 0.0
     # every trial's rho is one member of a stack: one checked MixedState, one fidelity call
     values = fidelity(MixedState(layout, inversion.matrices(inversion.redraw(trials, seed))), target)
     return float(np.mean(values)), float(np.std(values))

@@ -296,7 +296,7 @@ def _two_two_max(gamma: float) -> float:
     return _zoom_max(values, [0.0, -1.0], [1.0, 1.0], TWO_TWO_SLOPES)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def biseparable_bound_result(gamma: float) -> BisepBoundResult:
     """Maximum of <Jx^2 + Jy^2 + gamma Jz^2> over pure biseparable four-qubit states.
 
@@ -350,8 +350,7 @@ def _d3_projector_witness(k: int) -> np.ndarray:
     """(2/3) I - |D3(k)><D3(k)| for k in {1, 2}."""
     if k not in (1, 2):
         raise ValueError(f"excitation number k={k} must be 1 or 2")
-    d3 = dicke(3, k)
-    return (2.0 / 3.0) * np.eye(8) - np.outer(d3.amplitudes, d3.amplitudes.conj())
+    return (2.0 / 3.0) * np.eye(8) - dicke(3, k).density().matrix
 
 
 def _k_sign(k: int, string: str) -> float:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dickesim import cli
 from dickesim.cli import SCHEMAS, build_parser, main, parse_params, run_command
 from dickesim.fixtures import (
     CONVERSION_FILE,
@@ -102,6 +104,11 @@ class TestConfigParsing:
 
     def test_empty_object_allowed(self):
         assert parse_config_text("{}") == {}
+
+    @pytest.mark.parametrize("text,lineno", [("= 3", 1), ("p = 0.9\n  =x", 2), ("[s]\n\n = 1\n", 3)])
+    def test_empty_key(self, text, lineno):
+        with pytest.raises(ConfigError, match=f"config line {lineno} has an empty key"):
+            parse_config_text(text)
 
 
 class TestConfigSchema:
@@ -298,8 +305,30 @@ class TestQtcSweep:
                                                    "theta_max": theta}, args)
             assert code == 0 and data_rows(text) == [row]
 
+    @pytest.mark.parametrize("patch", ["theory", "band"])
+    def test_failed_physics_check_exits_one(self, tmp_path, monkeypatch, patch):
+        """A theory that misses the ideal fidelity fails both checks; a band that
+        misses the theory fails only the band check."""
+        if patch == "theory":
+            monkeypatch.setattr(cli, "qtc_theory_fidelity", lambda theta: 0.5)
+        else:
+            monkeypatch.setattr(cli, "qtc_mixed_band", lambda *a, **k: (k["ideal"] + 0.1,) * 2)
+        out = tmp_path / "q.json"
+        assert main(["qtc-sweep", "--format", "json", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["status"] == "FAIL"
+
 
 class TestOdtTable:
+    def test_failed_teleport_check_exits_one(self, tmp_path, monkeypatch):
+        real = cli.run_odt
+        monkeypatch.setattr(cli, "run_odt",
+                            lambda *a, **k: dataclasses.replace(real(*a, **k), teleport_fidelity=0.9))
+        out = tmp_path / "o.json"
+        assert main(["odt-table", "--format", "json", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["status"] == "FAIL"
+        assert {row["fidelity_ideal"] for row in report["rows"]} == {0.9}
+
     def test_twelve_ideal_rows(self, tmp_path):
         out = tmp_path / "o.json"
         assert main(["odt-table", "--format", "json", "--out", str(out)]) == 0

@@ -8,12 +8,16 @@ deliberate change to a report must regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-and say why in CHANGES.md.
+and say why in CHANGES.md. A mismatch names the first differing line and
+field, both values and their ulp distance, and the numpy and BLAS build, since
+last-bit changes usually come from other BLAS kernels rather than the code.
 """
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dickesim.cli import SCHEMAS, build_parser, run_command
@@ -40,11 +44,68 @@ def render(name: str, fmt: str) -> tuple[bytes, int]:
     return text.encode(), code
 
 
+def _fields(line: str, fmt: str) -> list[str]:
+    """A csv line's cells, or a json line's key and value."""
+    return line.split(",") if fmt == "csv" else line.strip().rstrip(",").split(": ", 1)
+
+
+def _ulps(a: float, b: float) -> int:
+    """Distance between two doubles in units in the last place (0 for -0.0 and 0.0)."""
+    ia, ib = (int(np.float64(x).view(np.int64)) for x in (a, b))
+    ia, ib = (i if i >= 0 else -(i & (2 ** 63 - 1)) for i in (ia, ib))
+    return abs(ia - ib)
+
+
+def _blas() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config without returning it
+        return "BLAS build unknown"
+    return (f"BLAS {blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no OpenBLAS configuration')})")
+
+
+def mismatch(report: bytes, golden: bytes, fmt: str) -> str:
+    """Where a report first departs from its golden file, and the numerics it ran on."""
+    got, want = report.decode().splitlines(), golden.decode().splitlines()
+    env = (f"numpy {np.__version__}; {_blas()}; "
+           f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', '(unset)')}")
+    i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    if i is None:
+        return f"report has {len(got)} lines, golden {len(want)}; {env}"
+    cells, golden_cells = _fields(got[i], fmt), _fields(want[i], fmt)
+    # the first differing cell, or the first one only one side has
+    j = next((j for j, pair in enumerate(zip(cells, golden_cells)) if pair[0] != pair[1]),
+             min(len(cells), len(golden_cells)))
+    header = next((line for line in want if not line.startswith("#")), "").split(",")
+    if fmt == "json":
+        field = golden_cells[0].strip('"') if len(golden_cells) == 2 else "(list item)"
+    else:
+        field = header[j] if j < len(header) else f"cell {j}"
+    value, expected = (c[j] if j < len(c) else "(none)" for c in (cells, golden_cells))
+    message = f"line {i + 1} ({want[i].strip()[:80]!r}), field {field}: {value} != golden {expected}"
+    try:
+        message += f" ({_ulps(float(value), float(expected))} ulps)"
+    except ValueError:
+        pass
+    return f"{message}; {env}"
+
+
 @pytest.mark.parametrize("name,fmt", REPORTS, ids=[f"{name}.{fmt}" for name, fmt in REPORTS])
 def test_report_matches_golden(name, fmt):
     report, code = render(name, fmt)
     assert code == 0
-    assert report == (GOLDEN / f"{name}.{fmt}").read_bytes()
+    golden = (GOLDEN / f"{name}.{fmt}").read_bytes()
+    assert report == golden, mismatch(report, golden, fmt)
+
+
+@pytest.mark.parametrize("fmt,got,want,where", [
+    ("csv", "# c\nx,y\n1,0.1\n", "# c\nx,y\n1,0.10000000000000002\n", "line 3 ('1,0.10000000000000002'), field y"),
+    ("json", '{\n  "y": 0.1,\n}', '{\n  "y": 0.10000000000000002,\n}', "line 2 ('\"y\": 0.10000000000000002,'), field y"),
+])
+def test_mismatch_names_line_field_and_ulps(fmt, got, want, where):
+    message = mismatch(got.encode(), want.encode(), fmt)
+    assert message.startswith(f"{where}: 0.1 != golden 0.10000000000000002 (1 ulps); numpy {np.__version__}")
 
 
 if __name__ == "__main__":

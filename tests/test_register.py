@@ -84,6 +84,47 @@ class TestStateValidation:
             state.amplitudes[0] = 0.0
 
 
+A, AB = RegisterLayout(("a",)), RegisterLayout(("a", "b"))
+KET_A = np.array([1, 0], dtype=complex)
+
+
+class TestShapeContracts:
+    """Each shape and length check on public input raises its own message."""
+
+    CASES = {
+        "ket-length": (lambda: PureState(A, np.ones(3) / math.sqrt(3)),
+                       "amplitude vector has length 3, layout needs 2"),
+        "ket-rows-length": (lambda: PureState(A, np.ones((2, 3)) / math.sqrt(3)),
+                            "amplitude vector has length 6, layout needs 2"),
+        "empty-ket-stack": (lambda: PureState(A, np.zeros((0, 2))),
+                            "a stack needs at least one member"),
+        "matrix-shape": (lambda: MixedState(A, np.eye(4) / 4),
+                         r"matrix shape \(4, 4\) does not match register dimension 2"),
+        "matrix-ndim": (lambda: MixedState(A, np.full((2, 2, 2, 2), 0.5)),
+                        r"matrix shape \(2, 2, 2, 2\) does not match register dimension 2"),
+        "empty-matrix-stack": (lambda: MixedState(A, np.zeros((0, 2, 2))),
+                               "a stack needs at least one member"),
+        "basis-ket-length": (lambda: basis_ket("010", ("a", "b")),
+                             "bitstring '010' does not match 2 qubits"),
+        "term-length": (lambda: register.from_terms([("01", 1), ("1", 1)], ("a", "b")),
+                        "bitstring '1' does not match 2 qubits"),
+        "gate-shape": (lambda: apply_gate(PureState(A, KET_A), np.eye(4), "a"),
+                       r"gate shape \(4, 4\) does not act on 1 qubits"),
+        "projection-bitstring": (lambda: project(PureState(AB, np.eye(4)[0]), "a", "01"),
+                                 "projection bitstring '01' does not match 1 qubits"),
+        "projection-ket-length": (lambda: project(PureState(AB, np.eye(4)[0]), "a", np.ones(3) / 2),
+                                  "projection ket has length 3, expected 2"),
+        "permutation-length": (lambda: permute_to(bell("psi+"), ("a",)),
+                               re.escape("label order ('a',) is not a permutation of ('a', 'b')")),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_raises_with_message(self, case):
+        build, message = self.CASES[case]
+        with pytest.raises(RegisterError, match=message):
+            build()
+
+
 class TestNanRejected:
     """NaN compares False with every tolerance, so each check is written to fail on it."""
 

@@ -8,6 +8,7 @@ import pytest
 
 from dickesim import (
     ClientParams,
+    RegisterError,
     WernerParams,
     bell,
     client_ket,
@@ -44,6 +45,12 @@ class TestDicke:
         state = dicke(3, 1)
         for bits in ("100", "010", "001"):
             assert state.amplitude(bits) == pytest.approx(1 / math.sqrt(3))
+
+    def test_amplitudes_are_ones_over_the_norm(self):
+        for n in range(1, 9):
+            for k in range(n + 1):
+                amps = np.array([bin(i).count("1") == k for i in range(2 ** n)], dtype=complex)
+                assert dicke(n, k).amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
 
     def test_d21_is_psi_plus(self):
         assert states_close(dicke(2, 1), bell("psi+"))
@@ -208,3 +215,20 @@ class TestClient:
     def test_full_dephasing_kills_coherence(self):
         rho = client_state(ClientParams(theta=math.pi / 2, dephase_lambda=1.0))
         assert abs(rho.matrix[0, 1]) == 0
+
+    def test_density_is_the_outer_product_scaled(self):
+        """Each member, alone or in a stack, is the elementwise outer product with its
+        off-diagonals times (1 - dephase_lambda), bit for bit."""
+        params = [ClientParams(theta=t, phi=f, dephase_lambda=lam)
+                  for t, f, lam in itertools.product((0.0, 0.7, 2.9, math.pi), (0.0, -1.3), (0.0, 0.18, 1.0))]
+        stack = client_state(params).matrix
+        for i, p in enumerate(params):
+            amps = np.array([p.alpha, p.beta])
+            rho, scale = np.outer(amps, amps.conj()), 1.0 - p.dephase_lambda
+            expected = np.array([[rho[0, 0], rho[0, 1] * scale], [rho[1, 0] * scale, rho[1, 1]]])
+            assert client_state(p).matrix.tobytes() == stack[i].tobytes() == expected.tobytes()
+
+    def test_empty_sequence_is_an_empty_stack(self):
+        for build in (client_ket, client_state):
+            with pytest.raises(RegisterError, match="at least one member"):
+                build([])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from dickesim import (
     tomography_linear,
     witness_projector_d3,
 )
+from dickesim.tomography import records_to_csv, records_to_json
 from dickesim.witnesses import Observable, pauli_matrix
 
 import oracles
@@ -476,6 +478,62 @@ class TestBootstrapOracle:
         assert unc > 0
         if case == "small-counts":
             assert kept > 0
+
+
+Z_SETTING = MeasurementSetting(("Z",))
+
+
+class TestRecordContracts:
+    """Each check on a record list raises its own message."""
+
+    CASES = {
+        "outcome-not-binary": (lambda: CountsRecord(Z_SETTING, {"0": 3, "2": 1}, 4.0, None),
+                               "bad outcome key '2'"),
+        "outcome-length": (lambda: CountsRecord(Z_SETTING, {"01": 1}, 1.0, None),
+                           "bad outcome key '01'"),
+        "no-records": (lambda: tomography_linear([]), "no records supplied"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_raises_with_message(self, case):
+        build, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+class TestReadOnlyCounts:
+    """A record keeps its own read-only copy of the counts, so the reconstruction
+    cached for a record list always reads the counts it was built from."""
+
+    def test_item_assignment_raises(self):
+        record = simulate_counts(bell("psi+"), MeasurementSetting(("X", "Y")), 100, seed=1)
+        with pytest.raises(TypeError):
+            record.counts["01"] += 500
+        with pytest.raises(TypeError):
+            del record.counts["01"]
+
+    def test_editing_the_callers_dict_leaves_the_record(self):
+        records = poisson_records(bell("psi+"), 2, 2000, seed=5)
+        given = dict(records[0].counts)
+        records[0] = CountsRecord(records[0].setting, given, 2000.0, seed=None)
+        before = fidelity(tomography_linear(records, ("a", "b")), bell("psi+"))
+        given["01"] += 500
+        assert records[0].counts["01"] == given["01"] - 500
+        # new record objects miss the cache, so this inverts the records' counts afresh
+        fresh = [CountsRecord(r.setting, r.counts, r.total_requested, r.seed) for r in records]
+        assert fidelity(tomography_linear(records, ("a", "b")), bell("psi+")) == before
+        assert fidelity(tomography_linear(fresh, ("a", "b")), bell("psi+")) == before
+
+    def test_csv_and_json_unchanged(self):
+        counts = {"1": 7, "0": 93}
+        record = CountsRecord(Z_SETTING, counts, 100.0, seed=1)
+        assert record.to_csv_rows() == [("Z", "0", "93"), ("Z", "1", "7")]
+        assert json.dumps(record.to_json_dict()) == (
+            '{"setting": "Z", "counts": {"0": 93, "1": 7}, "total_requested": 100.0, '
+            '"seed": 1, "exact": false}')
+        assert records_to_csv([record]) == "setting,outcome,count\nZ,0,93\nZ,1,7\n"
+        assert json.loads(records_to_json([record]))[0]["counts"] == counts
+        assert list(record.counts) == ["1", "0"]  # the caller's order, as before
 
 
 class TestSerialization:

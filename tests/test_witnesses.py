@@ -264,6 +264,10 @@ class TestBiseparableBound:
         assert per_class["0|123"] == pytest.approx(2 + math.sqrt(7), abs=1e-9)
         assert per_class["01|23"] == pytest.approx(oracles.b4_family_lower(-1.0), abs=1e-9)
 
+    def test_cache_is_bounded(self):
+        # a long-lived process scanning many gammas keeps at most 64 results
+        assert biseparable_bound_result.cache_info().maxsize == 64
+
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             biseparable_bound(0.5)
