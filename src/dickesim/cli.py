@@ -3,7 +3,7 @@ witness-scan, tomography-demo.
 
 Every command is deterministic under fixed (config, seed): reports embed the
 effective config, the seed, and the package version, and never timestamps.
-Exit codes: 0 all golden checks pass, 1 check failure, 2 config error.
+Exit codes: 0 all golden checks pass, 1 check failure, 2 config or invocation error.
 """
 from __future__ import annotations
 
@@ -65,6 +65,7 @@ from .witnesses import (
     MEASURED_J2,
     MEASURED_J2_ERR,
     PAPER_GAMMAS,
+    WitnessReport,
     biseparable_bound_result,
     collective_spin,
     fidelity_bound_from_d3_witness,
@@ -113,13 +114,18 @@ PROBABILITY = Number(0.0, 1.0)
 ANGLE = Number(0.0, math.pi)
 GAMMA = Number(B4_GAMMA_MIN, 0.0)
 DEVIATION = Number(0.0)
+# |moment| <= 1e100 keeps value and value / delta finite: a nonzero delta is >= sqrt(5e-324)
+MOMENT = Number(-1e100, 1e100)
 # (2 + B4_GAMMA_MIN^2) * 1e300 keeps the witness error's quadrature sum a finite float
 WITNESS_DEVIATION = Number(0.0, 1e150)
 COUNT = Number(1, whole=True)
+# theta and gamma grids: 1e4 noisy theta points hold about 0.6 GB, 1e4 b4 values take minutes
+GRID_POINTS = Number(1, 10 ** 4, whole=True)
 # Shots per setting: below numpy's Poisson limit (~9.2e18), and three records
 # pooled for one Pauli string still sum below 2^53, exact in any order.
 SHOTS = Number(1, 10 ** 15, whole=True)
-TRIALS = Number(10, whole=True)  # fewest bootstrap trials fidelity_with_error takes
+# 10 is the fewest trials fidelity_with_error takes; 1e5 take about 0.2 GB and 20 s a row
+TRIALS = Number(10, 10 ** 5, whole=True)
 
 # command -> (default report format, {key: (parser, default)}); a default is
 # used as it stands, and null is accepted only where the default is null.
@@ -130,7 +136,7 @@ SCHEMAS = {
         "max_depth": (COUNT, 8),
     }),
     "qtc-sweep": ("csv", {
-        "theta_points": (COUNT, 25),
+        "theta_points": (GRID_POINTS, 25),
         "theta_min": (ANGLE, 0.0),
         "theta_max": (ANGLE, math.pi),
         "p": (PROBABILITY, 1.0),
@@ -151,9 +157,9 @@ SCHEMAS = {
         "gammas": (ListOf(GAMMA), None),
         "gamma_min": (GAMMA, None),
         "gamma_max": (GAMMA, None),
-        "gamma_points": (COUNT, None),
+        "gamma_points": (GRID_POINTS, None),
         "source": (OneOf(("measured", "state")), "measured"),
-        **{name: (Number(), MEASURED_J2[name]) for name in MOMENTS},
+        **{name: (MOMENT, MEASURED_J2[name]) for name in MOMENTS},
         **{f"d_{name}": (WITNESS_DEVIATION, MEASURED_J2_ERR[name]) for name in MOMENTS},
         "werner_p": (PROBABILITY, None),
     }),
@@ -232,20 +238,21 @@ def _gamma_scan(gammas, moments: dict, errors: dict, fixtures_dir) -> tuple[list
         significance = value / delta if delta > 0 else None
         if gamma in b4_fixture:
             checks.append(_check(f"b4_fixture_match_gamma_{gamma}", b4, b4_fixture[gamma]))
-        entangled = significance < -1.0 if significance is not None else value < 0
         rows.append({
             "gamma": gamma,
             "b4": b4,
             "value": value,
             "delta": delta,
             "significance": significance,
-            "verdict": "multipartite-entangled" if entangled else "inconclusive",
+            "verdict": WitnessReport.build(f"wcs_gamma_{gamma}", value, delta).verdict,
         })
     return rows, checks
 
 
 def cmd_resource_check(cfg: dict, args) -> tuple:
     if args.regen_fixtures:
+        if args.fixtures_dir is None:  # the packaged fixtures are never rewritten
+            raise ConfigError("--regen-fixtures needs --fixtures-dir")
         regenerate_fixtures(args.fixtures_dir)
 
     circuit = load_conversion_circuit(args.fixtures_dir)
@@ -517,18 +524,19 @@ def main(argv=None) -> int:
         if args.config is not None:
             if not args.config.exists():
                 raise ConfigError(f"config file not found: {args.config}")
-            params = parse_config_text(args.config.read_text())
+            params = parse_config_text(args.config.read_text(encoding="utf-8"))
         text, code = run_command(args.command, params, args)
-    except ConfigError as err:
+        if args.out is not None:
+            args.out.write_text(text)
+        else:
+            sys.stdout.write(text)
+    # every path read or written comes from the command line (--config, --out, --fixtures-dir)
+    except (ConfigError, OSError, UnicodeDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except FixtureError as err:
         print(f"fixture error: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    if args.out is not None:
-        args.out.write_text(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

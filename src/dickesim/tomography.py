@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -89,7 +88,8 @@ class MeasurementSetting:
 @dataclass(frozen=True, eq=False)
 class CountsRecord:
     """Simulated coincidence counts for one measurement setting. `counts` is kept
-    as a read-only copy: reconstructions are cached on record identity."""
+    as a read-only copy, so a record is a value: neither an edit of the caller's
+    dict nor one through the record can change what it holds."""
 
     setting: MeasurementSetting
     counts: Mapping[str, float]
@@ -172,16 +172,16 @@ def _parity_table(records: Sequence[CountsRecord], strings: Sequence[str]) -> np
     XX, XY and XZ. The pooling weights are the absolute values.
     MissingSettingError names every string that no record with counts covers."""
     table = np.zeros((sum(len(r.counts) for r in records), len(strings)))
-    for j, string in enumerate(strings):
-        active = [i for i, p in enumerate(string) if p != "I"]
-        start = 0
-        for record in records:
-            letters = record.setting.letters()
+    start = 0
+    for record in records:
+        letters = record.setting.letters()
+        for j, string in enumerate(strings):
             if len(letters) == len(string) and all(p in ("I", l) for p, l in zip(string, letters)):
+                active = [i for i, p in enumerate(string) if p != "I"]
                 table[start:start + len(record.counts), j] = [
                     -1.0 if sum(int(outcome[i]) for i in active) % 2 else 1.0
                     for outcome in record.counts]
-            start += len(record.counts)
+        start += len(record.counts)
     covered = _column_counts(records) @ np.abs(table) > 0
     missing = tuple(s for s, ok in zip(strings, covered) if not ok)
     if missing:
@@ -234,62 +234,51 @@ def estimate_witness(records: Iterable[CountsRecord], observable: Observable) ->
     )
 
 
-class _Inversion:
-    """Linear inversion rho = 2^-k sum <P> P of one record list, built once and
-    applied to any stack of count vectors over its columns (one (record,
-    outcome) pair each, in record and dict order)."""
-
-    def __init__(self, records: tuple[CountsRecord, ...]):
-        if not records:
-            raise ValueError("no records supplied")
-        self.k = k = records[0].setting.n
-        if k > 2:
-            raise ValueError("linear inversion is provided for 1 or 2 qubits")
-        # a string with an I pools these, so they name every missing setting
-        _parity_table(records, ["".join(s) for s in itertools.product("XYZ", repeat=k)])
-        self.records = records
-        # the identity string comes first; its expectation is 1
-        strings = ["".join(combo) for combo in itertools.product("IXYZ", repeat=k)]
-        self.paulis = [pauli_matrix(s) for s in strings]
-        self.parity = _parity_table(records, strings[1:])
-        self.counts = _column_counts(records)
-        self.owner = np.repeat(np.arange(len(records)), [len(r.counts) for r in records])
-        self.exact = np.array([r.exact for r in records])[self.owner]
-
-    def matrices(self, counts: np.ndarray) -> np.ndarray:
-        """PSD reconstructions (trials x 2^k x 2^k), one per row of `counts`."""
-        values = np.ones((len(counts), len(self.paulis)))
-        # stochastic counts are integers, so these sums are exact in any order
-        values[:, 1:] = (counts @ self.parity) / (counts @ np.abs(self.parity))
-        dim = 2 ** self.k
-        rho = np.zeros((len(counts), dim, dim), dtype=complex)
-        for value, pauli in zip(values.T, self.paulis):
-            rho += value[:, None, None] * pauli
-        rho /= dim
-        return _project_psd(rho)
-
-    def redraw(self, trials: int, seed: int) -> np.ndarray:
-        """(trials x columns) parametric bootstrap counts.
-
-        Trial t redraws every stochastic column from Poisson(observed) with
-        default_rng((seed, t)), in column order; exact columns stay, and a
-        record whose redraw totals zero keeps its observed counts.
-        """
-        counts = np.tile(self.counts, (trials, 1))
-        stochastic = ~self.exact
-        for t in range(trials):
-            counts[t, stochastic] = np.random.default_rng((seed, t)).poisson(
-                self.counts[stochastic])
-        totals = counts @ (self.owner[:, None] == np.arange(len(self.records)))
-        keep = (totals == 0)[:, self.owner]
-        counts[keep] = np.broadcast_to(self.counts, counts.shape)[keep]
-        return counts
+def _inversion_parity(records: tuple[CountsRecord, ...]) -> tuple[int, np.ndarray]:
+    """(k, parity table) of the linear inversion of k <= 2 qubits, one table
+    column per non-identity Pauli string in product("IXYZ") order. Raises when
+    there are no records, then when k > 2, then naming every missing setting."""
+    if not records:
+        raise ValueError("no records supplied")
+    k = records[0].setting.n
+    if k > 2:
+        raise ValueError("linear inversion is provided for 1 or 2 qubits")
+    # a string with an I pools these, so they name every missing setting
+    _parity_table(records, ["".join(s) for s in itertools.product("XYZ", repeat=k)])
+    return k, _parity_table(records, ["".join(s) for s in itertools.product("IXYZ", repeat=k)][1:])
 
 
-@lru_cache(maxsize=1)
-def _inversion(records: tuple[CountsRecord, ...]) -> _Inversion:
-    """_Inversion(records), kept for a bootstrap of the same record objects."""
-    return _Inversion(records)
+def _invert(k: int, parity: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """PSD reconstructions rho = 2^-k sum <P> P (trials x 2^k x 2^k), one per
+    row of `counts`, a stack of count vectors over the parity table's columns."""
+    # the identity string comes first; its expectation is 1
+    values = np.ones((len(counts), 4 ** k))
+    # stochastic counts are integers, so these sums are exact in any order
+    values[:, 1:] = (counts @ parity) / (counts @ np.abs(parity))
+    rho = np.zeros((len(counts), 2 ** k, 2 ** k), dtype=complex)
+    for value, string in zip(values.T, itertools.product("IXYZ", repeat=k)):
+        rho += value[:, None, None] * pauli_matrix("".join(string))
+    rho /= 2 ** k
+    return _project_psd(rho)
+
+
+def _redraw(records: tuple[CountsRecord, ...], trials: int, seed: int) -> np.ndarray:
+    """(trials x columns) parametric bootstrap counts.
+
+    Trial t redraws every stochastic column from Poisson(observed) with
+    default_rng((seed, t)), in column order; exact columns stay, and a
+    record whose redraw totals zero keeps its observed counts.
+    """
+    observed = _column_counts(records)
+    owner = np.repeat(np.arange(len(records)), [len(r.counts) for r in records])
+    stochastic = ~np.array([r.exact for r in records])[owner]
+    counts = np.tile(observed, (trials, 1))
+    for t in range(trials):
+        counts[t, stochastic] = np.random.default_rng((seed, t)).poisson(observed[stochastic])
+    totals = counts @ (owner[:, None] == np.arange(len(records)))
+    keep = (totals == 0)[:, owner]
+    counts[keep] = np.broadcast_to(observed, counts.shape)[keep]
+    return counts
 
 
 def tomography_linear(records: Iterable[CountsRecord],
@@ -301,10 +290,11 @@ def tomography_linear(records: Iterable[CountsRecord],
     have none. Negative eigenvalues from shot noise are clipped to zero and
     the trace renormalized.
     """
-    inversion = _inversion(tuple(records))
+    records = tuple(records)
+    k, parity = _inversion_parity(records)
     layout = RegisterLayout(tuple(labels) if labels is not None
-                            else tuple(f"q{i}" for i in range(inversion.k)))
-    return MixedState(layout, inversion.matrices(inversion.counts[None])[0])
+                            else tuple(f"q{i}" for i in range(k)))
+    return MixedState(layout, _invert(k, parity, _column_counts(records)[None])[0])
 
 
 def _project_psd(rho: np.ndarray) -> np.ndarray:
@@ -342,12 +332,11 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     if not trials >= 10:
         raise ValueError("need at least 10 bootstrap trials")
     records = tuple(records)
-    inversion = _inversion(records)
-    layout = RegisterLayout(target.labels)
-    if inversion.exact.all():
-        return fidelity(tomography_linear(records, target.labels), target), 0.0
+    k, parity = _inversion_parity(records)  # every inversion error comes before any draw
+    exact = all(r.exact for r in records)
+    counts = _column_counts(records)[None] if exact else _redraw(records, trials, seed)
     # every trial's rho is one member of a stack: one checked MixedState, one fidelity call
-    values = fidelity(MixedState(layout, inversion.matrices(inversion.redraw(trials, seed))), target)
+    values = fidelity(MixedState(RegisterLayout(target.labels), _invert(k, parity, counts)), target)
     return float(np.mean(values)), float(np.std(values))
 
 

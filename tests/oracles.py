@@ -336,6 +336,33 @@ def b4_family_lower(gamma: float) -> float:
     return dense_expectation(op, np.kron(pair, pair))
 
 
+def b4_one_three_lower(gamma: float) -> float:
+    """Expectation on a 1|3 product state: a feasible value, so b4 >= it.
+
+    The lone qubit points along (sin t, 0, cos t); the other three take the top
+    eigenvector of F_B + sin t J_Bx + gamma cos t J_Bz, which gives
+    (2 + gamma)/4 + lambda_max(...). t is the best point of a POLYGON_SIDES
+    grid over [0, pi], refined by golden-section search between its neighbours.
+    """
+    f_b, jx, jz = _spin_parts(3, gamma)
+
+    def value(t):
+        t = np.atleast_1d(t)
+        return (2 + gamma) / 4 + _top_eigvals(f_b, jx, jz, np.sin(t), gamma * np.cos(t))
+
+    grid = np.linspace(0.0, np.pi, POLYGON_SIDES + 1)
+    best = int(np.argmax(value(grid)))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, POLYGON_SIDES)]
+    shrink = (np.sqrt(5) - 1) / 2
+    for _ in range(60):
+        a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        if value(a)[0] < value(b)[0]:
+            lo = a
+        else:
+            hi = b
+    return float(max(value(grid[best])[0], value((lo + hi) / 2)[0]))
+
+
 def b4_one_three_upper(gamma: float) -> float:
     """Proven upper bound on the 1|3 maximum.
 

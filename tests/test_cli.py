@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dickesim import cli
 from dickesim.cli import SCHEMAS, build_parser, main, parse_params, run_command
@@ -20,6 +20,7 @@ from dickesim.fixtures import (
     regenerate_fixtures,
 )
 from dickesim.reporting import ConfigError, ListOf, Number, OneOf, Row, parse_config_text
+from dickesim.witnesses import B4_GAMMA_MIN, WitnessReport, propagate_wcs_error
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SCHEMA_KEYS = [(command, key) for command, (_, schema) in SCHEMAS.items() for key in schema]
@@ -126,6 +127,28 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             parse_params(command, {key: bad})
 
+    @pytest.mark.parametrize("command,key,bound", [
+        ("qtc-sweep", "theta_points", 10 ** 4),
+        ("witness-scan", "gamma_points", 10 ** 4),
+        ("odt-table", "trials", 10 ** 5),
+        ("tomography-demo", "trials", 10 ** 5),
+    ])
+    def test_size_bounds(self, tmp_path, capsys, monkeypatch, command, key, bound):
+        """Grid sizes and bootstrap trials are bounded at parse time. No command
+        runs here: each is replaced by a stub that fails if it is reached."""
+        assert parse_params(command, {key: bound})[key] == bound
+        with pytest.raises(ConfigError, match=rf"{key} must be a whole number in \[\d+, {bound}\]"):
+            parse_params(command, {key: bound + 1})
+
+        def unreachable(cfg, args):
+            raise AssertionError(f"{command} ran with {key} = {cfg[key]}")
+        monkeypatch.setitem(cli.COMMANDS, command, unreachable)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: bound + 1}))
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_readme_table_lists_the_schema_keys(self):
         section = README.read_text().split("### Config files", 1)[1].split("\n#", 1)[0]
         documented, command = {}, None
@@ -147,6 +170,30 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["qtc-sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("case,message", [
+        ("config-is-a-directory", "[Errno 21] Is a directory"),
+        ("out-in-missing-directory", "[Errno 2] No such file or directory"),
+        ("regen-into-packaged-fixtures", "--regen-fixtures needs --fixtures-dir"),
+    ])
+    def test_invocation_error_is_config_error(self, tmp_path, capsys, case, message):
+        argv = {
+            "config-is-a-directory": ["qtc-sweep", "--config", str(tmp_path)],
+            "out-in-missing-directory": ["qtc-sweep", "--out", str(tmp_path / "no" / "q.csv")],
+            "regen-into-packaged-fixtures": ["resource-check", "--regen-fixtures"],
+        }[case]
+        packaged = {path.name: path.read_bytes() for path in DEFAULT_DIR.iterdir()}
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert {path.name: path.read_bytes() for path in DEFAULT_DIR.iterdir()} == packaged
+
+    def test_stdout_report_equals_out_file(self, tmp_path, capsysbinary):
+        out = tmp_path / "w.csv"
+        assert main(["witness-scan", "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert main(["witness-scan"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
     def test_missing_fixture_dir_is_check_failure(self, tmp_path, capsys):
         empty = tmp_path / "fixtures"
@@ -183,6 +230,12 @@ class TestExitCodes:
         ("witness-scan", "jx2 = \"abc\"\n"),
         ("witness-scan", "d_jx2 = -1\n"),
         ("witness-scan", "d_jx2 = 1e300\nd_jy2 = 1e300\n"),
+        # a value of -inf before the moments were bounded
+        ("witness-scan", '{"gammas": [-1.0], "jx2": 1e308, "jy2": 1e308}'),
+        # a significance of -inf before the moments were bounded
+        ("witness-scan", '{"gammas": [-1.0], "jx2": 1e150, "d_jx2": 1e-160, "d_jy2": 0, "d_jz2": 0}'),
+        ("witness-scan", "jz2 = -1.1e100\n"),
+        ("qtc-sweep", b"theta_points = 5\n# caf\xe9\n"),  # Latin-1, not UTF-8
         ("witness-scan", "source = magic\n"),
         ("tomography-demo", "trials = 0\n"),
         ("tomography-demo", "n_per_setting = 2.5\n"),
@@ -192,7 +245,7 @@ class TestExitCodes:
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, config_text):
         config = tmp_path / "c.cfg"
-        config.write_text(config_text)
+        config.write_bytes(config_text if isinstance(config_text, bytes) else config_text.encode())
         assert main([command, "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
@@ -394,6 +447,39 @@ class TestWitnessScan:
         out = tmp_path / "w.csv"
         assert main(["witness-scan", "--out", str(out)]) == 0
         assert "does not reach threshold -15" in out.read_text()
+
+    def test_moments_at_their_bound_stay_finite(self):
+        """At the moment bound and the smallest nonzero error, value and significance are finite."""
+        d_min = 1.6e-162  # its square rounds up to the smallest subnormal, 5e-324
+        assert propagate_wcs_error(B4_GAMMA_MIN, d_min, 0.0, 0.0) == math.sqrt(5e-324)
+        config = {"gammas": [B4_GAMMA_MIN], "jx2": 1e100, "jy2": 1e100, "jz2": -1e100,
+                  "d_jx2": d_min, "d_jy2": 0.0, "d_jz2": 0.0}
+        args = build_parser().parse_args(["witness-scan", "--format", "json"])
+        text, code = run_command("witness-scan", config, args)
+        row = json.loads(text)["rows"][0]
+        assert code == 0 and row["delta"] == math.sqrt(5e-324)
+        assert math.isfinite(row["value"]) and math.isfinite(row["significance"])
+        assert row["significance"] < -1e262 and row["verdict"] == "multipartite-entangled"
+
+    @settings(derandomize=True, max_examples=300)
+    @given(value=st.floats(-1e300, 1e300), delta=st.just(0.0) | st.floats(0.0, 1e300),
+           ulps=st.none() | st.integers(-2, 2))
+    @example(value=-0.0, delta=0.0, ulps=None)
+    @example(value=-5e-324, delta=0.0, ulps=None)
+    @example(value=0.0, delta=5e-324, ulps=-1)
+    @example(value=0.0, delta=1.4999999999999998, ulps=1)
+    def test_verdict_rule_matches_the_significance_rule(self, value, delta, ulps):
+        """WitnessReport.build's rule value + delta < 0 is the scan's former rule,
+        significance < -1 for delta > 0 and value < 0 for delta = 0. With `ulps`
+        the value is -delta moved by that many ulps, where the rules could part."""
+        if ulps is not None:
+            value = -delta
+            for _ in range(abs(ulps)):
+                value = float(np.nextafter(value, -math.inf if ulps > 0 else math.inf))
+        significance = value / delta if delta > 0 else None
+        entangled = significance < -1.0 if significance is not None else value < 0
+        verdict = WitnessReport.build("w", value, delta).verdict
+        assert verdict == ("multipartite-entangled" if entangled else "inconclusive")
 
     @pytest.mark.parametrize("config,gammas", [
         ({"gamma_min": -3, "gamma_max": 0, "gamma_points": 10}, np.linspace(-3, 0, 10)),

@@ -500,10 +500,30 @@ class TestRecordContracts:
         with pytest.raises(ValueError, match=message):
             build()
 
+    @pytest.mark.parametrize("case", ["no-records", "three-qubits", "missing-setting"])
+    def test_inversion_errors_come_before_any_draw(self, monkeypatch, case):
+        """No records, then more than two qubits, then missing settings; the
+        bootstrap draws nothing before any of them."""
+        records = {
+            "no-records": [],
+            # three qubits and missing settings: the qubit count is named
+            "three-qubits": [simulate_counts(dicke(3, 1), MeasurementSetting("ZZZ"), 100, seed=1)],
+            "missing-setting": poisson_records(bell("psi+"), 2, 100, seed=1)[1:],
+        }[case]
+
+        def no_draw(*args):
+            raise AssertionError("bootstrap drew before the inversion checks")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        expected = {"no-records": pytest.raises(ValueError, match="no records supplied"),
+                    "three-qubits": pytest.raises(ValueError, match="1 or 2 qubits"),
+                    "missing-setting": pytest.raises(MissingSettingError, match=r"\['XX'\]")}
+        with expected[case]:
+            fidelity_with_error(records, bell("psi+"), trials=10)
+
 
 class TestReadOnlyCounts:
-    """A record keeps its own read-only copy of the counts, so the reconstruction
-    cached for a record list always reads the counts it was built from."""
+    """A record keeps its own read-only copy of the counts, so it is a value:
+    what it holds does not change after it is built."""
 
     def test_item_assignment_raises(self):
         record = simulate_counts(bell("psi+"), MeasurementSetting(("X", "Y")), 100, seed=1)
@@ -519,7 +539,6 @@ class TestReadOnlyCounts:
         before = fidelity(tomography_linear(records, ("a", "b")), bell("psi+"))
         given["01"] += 500
         assert records[0].counts["01"] == given["01"] - 500
-        # new record objects miss the cache, so this inverts the records' counts afresh
         fresh = [CountsRecord(r.setting, r.counts, r.total_requested, r.seed) for r in records]
         assert fidelity(tomography_linear(records, ("a", "b")), bell("psi+")) == before
         assert fidelity(tomography_linear(fresh, ("a", "b")), bell("psi+")) == before
