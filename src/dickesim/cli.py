@@ -120,19 +120,25 @@ MOMENT = Number(-1e100, 1e100)
 WITNESS_DEVIATION = Number(0.0, 1e150)
 COUNT = Number(1, whole=True)
 # theta and gamma grids: 1e4 noisy theta points hold about 0.6 GB, 1e4 b4 values take minutes
-GRID_POINTS = Number(1, 10 ** 4, whole=True)
+GRID_MAX = 10 ** 4
+GRID_POINTS = Number(1, GRID_MAX, whole=True)
+GAMMA_LIST = ListOf(GAMMA, GRID_MAX)
 # Shots per setting: below numpy's Poisson limit (~9.2e18), and three records
 # pooled for one Pauli string still sum below 2^53, exact in any order.
 SHOTS = Number(1, 10 ** 15, whole=True)
 # 10 is the fewest trials fidelity_with_error takes; 1e5 take about 0.2 GB and 20 s a row
 TRIALS = Number(10, 10 ** 5, whole=True)
+# odt-table rows: twice the reference table, so at TRIALS' maximum (20 s a row,
+# one row at a time) the longest accepted table finishes in about 8 minutes
+ODT_ROWS = ListOf(Row((OneOf(("01", "10")), ANGLE, OneOf(RESOURCE_LABELS), PROBABILITY, DEVIATION),
+                      required=3), 2 * len(ODT_TABLE_I))
 
 # command -> (default report format, {key: (parser, default)}); a default is
 # used as it stands, and null is accepted only where the default is null.
 SCHEMAS = {
     "resource-check": ("json", {
         "werner_p": (PROBABILITY, None),
-        "gamma_grid": (ListOf(GAMMA), PAPER_GAMMAS),
+        "gamma_grid": (GAMMA_LIST, PAPER_GAMMAS),
         "max_depth": (COUNT, 8),
     }),
     "qtc-sweep": ("csv", {
@@ -148,13 +154,12 @@ SCHEMAS = {
     "odt-table": ("csv", {
         "werner_p": (PROBABILITY, None),
         "dephase_lambda": (PROBABILITY, 0.0),
-        "configurations": (ListOf(Row((OneOf(("01", "10")), ANGLE, OneOf(RESOURCE_LABELS),
-                                       PROBABILITY, DEVIATION), required=3)), ODT_TABLE_I),
+        "configurations": (ODT_ROWS, ODT_TABLE_I),
         "n_per_setting": (SHOTS, None),
         "trials": (TRIALS, 50),
     }),
     "witness-scan": ("csv", {
-        "gammas": (ListOf(GAMMA), None),
+        "gammas": (GAMMA_LIST, None),
         "gamma_min": (GAMMA, None),
         "gamma_max": (GAMMA, None),
         "gamma_points": (GRID_POINTS, None),

@@ -2,7 +2,8 @@
 
 Both protocols tensor a client qubit X onto the four-qubit resource, apply
 CX with X as control and the port as target, and project (X, port) onto the
-four sigma-x (x) sigma-z outcomes in one loop (_bell_branches). Telecloning
+four sigma-x (x) sigma-z outcomes at once (_bell_stack): one branch-major
+post-state stack holds every outcome that does not vanish. Telecloning
 corrects every outcome; open-destination teleportation first projects the
 other two server qubits and keeps only |+1> (psi+). Clone and receiver
 fidelities are evaluated against the client's actual input state (equal to
@@ -10,8 +11,8 @@ the pure target ket whenever the client is pure), matching how the
 experiment scores its output states.
 
 Telecloning takes a sequence of clients as one stack (see register): a whole
-theta grid is one pass through the register, and a single client is the
-one-member stack.
+theta grid and all four outcomes are one pass through the register, and a
+single client is the one-member stack.
 """
 from __future__ import annotations
 
@@ -151,27 +152,42 @@ def bell_measure(state: State, q1: str, q2: str) -> list[BranchOutcome]:
     branch that vanishes for some members only raises RegisterError: one
     post-state stack cannot hold it.
     """
-    branches = _bell_branches(apply_gate(state, CX, (q1, q2)), q1, q2)
-    total = sum(b.probability for b in branches)
-    if np.any(np.abs(total - 1.0) > BRANCH_SUM_TOL):
-        raise RegisterError(f"branch probabilities sum to {total}, not 1")
-    return branches
+    return _bell_branches(apply_gate(state, CX, (q1, q2)), q1, q2)
 
 
 def _bell_branches(rotated: State, q1: str, q2: str) -> list[BranchOutcome]:
+    """_bell_stack's outcomes one by one, each post-state a view of the shared stack."""
+    probs, post, kept = _bell_stack(rotated, q1, q2)
+    posts = dict(zip(kept, post.blocks(rotated.stack_shape)))
+    return [BranchOutcome(label, probs[b], posts.get(b)) for b, label in enumerate(BELL_LABELS)]
+
+
+def _bell_stack(rotated: State, q1: str, q2: str) -> tuple[np.ndarray, State, list[int]]:
     """Project (q1, q2) of a state already rotated by CX onto the four
-    sigma-x (x) sigma-z outcomes, in BELL_LABELS order."""
-    branches = []
-    for bell_label, ket in zip(BELL_LABELS, _BELL_KETS):
-        try:
-            prob, post = project(rotated, (q1, q2), ket)
-        except ImpossibleBranchError as err:
-            if np.any(err.probability >= BRANCH_TOL):
+    sigma-x (x) sigma-z outcomes at once.
+
+    Returns the (4, *stack) probabilities in BELL_LABELS order, one branch-major
+    post-state stack of the outcomes kept, and their indices. An outcome that
+    vanishes for every member is not kept; one that vanishes for some members
+    only raises RegisterError: one post-state stack cannot hold it.
+    """
+    kept = list(range(len(BELL_LABELS)))
+    try:
+        probs, post = project(rotated, (q1, q2), _BELL_KETS)
+    except ImpossibleBranchError as err:
+        probs, post = np.maximum(err.probability, 0.0), None
+        present = (err.probability >= BRANCH_TOL).reshape(len(kept), -1)
+        for b, label in enumerate(BELL_LABELS):
+            if present[b].any() and not present[b].all():
                 raise RegisterError(
-                    f"Bell outcome {bell_label} vanishes for some stack members only") from None
-            prob, post = np.maximum(err.probability, 0.0), None
-        branches.append(BranchOutcome(bell_label, prob, post))
-    return branches
+                    f"Bell outcome {label} vanishes for some stack members only") from None
+        kept = [b for b in kept if present[b].all()]
+    total = sum(probs)
+    if np.any(np.abs(total - 1.0) > BRANCH_SUM_TOL):
+        raise RegisterError(f"branch probabilities sum to {total}, not 1")
+    if post is None:  # some outcome vanished everywhere: project onto the kept ones only
+        post = project(rotated, (q1, q2), _BELL_KETS[kept])[1]
+    return probs, post, kept
 
 
 def derive_correction_table(resource: PureState, port: str = "b") -> dict[str, str]:
@@ -244,29 +260,27 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     single = isinstance(client, ClientParams)
     clients = [client] if single else list(client)
     client_in = _client_input(clients)
-    raw_branches = bell_measure(tensor(client_in, resource), CLIENT_LABEL, port)
+    rotated = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, port))
+    probs, post, kept = _bell_stack(rotated, CLIENT_LABEL, port)
 
-    branches = []
-    fidelities: dict[str, dict[str, np.ndarray]] = {}
+    # each kept outcome's P on every clone, as one gate P (x) P (x) P on its block;
+    # entries 0, +-1, +-i multiply exactly
+    gates = np.array([pauli_matrix(table[BELL_LABELS[b]] * len(clone_labels)) for b in kept])
+    corrected = apply_gate(post, gates, clone_labels)
+    # the client once per kept outcome, scored against all outcomes' clones at once
+    repeated = client_in.tiled(len(kept))
+    per_clone = {label: fidelity(repeated, partial_trace(corrected, (label,))).reshape(len(kept), -1)
+                 for label in clone_labels}
     average = np.zeros(len(clients))
-    for branch in raw_branches:
-        pauli = table[branch.outcome_label]
-        if branch.post_state is None:
-            branches.append(BranchOutcome(branch.outcome_label, branch.probability, None, pauli))
-            continue
-        # P on every clone as one gate P (x) P (x) P; entries 0, +-1, +-i multiply exactly
-        corrected = apply_gate(branch.post_state, pauli_matrix(pauli * len(clone_labels)), clone_labels)
-        branches.append(BranchOutcome(branch.outcome_label, branch.probability, corrected, pauli))
-        per_clone = {}
-        for label in clone_labels:
-            reduced = partial_trace(corrected, (label,))
-            per_clone[label] = fidelity(client_in, reduced)
-        fidelities[branch.outcome_label] = per_clone
-        average += branch.probability * (sum(per_clone.values()) / len(per_clone))
+    for prob, mean in zip(probs[kept], sum(per_clone.values()) / len(per_clone)):
+        average += prob * mean
+    posts = dict(zip(kept, corrected.blocks(client_in.stack_shape)))
     result = QtcResult(
-        branches=tuple(branches),
+        branches=tuple(BranchOutcome(label, probs[b], posts.get(b), table[label])
+                       for b, label in enumerate(BELL_LABELS)),
         clone_labels=clone_labels,
-        clone_fidelities=fidelities,
+        clone_fidelities={BELL_LABELS[b]: {label: f[i] for label, f in per_clone.items()}
+                          for i, b in enumerate(kept)},
         average_clone_fidelity=average,
         port=port,
     )

@@ -12,8 +12,8 @@ bit for bit, and every member of a stack gets the checks a single state gets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Sequence, Union
 
@@ -113,6 +113,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tile(arr: np.ndarray, sides: int, times: int) -> np.ndarray:
+    """A read-only stack of `times` copies of arr's members, block after block."""
+    flat = arr.reshape((-1,) + arr.shape[arr.ndim - sides:])
+    out = np.tile(flat, (times,) + (1,) * sides)
+    out.setflags(write=False)
+    return out
+
+
 def _require(ok: np.ndarray, stacked: bool, message) -> None:
     """Raise RegisterError(message(i)) for the first member i not flagged in `ok`
     (a NaN fails every `x <= tol` flag), naming the member when the state is a stack."""
@@ -146,6 +154,25 @@ class _State:
     def member(self, index: int):
         """Member `index` of a stack, as a single (checked) state."""
         return type(self)(self.layout, self._array[index])
+
+    def blocks(self, stack_shape: tuple[int, ...]) -> list:
+        """A branch-major stack, as `project` gives for a table of kets, cut into
+        consecutive blocks of stack shape `stack_shape` (() for single states).
+        The blocks are views of members already checked here, so none is checked again."""
+        arr = self._array.reshape((-1, *stack_shape) + self._array.shape[-self.SIDES:])
+        return [self._trusted(self.layout, block) for block in arr]
+
+    def tiled(self, times: int):
+        """The members `times` over as one stack: member b*S + s is member s (a
+        single state counts as S = 1). They were checked here, so they are not checked again."""
+        return self._trusted(self.layout, _tile(self._array, self.SIDES, times))
+
+    @classmethod
+    def _trusted(cls, layout: RegisterLayout, arr: np.ndarray):
+        """A state over `layout` from a read-only array of checked members, without checking."""
+        state = object.__new__(cls)
+        state.__dict__.update(zip((f.name for f in fields(cls)), (layout, arr)))
+        return state
 
     def _tensor(self) -> np.ndarray:
         return self._array.reshape(self.stack_shape + (2,) * (self.SIDES * self.n))
@@ -236,6 +263,23 @@ class MixedState(_State):
     def density(self) -> "MixedState":
         return self
 
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Each member's PSD square root (eigenvalues clipped at 0), read-only;
+        taken at most once, as the state never changes."""
+        vals, vecs = np.linalg.eigh(self.matrix)
+        vals = np.clip(vals, 0.0, None)
+        out = (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+        out.setflags(write=False)
+        return out
+
+    def tiled(self, times: int) -> "MixedState":
+        """As for any state; the tile's square root is this state's, tiled, so its
+        fidelities take no eigendecomposition of their own."""
+        out = super().tiled(times)
+        out.__dict__["root"] = _tile(self.root, self.SIDES, times)
+        return out
+
 
 State = Union[PureState, MixedState]
 
@@ -274,12 +318,17 @@ def tensor(s1: State, s2: State) -> State:
     return (PureState if pure else MixedState)(layout, np.kron(a, b))
 
 
-def _check_unitary(gate: np.ndarray, k: int) -> np.ndarray:
+def _check_unitary(gate: np.ndarray, k: int, stack_shape: tuple[int, ...]) -> np.ndarray:
+    """One 2^k x 2^k unitary, or a table of B of them whose B divides the stack's size."""
     gate = np.asarray(gate, dtype=complex)
     d = 2 ** k
-    if gate.shape != (d, d):
+    if gate.shape[-2:] != (d, d):
         raise RegisterError(f"gate shape {gate.shape} does not act on {k} qubits")
-    if not np.abs(gate.conj().T @ gate - np.eye(d)).max() <= NORM_TOL:
+    if gate.ndim > 2 and not (gate.ndim == 3 and stack_shape and len(gate)
+                              and stack_shape[0] % len(gate) == 0):
+        raise RegisterError(f"a table of {gate.shape[:-2]} gates does not split "
+                            f"stack shape {stack_shape} into equal blocks")
+    if not np.abs(np.swapaxes(gate.conj(), -1, -2) @ gate - np.eye(d)).max() <= NORM_TOL:
         raise RegisterError("gate matrix is not unitary within 1e-10")
     return gate
 
@@ -298,58 +347,77 @@ def _matrices(t: np.ndarray, lead: int, rows: Sequence[int], cols: Sequence[int]
 
 def _apply_to_axes(t: np.ndarray, gate: np.ndarray, axes: Sequence[int], lead: int) -> np.ndarray:
     """Multiply the named axes of t by a 2^k x 2^k gate, or contract them with a
-    1 x 2^k bra, which drops them; the other axes keep their order."""
+    1 x 2^k bra, which drops them; the other axes keep their order. The gate may
+    carry stack axes of its own, which broadcast against t's `lead` stack axes:
+    np.matmul still makes one BLAS call per member, with the shapes and strides
+    of a single gate on that member."""
     free = [i for i in range(lead, t.ndim) if i not in axes]
-    order = [*range(lead), *(axes if len(gate) > 1 else ()), *free]
-    out = (gate @ _matrices(t, lead, axes, free)).reshape([t.shape[i] for i in order])
+    order = [*range(lead), *(axes if gate.shape[-2] > 1 else ()), *free]
+    out = gate @ _matrices(t, lead, axes, free)
+    out = out.reshape(out.shape[:lead] + tuple(t.shape[i] for i in order[lead:]))
     return out.transpose(sorted(range(len(order)), key=order.__getitem__))  # undo the regrouping
 
 
 def apply_gate(state: State, gate: np.ndarray, labels: Sequence[str] | str) -> State:
     """Embed a k-qubit unitary at the named positions and apply it (to every member):
-    the gate on the rows, its conjugate on a density matrix's columns."""
+    the gate on the rows, its conjugate on a density matrix's columns. A stack of
+    S members may take a B x 2^k x 2^k table of gates instead, B dividing S: gate
+    b acts on the b-th block of S/B consecutive members, as on a branch-major
+    stack from `project` (B = S gives every member a gate of its own)."""
     pos = state.layout.positions(labels)
-    gate = _check_unitary(gate, len(pos))
-    lead = len(state.stack_shape)
+    gate = _check_unitary(gate, len(pos), state.stack_shape)
     t = state._tensor()
+    if gate.ndim == 3:  # the stack axis as (block, member in block); gate b broadcasts over block b
+        t, gate = t.reshape((len(gate), -1) + t.shape[1:]), gate[:, None]
+    lead = t.ndim - state.SIDES * state.n
     for side, g in zip(range(state.SIDES), (gate, gate.conj())):
         t = _apply_to_axes(t, g, [lead + side * state.n + p for p in pos], lead)
     return state._like(state.layout, t)
 
 
-def _projection_ket(onto: np.ndarray | str, k: int) -> np.ndarray:
+def _projection_kets(onto: np.ndarray | str, k: int) -> np.ndarray:
+    """A bitstring or a ket as a 1 x 2^k table, or a B x 2^k table of kets as it is."""
     if isinstance(onto, str):
         if len(onto) != k:
             raise RegisterError(f"projection bitstring {onto!r} does not match {k} qubits")
-        vec = np.zeros(2 ** k, dtype=complex)
-        vec[int(onto, 2)] = 1.0
-        return vec
-    vec = np.asarray(onto, dtype=complex).reshape(-1)
-    if vec.shape != (2 ** k,):
-        raise RegisterError(f"projection ket has length {vec.shape[0]}, expected {2 ** k}")
-    if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:
+        kets = np.zeros((1, 2 ** k), dtype=complex)
+        kets[0, int(onto, 2)] = 1.0
+        return kets
+    kets = np.asarray(onto, dtype=complex)
+    if kets.ndim != 2:
+        kets = kets.reshape(1, -1)
+        if kets.shape[1] != 2 ** k:
+            raise RegisterError(f"projection ket has length {kets.shape[1]}, expected {2 ** k}")
+    elif kets.shape[1] != 2 ** k or not len(kets):
+        raise RegisterError(f"projection kets have shape {kets.shape}, expected (B, {2 ** k})")
+    if not (abs(np.linalg.norm(kets, axis=1) - 1.0) <= NORM_TOL).all():
         raise RegisterError("projection ket is not normalized")
-    return vec
+    return kets
 
 
 def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
-    """Project the named qubits onto a ket.
+    """Project the named qubits onto a ket, or onto each ket of a B x 2^k table.
 
     Returns (probability, post-state on the remaining labels); the post-state
     is renormalized. Raises ImpossibleBranchError when the branch probability
     is below 1e-12. For a stack the probability is an array with one entry
     per member, and the error is raised when any member's branch vanishes.
+    A table adds a leading axis of B to the probabilities and returns one
+    branch-major post-state stack of B*S members, member b*S + s being member
+    s projected onto ket b (a single state counts as S = 1); the error is
+    raised when any branch of any member vanishes. Every member is
+    projected as a single ket would project it alone, bit for bit.
     """
     pos = state.layout.positions(labels)
-    ket = _projection_ket(onto, len(pos))
-    lead = state.stack_shape
+    kets = _projection_kets(onto, len(pos))
+    lead = (len(kets),) + state.stack_shape
     rest = RegisterLayout(tuple(x for i, x in enumerate(state.labels) if i not in pos))
-    t = state._tensor()
+    t = state._tensor()[None]  # a branch axis, which the table's stack axis fills
     # the bra contracts the rows, the ket a density matrix's columns, which
     # sit behind the n - k rows left after the first contraction
-    for side, vec in zip(range(state.SIDES), (ket.conj(), ket)):
+    for side, vecs in zip(range(state.SIDES), (kets.conj(), kets)):
         axes = [len(lead) + side * rest.n + p for p in pos]
-        t = _apply_to_axes(t, vec[None, :], axes, len(lead))
+        t = _apply_to_axes(t, vecs.reshape(len(kets), *(1,) * len(lead), -1), axes, len(lead))
     t = t.reshape(lead + (rest.dim,) * state.SIDES)
     if state.SIDES == 1:
         prob = np.real(_dots(t, t))
@@ -357,7 +425,10 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
     else:
         prob = norm = np.real(np.trace(t, axis1=-2, axis2=-1))
     _check_branch(prob, [state.labels[p] for p in pos])
-    return _scalar(prob), state._like(rest, t / norm.reshape(lead + (1,) * state.SIDES))
+    post = t / norm.reshape(lead + (1,) * state.SIDES)
+    if np.ndim(onto) == 2:
+        return prob, type(state)(rest, post.reshape((-1,) + post.shape[len(lead):]))
+    return _scalar(prob[0]), state._like(rest, post[0])
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -408,12 +479,6 @@ def permute_to(state: State, label_order: Sequence[str]) -> State:
     return state._like(RegisterLayout(order), state._tensor().transpose([*range(lead), *axes]))
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-
-
 def _aligned_pair(s1: State, s2: State) -> tuple[State, State]:
     if s1.labels == s2.labels:
         return s1, s2
@@ -446,8 +511,7 @@ def fidelity(s1: State, s2: State):
         return _scalar(np.clip(val, 0.0, 1.0))
     if isinstance(s2, PureState):
         return fidelity(s2, s1)
-    root = _psd_sqrt(s1.matrix)
-    inner = root @ s2.matrix @ root
+    inner = s1.root @ s2.matrix @ s1.root
     sums = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
     # a NumPy scalar's ** 2 is libm pow, an array's is x * x: square each member's sum alone
     return _scalar(np.array([min(total ** 2, 1.0) for total in sums.reshape(-1)]).reshape(lead))

@@ -78,13 +78,16 @@ class OneOf(NamedTuple):
 
 
 class ListOf(NamedTuple):
-    """Parser for a JSON list whose every item parses with `item`."""
+    """Parser for a JSON list of at most `most` items, each parsed with `item`."""
 
     item: Callable[[str, Any], Any]
+    most: int
 
     def __call__(self, key: str, value: Any) -> list:
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list, got {value!r}")
+        if len(value) > self.most:
+            raise ConfigError(f"{key} must list at most {self.most} entries, got {len(value)}")
         return [self.item(key, entry) for entry in value]
 
 

@@ -139,12 +139,29 @@ class TestConfigSchema:
         assert parse_params(command, {key: bound})[key] == bound
         with pytest.raises(ConfigError, match=rf"{key} must be a whole number in \[\d+, {bound}\]"):
             parse_params(command, {key: bound + 1})
+        self._refused_unrun(tmp_path, capsys, monkeypatch, command, {key: bound + 1})
 
+    @pytest.mark.parametrize("command,key,entry,bound", [
+        ("resource-check", "gamma_grid", -1.0, 10 ** 4),
+        ("witness-scan", "gammas", -1.0, 10 ** 4),
+        ("odt-table", "configurations", ["01", 0.0, "a"], 24),
+    ])
+    def test_list_length_bounds(self, tmp_path, capsys, monkeypatch, command, key, entry, bound):
+        """List lengths are bounded at parse time, as sizes are; nothing runs at a bound."""
+        assert len(parse_params(command, {key: [entry] * bound})[key]) == bound
+        with pytest.raises(ConfigError, match=f"{key} must list at most {bound} entries, got {bound + 1}"):
+            parse_params(command, {key: [entry] * (bound + 1)})
+        self._refused_unrun(tmp_path, capsys, monkeypatch, command, {key: [entry] * (bound + 1)})
+
+    @staticmethod
+    def _refused_unrun(tmp_path, capsys, monkeypatch, command, params):
+        """`main` exits 2 with one line on `params`, with the command replaced by a
+        stub that fails if it is reached."""
         def unreachable(cfg, args):
-            raise AssertionError(f"{command} ran with {key} = {cfg[key]}")
+            raise AssertionError(f"{command} ran with {params}")
         monkeypatch.setitem(cli.COMMANDS, command, unreachable)
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({key: bound + 1}))
+        config.write_text(json.dumps(params))
         assert main([command, "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1

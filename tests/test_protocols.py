@@ -21,8 +21,10 @@ from dickesim import (
     client_state,
     derive_correction_table,
     dicke,
+    fidelity,
     partial_trace,
     permute_to,
+    project,
     qtc_mixed_band,
     qtc_theory_fidelity,
     run_odt,
@@ -236,6 +238,51 @@ class TestStackedTelecloning:
     def test_pure_and_dephased_clients_do_not_share_a_stack(self):
         with pytest.raises(ValueError, match="all pure or all dephased"):
             run_qtc([ClientParams(theta=1.0), ClientParams(theta=1.0, dephase_lambda=0.1)])
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["kets", "densities"])
+    def test_bell_branches_keep_only_outcomes_present_for_every_member(self, mixed):
+        """(X, b) reads |0>|0> or |0>|1>: the psi outcomes need b = 1, the phi outcomes b = 0."""
+        def state(*bits):
+            kets = PureState(RegisterLayout(("X", "b", "c")),
+                             np.array([basis_ket(x, ("X", "b", "c")).amplitudes for x in bits]))
+            return kets.density() if mixed else kets
+
+        def array(s):
+            return s.matrix if mixed else s.amplitudes
+        single = state("001").member(0)
+        for rotated, members in ((single, [single]), (state("001", "000"), None)):
+            members = members or [rotated.member(s) for s in range(2)]
+            branches = protocols._bell_branches(rotated, "X", "b")
+            assert [b.post_state is None for b in branches] == [False, False, True, True]
+            for branch, ket in zip(branches, protocols._BELL_KETS[:2]):
+                singles = [project(m, ("X", "b"), ket) for m in members]
+                assert list(np.reshape(branch.probability, -1)) == [prob for prob, _ in singles]
+                post = array(branch.post_state).reshape((len(members), -1))
+                assert all(np.array_equal(post[s], array(alone).reshape(-1))
+                           for s, (_, alone) in enumerate(singles))
+        with pytest.raises(RegisterError, match="Bell outcome phi\\+ vanishes for some stack members only"):
+            protocols._bell_branches(state("001", "010"), "X", "b")
+
+    def test_square_root_is_taken_once(self, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        clients = [ClientParams(theta=t, phi=0.4, dephase_lambda=0.2) for t in THETA_GRID]
+        resource = werner_dicke(0.8)
+        result = run_qtc(clients, resource=resource, port="d")
+        assert shapes == [(len(THETA_GRID), 2, 2)]  # the client stack's, for all twelve fidelities
+        fresh = client_state(clients)
+        for branch in result.branches:
+            for label in result.clone_labels:
+                assert np.array_equal(fidelity(fresh, partial_trace(branch.post_state, (label,))),
+                                      result.clone_fidelities[branch.outcome_label][label])
+        shapes.clear()
+        run_qtc([ClientParams(theta=t, phi=0.4) for t in THETA_GRID], resource=resource, port="d")
+        assert shapes == []
 
     def test_branch_vanishing_for_some_members_only_raises(self):
         # the port reads |0>, so the psi branches vanish exactly when beta = 0

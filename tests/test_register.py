@@ -110,10 +110,16 @@ class TestShapeContracts:
                         "bitstring '1' does not match 2 qubits"),
         "gate-shape": (lambda: apply_gate(PureState(A, KET_A), np.eye(4), "a"),
                        r"gate shape \(4, 4\) does not act on 1 qubits"),
+        "gate-table-shape": (lambda: apply_gate(PureState(A, np.eye(2)), np.array([np.eye(2)] * 3), "a"),
+                             re.escape("a table of (3,) gates does not split stack shape (2,) into equal blocks")),
+        "gate-table-empty": (lambda: apply_gate(PureState(A, np.eye(2)), np.zeros((0, 2, 2)), "a"),
+                             re.escape("a table of (0,) gates does not split stack shape (2,) into equal blocks")),
         "projection-bitstring": (lambda: project(PureState(AB, np.eye(4)[0]), "a", "01"),
                                  "projection bitstring '01' does not match 1 qubits"),
         "projection-ket-length": (lambda: project(PureState(AB, np.eye(4)[0]), "a", np.ones(3) / 2),
                                   "projection ket has length 3, expected 2"),
+        "projection-table-width": (lambda: project(PureState(AB, np.eye(4)[0]), "a", np.eye(4)),
+                                   r"projection kets have shape \(4, 4\), expected \(B, 2\)"),
         "permutation-length": (lambda: permute_to(bell("psi+"), ("a",)),
                                re.escape("label order ('a',) is not a permutation of ('a', 'b')")),
     }
@@ -551,6 +557,14 @@ class TestStacks:
         out = apply_gate(stack, gate, labels)
         assert out.stack_shape == (len(members),)
         assert _same_members(out, [apply_gate(m, gate, labels) for m in members])
+        # a table of B gates, B dividing S (B = S: one per member): member s as gate
+        # s // (S / B) on member s alone
+        blocks = data.draw(st.sampled_from([b for b in range(1, len(members) + 1) if len(members) % b == 0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        gates = np.array([oracles.haar_unitary(rng, 2 ** len(labels)) for _ in range(blocks)])
+        size = len(members) // blocks
+        assert _same_members(apply_gate(stack, gates, labels),
+                             [apply_gate(m, gates[s // size], labels) for s, m in enumerate(members)])
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(data=st.data())
@@ -563,6 +577,21 @@ class TestStacks:
         singles = [project(m, labels, ket) for m in members]
         assert all(probs[i] == prob for i, (prob, _) in enumerate(singles))
         assert _same_members(post, [state for _, state in singles])
+        # a table of B kets: block b is the stack projected onto ket b, member by member,
+        # for the stack and for a single state (one member, no stack axis)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        kets = np.array([oracles.haar_ket(rng, 2 ** len(labels))
+                         for _ in range(data.draw(st.integers(1, 4)))])
+        for state in (stack, members[0]):
+            probs, post = project(state, labels, kets)
+            assert probs.shape == (len(kets),) + state.stack_shape
+            alone = [state.member(s) for s in range(len(members))] if state.stack_shape else [state]
+            assert post.stack_shape == (len(kets) * len(alone),)
+            for b, ket in enumerate(kets):
+                singles = [project(m, labels, ket) for m in alone]
+                assert list(probs[b].reshape(-1)) == [prob for prob, _ in singles]
+                assert all(np.array_equal(_array(post)[b * len(alone) + s], _array(single))
+                           for s, (_, single) in enumerate(singles))
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(data=st.data())
@@ -592,6 +621,20 @@ class TestStacks:
         values = fidelity(first, second)
         assert all(values[i] == fidelity(a, b)
                    for i, (a, b) in enumerate(zip(first_members, second_members[:size])))
+
+    def test_tiles_and_blocks_keep_the_members(self):
+        rng = np.random.default_rng(5)
+        layout = RegisterLayout(("a",))
+        stack = MixedState(layout, np.array([oracles.random_density(rng, 2) for _ in range(3)]))
+        tile = stack.tiled(2)
+        assert _same_members(tile, [stack.member(s % 3) for s in range(6)])
+        assert all(_same_members(block, [stack.member(s) for s in range(3)]) for block in tile.blocks((3,)))
+        # the tile's square root is the stack's, tiled: equal to the root of a fresh copy
+        assert np.array_equal(tile.root, MixedState(layout, tile.matrix).root)
+        assert stack.root is stack.root and not stack.root.flags.writeable
+        single = stack.member(1)
+        assert [np.array_equal(block.matrix, single.matrix) for block in single.tiled(2).blocks(())] == [
+            True, True]
 
     def test_uhlmann_square_is_taken_per_member(self):
         # for this pair the root-eigenvalue sum squared by libm pow (a NumPy
