@@ -7,7 +7,10 @@ significant bit of the computational-basis index.
 A state may also be a stack: one leading axis of members over the same
 layout (amplitudes of shape (S, dim), matrices of shape (S, dim, dim)).
 Every operation below acts on each member as it would on that member alone,
-bit for bit, and every member of a stack gets the checks a single state gets.
+bit for bit. The PureState and MixedState constructors check and copy an
+array from outside, every member of a stack as a single state. An operation
+derives its result from checked states, so the result is valid by
+construction up to rounding and is built unchecked, through _State._trusted.
 """
 from __future__ import annotations
 
@@ -21,17 +24,7 @@ import numpy as np
 
 NORM_TOL = 1e-10
 PSD_TOL = -1e-8
-# MixedState certifies positivity by a Cholesky factorisation of rho + s*I with
-# s = -PSD_TOL - margin. It completes only if every eigenvalue of rho is above
-# -s - e, where the backward error e is at most about 4 d^2 u ||rho|| (Higham, Accuracy
-# and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 10). The Hermitian and
-# trace checks run first, so ||rho|| is about 1 near the threshold and e < 5e-13 at
-# d <= 32. A margin of PSD_MARGIN, scaled by (d / 32)^2 above that, exceeds e, so a
-# completed factorisation proves every eigenvalue above PSD_TOL and eigvalsh would
-# pass the member too. eigvalsh decides and words every failure.
-PSD_MARGIN = 1e-12
 BRANCH_TOL = 1e-12
-CHECK_BYTES = 2 ** 17  # bytes of a stacked check's block: bounds each temporary
 
 PAULI_I = np.array([[1, 0], [0, 1]], dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -106,19 +99,17 @@ class RegisterLayout:
         return tuple(self.position(x) for x in named.labels)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    # C order: every stored member is unit-stride, as member() returns it
-    out = np.array(arr, dtype=complex, order="C", copy=True)
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """arr as read-only complex in C order (each member unit-stride), copied only if it is not already."""
+    out = np.ascontiguousarray(arr, dtype=complex)
     out.setflags(write=False)
     return out
 
 
 def _tile(arr: np.ndarray, sides: int, times: int) -> np.ndarray:
-    """A read-only stack of `times` copies of arr's members, block after block."""
+    """A stack of `times` copies of arr's members, block after block."""
     flat = arr.reshape((-1,) + arr.shape[arr.ndim - sides:])
-    out = np.tile(flat, (times,) + (1,) * sides)
-    out.setflags(write=False)
-    return out
+    return np.tile(flat, (times,) + (1,) * sides)
 
 
 def _require(ok: np.ndarray, stacked: bool, message) -> None:
@@ -152,34 +143,41 @@ class _State:
         return self._array.shape[:-self.SIDES]
 
     def member(self, index: int):
-        """Member `index` of a stack, as a single (checked) state."""
-        return type(self)(self.layout, self._array[index])
+        """Member `index` of a stack (a single state counts as a stack of one)."""
+        members = self._array.reshape((-1,) + self._array.shape[-self.SIDES:])
+        return self._trusted(self.layout, members[index])
 
     def blocks(self, stack_shape: tuple[int, ...]) -> list:
         """A branch-major stack, as `project` gives for a table of kets, cut into
-        consecutive blocks of stack shape `stack_shape` (() for single states).
-        The blocks are views of members already checked here, so none is checked again."""
+        consecutive blocks of stack shape `stack_shape` (() for single states),
+        each a view of this state's members."""
         arr = self._array.reshape((-1, *stack_shape) + self._array.shape[-self.SIDES:])
         return [self._trusted(self.layout, block) for block in arr]
 
     def tiled(self, times: int):
         """The members `times` over as one stack: member b*S + s is member s (a
-        single state counts as S = 1). They were checked here, so they are not checked again."""
+        single state counts as S = 1)."""
         return self._trusted(self.layout, _tile(self._array, self.SIDES, times))
 
     @classmethod
     def _trusted(cls, layout: RegisterLayout, arr: np.ndarray):
-        """A state over `layout` from a read-only array of checked members, without checking."""
+        """A state over `layout`, unchecked, from an array an operation derived
+        from checked states; every register operation returns through here.
+        Such a result is exact to rounding for exact inputs, but an input at a
+        tolerance edge can give one past the tolerance, which is not refused:
+        density() of a ket of norm 1 + 0.9e-10 has trace 1 + 1.8e-10, and
+        project divides by a branch probability as small as BRANCH_TOL, which
+        scales up any slightly negative eigenvalue its input carried."""
         state = object.__new__(cls)
-        state.__dict__.update(zip((f.name for f in fields(cls)), (layout, arr)))
+        state.__dict__.update(zip((f.name for f in fields(cls)), (layout, _owned(arr))))
         return state
 
     def _tensor(self) -> np.ndarray:
         return self._array.reshape(self.stack_shape + (2,) * (self.SIDES * self.n))
 
     def _like(self, layout: RegisterLayout, t: np.ndarray):
-        """A checked state of this kind and stack shape over `layout`, from a tensor."""
-        return type(self)(layout, t.reshape(self.stack_shape + (layout.dim,) * self.SIDES))
+        """A state of this kind and stack shape over `layout`, from a tensor derived from this one."""
+        return self._trusted(layout, t.reshape(self.stack_shape + (layout.dim,) * self.SIDES))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +194,7 @@ class PureState(_State):
         amps = np.asarray(self.amplitudes)
         if not (amps.ndim == 2 and amps.shape[1] == self.layout.dim):
             amps = amps.reshape(-1)
-        amps = _freeze(amps)
+        amps = _owned(np.array(amps, dtype=complex, order="C"))
         if amps.shape[-1] != self.layout.dim:
             raise RegisterError(
                 f"amplitude vector has length {amps.shape[-1]}, layout needs {self.layout.dim}")
@@ -216,7 +214,7 @@ class PureState(_State):
 
     def density(self) -> "MixedState":
         amps = self.amplitudes
-        return MixedState(self.layout, amps[..., :, None] * amps.conj()[..., None, :])
+        return MixedState._trusted(self.layout, amps[..., :, None] * amps.conj()[..., None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,30 +228,22 @@ class MixedState(_State):
     SIDES = 2
 
     def __post_init__(self):
-        mat = _freeze(np.asarray(self.matrix))
+        mat = _owned(np.array(self.matrix, dtype=complex, order="C"))
         d = self.layout.dim
         if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d):
             raise RegisterError(f"matrix shape {mat.shape} does not match register dimension {d}")
         if mat.size == 0:
             raise RegisterError("a stack needs at least one member")
         flat, stacked = mat.reshape(-1, d, d), mat.ndim == 3
-        # a block at a time, so a stack needs no temporary of its own size
-        step = max(1, CHECK_BYTES // flat[0].nbytes)
-        blocks = [flat[i:i + step] for i in range(0, len(flat), step)]
-        skew = np.concatenate([abs(b - b.conj().transpose(0, 2, 1)).max(axis=(1, 2)) for b in blocks])
+        skew = abs(flat - flat.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         _require(skew <= NORM_TOL, stacked,
                  lambda i: f"matrix is not Hermitian within 1e-10 (skew {skew[i]})")
         tr = flat.trace(axis1=1, axis2=2)
         _require(abs(tr - 1.0) <= NORM_TOL, stacked,
                  lambda i: f"trace {complex(tr[i])} deviates from 1 beyond {NORM_TOL}")
-        shift = (-PSD_TOL - PSD_MARGIN * max(1.0, (d / 32) ** 2)) * np.eye(d)
-        try:
-            for b in blocks:
-                np.linalg.cholesky(b + shift)  # reads the lower triangle, as eigvalsh does
-        except np.linalg.LinAlgError:
-            lo = np.linalg.eigvalsh(flat)[:, 0]  # ascending: each member's smallest
-            _require(lo >= PSD_TOL, stacked,
-                     lambda i: f"matrix has eigenvalue {float(lo[i])} below PSD tolerance {PSD_TOL}")
+        lo = np.linalg.eigvalsh(flat)[:, 0]  # ascending: each member's smallest
+        _require(lo >= PSD_TOL, stacked,
+                 lambda i: f"matrix has eigenvalue {float(lo[i])} below PSD tolerance {PSD_TOL}")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -269,15 +259,13 @@ class MixedState(_State):
         taken at most once, as the state never changes."""
         vals, vecs = np.linalg.eigh(self.matrix)
         vals = np.clip(vals, 0.0, None)
-        out = (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-        out.setflags(write=False)
-        return out
+        return _owned((vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2))
 
     def tiled(self, times: int) -> "MixedState":
         """As for any state; the tile's square root is this state's, tiled, so its
         fidelities take no eigendecomposition of their own."""
         out = super().tiled(times)
-        out.__dict__["root"] = _tile(self.root, self.SIDES, times)
+        out.__dict__["root"] = _owned(_tile(self.root, self.SIDES, times))
         return out
 
 
@@ -315,7 +303,7 @@ def tensor(s1: State, s2: State) -> State:
     pure = isinstance(s1, PureState) and isinstance(s2, PureState)
     a, b = (s.amplitudes if pure else s.density().matrix for s in (s1, s2))
     # np.kron prepends the single factor's missing stack axis
-    return (PureState if pure else MixedState)(layout, np.kron(a, b))
+    return (PureState if pure else MixedState)._trusted(layout, np.kron(a, b))
 
 
 def _check_unitary(gate: np.ndarray, k: int, stack_shape: tuple[int, ...]) -> np.ndarray:
@@ -427,7 +415,7 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
     _check_branch(prob, [state.labels[p] for p in pos])
     post = t / norm.reshape(lead + (1,) * state.SIDES)
     if np.ndim(onto) == 2:
-        return prob, type(state)(rest, post.reshape((-1,) + post.shape[len(lead):]))
+        return prob, state._trusted(rest, post.reshape((-1,) + post.shape[len(lead):]))
     return _scalar(prob[0]), state._like(rest, post[0])
 
 
@@ -465,7 +453,7 @@ def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
         for p in sorted(drop_pos, reverse=True):
             row = len(lead) + p
             t = np.trace(t, axis1=row, axis2=row + (t.ndim - len(lead)) // 2)
-    return MixedState(kept_layout, t.reshape(lead + (kept_layout.dim,) * 2))
+    return MixedState._trusted(kept_layout, t.reshape(lead + (kept_layout.dim,) * 2))
 
 
 def permute_to(state: State, label_order: Sequence[str]) -> State:

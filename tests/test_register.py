@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +33,6 @@ from dickesim import (
 from dickesim import register
 from dickesim.register import (
     AXIS_BASES,
-    CHECK_BYTES,
     HADAMARD,
     PAULI_X,
     PAULI_Z,
@@ -637,15 +635,21 @@ class TestStacks:
             True, True]
 
     def test_uhlmann_square_is_taken_per_member(self):
-        # for this pair the root-eigenvalue sum squared by libm pow (a NumPy
-        # scalar's ** 2) and by x * x (an array's ** 2) differ in the last bit
-        rng = np.random.default_rng(69)
-        rho, sigma = (oracles.random_density(rng, 2) for _ in range(2))
+        # the first pair whose root-eigenvalue sum squared by libm pow (a NumPy
+        # scalar's ** 2) and by x * x (an array's ** 2) differ in the last bit;
+        # which pair that is depends on the eigenvalue bits the BLAS kernels give
+        for seed in range(4000):
+            rng = np.random.default_rng(seed)
+            rho, sigma = (oracles.random_density(rng, 2) for _ in range(2))
+            vals, vecs = np.linalg.eigh(rho)
+            root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+            total = np.sum(np.sqrt(np.linalg.eigvalsh(root @ sigma @ root)))
+            if total ** 2 != (np.array([total]) ** 2)[0]:
+                break
+        else:
+            pytest.fail("no seed below 4000 gives a pair whose squares by pow and by x * x differ "
+                        "under the loaded BLAS kernels (see OPENBLAS_CORETYPE)")
         layout = RegisterLayout(("a",))
-        vals, vecs = np.linalg.eigh(rho)
-        root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-        total = np.sum(np.sqrt(np.linalg.eigvalsh(root @ sigma @ root)))
-        assert total ** 2 != (np.array([total]) ** 2)[0]
         single = fidelity(MixedState(layout, rho), MixedState(layout, sigma))
         stack = MixedState(layout, np.array([rho, np.eye(2) / 2, rho]))
         assert list(fidelity(stack, MixedState(layout, sigma))) == [
@@ -757,9 +761,7 @@ class TestPsdCertificate:
                 MixedState(RegisterLayout(FIVE[:n]), m)
             assert str(exc.value) == _psd_message(m)
 
-    # at d = 32 a block holds CHECK_BYTES // 16 KiB = 8 members; bad member 9 is in the second
-    @pytest.mark.parametrize("bad", [0, CHECK_BYTES // (32 * 32 * 16) + 1],
-                             ids=["first-block", "second-block"])
+    @pytest.mark.parametrize("bad", [0, 9], ids=["first-member", "tenth-member"])
     def test_stack_names_its_bad_member(self, bad):
         members = [_spectral_member(32, 0.0, seed=i) for i in range(12)]
         members[bad] = _spectral_member(32, PSD_TOL - 1e-9, seed=99)
@@ -769,19 +771,13 @@ class TestPsdCertificate:
 
 
 class TestPsdCheckCost:
-    """A valid stack is certified without an eigensolve and in bounded extra memory."""
+    """One eigensolve decides a stack and names its first bad member."""
 
     @staticmethod
     def _count_eigvalsh(monkeypatch) -> list:
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
         return calls
-
-    def test_valid_stack_computes_no_eigenvalues(self, monkeypatch):
-        stack = _valid_stack()
-        calls = self._count_eigvalsh(monkeypatch)
-        MixedState(RegisterLayout(FIVE), stack)
-        assert len(calls) == 0
 
     def test_invalid_stack_computes_eigenvalues_once(self, monkeypatch):
         stack = _valid_stack()
@@ -790,16 +786,6 @@ class TestPsdCheckCost:
         with pytest.raises(RegisterError, match="stack member 57: matrix has eigenvalue"):
             MixedState(RegisterLayout(FIVE), stack)
         assert len(calls) == 1
-
-    def test_peak_memory_is_one_copy_and_a_few_blocks(self):
-        stack = _valid_stack()
-        tracemalloc.start()
-        try:
-            MixedState(RegisterLayout(FIVE), stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= stack.nbytes + 4 * CHECK_BYTES
 
 
 SIX = ("a", "b", "c", "d", "e", "f")
@@ -951,6 +937,43 @@ class TestTensorIsKron:
             first, second = first.density(), second.density()
         with pytest.raises(RegisterError, match="two stacks"):
             tensor(first, second)
+
+
+class TestDerivedStatesPassTheChecks:
+    """Operations build their results unchecked. Each result is stored read-only
+    in C order, and the public constructor accepts it and stores the same bytes."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data(), pure=st.booleans(), stacked=st.booleans())
+    def test_every_result_is_a_valid_state(self, data, pure, stacked):
+        n = data.draw(st.integers(1, 5))
+        size = data.draw(st.integers(1, 6)) if stacked else None
+        if pure and stacked:
+            state = PureState(RegisterLayout(SIX[:n]), data.draw(ket_stacks(n=n, size=size))[1])
+        else:
+            state = data.draw(single_states(SIX[:n], pure, size))
+        other = data.draw(single_states(("f",), data.draw(st.booleans())))
+        labels = data.draw(some_labels(state, min(2, n)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        d = 2 ** len(labels)
+        results = [tensor(state, other), tensor(other, state),
+                   apply_gate(state, oracles.haar_unitary(rng, d), labels), partial_trace(state, labels),
+                   permute_to(state, data.draw(st.permutations(state.labels))), state.density(),
+                   state.member(-1), *state.blocks(()), state.tiled(2), *state.tiled(2).blocks(state.stack_shape)]
+        if stacked:  # a table of gates, one per member
+            table = np.array([oracles.haar_unitary(rng, d) for _ in range(size)])
+            results.append(apply_gate(state, table, labels))
+        if len(labels) < n:
+            kets = np.array([oracles.haar_ket(rng, d) for _ in range(2)])
+            for onto in ("0" * len(labels), kets[0], kets):
+                try:
+                    results.append(project(state, labels, onto)[1])
+                except ImpossibleBranchError:
+                    pass
+        for out in results:
+            arr = _array(out)
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+            assert np.array_equal(_array(type(out)(out.layout, arr)), arr)
 
 
 class TestReadOnlyConstants:
