@@ -2,17 +2,20 @@
 
 Both protocols tensor a client qubit X onto the four-qubit resource, apply
 CX with X as control and the port as target, and project (X, port) onto the
-four sigma-x (x) sigma-z outcomes at once (_bell_stack): one branch-major
-post-state stack holds every outcome that does not vanish. Telecloning
-corrects every outcome; open-destination teleportation first projects the
-other two server qubits and keeps only |+1> (psi+). Clone and receiver
-fidelities are evaluated against the client's actual input state (equal to
-the pure target ket whenever the client is pure), matching how the
-experiment scores its output states.
+four sigma-x (x) sigma-z outcomes at once (_bell_stack): one post-state
+stack, of shape (outcome, *clients), holds every outcome that does not
+vanish. Telecloning corrects every outcome; open-destination teleportation
+first projects the other two server qubits and keeps only |+1> (psi+).
+Clone and receiver fidelities are evaluated against the client's actual
+input state (equal to the pure target ket whenever the client is pure),
+matching how the experiment scores its output states.
 
 Telecloning takes a sequence of clients as one stack (see register): a whole
 theta grid and all four outcomes are one pass through the register, and a
-single client is the one-member stack.
+single client is the one-member stack. Stacks meet by the register's one
+rule, numpy broadcasting: each outcome's correction is a (K, 1) gate stack
+over the (K, S) post-states, and the (S,) client stack is scored against
+the (K, S) clones as it is.
 """
 from __future__ import annotations
 
@@ -152,13 +155,8 @@ def bell_measure(state: State, q1: str, q2: str) -> list[BranchOutcome]:
     branch that vanishes for some members only raises RegisterError: one
     post-state stack cannot hold it.
     """
-    return _bell_branches(apply_gate(state, CX, (q1, q2)), q1, q2)
-
-
-def _bell_branches(rotated: State, q1: str, q2: str) -> list[BranchOutcome]:
-    """_bell_stack's outcomes one by one, each post-state a view of the shared stack."""
-    probs, post, kept = _bell_stack(rotated, q1, q2)
-    posts = dict(zip(kept, post.blocks(rotated.stack_shape)))
+    probs, post, kept = _bell_stack(apply_gate(state, CX, (q1, q2)), q1, q2)
+    posts = {b: post.member(i) for i, b in enumerate(kept)}  # views of the shared stack
     return [BranchOutcome(label, probs[b], posts.get(b)) for b, label in enumerate(BELL_LABELS)]
 
 
@@ -166,8 +164,8 @@ def _bell_stack(rotated: State, q1: str, q2: str) -> tuple[np.ndarray, State, li
     """Project (q1, q2) of a state already rotated by CX onto the four
     sigma-x (x) sigma-z outcomes at once.
 
-    Returns the (4, *stack) probabilities in BELL_LABELS order, one branch-major
-    post-state stack of the outcomes kept, and their indices. An outcome that
+    Returns the (4, *stack) probabilities in BELL_LABELS order, the (K, *stack)
+    post-states of the K outcomes kept, and their indices. An outcome that
     vanishes for every member is not kept; one that vanishes for some members
     only raises RegisterError: one post-state stack cannot hold it.
     """
@@ -263,18 +261,16 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     rotated = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, port))
     probs, post, kept = _bell_stack(rotated, CLIENT_LABEL, port)
 
-    # each kept outcome's P on every clone, as one gate P (x) P (x) P on its block;
-    # entries 0, +-1, +-i multiply exactly
+    # each kept outcome's P on every clone, as one gate P (x) P (x) P on its row of
+    # post-states; entries 0, +-1, +-i multiply exactly
     gates = np.array([pauli_matrix(table[BELL_LABELS[b]] * len(clone_labels)) for b in kept])
-    corrected = apply_gate(post, gates, clone_labels)
-    # the client once per kept outcome, scored against all outcomes' clones at once
-    repeated = client_in.tiled(len(kept))
-    per_clone = {label: fidelity(repeated, partial_trace(corrected, (label,))).reshape(len(kept), -1)
-                 for label in clone_labels}
+    corrected = apply_gate(post, gates[:, None], clone_labels)
+    # the (S,) clients against the (K, S) clones: one square root serves every row
+    per_clone = {label: fidelity(client_in, partial_trace(corrected, (label,))) for label in clone_labels}
     average = np.zeros(len(clients))
     for prob, mean in zip(probs[kept], sum(per_clone.values()) / len(per_clone)):
         average += prob * mean
-    posts = dict(zip(kept, corrected.blocks(client_in.stack_shape)))
+    posts = {b: corrected.member(i) for i, b in enumerate(kept)}
     result = QtcResult(
         branches=tuple(BranchOutcome(label, probs[b], posts.get(b), table[label])
                        for b, label in enumerate(BELL_LABELS)),
@@ -335,21 +331,20 @@ def run_odt(client: ClientParams, resource: State | None = None, port: str = "b"
     full = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, port))
     prob_sodt, after_sodt = project(full, sodt, sodt_projection)
 
-    branches = dict(zip(_BELL_XZ, _bell_branches(after_sodt, CLIENT_LABEL, port)))
-    accepted = branches.pop("+1")  # psi+
-    if accepted.post_state is None:
+    probs, post, kept = _bell_stack(after_sodt, CLIENT_LABEL, port)
+    accepted = _BELL_XZ.index("+1")  # psi+
+    if accepted not in kept:
         raise ImpossibleBranchError(
-            f"outcome |+1> of {(CLIENT_LABEL, port)} has probability {accepted.probability}",
-            accepted.probability)
-    receiver_mixed = accepted.post_state.density()
+            f"outcome |+1> of {(CLIENT_LABEL, port)} has probability {probs[accepted]}", probs[accepted])
+    receiver_mixed = post.member(kept.index(accepted)).density()
     return OdtResult(
         projection_used=sodt_projection,
         receiver=receiver,
         port=port,
-        success_probability=float(prob_sodt * accepted.probability),
+        success_probability=float(prob_sodt * probs[accepted]),
         sodt_probability=float(prob_sodt),
         receiver_state=receiver_mixed,
         teleport_fidelity=fidelity(client_in, receiver_mixed),
         intermediate_state=after_sodt,
-        alternative_outcomes=tuple((xz, float(b.probability)) for xz, b in branches.items()),
+        alternative_outcomes=tuple((xz, float(q)) for xz, q in zip(_BELL_XZ, probs) if xz != "+1"),
     )

@@ -4,11 +4,14 @@ States are immutable values over an ordered register of labeled qubits.
 Basis ordering is big-endian in layout order: the first label is the most
 significant bit of the computational-basis index.
 
-A state may also be a stack: one leading axis of members over the same
-layout (amplitudes of shape (S, dim), matrices of shape (S, dim, dim)).
-Every operation below acts on each member as it would on that member alone,
-bit for bit. The PureState and MixedState constructors check and copy an
-array from outside, every member of a stack as a single state. An operation
+A state may also be a stack: its leading axes, the stack shape, index
+members over the same layout (amplitudes of shape (*stack, dim), matrices of
+shape (*stack, dim, dim)). One rule joins stacks: their shapes broadcast as
+numpy's do, so a (B, 1) gate stack gives gate b to row b of a (B, S) state,
+and an (S,) state meets each row of a (B, S) one. Every operation below acts
+on each member as it would on that member alone, bit for bit. The PureState
+and MixedState constructors check and copy an array from outside, a single
+state or a stack with one axis, every member as a single state. An operation
 derives its result from checked states, so the result is valid by
 construction up to rounding and is built unchecked, through _State._trusted.
 """
@@ -106,10 +109,12 @@ def _owned(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tile(arr: np.ndarray, sides: int, times: int) -> np.ndarray:
-    """A stack of `times` copies of arr's members, block after block."""
-    flat = arr.reshape((-1,) + arr.shape[arr.ndim - sides:])
-    return np.tile(flat, (times,) + (1,) * sides)
+def _broadcast(*shapes: tuple[int, ...]) -> tuple[int, ...]:
+    """The stack shape numpy broadcasting makes of these stack shapes."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise RegisterError(f"stack shapes {' and '.join(map(str, shapes))} do not broadcast") from None
 
 
 def _require(ok: np.ndarray, stacked: bool, message) -> None:
@@ -139,25 +144,13 @@ class _State:
 
     @property
     def stack_shape(self) -> tuple[int, ...]:
-        """() for a single state, (S,) for a stack of S members."""
+        """() for a single state, the leading axes' shape for a stack."""
         return self._array.shape[:-self.SIDES]
 
     def member(self, index: int):
-        """Member `index` of a stack (a single state counts as a stack of one)."""
-        members = self._array.reshape((-1,) + self._array.shape[-self.SIDES:])
-        return self._trusted(self.layout, members[index])
-
-    def blocks(self, stack_shape: tuple[int, ...]) -> list:
-        """A branch-major stack, as `project` gives for a table of kets, cut into
-        consecutive blocks of stack shape `stack_shape` (() for single states),
-        each a view of this state's members."""
-        arr = self._array.reshape((-1, *stack_shape) + self._array.shape[-self.SIDES:])
-        return [self._trusted(self.layout, block) for block in arr]
-
-    def tiled(self, times: int):
-        """The members `times` over as one stack: member b*S + s is member s (a
-        single state counts as S = 1)."""
-        return self._trusted(self.layout, _tile(self._array, self.SIDES, times))
+        """Entry `index` of the first stack axis, a view; a single state is a stack of one."""
+        arr = self._array if self.stack_shape else self._array[None]
+        return self._trusted(self.layout, arr[index])
 
     @classmethod
     def _trusted(cls, layout: RegisterLayout, arr: np.ndarray):
@@ -261,13 +254,6 @@ class MixedState(_State):
         vals = np.clip(vals, 0.0, None)
         return _owned((vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2))
 
-    def tiled(self, times: int) -> "MixedState":
-        """As for any state; the tile's square root is this state's, tiled, so its
-        fidelities take no eigendecomposition of their own."""
-        out = super().tiled(times)
-        out.__dict__["root"] = _owned(_tile(self.root, self.SIDES, times))
-        return out
-
 
 State = Union[PureState, MixedState]
 
@@ -307,15 +293,13 @@ def tensor(s1: State, s2: State) -> State:
 
 
 def _check_unitary(gate: np.ndarray, k: int, stack_shape: tuple[int, ...]) -> np.ndarray:
-    """One 2^k x 2^k unitary, or a table of B of them whose B divides the stack's size."""
+    """A 2^k x 2^k unitary, or a stack of them that broadcasts to `stack_shape`."""
     gate = np.asarray(gate, dtype=complex)
     d = 2 ** k
     if gate.shape[-2:] != (d, d):
         raise RegisterError(f"gate shape {gate.shape} does not act on {k} qubits")
-    if gate.ndim > 2 and not (gate.ndim == 3 and stack_shape and len(gate)
-                              and stack_shape[0] % len(gate) == 0):
-        raise RegisterError(f"a table of {gate.shape[:-2]} gates does not split "
-                            f"stack shape {stack_shape} into equal blocks")
+    if _broadcast(gate.shape[:-2], stack_shape) != stack_shape:
+        raise RegisterError(f"gate stack shape {gate.shape[:-2]} widens stack shape {stack_shape}")
     if not np.abs(np.swapaxes(gate.conj(), -1, -2) @ gate - np.eye(d)).max() <= NORM_TOL:
         raise RegisterError("gate matrix is not unitary within 1e-10")
     return gate
@@ -348,16 +332,14 @@ def _apply_to_axes(t: np.ndarray, gate: np.ndarray, axes: Sequence[int], lead: i
 
 def apply_gate(state: State, gate: np.ndarray, labels: Sequence[str] | str) -> State:
     """Embed a k-qubit unitary at the named positions and apply it (to every member):
-    the gate on the rows, its conjugate on a density matrix's columns. A stack of
-    S members may take a B x 2^k x 2^k table of gates instead, B dividing S: gate
-    b acts on the b-th block of S/B consecutive members, as on a branch-major
-    stack from `project` (B = S gives every member a gate of its own)."""
+    the gate on the rows, its conjugate on a density matrix's columns. A stack
+    of gates, of shape (*gate_stack, 2^k, 2^k), gives each member its own: the
+    gate stack broadcasts against the state's stack shape and may not widen it,
+    so a (B, 1) gate stack gives gate b to row b of a (B, S) state."""
     pos = state.layout.positions(labels)
     gate = _check_unitary(gate, len(pos), state.stack_shape)
     t = state._tensor()
-    if gate.ndim == 3:  # the stack axis as (block, member in block); gate b broadcasts over block b
-        t, gate = t.reshape((len(gate), -1) + t.shape[1:]), gate[:, None]
-    lead = t.ndim - state.SIDES * state.n
+    lead = len(state.stack_shape)
     for side, g in zip(range(state.SIDES), (gate, gate.conj())):
         t = _apply_to_axes(t, g, [lead + side * state.n + p for p in pos], lead)
     return state._like(state.layout, t)
@@ -390,11 +372,11 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
     is renormalized. Raises ImpossibleBranchError when the branch probability
     is below 1e-12. For a stack the probability is an array with one entry
     per member, and the error is raised when any member's branch vanishes.
-    A table adds a leading axis of B to the probabilities and returns one
-    branch-major post-state stack of B*S members, member b*S + s being member
-    s projected onto ket b (a single state counts as S = 1); the error is
-    raised when any branch of any member vanishes. Every member is
-    projected as a single ket would project it alone, bit for bit.
+    A table adds a leading axis of B to the stack shape of the probabilities
+    and of the post-state, entry (b, *i) being member i projected onto ket b;
+    a (B, 1) gate stack or the input's own stack broadcasts over it. The
+    error is then raised when any branch of any member vanishes. Every
+    member is projected as a single ket would project it alone, bit for bit.
     """
     pos = state.layout.positions(labels)
     kets = _projection_kets(onto, len(pos))
@@ -412,10 +394,12 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
         norm = np.sqrt(prob)
     else:
         prob = norm = np.real(np.trace(t, axis1=-2, axis2=-1))
-    _check_branch(prob, [state.labels[p] for p in pos])
+    if not prob.min() >= BRANCH_TOL:
+        raise ImpossibleBranchError(f"projection of {tuple(state.labels[p] for p in pos)} "
+                                    f"has probability {float(prob.min())}", _scalar(prob))
     post = t / norm.reshape(lead + (1,) * state.SIDES)
     if np.ndim(onto) == 2:
-        return prob, state._trusted(rest, post.reshape((-1,) + post.shape[len(lead):]))
+        return prob, state._trusted(rest, post)
     return _scalar(prob[0]), state._like(rest, post[0])
 
 
@@ -430,12 +414,6 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _scalar(values: np.ndarray):
     """A Python float for a single state's value, the array for a stack's."""
     return float(values) if values.ndim == 0 else values
-
-
-def _check_branch(prob: np.ndarray, labels) -> None:
-    if not prob.min() >= BRANCH_TOL:
-        raise ImpossibleBranchError(
-            f"projection of {tuple(labels)} has probability {float(prob.min())}", _scalar(prob))
 
 
 def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
@@ -483,12 +461,10 @@ def fidelity(s1: State, s2: State):
 
     pure/pure |<psi|phi>|^2, pure/mixed <psi|rho|psi>, mixed/mixed Uhlmann
     (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2. A float for two single states;
-    with a stack (or two stacks of one size) an array, one value per member.
+    with a stack an array over the broadcast stack shape, one value per member.
     """
     s1, s2 = _aligned_pair(s1, s2)
-    if s1.stack_shape and s2.stack_shape and s1.stack_shape != s2.stack_shape:
-        raise RegisterError(f"stack shapes {s1.stack_shape} and {s2.stack_shape} differ")
-    lead = s1.stack_shape or s2.stack_shape
+    lead = _broadcast(s1.stack_shape, s2.stack_shape)
     if isinstance(s1, PureState) and isinstance(s2, PureState):
         # abs and ** 2 stay NumPy-scalar operations: their array forms round differently
         overlaps = _dots(s1.amplitudes, s2.amplitudes).reshape(-1)

@@ -128,6 +128,8 @@ class CountsRecord:
 
 def born_probabilities(state: State, setting: MeasurementSetting) -> np.ndarray:
     """Outcome probabilities of measuring every qubit in the setting's bases."""
+    if state.stack_shape:
+        raise ValueError(f"tomography measures a single state, not a stack of shape {state.stack_shape}")
     if setting.n != state.n:
         raise ValueError(f"setting covers {setting.n} qubits, state has {state.n}")
     rotated = state

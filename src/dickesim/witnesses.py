@@ -93,6 +93,8 @@ class Observable:
             object.__setattr__(self, "settings", tuple((float(c), s) for c, s in self.settings))
 
     def expectation(self, state: State) -> float:
+        if state.stack_shape:
+            raise ValueError(f"an expectation takes a single state, not a stack of shape {state.stack_shape}")
         if isinstance(state, PureState):
             return float(np.real(state.amplitudes.conj() @ self.matrix @ state.amplitudes))
         return float(np.real(np.trace(state.matrix @ self.matrix)))

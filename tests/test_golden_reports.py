@@ -8,13 +8,19 @@ deliberate change to a report must regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-and say why in CHANGES.md. A mismatch names the first differing line and
-field, both values and their ulp distance, and the numpy and BLAS build, since
-last-bit changes usually come from other BLAS kernels rather than the code.
+and say why in CHANGES.md; that also records the numpy version, the BLAS
+build and the OpenBLAS core they were made with in tests/golden/environment.json.
+A mismatch names the first differing line and field, both values and their
+ulp distance, and that environment beside the current one, since last-bit
+changes usually come from other BLAS kernels rather than the code.
 """
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +29,7 @@ import pytest
 from dickesim.cli import SCHEMAS, build_parser, run_command
 
 GOLDEN = Path(__file__).parent / "golden"
+ENVIRONMENT = GOLDEN / "environment.json"
 
 # report name -> (command, config)
 CASES = {
@@ -61,15 +68,35 @@ def _blas() -> str:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 prints its config without returning it
         return "BLAS build unknown"
-    return (f"BLAS {blas.get('name')} {blas.get('version')} "
-            f"({blas.get('openblas configuration', 'no OpenBLAS configuration')})")
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+@lru_cache(maxsize=None)
+def _core() -> str:
+    """The OpenBLAS core whose kernels load here. A DYNAMIC_ARCH build's configuration
+    names the core it was built for, not the one it picks at run time, so this asks a
+    child interpreter, which inherits OPENBLAS_CORETYPE, with OPENBLAS_VERBOSE=2."""
+    child = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_VERBOSE": "2"})
+    return next((line.split(":", 1)[1].strip() for line in child.stderr.splitlines()
+                 if line.startswith("Core:")), "unknown")
+
+
+def _environment() -> dict:
+    return {"numpy": np.__version__, "blas": _blas(), "core": _core()}
+
+
+def _describe(env: dict) -> str:
+    return f"numpy {env['numpy']}, {env['blas']}, core {env['core']}"
 
 
 def mismatch(report: bytes, golden: bytes, fmt: str) -> str:
-    """Where a report first departs from its golden file, and the numerics it ran on."""
+    """Where a report first departs from its golden file, the numerics it ran on
+    and those the golden files were made with."""
     got, want = report.decode().splitlines(), golden.decode().splitlines()
-    env = (f"numpy {np.__version__}; {_blas()}; "
-           f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', '(unset)')}")
+    env = (f"{_describe(_environment())} "
+           f"(OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', '(unset)')}); "
+           f"golden made with {_describe(json.loads(ENVIRONMENT.read_text()))}")
     i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
     if i is None:
         return f"report has {len(got)} lines, golden {len(want)}; {env}"
@@ -108,7 +135,21 @@ def test_mismatch_names_line_field_and_ulps(fmt, got, want, where):
     assert message.startswith(f"{where}: 0.1 != golden 0.10000000000000002 (1 ulps); numpy {np.__version__}")
 
 
+def test_mismatch_names_the_loaded_core_beside_the_golden_environment(monkeypatch):
+    runs, run = [], subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: runs.append(a) or run(*a, **k))
+    _core.cache_clear()
+    messages = [mismatch(b"x\n1\n", b"x\n2\n", "csv") for _ in range(2)]
+    recorded = json.loads(ENVIRONMENT.read_text())
+    assert set(recorded) == {"numpy", "blas", "core"}
+    assert messages[0] == messages[1]
+    assert messages[0].endswith(f"; golden made with {_describe(recorded)}")
+    assert f"core {_core()} (OPENBLAS_CORETYPE=" in messages[0] and _core() != "unknown"
+    assert len(runs) == 1  # one child run, on the first mismatch
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, fmt in REPORTS:
         (GOLDEN / f"{name}.{fmt}").write_bytes(render(name, fmt)[0])
+    ENVIRONMENT.write_text(json.dumps(_environment(), indent=2) + "\n")

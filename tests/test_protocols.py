@@ -252,7 +252,7 @@ class TestStackedTelecloning:
         single = state("001").member(0)
         for rotated, members in ((single, [single]), (state("001", "000"), None)):
             members = members or [rotated.member(s) for s in range(2)]
-            branches = protocols._bell_branches(rotated, "X", "b")
+            branches = bell_measure(rotated, "X", "b")  # X reads 0, so its CX does nothing
             assert [b.post_state is None for b in branches] == [False, False, True, True]
             for branch, ket in zip(branches, protocols._BELL_KETS[:2]):
                 singles = [project(m, ("X", "b"), ket) for m in members]
@@ -261,7 +261,7 @@ class TestStackedTelecloning:
                 assert all(np.array_equal(post[s], array(alone).reshape(-1))
                            for s, (_, alone) in enumerate(singles))
         with pytest.raises(RegisterError, match="Bell outcome phi\\+ vanishes for some stack members only"):
-            protocols._bell_branches(state("001", "010"), "X", "b")
+            bell_measure(state("001", "010"), "X", "b")
 
     def test_square_root_is_taken_once(self, monkeypatch):
         shapes = []

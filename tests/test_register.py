@@ -109,9 +109,11 @@ class TestShapeContracts:
         "gate-shape": (lambda: apply_gate(PureState(A, KET_A), np.eye(4), "a"),
                        r"gate shape \(4, 4\) does not act on 1 qubits"),
         "gate-table-shape": (lambda: apply_gate(PureState(A, np.eye(2)), np.array([np.eye(2)] * 3), "a"),
-                             re.escape("a table of (3,) gates does not split stack shape (2,) into equal blocks")),
+                             re.escape("stack shapes (3,) and (2,) do not broadcast")),
         "gate-table-empty": (lambda: apply_gate(PureState(A, np.eye(2)), np.zeros((0, 2, 2)), "a"),
-                             re.escape("a table of (0,) gates does not split stack shape (2,) into equal blocks")),
+                             re.escape("stack shapes (0,) and (2,) do not broadcast")),
+        "gate-stack-widens": (lambda: apply_gate(PureState(A, np.eye(2)), np.array([[np.eye(2)]] * 3), "a"),
+                              re.escape("gate stack shape (3, 1) widens stack shape (2,)")),
         "projection-bitstring": (lambda: project(PureState(AB, np.eye(4)[0]), "a", "01"),
                                  "projection bitstring '01' does not match 1 qubits"),
         "projection-ket-length": (lambda: project(PureState(AB, np.eye(4)[0]), "a", np.ones(3) / 2),
@@ -555,14 +557,12 @@ class TestStacks:
         out = apply_gate(stack, gate, labels)
         assert out.stack_shape == (len(members),)
         assert _same_members(out, [apply_gate(m, gate, labels) for m in members])
-        # a table of B gates, B dividing S (B = S: one per member): member s as gate
-        # s // (S / B) on member s alone
-        blocks = data.draw(st.sampled_from([b for b in range(1, len(members) + 1) if len(members) % b == 0]))
+        # a gate stack of shape (1,) or (S,) broadcasts: member s as gate s (or gate 0) alone
+        count = data.draw(st.sampled_from(sorted({1, len(members)})))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        gates = np.array([oracles.haar_unitary(rng, 2 ** len(labels)) for _ in range(blocks)])
-        size = len(members) // blocks
+        gates = np.array([oracles.haar_unitary(rng, 2 ** len(labels)) for _ in range(count)])
         assert _same_members(apply_gate(stack, gates, labels),
-                             [apply_gate(m, gates[s // size], labels) for s, m in enumerate(members)])
+                             [apply_gate(m, gates[s % count], labels) for s, m in enumerate(members)])
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(data=st.data())
@@ -575,20 +575,19 @@ class TestStacks:
         singles = [project(m, labels, ket) for m in members]
         assert all(probs[i] == prob for i, (prob, _) in enumerate(singles))
         assert _same_members(post, [state for _, state in singles])
-        # a table of B kets: block b is the stack projected onto ket b, member by member,
-        # for the stack and for a single state (one member, no stack axis)
+        # a table of B kets adds a leading axis of B: row b is the stack projected onto
+        # ket b, member by member, for the stack and for a single state (no stack axis)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         kets = np.array([oracles.haar_ket(rng, 2 ** len(labels))
                          for _ in range(data.draw(st.integers(1, 4)))])
         for state in (stack, members[0]):
             probs, post = project(state, labels, kets)
-            assert probs.shape == (len(kets),) + state.stack_shape
+            assert probs.shape == post.stack_shape == (len(kets),) + state.stack_shape
             alone = [state.member(s) for s in range(len(members))] if state.stack_shape else [state]
-            assert post.stack_shape == (len(kets) * len(alone),)
             for b, ket in enumerate(kets):
                 singles = [project(m, labels, ket) for m in alone]
                 assert list(probs[b].reshape(-1)) == [prob for prob, _ in singles]
-                assert all(np.array_equal(_array(post)[b * len(alone) + s], _array(single))
+                assert all(np.array_equal(_array(post.member(b).member(s)), _array(single))
                            for s, (_, single) in enumerate(singles))
 
     @settings(derandomize=True, max_examples=25, deadline=None)
@@ -619,20 +618,6 @@ class TestStacks:
         values = fidelity(first, second)
         assert all(values[i] == fidelity(a, b)
                    for i, (a, b) in enumerate(zip(first_members, second_members[:size])))
-
-    def test_tiles_and_blocks_keep_the_members(self):
-        rng = np.random.default_rng(5)
-        layout = RegisterLayout(("a",))
-        stack = MixedState(layout, np.array([oracles.random_density(rng, 2) for _ in range(3)]))
-        tile = stack.tiled(2)
-        assert _same_members(tile, [stack.member(s % 3) for s in range(6)])
-        assert all(_same_members(block, [stack.member(s) for s in range(3)]) for block in tile.blocks((3,)))
-        # the tile's square root is the stack's, tiled: equal to the root of a fresh copy
-        assert np.array_equal(tile.root, MixedState(layout, tile.matrix).root)
-        assert stack.root is stack.root and not stack.root.flags.writeable
-        single = stack.member(1)
-        assert [np.array_equal(block.matrix, single.matrix) for block in single.tiled(2).blocks(())] == [
-            True, True]
 
     def test_uhlmann_square_is_taken_per_member(self):
         # the first pair whose root-eigenvalue sum squared by libm pow (a NumPy
@@ -720,6 +705,77 @@ class TestStacks:
 
         with pytest.raises(RegisterError, match="stack shapes"):
             fidelity(stack(3, first_pure), stack(5, second_pure))
+
+
+def _grid(rng, pure: bool, rows: int, size: int):
+    """(grid, stack, kets): a stack of `size` random states on ("a", "b", "c")
+    projected onto a table of `rows` random kets of "a", a (rows, size) stack on ("b", "c")."""
+    layout = RegisterLayout(("a", "b", "c"))
+    if pure:
+        stack = PureState(layout, np.array([oracles.haar_ket(rng, 8) for _ in range(size)]))
+    else:
+        stack = MixedState(layout, np.array([oracles.random_density(rng, 8, 1 + i) for i in range(size)]))
+    kets = np.array([oracles.haar_ket(rng, 2) for _ in range(rows)])
+    return project(stack, "a", kets)[1], stack, kets
+
+
+class TestBroadcastStacks:
+    """Stack shapes meet by numpy broadcasting. On a (B, S) stack with B, S >= 2,
+    where broadcasting and any cutting into blocks part ways, member (b, s) of
+    every result equals the single run on member (b, s) alone, bit for bit."""
+
+    B, S = 2, 3
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["kets", "densities"])
+    def test_table_projection_rows_are_the_kets(self, pure):
+        grid, stack, kets = _grid(np.random.default_rng(31), pure, self.B, self.S)
+        assert grid.stack_shape == (self.B, self.S)
+        for b, s in itertools.product(range(self.B), range(self.S)):
+            alone = project(stack.member(s), "a", kets[b])[1]
+            assert np.array_equal(_array(grid.member(b).member(s)), _array(alone))
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["kets", "densities"])
+    def test_gate_stacks_broadcast_over_the_grid(self, pure):
+        rng = np.random.default_rng(32)
+        grid = _grid(rng, pure, self.B, self.S)[0]
+        rows = np.array([[oracles.haar_unitary(rng, 4)] for _ in range(self.B)])  # (B, 1)
+        cols = np.array([oracles.haar_unitary(rng, 4) for _ in range(self.S)])  # (S,)
+        for gates, pick in ((rows, lambda b, s: rows[b, 0]), (cols, lambda b, s: cols[s])):
+            out = apply_gate(grid, gates, ("c", "b"))
+            assert out.stack_shape == (self.B, self.S)
+            for b, s in itertools.product(range(self.B), range(self.S)):
+                alone = apply_gate(grid.member(b).member(s), pick(b, s), ("c", "b"))
+                assert np.array_equal(_array(out.member(b).member(s)), _array(alone))
+
+    @pytest.mark.parametrize("first_pure,grid_pure", [(True, True), (True, False), (False, False)],
+                             ids=["pure-pure", "pure-mixed", "mixed-mixed"])
+    def test_fidelity_broadcasts_a_stack_over_the_grid(self, first_pure, grid_pure):
+        rng = np.random.default_rng(33)
+        grid = _grid(rng, grid_pure, self.B, self.S)[0]
+        layout = RegisterLayout(("b", "c"))
+        if first_pure:
+            first = PureState(layout, np.array([oracles.haar_ket(rng, 4) for _ in range(self.S)]))
+        else:
+            first = MixedState(layout, np.array([oracles.random_density(rng, 4, 1 + i)
+                                                 for i in range(self.S)]))
+        for order in (lambda x, y: (x, y), lambda x, y: (y, x)):
+            values = fidelity(*order(first, grid))
+            assert values.shape == (self.B, self.S)
+            assert all(values[b, s] == fidelity(*order(first.member(s), grid.member(b).member(s)))
+                       for b, s in itertools.product(range(self.B), range(self.S)))
+        if not first_pure:  # the (S,) stack's one square root serves every row: cached, read-only
+            assert first.root is first.root and not first.root.flags.writeable
+
+    def test_widening_or_unbroadcastable_stacks_raise(self):
+        grid = _grid(np.random.default_rng(34), False, self.B, self.S)[0]
+        widens = re.escape("gate stack shape (2, 1, 1) widens stack shape (2, 3)")
+        with pytest.raises(RegisterError, match=widens):
+            apply_gate(grid, np.broadcast_to(np.eye(2), (2, 1, 1, 2, 2)), "b")
+        with pytest.raises(RegisterError, match=re.escape("stack shapes (2,) and (2, 3) do not broadcast")):
+            apply_gate(grid, np.array([np.eye(2)] * 2), "b")
+        pair = PureState(RegisterLayout(("b", "c")), np.tile(np.eye(4)[0], (2, 1)))
+        with pytest.raises(RegisterError, match=re.escape("stack shapes (2,) and (2, 3) do not broadcast")):
+            fidelity(pair, grid)
 
 
 FIVE = ("a", "b", "c", "d", "e")
@@ -959,7 +1015,7 @@ class TestDerivedStatesPassTheChecks:
         results = [tensor(state, other), tensor(other, state),
                    apply_gate(state, oracles.haar_unitary(rng, d), labels), partial_trace(state, labels),
                    permute_to(state, data.draw(st.permutations(state.labels))), state.density(),
-                   state.member(-1), *state.blocks(()), state.tiled(2), *state.tiled(2).blocks(state.stack_shape)]
+                   state.member(-1)]
         if stacked:  # a table of gates, one per member
             table = np.array([oracles.haar_unitary(rng, d) for _ in range(size)])
             results.append(apply_gate(state, table, labels))
@@ -973,6 +1029,9 @@ class TestDerivedStatesPassTheChecks:
         for out in results:
             arr = _array(out)
             assert arr.flags.c_contiguous and not arr.flags.writeable
+            # the constructors take one stack axis: a table projection's two are flattened
+            if len(out.stack_shape) > 1:
+                arr = arr.reshape((-1,) + arr.shape[len(out.stack_shape):])
             assert np.array_equal(_array(type(out)(out.layout, arr)), arr)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dickesim import (
     exact_counts,
     fidelity,
     fidelity_with_error,
+    project,
     simulate_counts,
     single_qubit,
     tomography_linear,
@@ -87,6 +89,27 @@ class TestBornProbabilities:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             born_probabilities(bell("psi+"), MeasurementSetting(("Z",)))
+
+    STACKS = {
+        "kets": lambda: PureState(RegisterLayout(("a",)), np.eye(2)),
+        "densities": lambda: PureState(RegisterLayout(("a",)), np.eye(2)).density(),
+        # a (2, 2) table projection: two Bell states, "a" projected onto |0> and |1>
+        "table-projection": lambda: project(
+            PureState(RegisterLayout(("a", "b")), np.array([bell("phi+").amplitudes, bell("psi+").amplitudes])),
+            "a", np.eye(2))[1],
+    }
+
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_a_stack_is_refused(self, stack):
+        state = self.STACKS[stack]()
+        setting = MeasurementSetting(("Z",))
+        message = re.escape(f"not a stack of shape {state.stack_shape}")
+        for measure in (lambda: born_probabilities(state, setting), lambda: exact_counts(state, setting),
+                        lambda: simulate_counts(state, setting, 100, seed=1)):
+            with pytest.raises(ValueError, match="tomography measures a single state, " + message):
+                measure()
+        with pytest.raises(ValueError, match="an expectation takes a single state, " + message):
+            Observable(pauli_matrix("Z")).expectation(state)
 
 
 class TestSimulateCounts:
