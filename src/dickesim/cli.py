@@ -214,8 +214,8 @@ def _no_counts(err: MissingSettingError, n_per_setting: int) -> ConfigError:
 
 def _pauli_records(state, n_per_setting: int, seed: int) -> list:
     """A record per Pauli setting of the state's qubits, XYZ order; setting i at seed + i."""
-    return [simulate_counts(state, MeasurementSetting(axes), n_per_setting, seed=seed + i)
-            for i, axes in enumerate(itertools.product("XYZ", repeat=state.n))]
+    settings = [MeasurementSetting(axes) for axes in itertools.product("XYZ", repeat=state.n)]
+    return simulate_counts(state, settings, n_per_setting, seed=seed)
 
 
 def _resource(werner_p):

@@ -84,13 +84,6 @@ class BranchOutcome:
     post_state: State | None
     correction: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "outcome": self.outcome_label,
-            "probability": np.asarray(self.probability).tolist(),
-            "correction": self.correction,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class QtcResult:
@@ -120,16 +113,6 @@ class QtcResult:
             average_clone_fidelity=float(self.average_clone_fidelity[index]),
             port=self.port,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "port": self.port,
-            "clone_labels": list(self.clone_labels),
-            "branches": [b.to_json_dict() for b in self.branches],
-            "clone_fidelities": {k: {label: np.asarray(f).tolist() for label, f in v.items()}
-                                 for k, v in self.clone_fidelities.items()},
-            "average_clone_fidelity": np.asarray(self.average_clone_fidelity).tolist(),
-        }
 
 
 @dataclass(frozen=True, eq=False)

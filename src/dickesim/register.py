@@ -8,12 +8,13 @@ A state may also be a stack: its leading axes, the stack shape, index
 members over the same layout (amplitudes of shape (*stack, dim), matrices of
 shape (*stack, dim, dim)). One rule joins stacks: their shapes broadcast as
 numpy's do, so a (B, 1) gate stack gives gate b to row b of a (B, S) state,
-and an (S,) state meets each row of a (B, S) one. Every operation below acts
-on each member as it would on that member alone, bit for bit. The PureState
-and MixedState constructors check and copy an array from outside, a single
-state or a stack with one axis, every member as a single state. An operation
-derives its result from checked states, so the result is valid by
-construction up to rounding and is built unchecked, through _State._trusted.
+an (S,) state meets each row of a (B, S) one, and an (M,) gate stack on a
+single state gives an (M,) stack. Every operation below acts on each member
+as it would on that member alone, bit for bit. The PureState and MixedState
+constructors check and copy an array from outside, a single state or a stack
+with one axis, every member as a single state. An operation derives its
+result from checked states, so the result is valid by construction up to
+rounding and is built unchecked, through _State._trusted.
 """
 from __future__ import annotations
 
@@ -155,7 +156,8 @@ class _State:
     @classmethod
     def _trusted(cls, layout: RegisterLayout, arr: np.ndarray):
         """A state over `layout`, unchecked, from an array an operation derived
-        from checked states; every register operation returns through here.
+        from checked states; every register operation returns through here, as
+        does a tomography estimate built from _project_psd's clipped spectrum.
         Such a result is exact to rounding for exact inputs, but an input at a
         tolerance edge can give one past the tolerance, which is not refused:
         density() of a ket of norm 1 + 0.9e-10 has trace 1 + 1.8e-10, and
@@ -292,19 +294,6 @@ def tensor(s1: State, s2: State) -> State:
     return (PureState if pure else MixedState)._trusted(layout, np.kron(a, b))
 
 
-def _check_unitary(gate: np.ndarray, k: int, stack_shape: tuple[int, ...]) -> np.ndarray:
-    """A 2^k x 2^k unitary, or a stack of them that broadcasts to `stack_shape`."""
-    gate = np.asarray(gate, dtype=complex)
-    d = 2 ** k
-    if gate.shape[-2:] != (d, d):
-        raise RegisterError(f"gate shape {gate.shape} does not act on {k} qubits")
-    if _broadcast(gate.shape[:-2], stack_shape) != stack_shape:
-        raise RegisterError(f"gate stack shape {gate.shape[:-2]} widens stack shape {stack_shape}")
-    if not np.abs(np.swapaxes(gate.conj(), -1, -2) @ gate - np.eye(d)).max() <= NORM_TOL:
-        raise RegisterError("gate matrix is not unitary within 1e-10")
-    return gate
-
-
 def _matrices(t: np.ndarray, lead: int, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
     """t as one (rows x cols) matrix per member; its first `lead` axes are the stack.
 
@@ -334,15 +323,23 @@ def apply_gate(state: State, gate: np.ndarray, labels: Sequence[str] | str) -> S
     """Embed a k-qubit unitary at the named positions and apply it (to every member):
     the gate on the rows, its conjugate on a density matrix's columns. A stack
     of gates, of shape (*gate_stack, 2^k, 2^k), gives each member its own: the
-    gate stack broadcasts against the state's stack shape and may not widen it,
-    so a (B, 1) gate stack gives gate b to row b of a (B, S) state."""
+    gate stack broadcasts against the state's stack shape, so a (B, 1) gate
+    stack gives gate b to row b of a (B, S) state, and an (M,) gate stack on a
+    single state gives an (M,) stack, member i the state under gate i."""
     pos = state.layout.positions(labels)
-    gate = _check_unitary(gate, len(pos), state.stack_shape)
-    t = state._tensor()
-    lead = len(state.stack_shape)
+    gate, d = np.asarray(gate, dtype=complex), 2 ** len(pos)
+    if gate.shape[-2:] != (d, d):
+        raise RegisterError(f"gate shape {gate.shape} does not act on {len(pos)} qubits")
+    shape = _broadcast(gate.shape[:-2], state.stack_shape)
+    if gate.size == 0:
+        raise RegisterError("a gate stack needs at least one member")
+    if not np.abs(np.swapaxes(gate.conj(), -1, -2) @ gate - np.eye(d)).max() <= NORM_TOL:
+        raise RegisterError("gate matrix is not unitary within 1e-10")
+    lead = len(shape)
+    t = state._tensor()[(None,) * (lead - len(state.stack_shape))]  # numpy's leading 1s
     for side, g in zip(range(state.SIDES), (gate, gate.conj())):
         t = _apply_to_axes(t, g, [lead + side * state.n + p for p in pos], lead)
-    return state._like(state.layout, t)
+    return state._trusted(state.layout, t.reshape(shape + (state.layout.dim,) * state.SIDES))
 
 
 def _projection_kets(onto: np.ndarray | str, k: int) -> np.ndarray:

@@ -9,7 +9,6 @@ uncertainty.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -126,36 +125,54 @@ class CountsRecord:
         }
 
 
-def born_probabilities(state: State, setting: MeasurementSetting) -> np.ndarray:
-    """Outcome probabilities of measuring every qubit in the setting's bases."""
+def _settings(settings: MeasurementSetting | Iterable[MeasurementSetting]) -> tuple[MeasurementSetting, ...]:
+    """One setting, or a sequence of them, as a non-empty tuple."""
+    table = (settings,) if isinstance(settings, MeasurementSetting) else tuple(settings)
+    if not table:
+        raise ValueError("no measurement settings supplied")
+    return table
+
+
+def born_probabilities(state: State,
+                       settings: MeasurementSetting | Iterable[MeasurementSetting]) -> np.ndarray:
+    """Outcome probabilities of measuring every qubit in the setting's bases. A
+    sequence of M settings is one stack, each qubit turned by one (M, 2, 2) stack
+    of axis unitaries; row i of the (M, 2^n) result is setting i's alone, bit for bit."""
     if state.stack_shape:
         raise ValueError(f"tomography measures a single state, not a stack of shape {state.stack_shape}")
-    if setting.n != state.n:
-        raise ValueError(f"setting covers {setting.n} qubits, state has {state.n}")
+    table = _settings(settings)
+    for setting in table:
+        if setting.n != state.n:
+            raise ValueError(f"setting covers {setting.n} qubits, state has {state.n}")
     rotated = state
-    for label, axis in zip(state.labels, setting.axes):
-        rotated = apply_gate(rotated, _axis_unitary(axis), (label,))
+    for q, label in enumerate(state.labels):
+        rotated = apply_gate(rotated, np.array([_axis_unitary(s.axes[q]) for s in table]), label)
     if isinstance(rotated, PureState):
         probs = np.abs(rotated.amplitudes) ** 2
     else:
-        probs = np.real(np.diag(rotated.matrix))
+        probs = np.real(np.diagonal(rotated.matrix, axis1=-2, axis2=-1))
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    return probs[0] if isinstance(settings, MeasurementSetting) else probs
 
 
 def _outcome_strings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(2 ** n)]
 
 
-def simulate_counts(state: State, setting: MeasurementSetting, n: int, seed: int) -> CountsRecord:
-    """Poisson(N * p) draw per outcome; deterministic under the given seed."""
+def simulate_counts(state: State, settings: MeasurementSetting | Iterable[MeasurementSetting], n: int,
+                    seed: int) -> CountsRecord | list[CountsRecord]:
+    """Poisson(N * p) draw per outcome; deterministic under the given seed. A sequence
+    of settings gives a list, record i drawn from its Born row with default_rng(seed + i)."""
     if not n >= 1:
         raise ValueError("total_requested must be at least 1")
-    probs = born_probabilities(state, setting)
-    rng = np.random.default_rng(seed)
-    draws = rng.poisson(n * probs)
-    counts = {o: int(c) for o, c in zip(_outcome_strings(setting.n), draws)}
-    return CountsRecord(setting=setting, counts=counts, total_requested=float(n), seed=seed)
+    table = _settings(settings)
+    records = []
+    for i, (setting, probs) in enumerate(zip(table, born_probabilities(state, table))):
+        draws = np.random.default_rng(seed + i).poisson(n * probs)
+        counts = {o: int(c) for o, c in zip(_outcome_strings(setting.n), draws)}
+        records.append(CountsRecord(setting=setting, counts=counts, total_requested=float(n), seed=seed + i))
+    return records[0] if isinstance(settings, MeasurementSetting) else records
 
 
 def exact_counts(state: State, setting: MeasurementSetting, n: float = 1.0) -> CountsRecord:
@@ -257,6 +274,8 @@ def _invert(k: int, parity: np.ndarray, counts: np.ndarray) -> np.ndarray:
     values = np.ones((len(counts), 4 ** k))
     # stochastic counts are integers, so these sums are exact in any order
     values[:, 1:] = (counts @ parity) / (counts @ np.abs(parity))
+    if not np.isfinite(values).all():
+        raise ValueError("pooled counts overflow: a Pauli estimate is not finite")
     rho = np.zeros((len(counts), 2 ** k, 2 ** k), dtype=complex)
     for value, string in zip(values.T, itertools.product("IXYZ", repeat=k)):
         rho += value[:, None, None] * pauli_matrix("".join(string))
@@ -296,16 +315,16 @@ def tomography_linear(records: Iterable[CountsRecord],
     k, parity = _inversion_parity(records)
     layout = RegisterLayout(tuple(labels) if labels is not None
                             else tuple(f"q{i}" for i in range(k)))
-    return MixedState(layout, _invert(k, parity, _column_counts(records)[None])[0])
+    return MixedState._trusted(layout, _invert(k, parity, _column_counts(records)[None])[0])
 
 
 def _project_psd(rho: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues and restore the trace, over a stack of matrices.
 
     Each clipped deficit is spread uniformly over the remaining (larger)
-    eigenvalues, walking them in ascending order; this is the standard
-    trace-restoring projection and loses less fidelity than a global
-    rescale of the spectrum.
+    eigenvalues in ascending order, which loses less fidelity than a global
+    rescale (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)). The result is
+    PSD with unit trace by construction, so it enters the register unchecked.
     """
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
     lam, vecs = np.linalg.eigh(rho)
@@ -316,10 +335,7 @@ def _project_psd(rho: np.ndarray) -> np.ndarray:
             lam[neg, i + 1:] += lam[neg, i, None] / (dim - i - 1)
         lam[neg, i] = 0.0
     lam = np.clip(lam, 0.0, None)
-    total = lam.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0):
-        raise ValueError("reconstruction collapsed to the zero matrix")
-    lam /= total
+    lam /= lam.sum(axis=-1, keepdims=True)
     return (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -337,18 +353,6 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     k, parity = _inversion_parity(records)  # every inversion error comes before any draw
     exact = all(r.exact for r in records)
     counts = _column_counts(records)[None] if exact else _redraw(records, trials, seed)
-    # every trial's rho is one member of a stack: one checked MixedState, one fidelity call
-    values = fidelity(MixedState(RegisterLayout(target.labels), _invert(k, parity, counts)), target)
+    # every trial's rho is one member of a stack, valid as _project_psd builds it: one fidelity call
+    values = fidelity(MixedState._trusted(RegisterLayout(target.labels), _invert(k, parity, counts)), target)
     return float(np.mean(values)), float(np.std(values))
-
-
-def records_to_csv(records: Iterable[CountsRecord]) -> str:
-    lines = ["setting,outcome,count"]
-    for record in records:
-        for setting, outcome, count in record.to_csv_rows():
-            lines.append(f"{setting},{outcome},{count}")
-    return "\n".join(lines) + "\n"
-
-
-def records_to_json(records: Iterable[CountsRecord]) -> str:
-    return json.dumps([r.to_json_dict() for r in records], indent=2, sort_keys=True)

@@ -477,13 +477,3 @@ class WitnessReport:
             fidelity_bound=fidelity_bound,
             sigma_multiplier=sigma_multiplier,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "witness": self.witness,
-            "parameters": self.parameters,
-            "value": self.value,
-            "uncertainty": self.uncertainty,
-            "verdict": self.verdict,
-            "fidelity_bound": self.fidelity_bound,
-        }

@@ -112,8 +112,8 @@ class TestShapeContracts:
                              re.escape("stack shapes (3,) and (2,) do not broadcast")),
         "gate-table-empty": (lambda: apply_gate(PureState(A, np.eye(2)), np.zeros((0, 2, 2)), "a"),
                              re.escape("stack shapes (0,) and (2,) do not broadcast")),
-        "gate-stack-widens": (lambda: apply_gate(PureState(A, np.eye(2)), np.array([[np.eye(2)]] * 3), "a"),
-                              re.escape("gate stack shape (3, 1) widens stack shape (2,)")),
+        "gate-stack-empty": (lambda: apply_gate(PureState(A, KET_A), np.zeros((0, 2, 2)), "a"),
+                             "a gate stack needs at least one member"),
         "projection-bitstring": (lambda: project(PureState(AB, np.eye(4)[0]), "a", "01"),
                                  "projection bitstring '01' does not match 1 qubits"),
         "projection-ket-length": (lambda: project(PureState(AB, np.eye(4)[0]), "a", np.ones(3) / 2),
@@ -566,6 +566,18 @@ class TestStacks:
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(data=st.data())
+    def test_gate_stack_widens_a_single_state(self, data):
+        single = data.draw(stacks())[1][0]
+        labels = data.draw(some_labels(single, min(2, single.n)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        count = data.draw(st.integers(1, 5))
+        gates = np.array([oracles.haar_unitary(rng, 2 ** len(labels)) for _ in range(count)])
+        out = apply_gate(single, gates, labels)
+        assert out.stack_shape == (len(gates),)
+        assert _same_members(out, [apply_gate(single, g, labels) for g in gates])
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
     def test_project_matches_members(self, data):
         stack, members = data.draw(stacks().filter(lambda s: s[0].n > 1))
         labels = data.draw(some_labels(stack, stack.n - 1))
@@ -766,13 +778,23 @@ class TestBroadcastStacks:
         if not first_pure:  # the (S,) stack's one square root serves every row: cached, read-only
             assert first.root is first.root and not first.root.flags.writeable
 
-    def test_widening_or_unbroadcastable_stacks_raise(self):
+    @pytest.mark.parametrize("pure", [True, False], ids=["kets", "densities"])
+    def test_gate_stack_widens_the_grid(self, pure):
+        rng = np.random.default_rng(35)
+        grid = _grid(rng, pure, self.B, self.S)[0]
+        gates = np.array([[[oracles.haar_unitary(rng, 2)]] for _ in range(2)])  # (2, 1, 1)
+        out = apply_gate(grid, gates, "b")
+        assert out.stack_shape == (2, self.B, self.S)
+        for g, b, s in itertools.product(range(2), range(self.B), range(self.S)):
+            alone = apply_gate(grid.member(b).member(s), gates[g, 0, 0], "b")
+            assert np.array_equal(_array(out.member(g).member(b).member(s)), _array(alone))
+
+    def test_unbroadcastable_stacks_raise(self):
         grid = _grid(np.random.default_rng(34), False, self.B, self.S)[0]
-        widens = re.escape("gate stack shape (2, 1, 1) widens stack shape (2, 3)")
-        with pytest.raises(RegisterError, match=widens):
-            apply_gate(grid, np.broadcast_to(np.eye(2), (2, 1, 1, 2, 2)), "b")
-        with pytest.raises(RegisterError, match=re.escape("stack shapes (2,) and (2, 3) do not broadcast")):
-            apply_gate(grid, np.array([np.eye(2)] * 2), "b")
+        for shape in ((2,), (3, 1)):
+            message = re.escape(f"stack shapes {shape} and (2, 3) do not broadcast")
+            with pytest.raises(RegisterError, match=message):
+                apply_gate(grid, np.broadcast_to(np.eye(2), shape + (2, 2)), "b")
         pair = PureState(RegisterLayout(("b", "c")), np.tile(np.eye(4)[0], (2, 1)))
         with pytest.raises(RegisterError, match=re.escape("stack shapes (2,) and (2, 3) do not broadcast")):
             fidelity(pair, grid)

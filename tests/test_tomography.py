@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dickesim import (
     CountsRecord,
@@ -30,7 +31,7 @@ from dickesim import (
     tomography_linear,
     witness_projector_d3,
 )
-from dickesim.tomography import records_to_csv, records_to_json
+from dickesim import tomography
 from dickesim.witnesses import Observable, pauli_matrix
 
 import oracles
@@ -162,6 +163,62 @@ class TestSimulateCounts:
     def test_infinite_stochastic_count_rejected(self):
         with pytest.raises(ValueError, match="count inf"):
             CountsRecord(MeasurementSetting(("Z",)), {"0": math.inf, "1": 5}, 5.0, seed=0)
+
+
+def _random_state(rng, n: int, pure: bool):
+    """A Haar-random ket, or a random rank-2 density matrix, on n qubits."""
+    layout = RegisterLayout(("a", "b", "c")[:n])
+    if pure:
+        return PureState(layout, oracles.haar_ket(rng, 2 ** n))
+    return MixedState(layout, oracles.random_density(rng, 2 ** n, 2))
+
+
+def _settings_with_phases(rng, n: int) -> list[MeasurementSetting]:
+    """Every X/Y/Z setting on n qubits, then three with path-phase angles on some qubits."""
+    phased = [MeasurementSetting(tuple(float(rng.uniform(0, 2 * math.pi)) if rng.random() < 0.6
+                                       else "XYZ"[int(rng.integers(3))] for _ in range(n)))
+              for _ in range(3)]
+    return all_settings(n) + phased
+
+
+class TestStackedSettings:
+    """A sequence of settings is measured as one stack: row i of born_probabilities,
+    and record i of simulate_counts, equal the call on setting i alone, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("pure", [True, False], ids=["kets", "densities"])
+    def test_rows_equal_single_settings(self, n, pure):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(4):
+            state, table = _random_state(rng, n, pure), _settings_with_phases(rng, n)
+            rows = born_probabilities(state, table)
+            assert rows.shape == (len(table), 2 ** n)
+            for row, setting in zip(rows, table):
+                assert np.array_equal(row, born_probabilities(state, setting))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("pure", [True, False], ids=["kets", "densities"])
+    def test_records_equal_single_settings(self, n, pure):
+        rng = np.random.default_rng(50 + n)
+        state, table = _random_state(rng, n, pure), _settings_with_phases(rng, n)
+        records = simulate_counts(state, iter(table), 500, seed=17)  # any iterable, read once
+        assert len(records) == len(table)
+        for i, (record, setting) in enumerate(zip(records, table)):
+            alone = simulate_counts(state, setting, 500, seed=17 + i)
+            assert record.setting == alone.setting and record.seed == alone.seed == 17 + i
+            assert list(record.counts.items()) == list(alone.counts.items())
+            assert record.total_requested == alone.total_requested
+
+    def test_empty_settings_refused(self):
+        for measure in (lambda: born_probabilities(bell("psi+"), []),
+                        lambda: simulate_counts(bell("psi+"), (), 100, seed=1)):
+            with pytest.raises(ValueError, match="no measurement settings supplied"):
+                measure()
+
+    def test_a_setting_of_the_wrong_size_refused(self):
+        table = [MeasurementSetting(("Z", "Z")), MeasurementSetting(("Z",))]
+        with pytest.raises(ValueError, match="setting covers 1 qubits, state has 2"):
+            born_probabilities(bell("psi+"), table)
 
 
 class TestEstimateCorrelator:
@@ -355,6 +412,13 @@ class TestLinearInversion:
         assert vals.min() >= -1e-12
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-10)
 
+    def test_overflowing_counts_refused(self):
+        # the two X records pool to inf / inf, which no estimate may carry into the register
+        records = [CountsRecord(MeasurementSetting((axis,)), {"0": 1.7e308, "1": 0.0}, 1.0,
+                                seed=None, exact=True) for axis in "XXYZ"]
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            tomography_linear(records)
+
     def test_psd_projection_bounded_by_trace_distance(self):
         rng = np.random.default_rng(59)
         for trial in range(100):
@@ -441,6 +505,28 @@ class TestFidelityWithError:
         first = fidelity_with_error(records, bell("psi+"), trials=15, seed=8)
         second = fidelity_with_error(records, bell("psi+"), trials=15, seed=8)
         assert first == second
+
+
+class TestTrustedEstimates:
+    """An estimate enters the register unchecked, as _project_psd builds it. At
+    low counts, where the projection clips, every estimate still passes the
+    public MixedState checks, which store the same bytes."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(n=st.integers(1, 2), shots=st.integers(10, 40), seed=st.integers(0, 2 ** 16))
+    def test_estimates_pass_the_public_checks(self, n, shots, seed):
+        target = _random_state(np.random.default_rng(seed), n, pure=True)
+        records = simulate_counts(target, all_settings(n), shots, seed=seed)
+        estimates = [tomography_linear(records, target.labels)]
+        with pytest.MonkeyPatch.context() as patch:  # the bootstrap's stack of members
+            patch.setattr(tomography, "fidelity", lambda s1, s2: estimates.append(s1) or fidelity(s1, s2))
+            fidelity_with_error(records, target, trials=20, seed=seed)
+        assert len(estimates) == 2 and estimates[1].stack_shape == (20,)
+        for estimate in estimates:
+            checked = MixedState(estimate.layout, estimate.matrix)
+            assert checked.matrix.tobytes() == estimate.matrix.tobytes()
+        # a pure target at these counts drives some member past the PSD boundary
+        assert (np.linalg.eigvalsh(estimates[1].matrix)[:, 0] < 1e-12).any()
 
 
 def _one_qubit_records():
@@ -573,27 +659,4 @@ class TestReadOnlyCounts:
         assert json.dumps(record.to_json_dict()) == (
             '{"setting": "Z", "counts": {"0": 93, "1": 7}, "total_requested": 100.0, '
             '"seed": 1, "exact": false}')
-        assert records_to_csv([record]) == "setting,outcome,count\nZ,0,93\nZ,1,7\n"
-        assert json.loads(records_to_json([record]))[0]["counts"] == counts
         assert list(record.counts) == ["1", "0"]  # the caller's order, as before
-
-
-class TestSerialization:
-    def test_csv(self):
-        from dickesim.tomography import records_to_csv
-
-        record = simulate_counts(basis_ket("0", ("a",)), MeasurementSetting(("Z",)), 100, seed=1)
-        text = records_to_csv([record])
-        assert text.splitlines()[0] == "setting,outcome,count"
-        assert text.count("\n") == 3
-
-    def test_json_round_trip(self):
-        import json
-
-        from dickesim.tomography import records_to_json
-
-        record = simulate_counts(bell("psi+"), MeasurementSetting(("X", "Z")), 100, seed=2)
-        payload = json.loads(records_to_json([record]))
-        assert payload[0]["setting"] == "X|Z"
-        assert payload[0]["seed"] == 2
-        assert sum(payload[0]["counts"].values()) == record.total

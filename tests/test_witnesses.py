@@ -414,11 +414,6 @@ class TestWitnessReport:
         with pytest.raises(ValueError, match="value nan"):
             WitnessReport.build("w", math.nan, 0.1)
 
-    def test_json_fields(self):
-        payload = WitnessReport.build("w", -0.2, 0.01, fidelity_bound=0.87).to_json_dict()
-        assert set(payload) == {"witness", "parameters", "value", "uncertainty",
-                                "verdict", "fidelity_bound"}
-
 
 class TestSignificanceReproduction:
     """Significance of the reference measured moments with the computed bounds."""
