@@ -61,9 +61,7 @@ from .witnesses import (
     fidelity_bound_from_d3_witness,
     fidelity_bound_from_wm,
     propagate_wcs_error,
-    random_biseparable_moments,
     witness_projector_d3,
-    witness_projector_d3_optimal,
     witness_wcs,
     witness_wm,
     witness_wm_calibrated,

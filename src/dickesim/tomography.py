@@ -213,12 +213,22 @@ def _column_counts(records: Sequence[CountsRecord]) -> np.ndarray:
     return np.array([count for r in records for count in r.counts.values()], dtype=float)
 
 
+def _estimate(counts: np.ndarray, parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, pooled totals) of the parity table's strings: counts @ parity over
+    counts @ |parity|, for a count vector or a stack of them. A value that is not
+    finite (pooled counts overflowing a float) is refused."""
+    # stochastic counts are integers, so these sums are exact in any order
+    totals = counts @ np.abs(parity)
+    values = counts @ parity / totals
+    if not np.isfinite(values).all():
+        raise ValueError("pooled counts overflow: a Pauli estimate is not finite")
+    return values, totals
+
+
 def _pooled(records: Sequence[CountsRecord], strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """estimate_correlator's values and uncertainties for several strings at once."""
     parity = _parity_table(records, strings)
-    counts = _column_counts(records)
-    totals = counts @ np.abs(parity)
-    values = counts @ parity / totals
+    values, totals = _estimate(_column_counts(records), parity)
     stochastic = np.array([not r.exact for r in records for _ in r.counts], dtype=float)
     noise = np.sqrt(np.clip(1.0 - values ** 2, 0.0, None) / totals)
     return values, np.where(stochastic @ np.abs(parity) > 0, noise, 0.0)
@@ -232,7 +242,7 @@ def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> t
     counts T; the uncertainty follows from Poisson fluctuations of the two
     parity classes, sqrt((1 - v^2)/T), and is 0 when only exact records cover
     the string. MissingSettingError names the string when no record with
-    counts covers it.
+    counts covers it; pooled counts that overflow a float raise ValueError.
     """
     values, uncertainties = _pooled(list(records), (pauli_string,))
     return float(values[0]), float(uncertainties[0])
@@ -272,10 +282,7 @@ def _invert(k: int, parity: np.ndarray, counts: np.ndarray) -> np.ndarray:
     row of `counts`, a stack of count vectors over the parity table's columns."""
     # the identity string comes first; its expectation is 1
     values = np.ones((len(counts), 4 ** k))
-    # stochastic counts are integers, so these sums are exact in any order
-    values[:, 1:] = (counts @ parity) / (counts @ np.abs(parity))
-    if not np.isfinite(values).all():
-        raise ValueError("pooled counts overflow: a Pauli estimate is not finite")
+    values[:, 1:] = _estimate(counts, parity)[0]
     rho = np.zeros((len(counts), 2 ** k, 2 ** k), dtype=complex)
     for value, string in zip(values.T, itertools.product("IXYZ", repeat=k)):
         rho += value[:, None, None] * pauli_matrix("".join(string))

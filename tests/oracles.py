@@ -119,6 +119,76 @@ def pauli_coefficients(matrix: np.ndarray) -> list[tuple[float, str]]:
     return out
 
 
+# --- the published Pauli forms of the D3 projector witness -----------------
+#
+# W = (2/3) I - |D3(k)><D3(k)| on three qubits, written as the paper writes it,
+# with every coefficient over 24. The k = 2 witness is the k = 1 one with every
+# qubit conjugated by sigma-x, which negates the terms with an odd number of Y
+# or Z letters.
+
+def _position_permutations(pattern: str) -> list[str]:
+    """Distinct placements of a Pauli pattern's letters, e.g. ZII -> IIZ, IZI, ZII."""
+    return ["".join(p) for p in sorted(set(itertools.permutations(pattern)))]
+
+
+def _d3_sign(k: int, string: str) -> float:
+    return -1.0 if k == 2 and (string.count("Y") + string.count("Z")) % 2 else 1.0
+
+
+def d3_eight_group_terms(k: int) -> dict[str, float]:
+    """The eight-group form: each group's pattern summed over its qubit placements."""
+    groups = ((13, "III"), (3, "ZZZ"), (-1, "ZII"), (1, "ZZI"),
+              (-2, "XXI"), (-2, "YYI"), (-2, "XXZ"), (-2, "YYZ"))
+    return {string: coeff * _d3_sign(k, string) / 24
+            for coeff, pattern in groups for string in _position_permutations(pattern)}
+
+
+def d3_five_setting_terms(k: int) -> dict[str, float]:
+    """The five-setting form, expanded to Pauli strings: ZZZ and the four tilted
+    products (I + Z + s L)^x3 for L in {X, Y}, s in {+, -}, over 24,
+
+        17 III + 7 ZZZ + 3 sum ZII + 5 sum ZZI - sum_{L, s} (I + Z + s L)^x3.
+
+    Its two-Pauli product term carries no axis superscript; it is read as ZZ,
+    under which the expansion reproduces the projector exactly.
+    """
+    coeffs = {"III": 17.0, "ZZZ": 7.0}
+    for coeff, pattern in ((3.0, "ZII"), (5.0, "ZZI")):
+        for string in _position_permutations(pattern):
+            coeffs[string] = coeff
+    for axis in "XY":
+        for sign in (1.0, -1.0):
+            for letters in itertools.product("IZ" + axis, repeat=3):
+                string = "".join(letters)
+                coeffs[string] = coeffs.get(string, 0.0) - sign ** string.count(axis)
+    return {string: c * _d3_sign(k, string) / 24 for string, c in coeffs.items() if c != 0}
+
+
+# --- random biseparable states: the sampling side of the b4 check ----------
+
+BIPARTITIONS_4 = (((0,), (1, 2, 3)), ((1,), (0, 2, 3)), ((2,), (0, 1, 3)), ((3,), (0, 1, 2)),
+                  ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+
+def random_biseparable_moments(n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(<Jx^2 + Jy^2>, <Jz^2>) of pure biseparable four-qubit states.
+
+    Each sample draws a bipartition from BIPARTITIONS_4 and a Haar-random ket
+    for each part, so <Jx^2 + Jy^2 + gamma Jz^2> follows for any gamma.
+    """
+    rng = np.random.default_rng(seed)
+    jx, jy, jz = (collective_j(4, s) for s in (SX, SY, SZ))
+    op_xy, op_zz = jx @ jx + jy @ jy, jz @ jz
+    xy, zz = np.empty(n_samples), np.empty(n_samples)
+    for i in range(n_samples):
+        part_a, part_b = BIPARTITIONS_4[rng.integers(len(BIPARTITIONS_4))]
+        va, vb = haar_ket(rng, 2 ** len(part_a)), haar_ket(rng, 2 ** len(part_b))
+        # kron orders the axes (part_a, part_b); the transpose puts qubit q at axis q
+        vec = np.kron(va, vb).reshape((2,) * 4).transpose(np.argsort(part_a + part_b)).reshape(-1)
+        xy[i], zz[i] = dense_expectation(op_xy, vec), dense_expectation(op_zz, vec)
+    return xy, zz
+
+
 # --- tomography: linear inversion and its bootstrap, one trial at a time ----
 #
 # A record is (letters, counts, exact): the per-qubit axes "X"/"Y"/"Z", a dict

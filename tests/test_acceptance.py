@@ -41,7 +41,6 @@ from dickesim import (
     propagate_wcs_error,
     qtc_mixed_band,
     qtc_theory_fidelity,
-    random_biseparable_moments,
     run_circuit,
     run_odt,
     run_qtc,
@@ -189,7 +188,7 @@ def test_c04_b4_bracketing_and_samples():
     grid = np.linspace(-3.0, 0.0, 10)
     monotone_ok = all(biseparable_bound(float(g)) <= b4_zero + 1e-9 for g in grid if g < 0)
 
-    xy, zz = random_biseparable_moments(10000, seed=424242)
+    xy, zz = oracles.random_biseparable_moments(10000, seed=424242)
     sample_ok = True
     worst = {}
     for gamma in (0.0, -0.12, -1.0, -2.5):

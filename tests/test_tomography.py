@@ -302,6 +302,16 @@ class TestEstimateCorrelator:
             estimate_witness(records, observable)
         assert exc.value.missing == strings
 
+    def test_overflowing_counts_refused(self):
+        # the two X records pool to inf / inf, which no estimate may return as nan
+        records = [CountsRecord(MeasurementSetting((axis,)), {"0": 1.7e308, "1": 0.0}, 1.0,
+                                seed=None, exact=True) for axis in "XXYZ"]
+        observable = Observable(pauli_matrix("X") + pauli_matrix("Z"), settings=((1.0, "X"), (1.0, "Z")))
+        for estimate in (lambda: estimate_correlator(records, "X"),
+                         lambda: estimate_witness(records, observable)):
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+                estimate()
+
 
 class TestEstimateWitness:
     def test_ideal_d3_exact(self):

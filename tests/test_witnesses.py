@@ -20,10 +20,8 @@ from dickesim import (
     fidelity_bound_from_d3_witness,
     fidelity_bound_from_wm,
     propagate_wcs_error,
-    random_biseparable_moments,
     werner_dicke,
     witness_projector_d3,
-    witness_projector_d3_optimal,
     witness_wcs,
     witness_wm,
     witness_wm_calibrated,
@@ -112,8 +110,9 @@ class TestPauliTools:
         assert max(abs(c - e) for (c, _), (e, _) in zip(terms, expected)) < 1e-12
 
     @pytest.mark.parametrize("make", [witness_wm, witness_wm_calibrated,
-                                      lambda: witness_wcs(-2.5, 129 / 32)],
-                             ids=["wm", "wm-calibrated", "wcs"])
+                                      lambda: witness_wcs(-2.5, 129 / 32),
+                                      lambda: witness_projector_d3(1), lambda: witness_projector_d3(2)],
+                             ids=["wm", "wm-calibrated", "wcs", "d3-k1", "d3-k2"])
     def test_witness_settings_equal_oracle(self, make):
         obs = make()
         assert list(obs.settings) == oracles.pauli_coefficients(np.asarray(obs.matrix))
@@ -148,7 +147,7 @@ class TestWitnessWm:
 
     def test_calibrated_reaches_minus_one(self):
         cal = witness_wm_calibrated()
-        assert cal.reconstructed
+        assert cal.name == "W_m (reconstructed)"
         assert cal.expectation(dicke(4, 2)) == pytest.approx(-1.0, abs=1e-10)
 
     def test_calibrated_is_constant_shift(self):
@@ -275,14 +274,14 @@ class TestBiseparableBound:
             biseparable_bound(-11.0)
 
     def test_no_violation_by_random_biseparable_states(self):
-        xy, zz = random_biseparable_moments(2000, seed=101)
+        xy, zz = oracles.random_biseparable_moments(2000, seed=101)
         for gamma in (0.0, -0.12, -1.0, -2.5):
             bound = biseparable_bound(gamma)
             assert float(np.max(xy + gamma * zz)) <= bound + 1e-9
 
     def test_moments_deterministic(self):
-        a = random_biseparable_moments(50, seed=3)
-        b = random_biseparable_moments(50, seed=3)
+        a = oracles.random_biseparable_moments(50, seed=3)
+        b = oracles.random_biseparable_moments(50, seed=3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     @pytest.mark.parametrize("gamma", [0.0, -0.12, -1.0, -1.7, -2.0, -2.5, -2.9])
@@ -309,19 +308,24 @@ class TestProjectorWitness:
             assert decomposition_check(witness_projector_d3(k)).equal
 
     def test_five_setting_decomposition_rebuilds(self):
+        # the published five-setting form, as the oracles expand it, rebuilds the witness
         for k in (1, 2):
-            check = decomposition_check(witness_projector_d3_optimal(k))
+            five = tuple((c, s) for s, c in oracles.d3_five_setting_terms(k).items())
+            check = decomposition_check(Observable(witness_projector_d3(k).matrix, settings=five))
             assert check.equal
             assert check.max_deviation < 1e-10
 
     def test_five_setting_form_is_eight_group_form(self):
         """Read with ZZ for its unlabelled product term, the five-setting form
-        expands to the eight-group decomposition term for term."""
+        expands to the eight-group form term for term, and both are the
+        library's decomposition: the same 20 strings, coefficients within rounding."""
         for k in (1, 2):
-            groups = witness_projector_d3(k).settings
-            five = witness_projector_d3_optimal(k).settings
-            assert len({s for _, s in groups}) == len(groups) == len(five)
-            assert {s: c for c, s in five} == {s: c for c, s in groups}
+            five, groups = oracles.d3_five_setting_terms(k), oracles.d3_eight_group_terms(k)
+            assert five == groups
+            settings = witness_projector_d3(k).settings
+            library = {s: c for c, s in settings}
+            assert len(library) == len(settings) == 20 and library.keys() == groups.keys()
+            assert max(abs(library[s] - groups[s]) for s in groups) < 1e-15
 
     def test_group_bookkeeping_on_d31(self):
         """Per-group expectations on the one-excitation state sum to -8/24."""
@@ -339,7 +343,7 @@ class TestProjectorWitness:
         with pytest.raises(ValueError):
             witness_projector_d3(3)
         with pytest.raises(ValueError):
-            witness_projector_d3_optimal(0)
+            witness_projector_d3(0)
 
     def test_werner_projection_value(self):
         # projecting qubit d of the Werner resource leaves a 3-qubit Werner
@@ -396,11 +400,6 @@ class TestWitnessReport:
         assert WitnessReport.build("w", -0.3, 0.1).verdict == "multipartite-entangled"
         assert WitnessReport.build("w", -0.3, 0.4).verdict == "inconclusive"
         assert WitnessReport.build("w", 0.1, 0.0).verdict == "inconclusive"
-
-    def test_sigma_multiplier(self):
-        report = WitnessReport.build("w", -0.3, 0.05, sigma_multiplier=3.0)
-        assert report.verdict == "multipartite-entangled"
-        assert WitnessReport.build("w", -0.3, 0.15, sigma_multiplier=3.0).verdict == "inconclusive"
 
     def test_negative_uncertainty_rejected(self):
         with pytest.raises(ValueError):
