@@ -369,6 +369,7 @@ def cmd_qtc_sweep(cfg: dict, args) -> tuple:
 
 def cmd_odt_table(cfg: dict, args) -> tuple:
     werner_p, lam, n_per_setting = cfg["werner_p"], cfg["dephase_lambda"], cfg["n_per_setting"]
+    resource = _resource(werner_p)[0] if werner_p is not None or lam > 0.0 else None
     rows = []
     failures = 0
     for row_index, (proj, theta, receiver, *reference) in enumerate(cfg["configurations"]):
@@ -379,9 +380,9 @@ def cmd_odt_table(cfg: dict, args) -> tuple:
         if abs(ideal.teleport_fidelity - 1.0) > CHECK_TOL:
             failures += 1
         noisy_f = noisy_unc = None
-        if werner_p is not None or lam > 0.0:
+        if resource is not None:
             noisy_client = ClientParams(theta=theta, dephase_lambda=lam)
-            noisy = run_odt(noisy_client, resource=_resource(werner_p)[0], port=port,
+            noisy = run_odt(noisy_client, resource=resource, port=port,
                             receiver=receiver, sodt_projection=proj)
             noisy_f = noisy.teleport_fidelity
             if n_per_setting is not None:

@@ -183,34 +183,35 @@ def exact_counts(state: State, setting: MeasurementSetting, n: float = 1.0) -> C
                         seed=None, exact=True)
 
 
+def _columns(records: Sequence[CountsRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One column per (record, outcome) pair in record and dict order: its count,
+    its record's index, and whether it was drawn (the record is not exact)."""
+    counts = np.array([count for r in records for count in r.counts.values()], dtype=float)
+    owner = np.repeat(np.arange(len(records)), [len(r.counts) for r in records])
+    return counts, owner, ~np.array([r.exact for r in records], dtype=bool)[owner]
+
+
 def _parity_table(records: Sequence[CountsRecord], strings: Sequence[str]) -> np.ndarray:
-    """(columns x strings) parity weights; a column is one (record, outcome)
-    pair in record and dict order. An entry is the outcome's parity (+1 or -1)
-    over the string's non-identity positions, or 0 where the record's setting
-    cannot estimate the string; identity positions marginalize, so XI pools
-    XX, XY and XZ. The pooling weights are the absolute values.
+    """(columns x strings) parity weights over _columns' columns: the parity
+    (+1 or -1) of the outcome bits under the string's non-identity mask, or 0
+    where the record's setting cannot estimate the string. Identity positions
+    marginalize, so XI pools XX, XY and XZ; the pooling weights are the absolute
+    values. Bits and masks share one width, so records of several sizes mix.
     MissingSettingError names every string that no record with counts covers."""
-    table = np.zeros((sum(len(r.counts) for r in records), len(strings)))
-    start = 0
-    for record in records:
-        letters = record.setting.letters()
-        for j, string in enumerate(strings):
-            if len(letters) == len(string) and all(p in ("I", l) for p, l in zip(string, letters)):
-                active = [i for i, p in enumerate(string) if p != "I"]
-                table[start:start + len(record.counts), j] = [
-                    -1.0 if sum(int(outcome[i]) for i in active) % 2 else 1.0
-                    for outcome in record.counts]
-        start += len(record.counts)
-    covered = _column_counts(records) @ np.abs(table) > 0
-    missing = tuple(s for s, ok in zip(strings, covered) if not ok)
+    counts, owner, _ = _columns(records)
+    outcomes = [outcome for r in records for outcome in r.counts]
+    width = max(map(len, [*outcomes, *strings]), default=0)
+    bits = np.array([[b == "1" for b in o.ljust(width, "0")] for o in outcomes], dtype=int)
+    mask = np.array([[p != "I" for p in s.ljust(width, "I")] for s in strings], dtype=int)
+    fits = np.array([[len(s) == len(letters) and all(p in ("I", l) for p, l in zip(s, letters))
+                      for s in strings] for letters in (r.setting.letters() for r in records)], dtype=bool)
+    parity = bits.reshape(len(outcomes), width) @ mask.reshape(len(strings), width).T % 2
+    table = np.where(fits.reshape(len(records), len(strings))[owner], 1.0 - 2.0 * parity, 0.0)
+    missing = tuple(s for s, ok in zip(strings, counts @ np.abs(table) > 0) if not ok)
     if missing:
         raise MissingSettingError(
             f"no record with counts covers Pauli strings {list(missing)}", missing)
     return table
-
-
-def _column_counts(records: Sequence[CountsRecord]) -> np.ndarray:
-    return np.array([count for r in records for count in r.counts.values()], dtype=float)
 
 
 def _estimate(counts: np.ndarray, parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,11 +228,11 @@ def _estimate(counts: np.ndarray, parity: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _pooled(records: Sequence[CountsRecord], strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """estimate_correlator's values and uncertainties for several strings at once."""
+    counts, _, drawn = _columns(records)
     parity = _parity_table(records, strings)
-    values, totals = _estimate(_column_counts(records), parity)
-    stochastic = np.array([not r.exact for r in records for _ in r.counts], dtype=float)
+    values, totals = _estimate(counts, parity)
     noise = np.sqrt(np.clip(1.0 - values ** 2, 0.0, None) / totals)
-    return values, np.where(stochastic @ np.abs(parity) > 0, noise, 0.0)
+    return values, np.where(drawn @ np.abs(parity) > 0, noise, 0.0)
 
 
 def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> tuple[float, float]:
@@ -297,12 +298,10 @@ def _redraw(records: tuple[CountsRecord, ...], trials: int, seed: int) -> np.nda
     default_rng((seed, t)), in column order; exact columns stay, and a
     record whose redraw totals zero keeps its observed counts.
     """
-    observed = _column_counts(records)
-    owner = np.repeat(np.arange(len(records)), [len(r.counts) for r in records])
-    stochastic = ~np.array([r.exact for r in records])[owner]
+    observed, owner, drawn = _columns(records)
     counts = np.tile(observed, (trials, 1))
     for t in range(trials):
-        counts[t, stochastic] = np.random.default_rng((seed, t)).poisson(observed[stochastic])
+        counts[t, drawn] = np.random.default_rng((seed, t)).poisson(observed[drawn])
     totals = counts @ (owner[:, None] == np.arange(len(records)))
     keep = (totals == 0)[:, owner]
     counts[keep] = np.broadcast_to(observed, counts.shape)[keep]
@@ -322,7 +321,7 @@ def tomography_linear(records: Iterable[CountsRecord],
     k, parity = _inversion_parity(records)
     layout = RegisterLayout(tuple(labels) if labels is not None
                             else tuple(f"q{i}" for i in range(k)))
-    return MixedState._trusted(layout, _invert(k, parity, _column_counts(records)[None])[0])
+    return MixedState._trusted(layout, _invert(k, parity, _columns(records)[0][None])[0])
 
 
 def _project_psd(rho: np.ndarray) -> np.ndarray:
@@ -359,7 +358,7 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     records = tuple(records)
     k, parity = _inversion_parity(records)  # every inversion error comes before any draw
     exact = all(r.exact for r in records)
-    counts = _column_counts(records)[None] if exact else _redraw(records, trials, seed)
+    counts = _columns(records)[0][None] if exact else _redraw(records, trials, seed)
     # every trial's rho is one member of a stack, valid as _project_psd builds it: one fidelity call
     values = fidelity(MixedState._trusted(RegisterLayout(target.labels), _invert(k, parity, counts)), target)
     return float(np.mean(values)), float(np.std(values))

@@ -312,6 +312,25 @@ class TestEstimateCorrelator:
             with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
                 estimate()
 
+    # the parity table mixes records of two qubit counts, and a stochastic
+    # record that drew nothing adds no column beside an exact one
+    EDGE_RECORDS = {
+        "two-sizes": lambda: [
+            simulate_counts(bell("psi+"), MeasurementSetting(("Z", "Z")), 100, seed=1),
+            simulate_counts(basis_ket("0", ("a",)), MeasurementSetting(("Z",)), 100, seed=2)],
+        "empty-stochastic": lambda: [
+            exact_counts(basis_ket("0", ("a",)), MeasurementSetting(("Z",))),
+            CountsRecord(MeasurementSetting(("Z",)), {}, 100.0, seed=3)],
+    }
+
+    @pytest.mark.parametrize("case, string, expected", [
+        ("two-sizes", "ZZ", (-1.0, 0.0)),
+        ("two-sizes", "Z", (1.0, 0.0)),
+        ("empty-stochastic", "Z", (1.0, 0.0)),
+    ])
+    def test_parity_table_edge_cases(self, case, string, expected):
+        assert estimate_correlator(self.EDGE_RECORDS[case](), string) == expected
+
 
 class TestEstimateWitness:
     def test_ideal_d3_exact(self):
@@ -362,6 +381,13 @@ class TestEstimateWitness:
     def test_requires_settings(self):
         with pytest.raises(ValueError):
             estimate_witness([], Observable(np.eye(4)))
+
+    def test_identity_only_observable(self):
+        # no string left to estimate: an empty parity table, the identity's coefficient alone
+        records = [exact_counts(basis_ket("0", ("a",)), MeasurementSetting(("Z",)))]
+        report = estimate_witness(records, Observable(np.eye(2), settings=((1.0, "I"),)))
+        assert (report.value, report.uncertainty) == (1.0, 0.0)
+        assert report.parameters == {"n_settings": 0}
 
 
 class TestJz2Estimation:

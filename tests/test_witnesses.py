@@ -27,7 +27,8 @@ from dickesim import (
     witness_wm_calibrated,
 )
 from dickesim import witnesses
-from dickesim.witnesses import MEASURED_J2, MEASURED_J2_ERR, pauli_decompose, pauli_matrix
+from dickesim.cli import GAMMA_RANGE
+from dickesim.witnesses import MEASURED_J2, MEASURED_J2_ERR, PAPER_GAMMAS, pauli_decompose, pauli_matrix
 
 import oracles
 
@@ -252,6 +253,25 @@ class TestBiseparableBound:
     def test_monotone_in_gamma(self):
         values = [biseparable_bound(g) for g in (0.0, -0.5, -1.0, -2.0, -2.5)]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+
+    def test_convex_and_nondecreasing_in_gamma(self):
+        # b4 and each class's curve are maxima of functions affine in gamma with
+        # slope <Jz^2> >= 0, so both properties hold up to rounding. The values
+        # are eigenvalues of matrices of norm below 12, each within a few ulps of
+        # 12, about 1e-14. Over the grid's smallest spacing, 0.12, that moves a
+        # slope by about 2e-13 and a change of slope by about 4e-13. A maximum
+        # missed by d at one gamma moves the slopes beside it by d / spacing, so
+        # the check sees it where the curve runs straight (the flat 1|3 part
+        # below -2.3), not where the slope changes by more than that.
+        allowance = 1e-12
+        gammas = np.unique(np.concatenate([np.linspace(*GAMMA_RANGE), PAPER_GAMMAS]))
+        curves = [dict(r.per_bipartition, b4=r.value)
+                  for r in (biseparable_bound_result(float(g)) for g in gammas)]
+        for name in ("b4", "0|123", "01|23"):
+            values = [curve[name] for curve in curves]
+            slopes = np.diff(values) / np.diff(gammas)
+            assert np.diff(values).min() >= -allowance, name
+            assert np.diff(slopes).min() >= -allowance, name
 
     def test_result_carries_both_estimates(self):
         # one entry per bipartition class; at gamma = -1 the 1|3 class holds
