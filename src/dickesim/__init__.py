@@ -28,7 +28,6 @@ from .register import (
 )
 from .states import (
     ClientParams,
-    WernerParams,
     bell,
     client_ket,
     client_state,
@@ -50,14 +49,12 @@ from .circuits import (
 from .witnesses import (
     BisepBoundResult,
     CollectiveSpinSet,
-    DecompositionCheck,
     FidelityBound,
     Observable,
     WitnessReport,
     biseparable_bound,
     biseparable_bound_result,
     collective_spin,
-    decomposition_check,
     fidelity_bound_from_d3_witness,
     fidelity_bound_from_wm,
     propagate_wcs_error,

@@ -369,14 +369,15 @@ def cmd_qtc_sweep(cfg: dict, args) -> tuple:
 
 def cmd_odt_table(cfg: dict, args) -> tuple:
     werner_p, lam, n_per_setting = cfg["werner_p"], cfg["dephase_lambda"], cfg["n_per_setting"]
-    resource = _resource(werner_p)[0] if werner_p is not None or lam > 0.0 else None
+    pure = dicke(4, 2, RESOURCE_LABELS)
+    resource = werner_dicke(werner_p) if werner_p is not None else pure if lam > 0.0 else None
     rows = []
     failures = 0
     for row_index, (proj, theta, receiver, *reference) in enumerate(cfg["configurations"]):
         ref_f, ref_df = (reference + [None, None])[:2]
         port = "b" if receiver != "b" else "a"
         client = ClientParams(theta=theta)
-        ideal = run_odt(client, port=port, receiver=receiver, sodt_projection=proj)
+        ideal = run_odt(client, resource=pure, port=port, receiver=receiver, sodt_projection=proj)
         if abs(ideal.teleport_fidelity - 1.0) > CHECK_TOL:
             failures += 1
         noisy_f = noisy_unc = None

@@ -56,17 +56,6 @@ class ClientParams:
         return complex(np.exp(1j * self.phi) * math.sin(self.theta / 2))
 
 
-@dataclass(frozen=True)
-class WernerParams:
-    """Weight p of the pure Dicke component in the white-noise mixture."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p={self.p} outside [0, 1]")
-
-
 def dicke(n: int, k: int, labels: tuple[str, ...] | None = None) -> PureState:
     """Equal superposition of all weight-k n-bit strings, amplitude 1/sqrt(C(n,k))."""
     if not 0 <= k <= n:
@@ -138,13 +127,13 @@ def physical_logical_permutation() -> tuple[str, ...]:
     raise RegisterError("no label permutation maps the physical state onto dicke(4, 2)")
 
 
-def werner_dicke(p: float | WernerParams) -> MixedState:
+def werner_dicke(p: float) -> MixedState:
     """Werner-like resource p |D><D| + (1-p) I/16 on (a, b, c, d)."""
-    if isinstance(p, WernerParams):
-        p = p.p
-    params = WernerParams(float(p))
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
     proj = dicke(4, 2, RESOURCE_LABELS).density()
-    mat = params.p * proj.matrix + (1 - params.p) * np.eye(16) / 16
+    mat = p * proj.matrix + (1 - p) * np.eye(16) / 16
     return MixedState(proj.layout, mat)
 
 

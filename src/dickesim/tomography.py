@@ -251,10 +251,11 @@ def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> t
 
 def estimate_witness(records: Iterable[CountsRecord], observable: Observable) -> WitnessReport:
     """Witness expectation from local-setting records, errors in quadrature."""
-    if observable.settings is None:
-        raise ValueError("observable carries no settings decomposition")
+    records = list(records)
+    if not records:
+        raise ValueError("no records supplied")
     terms = [(c, s) for c, s in observable.settings if set(s) != {"I"}]
-    values, uncertainties = _pooled(list(records), [s for _, s in terms])
+    values, uncertainties = _pooled(records, [s for _, s in terms])
     coeffs = np.array([c for c, _ in terms])
     return WitnessReport.build(
         witness=observable.name or "witness",
@@ -319,9 +320,10 @@ def tomography_linear(records: Iterable[CountsRecord],
     """
     records = tuple(records)
     k, parity = _inversion_parity(records)
-    layout = RegisterLayout(tuple(labels) if labels is not None
-                            else tuple(f"q{i}" for i in range(k)))
-    return MixedState._trusted(layout, _invert(k, parity, _columns(records)[0][None])[0])
+    labels = tuple(labels) if labels is not None else tuple(f"q{i}" for i in range(k))
+    if len(labels) != k:
+        raise ValueError(f"{len(labels)} labels given for a {k}-qubit reconstruction")
+    return MixedState._trusted(RegisterLayout(labels), _invert(k, parity, _columns(records)[0][None])[0])
 
 
 def _project_psd(rho: np.ndarray) -> np.ndarray:
@@ -357,6 +359,8 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
         raise ValueError("need at least 10 bootstrap trials")
     records = tuple(records)
     k, parity = _inversion_parity(records)  # every inversion error comes before any draw
+    if target.n != k:
+        raise ValueError(f"target has {target.n} qubits, the records {k}")
     exact = all(r.exact for r in records)
     counts = _columns(records)[0][None] if exact else _redraw(records, trials, seed)
     # every trial's rho is one member of a stack, valid as _project_psd builds it: one fidelity call

@@ -1,20 +1,21 @@
 """Collective-spin operators, entanglement witnesses, biseparability bounds.
 
-Every witness carries its local settings as pauli_decompose gives them: the
-Pauli strings are an orthogonal basis, so an operator has exactly one such
-expansion, and the hand-written forms published for a witness are checked
-against it in the test oracles. The four-qubit fidelity witness is kept in two
-forms: the literal transcription (which evaluates positive everywhere,
-minimum eigenvalue ~2) and a reconstructed variant shifted so its ideal-state
-expectation is -1, the value a tight fidelity witness must reach. Both are
-exposed; neither silently replaces the other.
+An observable is its Hermitian matrix and a name. Its local settings are
+derived from the matrix by pauli_decompose: the Pauli strings are an
+orthogonal basis, so an operator has exactly one such expansion, and the
+hand-written forms published for a witness are checked against it in the test
+oracles. The four-qubit fidelity witness is kept in two forms: the literal
+transcription (which evaluates positive everywhere, minimum eigenvalue ~2)
+and a reconstructed variant shifted so its ideal-state expectation is -1, the
+value a tight fidelity witness must reach. Both are exposed; neither silently
+replaces the other.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,22 +46,6 @@ def _qubit_count(shape: tuple[int, ...]) -> int:
     return dim.bit_length() - 1
 
 
-def _qubit_pairs(n: int) -> list[int]:
-    """Axes of a (2,)*2n operator tensor regrouped qubit by qubit: (row, column) pairs."""
-    return [axis for q in range(n) for axis in (q, q + n)]
-
-
-def _each_qubit(t: np.ndarray, n: int, axes: list[int], basis_axes: list[int]) -> np.ndarray:
-    """Contract the leading axes of t with _PAULI_BASIS, once per qubit.
-
-    Each contraction moves the basis's free axes to the end, so after n of
-    them they appear in qubit order.
-    """
-    for _ in range(n):
-        t = np.tensordot(t, _PAULI_BASIS, axes=(axes, basis_axes))
-    return t
-
-
 def pauli_decompose(matrix: np.ndarray) -> list[tuple[float, str]]:
     """Real coefficients above 1e-12 of a Hermitian operator in the Pauli-string basis.
 
@@ -69,18 +54,22 @@ def pauli_decompose(matrix: np.ndarray) -> list[tuple[float, str]]:
     Kronecker chains (Hantzko, Binkowski & Gupta, arXiv:2310.13421).
     """
     n = _qubit_count(matrix.shape)
-    paired = matrix.reshape((2,) * (2 * n)).transpose(_qubit_pairs(n))
-    coeffs = np.real(_each_qubit(paired, n, [0, 1], [2, 1])).ravel() / 2 ** n
+    # the (2,)*2n operator tensor with its axes regrouped qubit by qubit as (row, column)
+    t = matrix.reshape((2,) * (2 * n)).transpose([axis for q in range(n) for axis in (q, q + n)])
+    # each contraction moves the basis's free axis to the end, so after n of them
+    # the string letters appear in qubit order
+    for _ in range(n):
+        t = np.tensordot(t, _PAULI_BASIS, axes=([0, 1], [2, 1]))
+    coeffs = np.real(t).ravel() / 2 ** n
     return [(float(c), "".join(s)) for c, s in zip(coeffs, itertools.product(_LETTERS, repeat=n))
             if abs(c) > 1e-12]
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator, optionally with a local-setting Pauli decomposition."""
+    """Hermitian operator with a name; its local settings follow from the matrix."""
 
     matrix: np.ndarray
-    settings: tuple[tuple[float, str], ...] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -89,10 +78,11 @@ class Observable:
             raise ValueError("observable matrix is not Hermitian within 1e-10")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        if self.settings is not None:
-            # agreement with the matrix is surfaced by decomposition_check,
-            # not silently enforced here
-            object.__setattr__(self, "settings", tuple((float(c), s) for c, s in self.settings))
+
+    @cached_property
+    def settings(self) -> tuple[tuple[float, str], ...]:
+        """pauli_decompose of the matrix, on first read; ValueError if it is not 2^n x 2^n."""
+        return tuple(pauli_decompose(self.matrix))
 
     def expectation(self, state: State) -> float:
         if state.stack_shape:
@@ -104,18 +94,15 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class CollectiveSpinSet:
-    """J_k = sum_i sigma_i^k / 2, its square J_k^2 and S_k = (J_k^2 - 1)/2 for one register size."""
+    """J_k = sum_i sigma_i^k / 2 and its square J_k^2 for one register size, read-only."""
 
     n: int
-    jx: Observable
-    jy: Observable
-    jz: Observable
+    jx: np.ndarray
+    jy: np.ndarray
+    jz: np.ndarray
     jx2: np.ndarray
     jy2: np.ndarray
     jz2: np.ndarray
-    sx: Observable
-    sy: Observable
-    sz: Observable
 
 
 def _collective_matrix(n: int, axis: str) -> np.ndarray:
@@ -132,11 +119,10 @@ def collective_spin(n: int) -> CollectiveSpinSet:
         raise ValueError(f"register size n={n} outside [1, 8]")
     mats = {}
     for axis in "xyz":
-        j = _collective_matrix(n, axis.upper())
-        mats[f"j{axis}2"] = j2 = j @ j
-        j2.setflags(write=False)
-        mats[f"j{axis}"] = Observable(j, name=f"J{axis}")
-        mats[f"s{axis}"] = Observable((j2 - np.eye(2 ** n)) / 2.0, name=f"S{axis}")
+        mats[f"j{axis}"] = j = _collective_matrix(n, axis.upper())
+        mats[f"j{axis}2"] = j @ j
+    for mat in mats.values():
+        mat.setflags(write=False)
     return CollectiveSpinSet(n=n, **mats)
 
 
@@ -144,15 +130,16 @@ def collective_spin(n: int) -> CollectiveSpinSet:
 def witness_wm() -> Observable:
     """Four-qubit collective-spin witness, literal transcription.
 
-    [24 I + Jx^2 Sx + Jy^2 Sy + Jz^2 (31 I - 7 Jz^2)] / 12. As written this
-    operator is positive on every state (ideal-state expectation 2.75, minimum
-    eigenvalue 2.0); see witness_wm_calibrated for the usable variant.
+    [24 I + Jx^2 Sx + Jy^2 Sy + Jz^2 (31 I - 7 Jz^2)] / 12 with S_k = (J_k^2 - 1)/2.
+    As written this operator is positive on every state (ideal-state
+    expectation 2.75, minimum eigenvalue 2.0); see witness_wm_calibrated for
+    the usable variant.
     """
     cs = collective_spin(4)
     eye = np.eye(16)
-    mat = (24 * eye + cs.jx2 @ cs.sx.matrix + cs.jy2 @ cs.sy.matrix
+    mat = (24 * eye + cs.jx2 @ ((cs.jx2 - eye) / 2.0) + cs.jy2 @ ((cs.jy2 - eye) / 2.0)
            + cs.jz2 @ (31 * eye - 7 * cs.jz2)) / 12
-    return Observable(mat, settings=pauli_decompose(mat), name="W_m (transcribed)")
+    return Observable(mat, name="W_m (transcribed)")
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +154,7 @@ def witness_wm_calibrated() -> Observable:
     base = witness_wm()
     ideal = base.expectation(dicke(4, 2))
     mat = base.matrix - (ideal + 1.0) * np.eye(16)
-    return Observable(mat, settings=pauli_decompose(mat), name="W_m (reconstructed)")
+    return Observable(mat, name="W_m (reconstructed)")
 
 
 class FidelityBound(NamedTuple):
@@ -189,7 +176,7 @@ def witness_wcs(gamma: float, b4: float) -> Observable:
     """Generalized collective-spin witness b4(gamma) I - (Jx^2 + Jy^2 + gamma Jz^2)."""
     cs = collective_spin(4)
     mat = b4 * np.eye(16) - (cs.jx2 + cs.jy2 + gamma * cs.jz2)
-    return Observable(mat, settings=pauli_decompose(mat), name=f"W_cs(gamma={gamma})")
+    return Observable(mat, name=f"W_cs(gamma={gamma})")
 
 
 def propagate_wcs_error(gamma: float, d_jx2: float, d_jy2: float, d_jz2: float) -> float:
@@ -223,7 +210,7 @@ def _spin_parts(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Real matrices have real top eigenvectors, on which <Jy> = 0.
     """
     cs = collective_spin(n)
-    return np.real(cs.jx2 + cs.jy2 + gamma * cs.jz2), np.real(cs.jx.matrix), np.real(cs.jz.matrix)
+    return np.real(cs.jx2 + cs.jy2 + gamma * cs.jz2), np.real(cs.jx), np.real(cs.jz)
 
 
 def _shifted(base: np.ndarray, jx: np.ndarray, jz: np.ndarray,
@@ -306,47 +293,21 @@ def biseparable_bound(gamma: float) -> float:
 
 
 def witness_projector_d3(k: int) -> Observable:
-    """Fidelity witness (2/3) I - |D3(k)><D3(k)| for k in {1, 2}, with its Pauli settings.
+    """Fidelity witness (2/3) I - |D3(k)><D3(k)| for k in {1, 2}.
 
-    The settings are pauli_decompose's, as for every witness. The paper's
+    Its settings are pauli_decompose's, as for every observable. The paper's
     eight-group and five-setting forms expand to the same 20 strings and
     coefficients; the test oracles hold both forms and check this.
     """
     if k not in (1, 2):
         raise ValueError(f"excitation number k={k} must be 1 or 2")
     mat = (2.0 / 3.0) * np.eye(8) - dicke(3, k).density().matrix
-    return Observable(mat, settings=pauli_decompose(mat), name=f"W_D3({k})")
+    return Observable(mat, name=f"W_D3({k})")
 
 
 def fidelity_bound_from_d3_witness(value: float) -> FidelityBound:
     """Projector-witness bound F >= 2/3 - <W>, clamped to [0, 1] with a flag."""
     return _clamped(2.0 / 3.0 - value)
-
-
-@dataclass(frozen=True)
-class DecompositionCheck:
-    max_deviation: float
-    equal: bool
-
-
-def decomposition_check(observable: Observable) -> DecompositionCheck:
-    """Rebuild the matrix from the settings list; report the max-norm deviation.
-
-    A setting string that is not one of I, X, Y, Z per qubit raises ValueError.
-    """
-    if observable.settings is None:
-        raise ValueError("observable carries no settings decomposition")
-    n = _qubit_count(observable.matrix.shape)
-    coeffs = np.zeros((4,) * n)
-    for c, s in observable.settings:
-        if len(s) != n or not set(s) <= set(_LETTERS):
-            raise ValueError(f"setting {s!r} is not {n} letters from {_LETTERS}")
-        coeffs[tuple(_LETTERS.index(ch) for ch in s)] += c
-    # the inverse of pauli_decompose's contraction: sum_s c_s P_s
-    paired = _each_qubit(coeffs, n, [0], [0])
-    rebuilt = paired.transpose(np.argsort(_qubit_pairs(n))).reshape(2 ** n, 2 ** n)
-    dev = float(np.abs(rebuilt - observable.matrix).max())
-    return DecompositionCheck(max_deviation=dev, equal=dev <= SETTING_TOL)
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,8 @@ def test_c02_witness_arithmetic():
 def test_c03a_collective_spin_moments():
     cs = collective_spin(4)
     d42 = dicke(4, 2)
-    jz2 = cs.jz.matrix @ cs.jz.matrix
-    jxy2 = cs.jx.matrix @ cs.jx.matrix + cs.jy.matrix @ cs.jy.matrix
+    jz2 = cs.jz @ cs.jz
+    jxy2 = cs.jx @ cs.jx + cs.jy @ cs.jy
     vz = oracles.dense_expectation(jz2, d42.amplitudes)
     vxy = oracles.dense_expectation(jxy2, d42.amplitudes)
     ok = abs(vz) <= 1e-10 and abs(vxy - 6.0) <= 1e-10

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dickesim import cli
+from dickesim import cli, protocols
 from dickesim.cli import SCHEMAS, build_parser, main, parse_params, run_command
 from dickesim.fixtures import (
     CONVERSION_FILE,
@@ -20,6 +20,7 @@ from dickesim.fixtures import (
     regenerate_fixtures,
 )
 from dickesim.reporting import ConfigError, ListOf, Number, OneOf, Row, parse_config_text
+from dickesim.states import RESOURCE_LABELS
 from dickesim.witnesses import B4_GAMMA_MIN, WitnessReport, propagate_wcs_error
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -268,8 +269,10 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
+    # every outcome the clone-mix record draws from has a nonzero probability, so
+    # which record draws nothing does not hang on how a zero probability rounds
     @pytest.mark.parametrize("command,config_text,seed,setting", [
-        ("tomography-demo", "state = bell-psi+\nn_per_setting = 3\ntrials = 10\n", 7, "YY"),
+        ("tomography-demo", "state = clone-mix\nn_per_setting = 1\ntrials = 10\n", 0, "Z"),
         ("odt-table", "werner_p = 0.9\nn_per_setting = 1\n", 0, "Z"),
     ])
     def test_setting_without_counts_is_config_error(self, tmp_path, capsys, command,
@@ -409,6 +412,16 @@ class TestOdtTable:
             assert row["reference_fidelity"] is not None
         assert rows[0]["projection"] == "10"
         assert rows[0]["reference_fidelity"] == pytest.approx(0.93)
+
+    def test_one_dicke_resource_per_table(self, tmp_path, monkeypatch):
+        builds = []
+        for module in (cli, protocols):
+            def counted(*args, real=module.dicke, **kwargs):
+                builds.append(args)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, "dicke", counted)
+        assert main(["odt-table", "--out", str(tmp_path / "o.csv")]) == 0
+        assert builds == [(4, 2, RESOURCE_LABELS)]
 
     def test_noisy_column(self, tmp_path):
         out = tmp_path / "o.json"

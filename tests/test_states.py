@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from dickesim import (
     ClientParams,
     RegisterError,
-    WernerParams,
     bell,
     client_ket,
     client_state,
@@ -151,12 +151,8 @@ class TestWerner:
     def test_white_noise_limit(self):
         assert np.abs(werner_dicke(0.0).matrix - np.eye(16) / 16).max() < 1e-12
 
-    def test_accepts_params_object(self):
-        assert np.abs(werner_dicke(WernerParams(0.4)).matrix
-                      - werner_dicke(0.4).matrix).max() == 0
-
     def test_p_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("p=1.2 outside [0, 1]")):
             werner_dicke(1.2)
         with pytest.raises(ValueError):
             werner_dicke(-0.1)

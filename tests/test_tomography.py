@@ -270,8 +270,7 @@ class TestEstimateCorrelator:
         records.append(exact_counts(rho, MeasurementSetting(("Z", "Z")), 1000.0))
         strings = ["".join(combo) for combo in itertools.product("IXYZ", repeat=2)]
         coeffs = rng.normal(size=len(strings))
-        observable = Observable(sum(c * pauli_matrix(s) for c, s in zip(coeffs, strings)),
-                                settings=tuple(zip(coeffs, strings)))
+        observable = Observable(sum(c * pauli_matrix(s) for c, s in zip(coeffs, strings)))
         singles = [estimate_correlator(records, s) for s in strings[1:]]
         report = estimate_witness(records, observable)
         value = coeffs[0] + sum(c * v for c, (v, _) in zip(coeffs[1:], singles))
@@ -296,8 +295,7 @@ class TestEstimateCorrelator:
             estimate_correlator(records, "ZZ")
         assert exc.value.missing == ("ZZ",)
         strings = ("XX", "ZI", "ZZ")
-        observable = Observable(sum(pauli_matrix(s) for s in strings),
-                                settings=tuple((1.0, s) for s in strings))
+        observable = Observable(sum(pauli_matrix(s) for s in strings))
         with pytest.raises(MissingSettingError) as exc:
             estimate_witness(records, observable)
         assert exc.value.missing == strings
@@ -306,7 +304,7 @@ class TestEstimateCorrelator:
         # the two X records pool to inf / inf, which no estimate may return as nan
         records = [CountsRecord(MeasurementSetting((axis,)), {"0": 1.7e308, "1": 0.0}, 1.0,
                                 seed=None, exact=True) for axis in "XXYZ"]
-        observable = Observable(pauli_matrix("X") + pauli_matrix("Z"), settings=((1.0, "X"), (1.0, "Z")))
+        observable = Observable(pauli_matrix("X") + pauli_matrix("Z"))
         for estimate in (lambda: estimate_correlator(records, "X"),
                          lambda: estimate_witness(records, observable)):
             with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
@@ -382,10 +380,15 @@ class TestEstimateWitness:
         with pytest.raises(ValueError):
             estimate_witness([], Observable(np.eye(4)))
 
+    def test_refuses_no_records(self):
+        # an identity-only observable would otherwise return its coefficient from no data
+        with pytest.raises(ValueError, match="no records supplied"):
+            estimate_witness([], Observable(np.eye(2)))
+
     def test_identity_only_observable(self):
         # no string left to estimate: an empty parity table, the identity's coefficient alone
         records = [exact_counts(basis_ket("0", ("a",)), MeasurementSetting(("Z",)))]
-        report = estimate_witness(records, Observable(np.eye(2), settings=((1.0, "I"),)))
+        report = estimate_witness(records, Observable(np.eye(2)))
         assert (report.value, report.uncertainty) == (1.0, 0.0)
         assert report.parameters == {"n_settings": 0}
 
@@ -507,6 +510,11 @@ class TestLinearInversion:
         with pytest.raises(ValueError, match="1 or 2"):
             tomography_linear(records)
 
+    def test_label_count_must_match(self):
+        records = exact_records(basis_ket("0", ("a",)), 1)
+        with pytest.raises(ValueError, match="3 labels given for a 1-qubit reconstruction"):
+            tomography_linear(records, labels=("a", "b", "c"))
+
 
 class TestFidelityWithError:
     def test_exact_records_zero_width(self):
@@ -541,6 +549,12 @@ class TestFidelityWithError:
         first = fidelity_with_error(records, bell("psi+"), trials=15, seed=8)
         second = fidelity_with_error(records, bell("psi+"), trials=15, seed=8)
         assert first == second
+
+    def test_target_size_must_match(self, monkeypatch):
+        records = poisson_records(basis_ket("0", ("a",)), 1, 100, seed=6)
+        monkeypatch.setattr(tomography, "_redraw", lambda *args: pytest.fail("a trial was drawn"))
+        with pytest.raises(ValueError, match="target has 2 qubits, the records 1"):
+            fidelity_with_error(records, bell("psi+"), trials=10)
 
 
 class TestTrustedEstimates:

@@ -15,7 +15,6 @@ from dickesim import (
     biseparable_bound,
     biseparable_bound_result,
     collective_spin,
-    decomposition_check,
     dicke,
     fidelity_bound_from_d3_witness,
     fidelity_bound_from_wm,
@@ -42,33 +41,42 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return m + m.conj().T
 
 
+def _rebuilt(settings) -> np.ndarray:
+    """sum_s c_s P_s over (c_s, s) pairs, each P_s an oracle Kronecker chain."""
+    return sum(c * oracles.kron_chain([oracles.PAULI_BY_LETTER[ch] for ch in s]) for c, s in settings)
+
+
 class TestCollectiveSpin:
     def test_single_qubit_jx(self):
         cs = collective_spin(1)
-        assert np.abs(cs.jx.matrix - oracles.SX / 2).max() == 0
+        assert np.abs(cs.jx - oracles.SX / 2).max() == 0
 
     def test_dicke_second_moments(self):
         cs = collective_spin(4)
         d42 = dicke(4, 2)
-        jz2 = cs.jz.matrix @ cs.jz.matrix
-        jxy2 = cs.jx.matrix @ cs.jx.matrix + cs.jy.matrix @ cs.jy.matrix
+        jz2 = cs.jz @ cs.jz
+        jxy2 = cs.jx @ cs.jx + cs.jy @ cs.jy
         assert oracles.dense_expectation(jz2, d42.amplitudes) == pytest.approx(0.0, abs=1e-10)
         assert oracles.dense_expectation(jxy2, d42.amplitudes) == pytest.approx(6.0, abs=1e-10)
 
     def test_s_operator_relation(self):
-        cs = collective_spin(3)
-        expected = (cs.jy.matrix @ cs.jy.matrix - np.eye(8)) / 2
-        assert np.abs(cs.sy.matrix - expected).max() < 1e-12
+        # W_m as transcribed, S_k = (J_k^2 - 1)/2, from the oracle's Kronecker-chain J_k
+        eye = np.eye(16)
+        jx2, jy2, jz2 = (oracles.collective_j(4, s) @ oracles.collective_j(4, s)
+                         for s in (oracles.SX, oracles.SY, oracles.SZ))
+        expected = (24 * eye + jx2 @ (jx2 - eye) / 2 + jy2 @ (jy2 - eye) / 2
+                    + jz2 @ (31 * eye - 7 * jz2)) / 12
+        assert np.abs(witness_wm().matrix - expected).max() < 1e-12
 
     def test_squares_are_stored_read_only(self):
         cs = collective_spin(4)
         for j, j2 in ((cs.jx, cs.jx2), (cs.jy, cs.jy2), (cs.jz, cs.jz2)):
-            assert j2.tobytes() == (j.matrix @ j.matrix).tobytes()
-            assert not j2.flags.writeable
+            assert j2.tobytes() == (j @ j).tobytes()
+            assert not j.flags.writeable and not j2.flags.writeable
 
     def test_matches_oracle_sum(self):
         cs = collective_spin(4)
-        assert np.abs(cs.jx.matrix - oracles.collective_j(4, oracles.SX)).max() < 1e-12
+        assert np.abs(cs.jx - oracles.collective_j(4, oracles.SX)).max() < 1e-12
 
     def test_range(self):
         with pytest.raises(ValueError):
@@ -87,7 +95,7 @@ class TestCollectiveSpin:
         first = witnesses._collective_matrix(3, "Y")
         assert np.array_equal(witnesses._collective_matrix(3, "Y"), first)
         assert np.array_equal(first, expected / 2.0)
-        assert np.array_equal(collective_spin(3).jy.matrix, first)
+        assert np.array_equal(collective_spin(3).jy, first)
         assert np.array_equal(pauli_matrix("IYI"), np.kron(np.kron(np.eye(2), oracles.SY), np.eye(2)))
 
 
@@ -144,7 +152,7 @@ class TestWitnessWm:
         wm = witness_wm()
         axes = {frozenset(set(s) - {"I"}) for _, s in wm.settings if set(s) != {"I"}}
         assert axes <= {frozenset("X"), frozenset("Y"), frozenset("Z")}
-        assert decomposition_check(wm).equal
+        assert np.abs(_rebuilt(wm.settings) - wm.matrix).max() < 1e-12
 
     def test_calibrated_reaches_minus_one(self):
         cal = witness_wm_calibrated()
@@ -325,15 +333,14 @@ class TestProjectorWitness:
 
     def test_rearranged_decomposition_rebuilds(self):
         for k in (1, 2):
-            assert decomposition_check(witness_projector_d3(k)).equal
+            w = witness_projector_d3(k)
+            assert np.abs(_rebuilt(w.settings) - w.matrix).max() < 1e-12
 
     def test_five_setting_decomposition_rebuilds(self):
         # the published five-setting form, as the oracles expand it, rebuilds the witness
         for k in (1, 2):
-            five = tuple((c, s) for s, c in oracles.d3_five_setting_terms(k).items())
-            check = decomposition_check(Observable(witness_projector_d3(k).matrix, settings=five))
-            assert check.equal
-            assert check.max_deviation < 1e-10
+            five = [(c, s) for s, c in oracles.d3_five_setting_terms(k).items()]
+            assert np.abs(_rebuilt(five) - witness_projector_d3(k).matrix).max() < 1e-12
 
     def test_five_setting_form_is_eight_group_form(self):
         """Read with ZZ for its unlabelled product term, the five-setting form
@@ -385,34 +392,25 @@ class TestObservable:
 
 
 class TestDecompositionCheck:
+    """An observable's settings are its matrix's Pauli decomposition, which the
+    oracle's Kronecker chains rebuild."""
+
     def test_identity_observable(self):
-        obs = Observable(np.eye(8), settings=((1.0, "III"),))
-        check = decomposition_check(obs)
-        assert check.equal and check.max_deviation < 1e-15
-
-    def test_mismatch_surfaced(self):
-        obs = Observable(np.eye(8), settings=((0.5, "III"),))
-        check = decomposition_check(obs)
-        assert not check.equal
-        assert check.max_deviation == pytest.approx(0.5)
-
-    def test_requires_settings(self):
-        with pytest.raises(ValueError, match="settings"):
-            decomposition_check(Observable(np.eye(4)))
+        assert Observable(np.eye(8)).settings == ((1.0, "III"),)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_round_trip(self, n):
         herm = _random_hermitian(np.random.default_rng(50 + n), 2 ** n)
-        check = decomposition_check(Observable(herm, settings=pauli_decompose(herm)))
-        assert check.equal and check.max_deviation < 1e-12
+        settings = Observable(herm).settings
+        assert settings == tuple(pauli_decompose(herm))
+        assert np.abs(_rebuilt(settings) - herm).max() < 1e-12
 
-    def test_wrong_length_setting_named(self):
-        with pytest.raises(ValueError, match="'III'"):
-            decomposition_check(Observable(np.eye(4), settings=((1.0, "III"),)))
-
-    def test_unknown_letter_named(self):
-        with pytest.raises(ValueError, match="'IQ'"):
-            decomposition_check(Observable(np.eye(4), settings=((1.0, "II"), (0.0, "IQ"))))
+    def test_settings_need_a_qubit_operator(self):
+        # a 3 x 3 observable is built; only reading its settings is refused
+        obs = Observable(np.eye(3))
+        assert np.array_equal(obs.matrix, np.eye(3))
+        with pytest.raises(ValueError, match=re.escape("(3, 3)")):
+            obs.settings
 
 
 class TestWitnessReport:
