@@ -77,7 +77,6 @@ from .protocols import (
 )
 from .tomography import (
     CountsRecord,
-    MeasurementSetting,
     MissingSettingError,
     born_probabilities,
     estimate_correlator,

@@ -55,10 +55,6 @@ class GateSpec:
             return np.array([[1, 0], [0, np.exp(1j * self.phi)]])
         return _MATRICES[self.kind]
 
-    def is_self_inverse(self) -> bool:
-        m = self.matrix()
-        return bool(np.abs(m @ m - np.eye(m.shape[0])).max() < 1e-12)
-
     def to_line(self) -> str:
         parts = [self.kind, self.control if self.control is not None else "-", self.target]
         if self.phi is not None:

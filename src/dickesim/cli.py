@@ -54,7 +54,6 @@ from .states import (
     xi_state,
 )
 from .tomography import (
-    MeasurementSetting,
     MissingSettingError,
     fidelity_with_error,
     simulate_counts,
@@ -214,7 +213,7 @@ def _no_counts(err: MissingSettingError, n_per_setting: int) -> ConfigError:
 
 def _pauli_records(state, n_per_setting: int, seed: int) -> list:
     """A record per Pauli setting of the state's qubits, XYZ order; setting i at seed + i."""
-    settings = [MeasurementSetting(axes) for axes in itertools.product("XYZ", repeat=state.n)]
+    settings = ["".join(axes) for axes in itertools.product("XYZ", repeat=state.n)]
     return simulate_counts(state, settings, n_per_setting, seed=seed)
 
 

@@ -119,8 +119,6 @@ class QtcResult:
 class OdtResult:
     """Open-destination run: post-selected receiver state and bookkeeping."""
 
-    projection_used: str
-    receiver: str
     port: str
     success_probability: float
     sodt_probability: float
@@ -321,8 +319,6 @@ def run_odt(client: ClientParams, resource: State | None = None, port: str = "b"
             f"outcome |+1> of {(CLIENT_LABEL, port)} has probability {probs[accepted]}", probs[accepted])
     receiver_mixed = post.member(kept.index(accepted)).density()
     return OdtResult(
-        projection_used=sodt_projection,
-        receiver=receiver,
         port=port,
         success_probability=float(prob_sodt * probs[accepted]),
         sodt_probability=float(prob_sodt),

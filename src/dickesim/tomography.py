@@ -4,7 +4,9 @@ estimation, and linear-inversion state tomography with a PSD projection.
 Counts are drawn per outcome as Poisson(N * p), matching coincidence
 counting; every stochastic record carries its seed. Exact records (counts
 equal to N * p) represent the infinite-statistics limit and propagate zero
-uncertainty.
+uncertainty. A measurement setting is its Pauli string, one X, Y or Z per
+qubit such as "XZ" (James, Kwiat, Munro & White, PRA 64, 052312 (2001));
+reports write it "X|Z".
 """
 from __future__ import annotations
 
@@ -28,8 +30,6 @@ from .register import (
 )
 from .witnesses import Observable, WitnessReport
 
-_AXIS_TOL = 1e-12
-
 
 class MissingSettingError(LookupError):
     """Records do not cover a setting required by the estimator."""
@@ -39,49 +39,11 @@ class MissingSettingError(LookupError):
         self.missing = missing
 
 
-def _axis_letter(axis) -> str:
-    """Normalize an axis spec to X/Y/Z; path-phase angles map onto the equator."""
-    if isinstance(axis, str):
-        return axis
-    phi = float(axis)
-    if abs(phi) < _AXIS_TOL:
-        return "X"
-    if abs(phi - math.pi / 2) < _AXIS_TOL:
-        return "Y"
-    return f"P({phi!r})"
-
-
-def _axis_unitary(axis) -> np.ndarray:
-    """Basis-change unitary whose rows are the measurement bras."""
-    if isinstance(axis, str):
-        if axis not in AXIS_BASES:
-            raise ValueError(f"unknown measurement axis {axis!r}")
-        return AXIS_BASES[axis]
-    phi = float(axis)
-    return np.array([[1, np.exp(-1j * phi)], [1, -np.exp(-1j * phi)]]) / np.sqrt(2)
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Per-qubit measurement bases: X, Y, Z, or a path-phase angle in radians."""
-
-    axes: tuple
-
-    def __post_init__(self):
-        axes = tuple(self.axes)
-        for axis in axes:
-            _axis_unitary(axis)
-        object.__setattr__(self, "axes", axes)
-
-    @property
-    def n(self) -> int:
-        return len(self.axes)
-
-    def letters(self) -> tuple[str, ...]:
-        return tuple(_axis_letter(a) for a in self.axes)
-
-    def key(self) -> str:
-        return "|".join(self.letters())
+def _check_setting(setting: str) -> str:
+    """A measurement setting is its Pauli string: one axis letter of AXIS_BASES per qubit."""
+    if not (isinstance(setting, str) and setting and set(setting) <= set(AXIS_BASES)):
+        raise ValueError(f"measurement setting {setting!r} is not one of X, Y, Z per qubit")
+    return setting
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,16 +52,17 @@ class CountsRecord:
     as a read-only copy, so a record is a value: neither an edit of the caller's
     dict nor one through the record can change what it holds."""
 
-    setting: MeasurementSetting
+    setting: str
     counts: Mapping[str, float]
     total_requested: float
     seed: int | None
     exact: bool = False
 
     def __post_init__(self):
+        _check_setting(self.setting)
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         for outcome, value in self.counts.items():
-            if len(outcome) != self.setting.n or set(outcome) - {"0", "1"}:
+            if len(outcome) != len(self.setting) or set(outcome) - {"0", "1"}:
                 raise ValueError(f"bad outcome key {outcome!r}")
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
@@ -111,13 +74,18 @@ class CountsRecord:
     def total(self) -> float:
         return float(sum(self.counts.values()))
 
+    @property
+    def setting_key(self) -> str:
+        """The setting's report form, its axis letters joined by "|"."""
+        return "|".join(self.setting)
+
     def to_csv_rows(self) -> list[tuple[str, str, str]]:
-        key = self.setting.key()
+        key = self.setting_key
         return [(key, outcome, repr(self.counts[outcome])) for outcome in sorted(self.counts)]
 
     def to_json_dict(self) -> dict:
         return {
-            "setting": self.setting.key(),
+            "setting": self.setting_key,
             "counts": {k: self.counts[k] for k in sorted(self.counts)},
             "total_requested": self.total_requested,
             "seed": self.seed,
@@ -125,42 +93,41 @@ class CountsRecord:
         }
 
 
-def _settings(settings: MeasurementSetting | Iterable[MeasurementSetting]) -> tuple[MeasurementSetting, ...]:
-    """One setting, or a sequence of them, as a non-empty tuple."""
-    table = (settings,) if isinstance(settings, MeasurementSetting) else tuple(settings)
+def _settings(settings: str | Iterable[str]) -> tuple[str, ...]:
+    """One setting, or a sequence of them, as a non-empty tuple of checked settings."""
+    table = (settings,) if isinstance(settings, str) else tuple(settings)
     if not table:
         raise ValueError("no measurement settings supplied")
-    return table
+    return tuple(map(_check_setting, table))
 
 
-def born_probabilities(state: State,
-                       settings: MeasurementSetting | Iterable[MeasurementSetting]) -> np.ndarray:
+def born_probabilities(state: State, settings: str | Iterable[str]) -> np.ndarray:
     """Outcome probabilities of measuring every qubit in the setting's bases. A
     sequence of M settings is one stack, each qubit turned by one (M, 2, 2) stack
-    of axis unitaries; row i of the (M, 2^n) result is setting i's alone, bit for bit."""
+    of AXIS_BASES unitaries; row i of the (M, 2^n) result is setting i's alone, bit for bit."""
     if state.stack_shape:
         raise ValueError(f"tomography measures a single state, not a stack of shape {state.stack_shape}")
     table = _settings(settings)
     for setting in table:
-        if setting.n != state.n:
-            raise ValueError(f"setting covers {setting.n} qubits, state has {state.n}")
+        if len(setting) != state.n:
+            raise ValueError(f"setting covers {len(setting)} qubits, state has {state.n}")
     rotated = state
     for q, label in enumerate(state.labels):
-        rotated = apply_gate(rotated, np.array([_axis_unitary(s.axes[q]) for s in table]), label)
+        rotated = apply_gate(rotated, np.array([AXIS_BASES[s[q]] for s in table]), label)
     if isinstance(rotated, PureState):
         probs = np.abs(rotated.amplitudes) ** 2
     else:
         probs = np.real(np.diagonal(rotated.matrix, axis1=-2, axis2=-1))
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum(axis=-1, keepdims=True)
-    return probs[0] if isinstance(settings, MeasurementSetting) else probs
+    return probs[0] if isinstance(settings, str) else probs
 
 
 def _outcome_strings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(2 ** n)]
 
 
-def simulate_counts(state: State, settings: MeasurementSetting | Iterable[MeasurementSetting], n: int,
+def simulate_counts(state: State, settings: str | Iterable[str], n: int,
                     seed: int) -> CountsRecord | list[CountsRecord]:
     """Poisson(N * p) draw per outcome; deterministic under the given seed. A sequence
     of settings gives a list, record i drawn from its Born row with default_rng(seed + i)."""
@@ -170,15 +137,15 @@ def simulate_counts(state: State, settings: MeasurementSetting | Iterable[Measur
     records = []
     for i, (setting, probs) in enumerate(zip(table, born_probabilities(state, table))):
         draws = np.random.default_rng(seed + i).poisson(n * probs)
-        counts = {o: int(c) for o, c in zip(_outcome_strings(setting.n), draws)}
+        counts = {o: int(c) for o, c in zip(_outcome_strings(len(setting)), draws)}
         records.append(CountsRecord(setting=setting, counts=counts, total_requested=float(n), seed=seed + i))
-    return records[0] if isinstance(settings, MeasurementSetting) else records
+    return records[0] if isinstance(settings, str) else records
 
 
-def exact_counts(state: State, setting: MeasurementSetting, n: float = 1.0) -> CountsRecord:
+def exact_counts(state: State, setting: str, n: float = 1.0) -> CountsRecord:
     """Infinite-statistics record: counts equal N * p exactly."""
     probs = born_probabilities(state, setting)
-    counts = {o: float(n * p) for o, p in zip(_outcome_strings(setting.n), probs)}
+    counts = {o: float(n * p) for o, p in zip(_outcome_strings(len(setting)), probs)}
     return CountsRecord(setting=setting, counts=counts, total_requested=float(n),
                         seed=None, exact=True)
 
@@ -203,8 +170,8 @@ def _parity_table(records: Sequence[CountsRecord], strings: Sequence[str]) -> np
     width = max(map(len, [*outcomes, *strings]), default=0)
     bits = np.array([[b == "1" for b in o.ljust(width, "0")] for o in outcomes], dtype=int)
     mask = np.array([[p != "I" for p in s.ljust(width, "I")] for s in strings], dtype=int)
-    fits = np.array([[len(s) == len(letters) and all(p in ("I", l) for p, l in zip(s, letters))
-                      for s in strings] for letters in (r.setting.letters() for r in records)], dtype=bool)
+    fits = np.array([[len(s) == len(r.setting) and all(p in ("I", l) for p, l in zip(s, r.setting))
+                      for s in strings] for r in records], dtype=bool)
     parity = bits.reshape(len(outcomes), width) @ mask.reshape(len(strings), width).T % 2
     table = np.where(fits.reshape(len(records), len(strings))[owner], 1.0 - 2.0 * parity, 0.0)
     missing = tuple(s for s, ok in zip(strings, counts @ np.abs(table) > 0) if not ok)
@@ -271,7 +238,7 @@ def _inversion_parity(records: tuple[CountsRecord, ...]) -> tuple[int, np.ndarra
     there are no records, then when k > 2, then naming every missing setting."""
     if not records:
         raise ValueError("no records supplied")
-    k = records[0].setting.n
+    k = len(records[0].setting)
     if k > 2:
         raise ValueError("linear inversion is provided for 1 or 2 qubits")
     # a string with an I pools these, so they name every missing setting

@@ -87,6 +87,9 @@ class Observable:
     def expectation(self, state: State) -> float:
         if state.stack_shape:
             raise ValueError(f"an expectation takes a single state, not a stack of shape {state.stack_shape}")
+        if self.matrix.shape != (2 ** state.n,) * 2:
+            raise ValueError(f"observable of dimension {len(self.matrix)} on a {state.n}-qubit state "
+                             f"of dimension {2 ** state.n}")
         if isinstance(state, PureState):
             return float(np.real(state.amplitudes.conj() @ self.matrix @ state.amplitudes))
         return float(np.real(np.trace(state.matrix @ self.matrix)))

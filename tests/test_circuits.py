@@ -49,11 +49,6 @@ class TestGateSpec:
         with pytest.raises(ValueError, match="unknown gate"):
             GateSpec("SWAP", "a")
 
-    def test_self_inverse_detection(self):
-        assert GateSpec("H", "c").is_self_inverse()
-        assert GateSpec("PHASE", "c", phi=math.pi).is_self_inverse()
-        assert not GateSpec("PHASE", "c", phi=math.pi / 2).is_self_inverse()
-
 
 class TestSerialization:
     def test_round_trip(self):

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from dickesim import (
     CountsRecord,
-    MeasurementSetting,
     MissingSettingError,
     MixedState,
     PureState,
@@ -37,8 +36,8 @@ from dickesim.witnesses import Observable, pauli_matrix
 import oracles
 
 
-def all_settings(k: int) -> list[MeasurementSetting]:
-    return [MeasurementSetting(axes) for axes in itertools.product("XYZ", repeat=k)]
+def all_settings(k: int) -> list[str]:
+    return ["".join(axes) for axes in itertools.product("XYZ", repeat=k)]
 
 
 def exact_records(state, k: int) -> list[CountsRecord]:
@@ -52,44 +51,48 @@ def poisson_records(state, k: int, n: int, seed: int) -> list[CountsRecord]:
 
 class TestSettings:
     def test_letters(self):
-        assert MeasurementSetting(("X", "Z")).letters() == ("X", "Z")
+        """A setting is its string of X, Y or Z per qubit, kept as given."""
+        setting = CountsRecord("XZ", {"00": 1}, 1.0, seed=0).setting
+        assert setting == "XZ"
+        assert tuple(setting) == ("X", "Z")
 
-    def test_path_phase_mapping(self):
-        assert MeasurementSetting((0.0,)).letters() == ("X",)
-        assert MeasurementSetting((math.pi / 2,)).letters() == ("Y",)
-        assert MeasurementSetting((0.3,)).letters()[0].startswith("P(")
-
-    def test_invalid_axis(self):
-        with pytest.raises(ValueError):
-            MeasurementSetting(("Q",))
+    def test_invalid_axis(self, monkeypatch):
+        """Every string other than one X, Y or Z per qubit is refused where it enters,
+        naming the setting, and simulate_counts refuses before it draws."""
+        def no_draw(*args):
+            raise AssertionError("simulate_counts drew before checking its settings")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        state = basis_ket("0", ("a",))
+        for bad in ("Q", "", "XQ"):
+            for enter in (lambda: CountsRecord(bad, {}, 1.0, seed=0),
+                          lambda: born_probabilities(state, bad),
+                          lambda: born_probabilities(state, ["Z", bad]),
+                          lambda: simulate_counts(state, bad, 100, seed=1),
+                          lambda: simulate_counts(state, ["Z", bad], 100, seed=1)):
+                with pytest.raises(ValueError, match=re.escape(f"measurement setting {bad!r}")):
+                    enter()
 
 
 class TestBornProbabilities:
     def test_computational(self):
-        probs = born_probabilities(basis_ket("0", ("a",)), MeasurementSetting(("Z",)))
+        probs = born_probabilities(basis_ket("0", ("a",)), "Z")
         assert np.allclose(probs, [1.0, 0.0])
 
     def test_plus_in_z(self):
         plus = single_qubit(np.array([1, 1]) / math.sqrt(2), "a")
-        assert np.allclose(born_probabilities(plus, MeasurementSetting(("Z",))), [0.5, 0.5])
+        assert np.allclose(born_probabilities(plus, "Z"), [0.5, 0.5])
 
     def test_plus_in_its_own_basis(self):
         plus = single_qubit(np.array([1, 1]) / math.sqrt(2), "a")
-        assert np.allclose(born_probabilities(plus, MeasurementSetting(("X",))), [1.0, 0.0])
-        assert np.allclose(born_probabilities(plus, MeasurementSetting((0.0,))), [1.0, 0.0])
-
-    def test_circular_in_path_phase_basis(self):
-        circ = single_qubit(np.array([1, 1j]) / math.sqrt(2), "a")
-        probs = born_probabilities(circ, MeasurementSetting((math.pi / 2,)))
-        assert np.allclose(probs, [1.0, 0.0], atol=1e-12)
+        assert np.allclose(born_probabilities(plus, "X"), [1.0, 0.0])
 
     def test_mixed_state(self):
         rho = MixedState(RegisterLayout(("a",)), np.diag([0.25, 0.75]))
-        assert np.allclose(born_probabilities(rho, MeasurementSetting(("Z",))), [0.25, 0.75])
+        assert np.allclose(born_probabilities(rho, "Z"), [0.25, 0.75])
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            born_probabilities(bell("psi+"), MeasurementSetting(("Z",)))
+            born_probabilities(bell("psi+"), "Z")
 
     STACKS = {
         "kets": lambda: PureState(RegisterLayout(("a",)), np.eye(2)),
@@ -103,7 +106,7 @@ class TestBornProbabilities:
     @pytest.mark.parametrize("stack", list(STACKS))
     def test_a_stack_is_refused(self, stack):
         state = self.STACKS[stack]()
-        setting = MeasurementSetting(("Z",))
+        setting = "Z"
         message = re.escape(f"not a stack of shape {state.stack_shape}")
         for measure in (lambda: born_probabilities(state, setting), lambda: exact_counts(state, setting),
                         lambda: simulate_counts(state, setting, 100, seed=1)):
@@ -115,18 +118,18 @@ class TestBornProbabilities:
 
 class TestSimulateCounts:
     def test_deterministic_outcome_lands_on_one_bin(self):
-        record = simulate_counts(basis_ket("0", ("a",)), MeasurementSetting(("Z",)), 5000, seed=4)
+        record = simulate_counts(basis_ket("0", ("a",)), "Z", 5000, seed=4)
         assert record.counts["1"] == 0
         assert record.counts["0"] > 4000
 
     def test_seed_reproducibility(self):
-        a = simulate_counts(bell("psi+"), MeasurementSetting(("X", "Y")), 1000, seed=11)
-        b = simulate_counts(bell("psi+"), MeasurementSetting(("X", "Y")), 1000, seed=11)
+        a = simulate_counts(bell("psi+"), "XY", 1000, seed=11)
+        b = simulate_counts(bell("psi+"), "XY", 1000, seed=11)
         assert a.counts == b.counts
 
     def test_frequencies_converge(self):
         plus = single_qubit(np.array([1, 1]) / math.sqrt(2), "a")
-        record = simulate_counts(plus, MeasurementSetting(("Z",)), 10 ** 6, seed=2)
+        record = simulate_counts(plus, "Z", 10 ** 6, seed=2)
         freq = record.counts["0"] / record.total
         assert abs(freq - 0.5) < 3 * 0.5 / math.sqrt(10 ** 6) * 2
 
@@ -145,24 +148,23 @@ class TestSimulateCounts:
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            simulate_counts(bell("psi+"), MeasurementSetting(("Z", "Z")), 0, seed=1)
+            simulate_counts(bell("psi+"), "ZZ", 0, seed=1)
 
     def test_nan_n_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
-            simulate_counts(bell("psi+"), MeasurementSetting(("Z", "Z")), math.nan, seed=1)
+            simulate_counts(bell("psi+"), "ZZ", math.nan, seed=1)
 
     def test_integer_counts_enforced(self):
         with pytest.raises(ValueError, match="integers"):
-            CountsRecord(MeasurementSetting(("Z",)), {"0": 0.5, "1": 0.5}, 1, seed=0)
+            CountsRecord("Z", {"0": 0.5, "1": 0.5}, 1, seed=0)
 
     def test_nan_exact_count_rejected(self):
         with pytest.raises(ValueError, match="count nan"):
-            CountsRecord(MeasurementSetting(("Z",)), {"0": math.nan, "1": 5.0}, 5.0,
-                         seed=None, exact=True)
+            CountsRecord("Z", {"0": math.nan, "1": 5.0}, 5.0, seed=None, exact=True)
 
     def test_infinite_stochastic_count_rejected(self):
         with pytest.raises(ValueError, match="count inf"):
-            CountsRecord(MeasurementSetting(("Z",)), {"0": math.inf, "1": 5}, 5.0, seed=0)
+            CountsRecord("Z", {"0": math.inf, "1": 5}, 5.0, seed=0)
 
 
 def _random_state(rng, n: int, pure: bool):
@@ -173,12 +175,9 @@ def _random_state(rng, n: int, pure: bool):
     return MixedState(layout, oracles.random_density(rng, 2 ** n, 2))
 
 
-def _settings_with_phases(rng, n: int) -> list[MeasurementSetting]:
-    """Every X/Y/Z setting on n qubits, then three with path-phase angles on some qubits."""
-    phased = [MeasurementSetting(tuple(float(rng.uniform(0, 2 * math.pi)) if rng.random() < 0.6
-                                       else "XYZ"[int(rng.integers(3))] for _ in range(n)))
-              for _ in range(3)]
-    return all_settings(n) + phased
+def _settings_with_repeats(rng, n: int) -> list[str]:
+    """Every X/Y/Z setting on n qubits, then three drawn again at random, so a stack repeats settings."""
+    return all_settings(n) + ["".join(rng.choice(list("XYZ"), size=n)) for _ in range(3)]
 
 
 class TestStackedSettings:
@@ -190,7 +189,7 @@ class TestStackedSettings:
     def test_rows_equal_single_settings(self, n, pure):
         rng = np.random.default_rng(40 + n)
         for _ in range(4):
-            state, table = _random_state(rng, n, pure), _settings_with_phases(rng, n)
+            state, table = _random_state(rng, n, pure), _settings_with_repeats(rng, n)
             rows = born_probabilities(state, table)
             assert rows.shape == (len(table), 2 ** n)
             for row, setting in zip(rows, table):
@@ -200,7 +199,7 @@ class TestStackedSettings:
     @pytest.mark.parametrize("pure", [True, False], ids=["kets", "densities"])
     def test_records_equal_single_settings(self, n, pure):
         rng = np.random.default_rng(50 + n)
-        state, table = _random_state(rng, n, pure), _settings_with_phases(rng, n)
+        state, table = _random_state(rng, n, pure), _settings_with_repeats(rng, n)
         records = simulate_counts(state, iter(table), 500, seed=17)  # any iterable, read once
         assert len(records) == len(table)
         for i, (record, setting) in enumerate(zip(records, table)):
@@ -216,22 +215,21 @@ class TestStackedSettings:
                 measure()
 
     def test_a_setting_of_the_wrong_size_refused(self):
-        table = [MeasurementSetting(("Z", "Z")), MeasurementSetting(("Z",))]
+        table = ["ZZ", "Z"]
         with pytest.raises(ValueError, match="setting covers 1 qubits, state has 2"):
             born_probabilities(bell("psi+"), table)
 
 
 class TestEstimateCorrelator:
     def test_exact_deterministic(self):
-        records = [exact_counts(basis_ket("0000", ("a", "b", "c", "d")),
-                                MeasurementSetting(("Z", "Z", "Z", "Z")))]
+        records = [exact_counts(basis_ket("0000", ("a", "b", "c", "d")), "ZZZZ")]
         value, unc = estimate_correlator(records, "ZZZZ")
         assert value == pytest.approx(1.0, abs=1e-12)
         assert unc == 0.0
 
     def test_uncertainty_shrinks_with_n(self):
         state = bell("psi+")
-        setting = MeasurementSetting(("Z", "X"))
+        setting = "ZX"
         uncs = []
         for n in (10 ** 3, 10 ** 5):
             record = simulate_counts(state, setting, n, seed=21)
@@ -242,7 +240,7 @@ class TestEstimateCorrelator:
         state = bell("psi+")
         records = [exact_counts(state, s, n=100) for s in all_settings(2)]
         # XI is compatible with XX, XY, XZ; pooled total is 300
-        matching = [r for r in records if r.setting.letters()[0] == "X"]
+        matching = [r for r in records if r.setting[0] == "X"]
         assert len(matching) == 3
         value, _ = estimate_correlator(records, "XI")
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -264,10 +262,10 @@ class TestEstimateCorrelator:
         rng = np.random.default_rng(37)
         rho = MixedState(RegisterLayout(("a", "b")), oracles.random_density(rng, 4))
         # X-first settings exact only; ZZ both exact and Poisson; the rest Poisson only
-        records = [exact_counts(rho, s, 1000.0) if s.letters()[0] == "X"
+        records = [exact_counts(rho, s, 1000.0) if s[0] == "X"
                    else simulate_counts(rho, s, 1000, seed=700 + i)
                    for i, s in enumerate(all_settings(2))]
-        records.append(exact_counts(rho, MeasurementSetting(("Z", "Z")), 1000.0))
+        records.append(exact_counts(rho, "ZZ", 1000.0))
         strings = ["".join(combo) for combo in itertools.product("IXYZ", repeat=2)]
         coeffs = rng.normal(size=len(strings))
         observable = Observable(sum(c * pauli_matrix(s) for c, s in zip(coeffs, strings)))
@@ -283,14 +281,13 @@ class TestEstimateCorrelator:
             assert estimate_correlator(records, string)[1] == 0.0, string
 
     def test_missing_setting(self):
-        records = [exact_counts(bell("psi+"), MeasurementSetting(("Z", "Z")))]
+        records = [exact_counts(bell("psi+"), "ZZ")]
         with pytest.raises(MissingSettingError) as exc:
             estimate_correlator(records, "XX")
         assert exc.value.missing == ("XX",)
 
     def test_zero_counts_are_a_missing_setting(self):
-        records = [CountsRecord(MeasurementSetting(("Z", "Z")),
-                                dict.fromkeys(("00", "01", "10", "11"), 0), 1000.0, seed=None)]
+        records = [CountsRecord("ZZ", dict.fromkeys(("00", "01", "10", "11"), 0), 1000.0, seed=None)]
         with pytest.raises(MissingSettingError) as exc:
             estimate_correlator(records, "ZZ")
         assert exc.value.missing == ("ZZ",)
@@ -302,7 +299,7 @@ class TestEstimateCorrelator:
 
     def test_overflowing_counts_refused(self):
         # the two X records pool to inf / inf, which no estimate may return as nan
-        records = [CountsRecord(MeasurementSetting((axis,)), {"0": 1.7e308, "1": 0.0}, 1.0,
+        records = [CountsRecord(axis, {"0": 1.7e308, "1": 0.0}, 1.0,
                                 seed=None, exact=True) for axis in "XXYZ"]
         observable = Observable(pauli_matrix("X") + pauli_matrix("Z"))
         for estimate in (lambda: estimate_correlator(records, "X"),
@@ -314,11 +311,11 @@ class TestEstimateCorrelator:
     # record that drew nothing adds no column beside an exact one
     EDGE_RECORDS = {
         "two-sizes": lambda: [
-            simulate_counts(bell("psi+"), MeasurementSetting(("Z", "Z")), 100, seed=1),
-            simulate_counts(basis_ket("0", ("a",)), MeasurementSetting(("Z",)), 100, seed=2)],
+            simulate_counts(bell("psi+"), "ZZ", 100, seed=1),
+            simulate_counts(basis_ket("0", ("a",)), "Z", 100, seed=2)],
         "empty-stochastic": lambda: [
-            exact_counts(basis_ket("0", ("a",)), MeasurementSetting(("Z",))),
-            CountsRecord(MeasurementSetting(("Z",)), {}, 100.0, seed=3)],
+            exact_counts(basis_ket("0", ("a",)), "Z"),
+            CountsRecord("Z", {}, 100.0, seed=3)],
     }
 
     @pytest.mark.parametrize("case, string, expected", [
@@ -333,7 +330,7 @@ class TestEstimateCorrelator:
 class TestEstimateWitness:
     def test_ideal_d3_exact(self):
         witness = witness_projector_d3(1)
-        records = [exact_counts(dicke(3, 1), MeasurementSetting(axes))
+        records = [exact_counts(dicke(3, 1), "".join(axes))
                    for axes in itertools.product("XYZ", repeat=3)]
         report = estimate_witness(records, witness)
         assert report.value == pytest.approx(-1 / 3, abs=1e-10)
@@ -342,7 +339,7 @@ class TestEstimateWitness:
 
     def test_ground_state_exact(self):
         witness = witness_projector_d3(1)
-        records = [exact_counts(basis_ket("000", ("a", "b", "c")), MeasurementSetting(axes))
+        records = [exact_counts(basis_ket("000", ("a", "b", "c")), "".join(axes))
                    for axes in itertools.product("XYZ", repeat=3)]
         report = estimate_witness(records, witness)
         assert report.value == pytest.approx(2 / 3, abs=1e-10)
@@ -352,7 +349,7 @@ class TestEstimateWitness:
         rng = np.random.default_rng(31)
         witness = witness_projector_d3(2)
         rho = MixedState(RegisterLayout(("a", "b", "c")), oracles.random_density(rng, 8))
-        records = [exact_counts(rho, MeasurementSetting(axes))
+        records = [exact_counts(rho, "".join(axes))
                    for axes in itertools.product("XYZ", repeat=3)]
         report = estimate_witness(records, witness)
         assert report.value == pytest.approx(witness.expectation(rho), abs=1e-10)
@@ -363,7 +360,7 @@ class TestEstimateWitness:
         d31 = dicke(3, 1)
         mat = q * np.outer(d31.amplitudes, d31.amplitudes.conj()) + (1 - q) * np.eye(8) / 8
         rho = MixedState(RegisterLayout(("a", "b", "c")), mat)
-        records = [simulate_counts(rho, MeasurementSetting(axes), 20000, seed=900 + i)
+        records = [simulate_counts(rho, "".join(axes), 20000, seed=900 + i)
                    for i, axes in enumerate(itertools.product("XYZ", repeat=3))]
         report = estimate_witness(records, witness_projector_d3(1))
         assert -0.26 <= report.value <= -0.17
@@ -371,7 +368,7 @@ class TestEstimateWitness:
 
     def test_missing_settings_enumerated(self):
         witness = witness_projector_d3(1)
-        records = [exact_counts(dicke(3, 1), MeasurementSetting(("Z", "Z", "Z")))]
+        records = [exact_counts(dicke(3, 1), "ZZZ")]
         with pytest.raises(MissingSettingError) as exc:
             estimate_witness(records, witness)
         assert len(exc.value.missing) > 0
@@ -387,7 +384,7 @@ class TestEstimateWitness:
 
     def test_identity_only_observable(self):
         # no string left to estimate: an empty parity table, the identity's coefficient alone
-        records = [exact_counts(basis_ket("0", ("a",)), MeasurementSetting(("Z",)))]
+        records = [exact_counts(basis_ket("0", ("a",)), "Z")]
         report = estimate_witness(records, Observable(np.eye(2)))
         assert (report.value, report.uncertainty) == (1.0, 0.0)
         assert report.parameters == {"n_settings": 0}
@@ -396,7 +393,7 @@ class TestEstimateWitness:
 class TestJz2Estimation:
     def test_dicke_jz2_within_five_sigma(self):
         state = dicke(4, 2)
-        record = simulate_counts(state, MeasurementSetting(("Z",) * 4), 10 ** 5, seed=77)
+        record = simulate_counts(state, "Z" * 4, 10 ** 5, seed=77)
         value = 1.0
         variance = 0.0
         for i, j in itertools.combinations(range(4), 2):
@@ -413,7 +410,7 @@ class TestJz2Estimation:
 
         state = werner_dicke(0.8)
         for axis, seed in (("X", 1), ("Y", 2)):
-            record = simulate_counts(state, MeasurementSetting((axis,) * 4), 10 ** 4, seed=seed)
+            record = simulate_counts(state, axis * 4, 10 ** 4, seed=seed)
             variance = 0.0
             for i, j in itertools.combinations(range(4), 2):
                 string = "".join(axis if q in (i, j) else "I" for q in range(4))
@@ -453,7 +450,7 @@ class TestLinearInversion:
 
     def test_overflowing_counts_refused(self):
         # the two X records pool to inf / inf, which no estimate may carry into the register
-        records = [CountsRecord(MeasurementSetting((axis,)), {"0": 1.7e308, "1": 0.0}, 1.0,
+        records = [CountsRecord(axis, {"0": 1.7e308, "1": 0.0}, 1.0,
                                 seed=None, exact=True) for axis in "XXYZ"]
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             tomography_linear(records)
@@ -476,7 +473,7 @@ class TestLinearInversion:
             assert abs(f_psd - f_raw) <= trace_norm + 1e-9
 
     def test_missing_settings_listed(self):
-        records = [exact_counts(bell("psi+"), MeasurementSetting(("Z", "Z")))]
+        records = [exact_counts(bell("psi+"), "ZZ")]
         with pytest.raises(MissingSettingError) as exc:
             tomography_linear(records)
         assert "XX" in exc.value.missing
@@ -493,11 +490,11 @@ class TestLinearInversion:
 
     def test_absent_and_countless_settings_named_together(self):
         records = [r for r in poisson_records(bell("psi+"), 2, 1000, seed=4)
-                   if r.setting.letters() != ("X", "X")]
+                   if r.setting != "XX"]
         records[0] = CountsRecord(records[0].setting, dict.fromkeys(records[0].counts, 0),
                                   1000.0, seed=None)
-        assert records[0].setting.letters() == ("X", "Y")
-        without_x = [r for r in records if r.setting.letters()[0] != "X"]
+        assert records[0].setting == "XY"
+        without_x = [r for r in records if r.setting[0] != "X"]
         for kept, missing in ((records, ("XX", "XY")), (without_x, ("XX", "XY", "XZ"))):
             for call in (lambda: tomography_linear(kept),
                          lambda: fidelity_with_error(kept, bell("psi+"), trials=10)):
@@ -506,7 +503,7 @@ class TestLinearInversion:
                 assert exc.value.missing == missing
 
     def test_too_many_qubits(self):
-        records = [exact_counts(dicke(3, 1), MeasurementSetting(("Z", "Z", "Z")))]
+        records = [exact_counts(dicke(3, 1), "ZZZ")]
         with pytest.raises(ValueError, match="1 or 2"):
             tomography_linear(records)
 
@@ -599,7 +596,7 @@ def _missing_outcomes():
     records = poisson_records(bell("psi+"), 2, 300, seed=7)
     # ZZ never yields 00 or 11 on psi+; drop those keys rather than count them as 0
     records[8] = CountsRecord(records[8].setting, {"10": 140, "01": 155}, 300.0, seed=None)
-    assert records[8].setting.letters() == ("Z", "Z")
+    assert records[8].setting == "ZZ"
     return records, bell("psi+")
 
 
@@ -626,7 +623,7 @@ class TestBootstrapOracle:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_per_trial_oracle(self, case):
         records, target = self.CASES[case]()
-        plain = [(r.setting.letters(), r.counts, r.exact) for r in records]
+        plain = [(r.setting, r.counts, r.exact) for r in records]
         dense = target.amplitudes if isinstance(target, PureState) else target.matrix
         rho = tomography_linear(records, labels=target.labels).matrix
         assert np.abs(rho - oracles.linear_inversion(plain)).max() <= 1e-12
@@ -639,16 +636,13 @@ class TestBootstrapOracle:
             assert kept > 0
 
 
-Z_SETTING = MeasurementSetting(("Z",))
-
-
 class TestRecordContracts:
     """Each check on a record list raises its own message."""
 
     CASES = {
-        "outcome-not-binary": (lambda: CountsRecord(Z_SETTING, {"0": 3, "2": 1}, 4.0, None),
+        "outcome-not-binary": (lambda: CountsRecord("Z", {"0": 3, "2": 1}, 4.0, None),
                                "bad outcome key '2'"),
-        "outcome-length": (lambda: CountsRecord(Z_SETTING, {"01": 1}, 1.0, None),
+        "outcome-length": (lambda: CountsRecord("Z", {"01": 1}, 1.0, None),
                            "bad outcome key '01'"),
         "no-records": (lambda: tomography_linear([]), "no records supplied"),
     }
@@ -666,7 +660,7 @@ class TestRecordContracts:
         records = {
             "no-records": [],
             # three qubits and missing settings: the qubit count is named
-            "three-qubits": [simulate_counts(dicke(3, 1), MeasurementSetting("ZZZ"), 100, seed=1)],
+            "three-qubits": [simulate_counts(dicke(3, 1), "ZZZ", 100, seed=1)],
             "missing-setting": poisson_records(bell("psi+"), 2, 100, seed=1)[1:],
         }[case]
 
@@ -685,7 +679,7 @@ class TestReadOnlyCounts:
     what it holds does not change after it is built."""
 
     def test_item_assignment_raises(self):
-        record = simulate_counts(bell("psi+"), MeasurementSetting(("X", "Y")), 100, seed=1)
+        record = simulate_counts(bell("psi+"), "XY", 100, seed=1)
         with pytest.raises(TypeError):
             record.counts["01"] += 500
         with pytest.raises(TypeError):
@@ -704,7 +698,7 @@ class TestReadOnlyCounts:
 
     def test_csv_and_json_unchanged(self):
         counts = {"1": 7, "0": 93}
-        record = CountsRecord(Z_SETTING, counts, 100.0, seed=1)
+        record = CountsRecord("Z", counts, 100.0, seed=1)
         assert record.to_csv_rows() == [("Z", "0", "93"), ("Z", "1", "7")]
         assert json.dumps(record.to_json_dict()) == (
             '{"setting": "Z", "counts": {"0": 93, "1": 7}, "total_requested": 100.0, '
