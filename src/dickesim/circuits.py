@@ -122,7 +122,6 @@ class ConversionSearch:
     best_fidelity: float
     best_circuit: Circuit
     states_explored: int
-    max_depth: int
 
 
 def _canonical_key(amps: np.ndarray) -> bytes:
@@ -168,7 +167,7 @@ def find_conversion_circuit(
                 best_f, best_path = f, path
             if f >= 1.0 - MATCH_TOL:
                 circ = Circuit(path)
-                return ConversionSearch(True, circ, f, f, circ, explored, max_depth)
+                return ConversionSearch(True, circ, f, f, circ, explored)
             kept.append((amps, path))
         if not kept or depth == max_depth:
             break
@@ -176,5 +175,4 @@ def find_conversion_circuit(
         out = [apply_gate(stack, gate.matrix(), gate.labels).amplitudes for gate in pool]
         made = [(out[j][i], path + (gate,))
                 for i, (_, path) in enumerate(kept) for j, gate in enumerate(pool)]
-    return ConversionSearch(
-        False, None, 0.0, best_f, Circuit(best_path), explored, max_depth)
+    return ConversionSearch(False, None, 0.0, best_f, Circuit(best_path), explored)

@@ -22,7 +22,6 @@ from .fixtures import (
     load_b4_samples,
     load_conversion_circuit,
     load_correction_table,
-    regenerate_fixtures,
 )
 from .protocols import (
     derive_correction_table,
@@ -254,11 +253,6 @@ def _gamma_scan(gammas, moments: dict, errors: dict, fixtures_dir) -> tuple[list
 
 
 def cmd_resource_check(cfg: dict, args) -> tuple:
-    if args.regen_fixtures:
-        if args.fixtures_dir is None:  # the packaged fixtures are never rewritten
-            raise ConfigError("--regen-fixtures needs --fixtures-dir")
-        regenerate_fixtures(args.fixtures_dir)
-
     circuit = load_conversion_circuit(args.fixtures_dir)
     table_fixture = load_correction_table(args.fixtures_dir)
 
@@ -335,7 +329,7 @@ def cmd_resource_check(cfg: dict, args) -> tuple:
         "collective_moments": moments,
         "gamma_scan": gamma_rows,
         "conversion_circuit": [step.to_line() for step in circuit.steps],
-        "fixtures_regenerated": args.regen_fixtures,
+        "fixtures_regenerated": False,  # fixtures are only read; the key keeps the report's bytes
     }
     rows = [["check", c["name"], c["status"], c["value"], c["expected"]] for c in checks]
     rows += [["gamma-scan", row["gamma"], row["verdict"], row["value"], row["b4"]]
@@ -516,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--regen-fixtures", action="store_true",
-                        help="recompute golden fixtures before running")
     parser.add_argument("--fixtures-dir", type=Path, default=None,
                         help="override the packaged fixtures directory")
     return parser

@@ -97,7 +97,6 @@ class QtcResult:
     clone_labels: tuple[str, ...]
     clone_fidelities: dict
     average_clone_fidelity: float | np.ndarray
-    port: str
 
     def member(self, index: int) -> "QtcResult":
         """The result of client `index` of a stacked run, as a single run gives it."""
@@ -111,7 +110,6 @@ class QtcResult:
             clone_fidelities={outcome: {label: float(v[index]) for label, v in per_clone.items()}
                               for outcome, per_clone in self.clone_fidelities.items()},
             average_clone_fidelity=float(self.average_clone_fidelity[index]),
-            port=self.port,
         )
 
 
@@ -119,7 +117,6 @@ class QtcResult:
 class OdtResult:
     """Open-destination run: post-selected receiver state and bookkeeping."""
 
-    port: str
     success_probability: float
     sodt_probability: float
     receiver_state: MixedState
@@ -259,7 +256,6 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
         clone_fidelities={BELL_LABELS[b]: {label: f[i] for label, f in per_clone.items()}
                           for i, b in enumerate(kept)},
         average_clone_fidelity=average,
-        port=port,
     )
     return result.member(0) if single else result
 
@@ -319,7 +315,6 @@ def run_odt(client: ClientParams, resource: State | None = None, port: str = "b"
             f"outcome |+1> of {(CLIENT_LABEL, port)} has probability {probs[accepted]}", probs[accepted])
     receiver_mixed = post.member(kept.index(accepted)).density()
     return OdtResult(
-        port=port,
         success_probability=float(prob_sodt * probs[accepted]),
         sodt_probability=float(prob_sodt),
         receiver_state=receiver_mixed,

@@ -144,7 +144,7 @@ def simulate_counts(state: State, settings: str | Iterable[str], n: int,
 
 def exact_counts(state: State, setting: str, n: float = 1.0) -> CountsRecord:
     """Infinite-statistics record: counts equal N * p exactly."""
-    probs = born_probabilities(state, setting)
+    probs = born_probabilities(state, _check_setting(setting))
     counts = {o: float(n * p) for o, p in zip(_outcome_strings(len(setting)), probs)}
     return CountsRecord(setting=setting, counts=counts, total_requested=float(n),
                         seed=None, exact=True)

@@ -166,6 +166,8 @@ class FidelityBound(NamedTuple):
 
 
 def _clamped(raw: float) -> FidelityBound:
+    if not math.isfinite(raw):
+        raise ValueError(f"fidelity bound {raw} from the witness value is not finite")
     clipped = min(max(raw, 0.0), 1.0)
     return FidelityBound(clipped, clipped != raw)
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +13,24 @@ from hypothesis import example, given, settings, strategies as st
 
 from dickesim import cli, protocols
 from dickesim.cli import SCHEMAS, build_parser, main, parse_params, run_command
+from dickesim.circuits import find_conversion_circuit
 from dickesim.fixtures import (
+    B4_FILE,
     CONVERSION_FILE,
     CORRECTION_FILE,
     DEFAULT_DIR,
     load_b4_samples,
-    regenerate_fixtures,
 )
+from dickesim.protocols import derive_correction_table
 from dickesim.reporting import ConfigError, ListOf, Number, OneOf, Row, parse_config_text
-from dickesim.states import RESOURCE_LABELS
-from dickesim.witnesses import B4_GAMMA_MIN, WitnessReport, propagate_wcs_error
+from dickesim.states import RESOURCE_LABELS, dicke, xi_state
+from dickesim.witnesses import (
+    B4_GAMMA_MIN,
+    PAPER_GAMMAS,
+    WitnessReport,
+    biseparable_bound,
+    propagate_wcs_error,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SCHEMA_KEYS = [(command, key) for command, (_, schema) in SCHEMAS.items() for key in schema]
@@ -192,13 +201,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("case,message", [
         ("config-is-a-directory", "[Errno 21] Is a directory"),
         ("out-in-missing-directory", "[Errno 2] No such file or directory"),
-        ("regen-into-packaged-fixtures", "--regen-fixtures needs --fixtures-dir"),
     ])
     def test_invocation_error_is_config_error(self, tmp_path, capsys, case, message):
         argv = {
             "config-is-a-directory": ["qtc-sweep", "--config", str(tmp_path)],
             "out-in-missing-directory": ["qtc-sweep", "--out", str(tmp_path / "no" / "q.csv")],
-            "regen-into-packaged-fixtures": ["resource-check", "--regen-fixtures"],
         }[case]
         packaged = {path.name: path.read_bytes() for path in DEFAULT_DIR.iterdir()}
         assert main(argv) == 2
@@ -219,7 +226,23 @@ class TestExitCodes:
         code = main(["resource-check", "--fixtures-dir", str(empty),
                      "--out", str(tmp_path / "o.json")])
         assert code == 1
-        assert "regen-fixtures" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"fixture error: missing fixture {empty}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name,text", [
+        (B4_FILE, '{"samples": {"-0.12": 5.15'),
+        (CONVERSION_FILE, "H - c\nCX c\n"),
+        (B4_FILE, '{"samples": {"gamma": 5.0}}\n'),
+    ], ids=["truncated-b4", "bad-gate-line", "non-numeric-b4-key"])
+    def test_malformed_fixture_is_check_failure(self, tmp_path, capsys, name, text):
+        """A fixture that does not parse exits 1 with one line naming it, as a missing one does."""
+        copy = shutil.copytree(DEFAULT_DIR, tmp_path / "fixtures")
+        (copy / name).write_text(text)
+        command = "witness-scan" if name == B4_FILE else "resource-check"
+        assert main([command, "--fixtures-dir", str(copy), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"fixture error: malformed fixture {copy / name}: ")
+        assert err.count("\n") == 1
 
     def test_default_runs_pass(self, tmp_path):
         assert main(["qtc-sweep", "--out", str(tmp_path / "q.csv")]) == 0
@@ -543,41 +566,36 @@ class TestTomographyDemo:
 
 
 class TestFixtureRegeneration:
-    def test_regen_into_fresh_dir(self, tmp_path):
-        target = tmp_path / "fx"
-        summary = regenerate_fixtures(target)
-        assert (target / "conversion_circuit.txt").exists()
-        assert (target / "correction_table.json").exists()
-        assert (target / "b4_samples.json").exists()
-        assert summary["conversion_fidelity"] >= 1 - 1e-9
-        out = tmp_path / "r.json"
-        config = tmp_path / "c.cfg"
-        config.write_text("gamma_grid = [0.0]\n")
-        code = main(["resource-check", "--config", str(config),
-                     "--fixtures-dir", str(target), "--out", str(out)])
-        assert code == 0
+    def test_regenerated_fixtures_match_packaged(self):
+        """The library rebuilds the packaged circuit and table byte for byte; the
+        b4 samples agree to 1e-9 (their last bits differ). No file is written."""
+        search = find_conversion_circuit(xi_state(), dicke(4, 2, RESOURCE_LABELS))
+        assert search.circuit.to_text() == (DEFAULT_DIR / CONVERSION_FILE).read_text()
+        table = derive_correction_table(dicke(4, 2, RESOURCE_LABELS), port="b")
+        assert (json.dumps(table, indent=2, sort_keys=True) + "\n"
+                == (DEFAULT_DIR / CORRECTION_FILE).read_text())
+        packaged = load_b4_samples()
+        assert sorted(packaged) == sorted(PAPER_GAMMAS)
+        for gamma in PAPER_GAMMAS:
+            assert abs(biseparable_bound(gamma) - packaged[gamma]) <= 1e-9
 
-    def test_regenerated_fixtures_match_packaged(self, tmp_path):
-        """Both searches rebuild the packaged circuit and table byte for byte;
-        the b4 samples agree to 1e-9 (their last bits differ)."""
-        regenerate_fixtures(tmp_path)
-        for name in (CONVERSION_FILE, CORRECTION_FILE):
-            assert (tmp_path / name).read_bytes() == (DEFAULT_DIR / name).read_bytes()
-        fresh, packaged = load_b4_samples(tmp_path), load_b4_samples()
-        assert fresh.keys() == packaged.keys()
-        for gamma, value in packaged.items():
-            assert abs(fresh[gamma] - value) <= 1e-9
+    def test_copied_fixtures_dir_is_checked(self, tmp_path, capsysbinary):
+        """A copy of the packaged fixtures gives the default report byte for byte,
+        and one b4 sample moved by 1e-6 in the copy fails its check."""
+        copy = shutil.copytree(DEFAULT_DIR, tmp_path / "fixtures")
+        assert main(["resource-check"]) == 0
+        default = capsysbinary.readouterr().out
+        assert main(["resource-check", "--fixtures-dir", str(copy)]) == 0
+        assert capsysbinary.readouterr().out == default
 
-    def test_regen_flag_from_cli(self, tmp_path):
-        target = tmp_path / "fx"
-        config = tmp_path / "c.cfg"
-        config.write_text("gamma_grid = [0.0]\n")
-        out = tmp_path / "r.json"
-        code = main(["resource-check", "--config", str(config), "--regen-fixtures",
-                     "--fixtures-dir", str(target), "--out", str(out)])
-        assert code == 0
-        assert json.loads(out.read_text())["fixtures_regenerated"] is True
-        assert (target / "conversion_circuit.txt").exists()
+        raw = json.loads((copy / B4_FILE).read_text())
+        gamma = next(iter(raw["samples"]))
+        raw["samples"][gamma] += 1e-6
+        (copy / B4_FILE).write_text(json.dumps(raw))
+        assert main(["resource-check", "--fixtures-dir", str(copy)]) == 1
+        checks = json.loads(capsysbinary.readouterr().out)["checks"]
+        assert [c["name"] for c in checks if c["status"] == "FAIL"] == [
+            f"b4_fixture_match_gamma_{float(gamma)}"]
 
 
 class TestDeterminism:

@@ -72,6 +72,11 @@ class TestSettings:
                 with pytest.raises(ValueError, match=re.escape(f"measurement setting {bad!r}")):
                     enter()
 
+    def test_exact_counts_takes_one_setting(self):
+        """A sequence of settings is refused by name, not by numpy's scalar conversion."""
+        with pytest.raises(ValueError, match=re.escape("measurement setting ['ZZ', 'XX']")):
+            exact_counts(bell("psi+"), ["ZZ", "XX"])
+
 
 class TestBornProbabilities:
     def test_computational(self):

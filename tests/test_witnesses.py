@@ -184,6 +184,13 @@ class TestFidelityBounds:
         assert fidelity_bound_from_d3_witness(-0.21).value == pytest.approx(0.876, abs=0.002)
         assert fidelity_bound_from_d3_witness(-0.24).value == pytest.approx(0.908, abs=0.002)
 
+    @pytest.mark.parametrize("bound", [fidelity_bound_from_wm, fidelity_bound_from_d3_witness])
+    def test_non_finite_value_refused(self, bound):
+        """A NaN or infinite witness value has no bound to clamp, so it is refused."""
+        for value, raw in ((math.nan, "nan"), (math.inf, "-inf"), (-math.inf, "inf")):
+            with pytest.raises(ValueError, match=f"fidelity bound {raw} .*not finite"):
+                bound(value)
+
 
 class TestWitnessWcs:
     def test_matrix_form(self):
