@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -127,10 +127,18 @@ def _outcome_strings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(2 ** n)]
 
 
+def _check_seed(seed) -> int:
+    """A seed is a non-negative integer, as numpy's SeedSequence takes it."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def simulate_counts(state: State, settings: str | Iterable[str], n: int,
                     seed: int) -> CountsRecord | list[CountsRecord]:
     """Poisson(N * p) draw per outcome; deterministic under the given seed. A sequence
     of settings gives a list, record i drawn from its Born row with default_rng(seed + i)."""
+    _check_seed(seed)
     if not n >= 1:
         raise ValueError("total_requested must be at least 1")
     table = _settings(settings)
@@ -259,17 +267,77 @@ def _invert(k: int, parity: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return _project_psd(rho)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier of its setseq step (numpy/random/src/pcg64/pcg64.h); NEP 19
+# keeps both fixed across numpy versions.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _trial_states(seed: int, trials: int) -> Iterator[dict]:
+    """default_rng((seed, t)).bit_generator.state for t in range(trials), in order.
+
+    SeedSequence((seed, t))'s pool mix and generate_state(4, uint64) run once
+    over all trials on (trials,) uint32 arrays, the entropy being seed's 32-bit
+    words, low first, then t's one word; each trial's 128-bit PCG64 seeding
+    (pcg64_set_seed: inc = 2 * seq + 1, state = (inc + init) * mult + inc)
+    runs as it is read, so no per-trial list is held.
+    """
+    entropy = [np.full(trials, seed >> shift & _MASK32, dtype=np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+
+    def hasher(const, mult):
+        def hash_(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult & _MASK32
+            value = value * const
+            return value ^ value >> 16
+        return hash_
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(trials, np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state hashes the pool's words in turn, 8 of them, and pairs them
+    # little-endian into the uint64 words init_hi, init_lo, seq_hi, seq_lo
+    out = hasher(_INIT_B, _MULT_B)
+    halves = [out(pool[i]).astype(np.uint64) | out(pool[i + 1]).astype(np.uint64) << 32 for i in (0, 2, 0, 2)]
+    for init_hi, init_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((int(seq_hi) << 64 | int(seq_lo)) << 1 | 1) & _MASK128
+        state = ((inc + (int(init_hi) << 64 | int(init_lo))) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
 def _redraw(records: tuple[CountsRecord, ...], trials: int, seed: int) -> np.ndarray:
     """(trials x columns) parametric bootstrap counts.
 
     Trial t redraws every stochastic column from Poisson(observed) with
-    default_rng((seed, t)), in column order; exact columns stay, and a
-    record whose redraw totals zero keeps its observed counts.
+    default_rng((seed, t))'s stream, in column order; one generator is reset
+    to each trial's state in turn. Exact columns stay, and a record whose
+    redraw totals zero keeps its observed counts.
     """
     observed, owner, drawn = _columns(records)
     counts = np.tile(observed, (trials, 1))
-    for t in range(trials):
-        counts[t, drawn] = np.random.default_rng((seed, t)).poisson(observed[drawn])
+    bits = np.random.PCG64()
+    gen, lam = np.random.Generator(bits), observed[drawn]
+    for t, state in enumerate(_trial_states(seed, trials)):
+        bits.state = state
+        counts[t, drawn] = gen.poisson(lam)
     totals = counts @ (owner[:, None] == np.arange(len(records)))
     keep = (totals == 0)[:, owner]
     counts[keep] = np.broadcast_to(observed, counts.shape)[keep]
@@ -322,8 +390,9 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     observed value and repeats the inversion; exact records bootstrap to a
     zero-width uncertainty. Trial seeds derive from (seed, trial index).
     """
-    if not trials >= 10:
-        raise ValueError("need at least 10 bootstrap trials")
+    if not (isinstance(trials, (int, np.integer)) and trials >= 10):
+        raise ValueError(f"trials must be an integer of at least 10, got {trials!r}")
+    seed = _check_seed(seed)
     records = tuple(records)
     k, parity = _inversion_parity(records)  # every inversion error comes before any draw
     if target.n != k:

@@ -186,6 +186,8 @@ def witness_wcs(gamma: float, b4: float) -> Observable:
 
 def propagate_wcs_error(gamma: float, d_jx2: float, d_jy2: float, d_jz2: float) -> float:
     """Quadrature propagation sqrt(dJx2^2 + dJy2^2 + gamma^2 dJz2^2)."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma={gamma} must be finite")
     for name, dev in (("d_jx2", d_jx2), ("d_jy2", d_jy2), ("d_jz2", d_jz2)):
         if not dev >= 0:
             raise ValueError(f"{name}={dev} must be non-negative")

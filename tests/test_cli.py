@@ -213,6 +213,19 @@ class TestExitCodes:
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1
         assert {path.name: path.read_bytes() for path in DEFAULT_DIR.iterdir()} == packaged
 
+    @pytest.mark.parametrize("command,config_text,seed", [
+        *((command, "", "-1") for command in sorted(SCHEMAS)),
+        ("odt-table", "werner_p = 0.9\nn_per_setting = 100\n", "-3"),
+    ])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch, command,
+                                           config_text, seed):
+        config = tmp_path / "c.cfg"
+        config.write_text(config_text)
+        monkeypatch.setattr(cli, "run_command", lambda *args: pytest.fail("the command ran"))
+        assert main([command, "--config", str(config), "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --seed must be a non-negative integer, got {seed}\n"
+
     def test_stdout_report_equals_out_file(self, tmp_path, capsysbinary):
         out = tmp_path / "w.csv"
         assert main(["witness-scan", "--out", str(out)]) == 0

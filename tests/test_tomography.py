@@ -559,6 +559,90 @@ class TestFidelityWithError:
             fidelity_with_error(records, bell("psi+"), trials=10)
 
 
+class TestEntryChecks:
+    """A bad seed or trial count is refused by name before anything is drawn."""
+
+    @staticmethod
+    def forbid_draws(monkeypatch):
+        monkeypatch.setattr(tomography, "_redraw", lambda *args: pytest.fail("a trial was drawn"))
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("a generator was built"))
+
+    @pytest.mark.parametrize("seed", [-2, 1.5, np.float64(3.0), "3", None])
+    def test_bad_seed_refused(self, monkeypatch, seed):
+        records = poisson_records(bell("psi+"), 2, 100, seed=1)
+        self.forbid_draws(monkeypatch)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            fidelity_with_error(records, bell("psi+"), trials=10, seed=seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            simulate_counts(bell("psi+"), "ZZ", 100, seed=seed)
+
+    @pytest.mark.parametrize("trials", [10.5, 20.0, "20"])
+    def test_non_integer_trials_refused(self, monkeypatch, trials):
+        records = poisson_records(bell("psi+"), 2, 100, seed=1)
+        self.forbid_draws(monkeypatch)
+        with pytest.raises(ValueError, match="trials must be an integer of at least 10"):
+            fidelity_with_error(records, bell("psi+"), trials=trials)
+
+    def test_numpy_integers_accepted(self):
+        records = poisson_records(bell("psi+"), 2, 100, seed=1)
+        assert (fidelity_with_error(records, bell("psi+"), trials=np.int64(12), seed=np.uint64(4))
+                == fidelity_with_error(records, bell("psi+"), trials=12, seed=4))
+        assert (simulate_counts(bell("psi+"), "ZZ", 100, seed=np.int32(5)).counts
+                == simulate_counts(bell("psi+"), "ZZ", 100, seed=5).counts)
+
+
+def _redraw_oracle(records, trials, seed):
+    """The per-trial loop: trial t draws every stochastic column with its own
+    default_rng((seed, t)); a record whose draw totals zero keeps its counts.
+    Returns the counts and how many (trial, record) pairs kept theirs."""
+    observed = np.array([c for r in records for c in r.counts.values()], dtype=float)
+    drawn = np.array([not r.exact for r in records for _ in r.counts])
+    bounds = np.cumsum([0] + [len(r.counts) for r in records])
+    rows, kept = [], 0
+    for t in range(trials):
+        row = observed.copy()
+        row[drawn] = np.random.default_rng((seed, t)).poisson(observed[drawn])
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if row[start:stop].sum() == 0:
+                row[start:stop] = observed[start:stop]
+                kept += 1
+        rows.append(row)
+    return np.array(rows), kept
+
+
+class TestBootstrapDraws:
+    """Trial t's draws are default_rng((seed, t))'s, computed without building it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 100 + 3])
+    def test_states_equal_the_per_trial_generators(self, seed):
+        trials = 2 ** 16 + 2
+        wanted = {0, 1, 2 ** 16, trials - 1}
+        states = {t: state for t, state in enumerate(tomography._trial_states(seed, trials))
+                  if t in wanted}
+        assert states == {t: np.random.default_rng((seed, t)).bit_generator.state for t in wanted}
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 5])
+    def test_redraw_equals_the_per_trial_loop(self, seed):
+        plus = single_qubit(np.array([1, 1]) / math.sqrt(2), "a")
+        records = (exact_counts(plus, "X", n=300.0),
+                   CountsRecord("Z", {"0": 1, "1": 0}, 1.0, seed=None),  # often redraws to zero
+                   simulate_counts(plus, "Y", 300, seed=4))
+        expected, kept = _redraw_oracle(records, 200, seed)
+        assert kept > 0
+        assert tomography._redraw(records, 200, seed).tobytes() == expected.tobytes()
+
+    def test_generators_built(self, monkeypatch):
+        """The bootstrap builds no default_rng; simulate_counts one per setting."""
+        records = poisson_records(bell("psi+"), 2, 1000, seed=2)
+        built, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: built.append(args) or default_rng(*args))
+        fidelity_with_error(records, bell("psi+"), trials=500, seed=3)
+        assert built == []
+        simulate_counts(bell("psi+"), all_settings(2), 100, seed=3)
+        assert built == [(3 + i,) for i in range(9)]
+
+
 class TestTrustedEstimates:
     """An estimate enters the register unchecked, as _project_psd builds it. At
     low counts, where the projection clips, every estimate still passes the

@@ -242,6 +242,11 @@ class TestPropagateError:
         with pytest.raises(ValueError, match="d_jx2=nan"):
             propagate_wcs_error(-1.0, math.nan, 0.0, 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match=f"gamma={gamma} must be finite"):
+            propagate_wcs_error(gamma, 0.1, 0.1, 0.1)
+
 
 class TestBiseparableBound:
     def test_b4_zero_bracket(self):
