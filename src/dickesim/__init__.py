@@ -39,10 +39,11 @@ from .states import (
     xi_state,
 )
 from .circuits import (
+    CONVERSION_POOL,
+    MAX_DEPTH,
     Circuit,
     ConversionSearch,
     GateSpec,
-    conversion_pool,
     find_conversion_circuit,
     run_circuit,
 )

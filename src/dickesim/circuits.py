@@ -43,6 +43,10 @@ class GateSpec:
         if (self.phi is None) == (self.kind == "PHASE"):
             raise ValueError(f"{self.kind} gate " + (
                 "needs an angle" if self.phi is None else "takes no angle"))
+        if self.control is not None and self.control == self.target:
+            raise ValueError(f"{self.kind} gate's control {self.control!r} is its target")
+        if self.phi is not None and not math.isfinite(self.phi):
+            raise ValueError(f"PHASE gate's phi={self.phi!r} is not finite")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -97,19 +101,20 @@ def run_circuit(state, circuit: Circuit):
     return state
 
 
-def conversion_pool() -> tuple[GateSpec, ...]:
-    """The conversion-stage gate pool: path Hadamards, path-controlled CX and
-    CZBAR onto the matching polarization qubit, and pi phases on the paths."""
-    return (
-        GateSpec("H", "c"),
-        GateSpec("H", "d"),
-        GateSpec("CX", "a", control="c"),
-        GateSpec("CX", "b", control="d"),
-        GateSpec("CZBAR", "a", control="c"),
-        GateSpec("CZBAR", "b", control="d"),
-        GateSpec("PHASE", "c", phi=math.pi),
-        GateSpec("PHASE", "d", phi=math.pi),
-    )
+# the conversion-stage gate pool: path Hadamards, path-controlled CX and CZBAR
+# onto the matching polarization qubit, and pi phases on the paths
+CONVERSION_POOL = (
+    GateSpec("H", "c"),
+    GateSpec("H", "d"),
+    GateSpec("CX", "a", control="c"),
+    GateSpec("CX", "b", control="d"),
+    GateSpec("CZBAR", "a", control="c"),
+    GateSpec("CZBAR", "b", control="d"),
+    GateSpec("PHASE", "c", phi=math.pi),
+    GateSpec("PHASE", "d", phi=math.pi),
+)
+# the deepest conversion search, and the deepest conversion circuit resource-check accepts
+MAX_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,8 @@ def _canonical_key(amps: np.ndarray) -> bytes:
 def find_conversion_circuit(
     source: PureState,
     target: PureState,
-    pool: tuple[GateSpec, ...] | None = None,
-    max_depth: int = 8,
+    pool: tuple[GateSpec, ...] = CONVERSION_POOL,
+    max_depth: int = MAX_DEPTH,
 ) -> ConversionSearch:
     """Breadth-first search for a pool sequence mapping source to target.
 
@@ -145,10 +150,9 @@ def find_conversion_circuit(
     states kept at one depth are expanded as one stack. Exhaustion returns
     a not-found result carrying the best fidelity seen.
     """
-    if pool is None:
-        pool = conversion_pool()
-    if max_depth > 8:
-        raise ValueError("conversion search is bounded at depth 8")
+    if not (isinstance(max_depth, (int, np.integer)) and 0 <= max_depth <= MAX_DEPTH):
+        raise ValueError(f"max_depth={max_depth!r} is not an integer in [0, {MAX_DEPTH}]: "
+                         f"the conversion search is bounded at depth {MAX_DEPTH}")
 
     seen: set[bytes] = set()
     best_f, best_path, explored = -math.inf, (), 0

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuits import run_circuit
+from .circuits import MAX_DEPTH, run_circuit
 from .fixtures import (
     FixtureError,
     load_b4_samples,
@@ -53,6 +53,7 @@ from .states import (
     xi_state,
 )
 from .tomography import (
+    MIN_TRIALS,
     MissingSettingError,
     fidelity_with_error,
     simulate_counts,
@@ -116,7 +117,6 @@ DEVIATION = Number(0.0)
 MOMENT = Number(-1e100, 1e100)
 # (2 + B4_GAMMA_MIN^2) * 1e300 keeps the witness error's quadrature sum a finite float
 WITNESS_DEVIATION = Number(0.0, 1e150)
-COUNT = Number(1, whole=True)
 # theta and gamma grids: 1e4 noisy theta points hold about 0.6 GB, 1e4 b4 values take minutes
 GRID_MAX = 10 ** 4
 GRID_POINTS = Number(1, GRID_MAX, whole=True)
@@ -124,8 +124,8 @@ GAMMA_LIST = ListOf(GAMMA, GRID_MAX)
 # Shots per setting: below numpy's Poisson limit (~9.2e18), and three records
 # pooled for one Pauli string still sum below 2^53, exact in any order.
 SHOTS = Number(1, 10 ** 15, whole=True)
-# 10 is the fewest trials fidelity_with_error takes; 1e5 take about 0.2 GB and 20 s a row
-TRIALS = Number(10, 10 ** 5, whole=True)
+# 1e5 trials take about 0.2 GB and 20 s a row
+TRIALS = Number(MIN_TRIALS, 10 ** 5, whole=True)
 # odt-table rows: twice the reference table, so at TRIALS' maximum (20 s a row,
 # one row at a time) the longest accepted table finishes in about 8 minutes
 ODT_ROWS = ListOf(Row((OneOf(("01", "10")), ANGLE, OneOf(RESOURCE_LABELS), PROBABILITY, DEVIATION),
@@ -137,7 +137,6 @@ SCHEMAS = {
     "resource-check": ("json", {
         "werner_p": (PROBABILITY, None),
         "gamma_grid": (GAMMA_LIST, PAPER_GAMMAS),
-        "max_depth": (COUNT, 8),
     }),
     "qtc-sweep": ("csv", {
         "theta_points": (GRID_POINTS, 25),
@@ -262,7 +261,7 @@ def cmd_resource_check(cfg: dict, args) -> tuple:
 
     checks = [
         _check("conversion_fidelity", fidelity(converted, target), 1.0, kind="ge"),
-        _check("conversion_depth", circuit.depth, cfg["max_depth"], kind="le", tol=0),
+        _check("conversion_depth", circuit.depth, MAX_DEPTH, kind="le", tol=0),
     ]
 
     amps = np.abs(target.amplitudes)
@@ -345,14 +344,15 @@ def cmd_qtc_sweep(cfg: dict, args) -> tuple:
     # the whole grid is one stack: one run_qtc call per resource
     ideal = run_qtc([ClientParams(theta=theta, phi=phi) for theta in thetas],
                     port=port).average_clone_fidelity
-    low, high = qtc_mixed_band(thetas, p, lam, dp, phi=phi, port=port, ideal=ideal)
+    # at weight 1 without dephasing or uncertainty the band is the ideal column
+    low = high = ideal
+    if (p, lam, dp) != (1.0, 0.0, 0.0):
+        low, high = qtc_mixed_band(thetas, p, lam, dp, phi=phi, port=port)
     rows = []
     failures = 0
     for theta, ideal_f, low_f, high_f in zip(thetas, ideal.tolist(), low.tolist(), high.tolist()):
         theory = qtc_theory_fidelity(theta)
         if abs(ideal_f - theory) > CHECK_TOL:
-            failures += 1
-        if p == 1.0 and lam == 0.0 and dp == 0.0 and not (low_f - CHECK_TOL <= theory <= high_f + CHECK_TOL):
             failures += 1
         rows.append([theta, theory, ideal_f, low_f, high_f])
 
@@ -457,6 +457,8 @@ def cmd_tomography_demo(cfg: dict, args) -> tuple:
     boot_mean, unc = fidelity_with_error(records, target, trials=trials, seed=args.seed)
 
     threshold = 0.99 if (name == "bell-psi+" and n >= 10000) else None
+    # a record's setting as reports write it, its letters joined by "|" (X|Z), and its counts by outcome
+    layout = [("|".join(r.setting), sorted(r.counts.items())) for r in records]
     data = {
         "state": name,
         "n_per_setting": n,
@@ -466,9 +468,10 @@ def cmd_tomography_demo(cfg: dict, args) -> tuple:
         "uncertainty": unc,
         "fidelity_threshold": threshold,
         "reconstructed_matrix": complex_matrix_json(reconstructed.matrix),
-        "counts": [r.to_json_dict() for r in records],
+        "counts": [{"setting": key, "counts": dict(counts), "total_requested": r.total_requested,
+                    "seed": r.seed, "exact": r.exact} for r, (key, counts) in zip(records, layout)],
     }
-    rows = [row for record in records for row in record.to_csv_rows()]
+    rows = [[key, outcome, repr(count)] for key, counts in layout for outcome, count in counts]
     rows.append(["fidelity", point, unc])
     return data, ["setting", "outcome", "count"], rows, threshold is None or point >= threshold
 

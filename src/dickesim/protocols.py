@@ -262,14 +262,14 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
 
 def qtc_mixed_band(theta: float | Sequence[float], p: float,
                    dephase_lambda: float, p_uncertainty: float = 0.0, phi: float = 0.0,
-                   port: str = "b", ideal: np.ndarray | None = None):
+                   port: str = "b"):
     """Telecloning-fidelity interval for a dephased client over Werner weight p +- dp.
 
-    A sequence of thetas runs as one stack per band end and gives two arrays.
-    `ideal`, the noise-free run_qtc fidelities at these thetas, phi and port,
-    stands in for a band end at weight 1 without dephasing: that end is the
-    same call on the same inputs.
+    The band's ends p - dp and p + dp are clamped into [0, 1]; p itself must lie
+    there. A sequence of thetas runs as one stack per band end and gives two arrays.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
     if p_uncertainty < 0:
         raise ValueError("p_uncertainty must be non-negative")
     lo = min(max(p - p_uncertainty, 0.0), 1.0)
@@ -279,12 +279,9 @@ def qtc_mixed_band(theta: float | Sequence[float], p: float,
                for t in ([theta] if single else theta)]
     values = []
     for weight in sorted({lo, hi}):
-        ideal_end = weight == 1.0 and dephase_lambda == 0.0  # on run_qtc's default resource
-        if ideal_end and ideal is not None:
-            values.append(np.asarray(ideal).reshape(len(clients)))
-        else:
-            resource = None if ideal_end else werner_dicke(weight)
-            values.append(run_qtc(clients, resource, port).average_clone_fidelity)
+        # the ideal end runs on run_qtc's default resource
+        resource = None if weight == 1.0 and dephase_lambda == 0.0 else werner_dicke(weight)
+        values.append(run_qtc(clients, resource, port).average_clone_fidelity)
     low, high = np.min(values, axis=0), np.max(values, axis=0)
     return (float(low[0]), float(high[0])) if single else (low, high)
 
@@ -297,6 +294,8 @@ def run_odt(client: ClientParams, resource: State | None = None, port: str = "b"
     computational pattern; the remaining alternative (X, port) outcomes are
     enumerated with their probabilities but left uncorrected.
     """
+    if not isinstance(client, ClientParams):
+        raise ValueError(f"client must be one ClientParams, got {type(client).__name__}")
     if resource is None:
         resource = dicke(4, 2, RESOURCE_LABELS)
     if sodt_projection not in ("01", "10"):

@@ -44,6 +44,8 @@ class ClientParams:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta={self.theta} outside [0, pi]")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi={self.phi} is not finite")
         if not 0.0 <= self.dephase_lambda <= 1.0:
             raise ValueError(f"dephase_lambda={self.dephase_lambda} outside [0, 1]")
 

@@ -5,8 +5,7 @@ Counts are drawn per outcome as Poisson(N * p), matching coincidence
 counting; every stochastic record carries its seed. Exact records (counts
 equal to N * p) represent the infinite-statistics limit and propagate zero
 uncertainty. A measurement setting is its Pauli string, one X, Y or Z per
-qubit such as "XZ" (James, Kwiat, Munro & White, PRA 64, 052312 (2001));
-reports write it "X|Z".
+qubit such as "XZ" (James, Kwiat, Munro & White, PRA 64, 052312 (2001)).
 """
 from __future__ import annotations
 
@@ -29,6 +28,9 @@ from .register import (
     pauli_matrix,
 )
 from .witnesses import Observable, WitnessReport
+
+# the fewest bootstrap trials fidelity_with_error takes
+MIN_TRIALS = 10
 
 
 class MissingSettingError(LookupError):
@@ -73,24 +75,6 @@ class CountsRecord:
     @property
     def total(self) -> float:
         return float(sum(self.counts.values()))
-
-    @property
-    def setting_key(self) -> str:
-        """The setting's report form, its axis letters joined by "|"."""
-        return "|".join(self.setting)
-
-    def to_csv_rows(self) -> list[tuple[str, str, str]]:
-        key = self.setting_key
-        return [(key, outcome, repr(self.counts[outcome])) for outcome in sorted(self.counts)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "setting": self.setting_key,
-            "counts": {k: self.counts[k] for k in sorted(self.counts)},
-            "total_requested": self.total_requested,
-            "seed": self.seed,
-            "exact": self.exact,
-        }
 
 
 def _settings(settings: str | Iterable[str]) -> tuple[str, ...]:
@@ -383,15 +367,15 @@ def _project_psd(rho: np.ndarray) -> np.ndarray:
 
 
 def fidelity_with_error(records: Iterable[CountsRecord], target: State,
-                        trials: int = 100, seed: int = 0) -> tuple[float, float]:
+                        trials: int, seed: int = 0) -> tuple[float, float]:
     """Reconstruction fidelity against a target with a parametric bootstrap.
 
     Each trial redraws every outcome count from Poisson centered on the
     observed value and repeats the inversion; exact records bootstrap to a
     zero-width uncertainty. Trial seeds derive from (seed, trial index).
     """
-    if not (isinstance(trials, (int, np.integer)) and trials >= 10):
-        raise ValueError(f"trials must be an integer of at least 10, got {trials!r}")
+    if not (isinstance(trials, (int, np.integer)) and trials >= MIN_TRIALS):
+        raise ValueError(f"trials must be an integer of at least {MIN_TRIALS}, got {trials!r}")
     seed = _check_seed(seed)
     records = tuple(records)
     k, parity = _inversion_parity(records)  # every inversion error comes before any draw

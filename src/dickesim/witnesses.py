@@ -20,10 +20,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .register import PAULIS, PureState, State, pauli_matrix
+from .register import NORM_TOL, PAULIS, PureState, State, pauli_matrix
 from .states import dicke
-
-SETTING_TOL = 1e-10
 
 # reference measured second moments of the collective spin, with uncertainties
 MEASURED_J2 = {"jx2": 2.568, "jy2": 2.617, "jz2": 0.039}
@@ -74,8 +72,10 @@ class Observable:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex, copy=True)
-        if not np.abs(mat - mat.conj().T).max() <= SETTING_TOL:
-            raise ValueError("observable matrix is not Hermitian within 1e-10")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"observable matrix of shape {mat.shape} is not square 2-D")
+        if not np.abs(mat - mat.conj().T).max() <= NORM_TOL:
+            raise ValueError(f"observable matrix is not Hermitian within {NORM_TOL}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from dickesim import (
+    CONVERSION_POOL,
     Circuit,
     GateSpec,
     apply_gate,
     basis_ket,
-    conversion_pool,
     dicke,
     fidelity,
     find_conversion_circuit,
@@ -85,7 +85,7 @@ class TestRunCircuit:
 
     def test_pool_circuits_preserve_norm(self):
         rng = np.random.default_rng(7)
-        pool = conversion_pool()
+        pool = CONVERSION_POOL
         state = PureState(RegisterLayout(("a", "b", "c", "d")), oracles.haar_ket(rng, 16))
         for _ in range(50):
             gate = pool[rng.integers(len(pool))]

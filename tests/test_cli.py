@@ -24,6 +24,7 @@ from dickesim.fixtures import (
 from dickesim.protocols import derive_correction_table
 from dickesim.reporting import ConfigError, ListOf, Number, OneOf, Row, parse_config_text
 from dickesim.states import RESOURCE_LABELS, dicke, xi_state
+from dickesim.tomography import MIN_TRIALS
 from dickesim.witnesses import (
     B4_GAMMA_MIN,
     PAPER_GAMMAS,
@@ -151,6 +152,10 @@ class TestConfigSchema:
             parse_params(command, {key: bound + 1})
         self._refused_unrun(tmp_path, capsys, monkeypatch, command, {key: bound + 1})
 
+    def test_trials_floor_is_the_library_floor(self):
+        """An accepted trials count is one fidelity_with_error takes, so it never exits 1."""
+        assert cli.TRIALS.lo == MIN_TRIALS
+
     @pytest.mark.parametrize("command,key,entry,bound", [
         ("resource-check", "gamma_grid", -1.0, 10 ** 4),
         ("witness-scan", "gammas", -1.0, 10 ** 4),
@@ -269,7 +274,7 @@ class TestExitCodes:
         ("witness-scan", "gamma_max = 0.5\ngamma_points = 3\n"),
         ("resource-check", "gamma_grid = [-11]\n"),
         ("resource-check", "werner_p = 2\n"),
-        ("resource-check", "max_depth = \"x\"\n"),
+        ("resource-check", "gamma_grid = -1\n"),
         ("qtc-sweep", "theta_max = 4\n"),
         ("qtc-sweep", "theta_points = \"abc\"\n"),
         ("qtc-sweep", "p = NaN\n"),
@@ -414,14 +419,28 @@ class TestQtcSweep:
                                                    "theta_max": theta}, args)
             assert code == 0 and data_rows(text) == [row]
 
-    @pytest.mark.parametrize("patch", ["theory", "band"])
+    @pytest.mark.parametrize("config,qtc_calls,band_calls", [
+        ({"theta_points": 251}, 1, 0),
+        ({"theta_points": 251, "p": 0.9, "dephase_lambda": 0.05, "p_uncertainty": 0.03}, 3, 1),
+    ], ids=["ideal", "dephased"])
+    def test_run_qtc_calls(self, monkeypatch, config, qtc_calls, band_calls):
+        """The ideal column is one run_qtc call; without noise it is the band too, and
+        a noisy band adds one call per end."""
+        calls = []
+
+        def counted(name, real):
+            return lambda *a, **k: calls.append(name) or real(*a, **k)
+        monkeypatch.setattr(protocols, "run_qtc", counted("run_qtc", protocols.run_qtc))
+        monkeypatch.setattr(cli, "run_qtc", counted("run_qtc", cli.run_qtc))
+        monkeypatch.setattr(cli, "qtc_mixed_band", counted("band", cli.qtc_mixed_band))
+        _, code = run_command("qtc-sweep", config, build_parser().parse_args(["qtc-sweep"]))
+        assert code == 0
+        assert (calls.count("run_qtc"), calls.count("band")) == (qtc_calls, band_calls)
+
+    @pytest.mark.parametrize("patch", ["theory"])
     def test_failed_physics_check_exits_one(self, tmp_path, monkeypatch, patch):
-        """A theory that misses the ideal fidelity fails both checks; a band that
-        misses the theory fails only the band check."""
-        if patch == "theory":
-            monkeypatch.setattr(cli, "qtc_theory_fidelity", lambda theta: 0.5)
-        else:
-            monkeypatch.setattr(cli, "qtc_mixed_band", lambda *a, **k: (k["ideal"] + 0.1,) * 2)
+        """A theory that misses the ideal fidelity fails the check."""
+        monkeypatch.setattr(cli, "qtc_theory_fidelity", lambda theta: 0.5)
         out = tmp_path / "q.json"
         assert main(["qtc-sweep", "--format", "json", "--out", str(out)]) == 1
         assert json.loads(out.read_text())["status"] == "FAIL"

@@ -224,14 +224,6 @@ class TestStackedTelecloning:
             assert (low[i], high[i]) == qtc_mixed_band(theta, p=0.9, dephase_lambda=0.05,
                                                        p_uncertainty=0.04, phi=0.3, port="d")
 
-    def test_ideal_band_end_reuses_the_ideal_run(self):
-        ideal = run_qtc([ClientParams(theta=t, phi=0.3) for t in THETA_GRID], port="a")
-        for p, dp in ((1.0, 0.0), (0.97, 0.05)):
-            reused = qtc_mixed_band(THETA_GRID, p, 0.0, dp, phi=0.3, port="a",
-                                    ideal=ideal.average_clone_fidelity)
-            fresh = qtc_mixed_band(THETA_GRID, p, 0.0, dp, phi=0.3, port="a")
-            assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
-
     def test_pure_and_dephased_clients_do_not_share_a_stack(self):
         with pytest.raises(ValueError, match="all pure or all dephased"):
             run_qtc([ClientParams(theta=1.0), ClientParams(theta=1.0, dephase_lambda=0.1)])

@@ -30,7 +30,7 @@ from dickesim import (
     tomography_linear,
     witness_projector_d3,
 )
-from dickesim import tomography
+from dickesim import cli, tomography
 from dickesim.witnesses import Observable, pauli_matrix
 
 import oracles
@@ -785,11 +785,16 @@ class TestReadOnlyCounts:
         assert fidelity(tomography_linear(records, ("a", "b")), bell("psi+")) == before
         assert fidelity(tomography_linear(fresh, ("a", "b")), bell("psi+")) == before
 
-    def test_csv_and_json_unchanged(self):
-        counts = {"1": 7, "0": 93}
-        record = CountsRecord("Z", counts, 100.0, seed=1)
-        assert record.to_csv_rows() == [("Z", "0", "93"), ("Z", "1", "7")]
-        assert json.dumps(record.to_json_dict()) == (
-            '{"setting": "Z", "counts": {"0": 93, "1": 7}, "total_requested": 100.0, '
+    def test_csv_and_json_unchanged(self, monkeypatch):
+        """tomography-demo lays a record out sorted by outcome, whatever the caller's order."""
+        records = [CountsRecord("".join(s), {"11": 7, "00": 93}, 100.0, seed=1)
+                   for s in itertools.product("XYZ", repeat=2)]
+        monkeypatch.setattr(cli, "_pauli_records", lambda *args: records)
+        cfg = cli.parse_params("tomography-demo", {"trials": 10})
+        data, header, rows, _ = cli.cmd_tomography_demo(cfg, cli.build_parser().parse_args(["tomography-demo"]))
+        assert header == ["setting", "outcome", "count"]
+        assert rows[4:6] == [["X|Z", "00", "93"], ["X|Z", "11", "7"]]
+        assert json.dumps(data["counts"][2]) == (
+            '{"setting": "X|Z", "counts": {"00": 93, "11": 7}, "total_requested": 100.0, '
             '"seed": 1, "exact": false}')
-        assert list(record.counts) == ["1", "0"]  # the caller's order, as before
+        assert list(records[2].counts) == ["11", "00"]  # the caller's order, as before
