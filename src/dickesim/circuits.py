@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .register import CX, HADAMARD, PAULI_I, PAULI_X, PAULI_Z, PureState, apply_gate
+from .register import CX, HADAMARD, PAULI_I, PAULI_X, PAULI_Z, PureState, apply_gate, check_integer, check_number
 
 CZBAR = np.kron(np.diag([0, 1]), PAULI_I) + np.kron(np.diag([1, 0]), PAULI_Z)  # control first
 CZBAR.setflags(write=False)
@@ -45,8 +45,8 @@ class GateSpec:
                 "needs an angle" if self.phi is None else "takes no angle"))
         if self.control is not None and self.control == self.target:
             raise ValueError(f"{self.kind} gate's control {self.control!r} is its target")
-        if self.phi is not None and not math.isfinite(self.phi):
-            raise ValueError(f"PHASE gate's phi={self.phi!r} is not finite")
+        if self.phi is not None:
+            check_number("phi", self.phi)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -150,10 +150,7 @@ def find_conversion_circuit(
     states kept at one depth are expanded as one stack. Exhaustion returns
     a not-found result carrying the best fidelity seen.
     """
-    if not (isinstance(max_depth, (int, np.integer)) and 0 <= max_depth <= MAX_DEPTH):
-        raise ValueError(f"max_depth={max_depth!r} is not an integer in [0, {MAX_DEPTH}]: "
-                         f"the conversion search is bounded at depth {MAX_DEPTH}")
-
+    max_depth = check_integer("max_depth", max_depth, 0, MAX_DEPTH)
     seen: set[bytes] = set()
     best_f, best_path, explored = -math.inf, (), 0
     # the states made at one depth, in the order a FIFO queue would make them

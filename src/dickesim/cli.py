@@ -98,8 +98,6 @@ ODT_TABLE_I = (
 )
 
 SIGNIFICANCE_MILESTONES = {-0.12: -1.0, -2.5: -15.0}
-# witness-scan's gamma_min, gamma_max, gamma_points when only some of them are given
-GAMMA_RANGE = (-3.0, 0.0, 10)
 MOMENTS = ("jx2", "jy2", "jz2")
 
 DEMO_STATES = {
@@ -156,10 +154,7 @@ SCHEMAS = {
         "trials": (TRIALS, 50),
     }),
     "witness-scan": ("csv", {
-        "gammas": (GAMMA_LIST, None),
-        "gamma_min": (GAMMA, None),
-        "gamma_max": (GAMMA, None),
-        "gamma_points": (GRID_POINTS, None),
+        "gammas": (GAMMA_LIST, PAPER_GAMMAS),
         "source": (OneOf(("measured", "state")), "measured"),
         **{name: (MOMENT, MEASURED_J2[name]) for name in MOMENTS},
         **{f"d_{name}": (WITNESS_DEVIATION, MEASURED_J2_ERR[name]) for name in MOMENTS},
@@ -397,17 +392,6 @@ def cmd_odt_table(cfg: dict, args) -> tuple:
     return {"rows": [dict(zip(header, row)) for row in rows]}, header, rows, failures == 0
 
 
-def _scan_gammas(cfg: dict) -> list:
-    """`gammas`, else a linspace over the range keys given (others at GAMMA_RANGE), else PAPER_GAMMAS."""
-    grid = (cfg["gamma_min"], cfg["gamma_max"], cfg["gamma_points"])
-    if cfg["gammas"] is not None:
-        return cfg["gammas"]
-    if grid == (None, None, None):
-        return list(PAPER_GAMMAS)
-    lo, hi, points = (default if v is None else v for v, default in zip(grid, GAMMA_RANGE))
-    return np.linspace(lo, hi, points).tolist()
-
-
 def cmd_witness_scan(cfg: dict, args) -> tuple:
     if cfg["source"] == "measured":
         moments = {name: cfg[name] for name in MOMENTS}
@@ -415,7 +399,7 @@ def cmd_witness_scan(cfg: dict, args) -> tuple:
     else:
         moments = _collective_moments(_resource(cfg["werner_p"])[0])
         errors = dict.fromkeys(MOMENTS, 0.0)
-    rows, checks = _gamma_scan(_scan_gammas(cfg), moments, errors, args.fixtures_dir)
+    rows, checks = _gamma_scan(cfg["gammas"], moments, errors, args.fixtures_dir)
 
     by_gamma = {row["gamma"]: row for row in rows}
     if 0.0 in by_gamma:

@@ -37,6 +37,7 @@ from .register import (
     RegisterError,
     State,
     apply_gate,
+    check_number,
     fidelity,
     partial_trace,
     pauli_matrix,
@@ -205,15 +206,14 @@ def _client_input(client: ClientParams | Sequence[ClientParams]) -> State:
     clients = [client] if isinstance(client, ClientParams) else client
     pure = {c.dephase_lambda == 0.0 for c in clients}
     if len(pure) != 1:
-        raise ValueError("a stack of clients must be all pure or all dephased")
+        raise ValueError("client must be one ClientParams or a non-empty stack of them, "
+                         "all pure or all dephased")
     return client_ket(client) if pure.pop() else client_state(client)
 
 
 def qtc_theory_fidelity(theta: float) -> float:
     """Closed-form clone fidelity (9 - cos 2 theta)/12 for a pure client."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta={theta} outside [0, pi]")
-    return (9.0 - math.cos(2.0 * theta)) / 12.0
+    return (9.0 - math.cos(2.0 * check_number("theta", theta, 0.0, math.pi))) / 12.0
 
 
 def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | None = None,
@@ -228,14 +228,14 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     gives a stacked result (see QtcResult) whose member i equals the run of
     client i alone bit for bit. One client is run as a one-member stack.
     """
+    single = isinstance(client, ClientParams)
+    clients = [client] if single else list(client)
+    client_in = _client_input(clients)
     if resource is None:
         resource = dicke(4, 2, RESOURCE_LABELS)
     clone_labels = tuple(x for x in resource.labels if x != port)
     table = dict(_correction_table(port, resource.labels))
 
-    single = isinstance(client, ClientParams)
-    clients = [client] if single else list(client)
-    client_in = _client_input(clients)
     rotated = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, port))
     probs, post, kept = _bell_stack(rotated, CLIENT_LABEL, port)
 
@@ -268,15 +268,15 @@ def qtc_mixed_band(theta: float | Sequence[float], p: float,
     The band's ends p - dp and p + dp are clamped into [0, 1]; p itself must lie
     there. A sequence of thetas runs as one stack per band end and gives two arrays.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    if p_uncertainty < 0:
-        raise ValueError("p_uncertainty must be non-negative")
+    check_number("p", p, 0.0, 1.0)
+    check_number("p_uncertainty", p_uncertainty, 0.0)
     lo = min(max(p - p_uncertainty, 0.0), 1.0)
     hi = min(max(p + p_uncertainty, 0.0), 1.0)
     single = np.ndim(theta) == 0
     clients = [ClientParams(theta=t, phi=phi, dephase_lambda=dephase_lambda)
                for t in ([theta] if single else theta)]
+    if not clients:
+        raise ValueError("theta is an empty sequence")
     values = []
     for weight in sorted({lo, hi}):
         # the ideal end runs on run_qtc's default resource

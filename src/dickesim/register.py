@@ -49,6 +49,27 @@ class RegisterError(ValueError):
     """Contract violation on a register operation."""
 
 
+# the numbers an argument may be; bool, an int subclass, is refused on its own
+_REAL = (int, float, np.integer, np.floating)
+
+
+def check_number(name: str, value, lo: float = -math.inf, hi: float = math.inf):
+    """`value` if it is a finite real number in [lo, hi], else a ValueError
+    that starts with name=value. A bool or a non-number is refused."""
+    if not (isinstance(value, _REAL) and not isinstance(value, bool)
+            and -math.inf < value < math.inf and lo <= value <= hi):
+        raise ValueError(f"{name}={value!r} is not a finite number in [{lo:g}, {hi:g}]")
+    return value
+
+
+def check_integer(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """`value`, a Python or NumPy integer in [lo, hi], as an int, else a
+    ValueError that starts with name=value. A bool is refused."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value <= hi):
+        raise ValueError(f"{name}={value!r} is not an integer in [{lo:g}, {hi:g}]")
+    return int(value)
+
+
 @lru_cache(maxsize=64)
 def pauli_matrix(string: str) -> np.ndarray:
     """Kronecker product of single-qubit Paulis, e.g. "XXI"; cached, so read-only."""

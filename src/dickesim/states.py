@@ -18,6 +18,8 @@ from .register import (
     PureState,
     RegisterError,
     RegisterLayout,
+    check_integer,
+    check_number,
     fidelity,
     from_terms,
     permute_to,
@@ -42,12 +44,9 @@ class ClientParams:
     dephase_lambda: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta={self.theta} outside [0, pi]")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi={self.phi} is not finite")
-        if not 0.0 <= self.dephase_lambda <= 1.0:
-            raise ValueError(f"dephase_lambda={self.dephase_lambda} outside [0, 1]")
+        check_number("theta", self.theta, 0.0, math.pi)
+        check_number("phi", self.phi)
+        check_number("dephase_lambda", self.dephase_lambda, 0.0, 1.0)
 
     @property
     def alpha(self) -> float:
@@ -60,10 +59,8 @@ class ClientParams:
 
 def dicke(n: int, k: int, labels: tuple[str, ...] | None = None) -> PureState:
     """Equal superposition of all weight-k n-bit strings, amplitude 1/sqrt(C(n,k))."""
-    if not 0 <= k <= n:
-        raise ValueError(f"excitation count k={k} outside [0, {n}]")
-    if not 1 <= n <= 8:
-        raise ValueError(f"qubit count n={n} outside [1, 8]")
+    n = check_integer("n", n, 1, 8)
+    k = check_integer("k", k, 0, n)
     if labels is None:
         labels = DEFAULT_LABELS[:n]
     return from_terms([(format(idx, f"0{n}b"), 1) for idx in range(2 ** n)
@@ -131,9 +128,7 @@ def physical_logical_permutation() -> tuple[str, ...]:
 
 def werner_dicke(p: float) -> MixedState:
     """Werner-like resource p |D><D| + (1-p) I/16 on (a, b, c, d)."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
+    p = check_number("p", p, 0.0, 1.0)
     proj = dicke(4, 2, RESOURCE_LABELS).density()
     mat = p * proj.matrix + (1 - p) * np.eye(16) / 16
     return MixedState(proj.layout, mat)
@@ -141,10 +136,7 @@ def werner_dicke(p: float) -> MixedState:
 
 def werner_weight_for_fidelity(target_fidelity: float) -> float:
     """Invert F(p) = p + (1-p)/16 for the mixture weight p."""
-    p = (target_fidelity - 1 / 16) / (15 / 16)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"fidelity {target_fidelity} needs p={p} outside [0, 1]")
-    return p
+    return (check_number("target_fidelity", target_fidelity, 1 / 16, 1.0) - 1 / 16) / (15 / 16)
 
 
 def _client_amplitudes(params: ClientParams | Sequence[ClientParams]):

@@ -24,6 +24,8 @@ from .register import (
     RegisterLayout,
     State,
     apply_gate,
+    check_integer,
+    check_number,
     fidelity,
     pauli_matrix,
 )
@@ -66,9 +68,7 @@ class CountsRecord:
         for outcome, value in self.counts.items():
             if len(outcome) != len(self.setting) or set(outcome) - {"0", "1"}:
                 raise ValueError(f"bad outcome key {outcome!r}")
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"count {value!r} for outcome {outcome!r} is not finite and non-negative")
+            check_number(f"counts[{outcome!r}]", value, 0.0)
             if not self.exact and value != int(value):
                 raise ValueError("stochastic counts must be integers")
 
@@ -111,20 +111,12 @@ def _outcome_strings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(2 ** n)]
 
 
-def _check_seed(seed) -> int:
-    """A seed is a non-negative integer, as numpy's SeedSequence takes it."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
-
-
 def simulate_counts(state: State, settings: str | Iterable[str], n: int,
                     seed: int) -> CountsRecord | list[CountsRecord]:
     """Poisson(N * p) draw per outcome; deterministic under the given seed. A sequence
     of settings gives a list, record i drawn from its Born row with default_rng(seed + i)."""
-    _check_seed(seed)
-    if not n >= 1:
-        raise ValueError("total_requested must be at least 1")
+    seed = check_integer("seed", seed, 0)
+    check_number("n", n, 1.0)
     table = _settings(settings)
     records = []
     for i, (setting, probs) in enumerate(zip(table, born_probabilities(state, table))):
@@ -136,6 +128,7 @@ def simulate_counts(state: State, settings: str | Iterable[str], n: int,
 
 def exact_counts(state: State, setting: str, n: float = 1.0) -> CountsRecord:
     """Infinite-statistics record: counts equal N * p exactly."""
+    check_number("n", n, 0.0)
     probs = born_probabilities(state, _check_setting(setting))
     counts = {o: float(n * p) for o, p in zip(_outcome_strings(len(setting)), probs)}
     return CountsRecord(setting=setting, counts=counts, total_requested=float(n),
@@ -374,9 +367,10 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     observed value and repeats the inversion; exact records bootstrap to a
     zero-width uncertainty. Trial seeds derive from (seed, trial index).
     """
-    if not (isinstance(trials, (int, np.integer)) and trials >= MIN_TRIALS):
-        raise ValueError(f"trials must be an integer of at least {MIN_TRIALS}, got {trials!r}")
-    seed = _check_seed(seed)
+    trials = check_integer("trials", trials, MIN_TRIALS)
+    seed = check_integer("seed", seed, 0)
+    if target.stack_shape:
+        raise ValueError(f"target must be a single state, not a stack of shape {target.stack_shape}")
     records = tuple(records)
     k, parity = _inversion_parity(records)  # every inversion error comes before any draw
     if target.n != k:

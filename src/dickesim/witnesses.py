@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .register import NORM_TOL, PAULIS, PureState, State, pauli_matrix
+from .register import NORM_TOL, PAULIS, PureState, State, check_integer, check_number, pauli_matrix
 from .states import dicke
 
 # reference measured second moments of the collective spin, with uncertainties
@@ -118,8 +118,7 @@ def _collective_matrix(n: int, axis: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def collective_spin(n: int) -> CollectiveSpinSet:
     """Collective spin operators for an n-qubit register."""
-    if not 1 <= n <= 8:
-        raise ValueError(f"register size n={n} outside [1, 8]")
+    n = check_integer("n", n, 1, 8)
     mats = {}
     for axis in "xyz":
         mats[f"j{axis}"] = j = _collective_matrix(n, axis.upper())
@@ -179,6 +178,8 @@ def fidelity_bound_from_wm(value: float) -> FidelityBound:
 
 def witness_wcs(gamma: float, b4: float) -> Observable:
     """Generalized collective-spin witness b4(gamma) I - (Jx^2 + Jy^2 + gamma Jz^2)."""
+    check_number("gamma", gamma)
+    check_number("b4", b4)
     cs = collective_spin(4)
     mat = b4 * np.eye(16) - (cs.jx2 + cs.jy2 + gamma * cs.jz2)
     return Observable(mat, name=f"W_cs(gamma={gamma})")
@@ -186,11 +187,9 @@ def witness_wcs(gamma: float, b4: float) -> Observable:
 
 def propagate_wcs_error(gamma: float, d_jx2: float, d_jy2: float, d_jz2: float) -> float:
     """Quadrature propagation sqrt(dJx2^2 + dJy2^2 + gamma^2 dJz2^2)."""
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma={gamma} must be finite")
+    check_number("gamma", gamma)
     for name, dev in (("d_jx2", d_jx2), ("d_jy2", d_jy2), ("d_jz2", d_jz2)):
-        if not dev >= 0:
-            raise ValueError(f"{name}={dev} must be non-negative")
+        check_number(name, dev, 0.0)
     return math.sqrt(d_jx2 ** 2 + d_jy2 ** 2 + gamma ** 2 * d_jz2 ** 2)
 
 
@@ -287,8 +286,7 @@ def biseparable_bound_result(gamma: float) -> BisepBoundResult:
     _one_three_max and _two_two_max). Every scanned value is reached by an
     explicit product state, so the result bounds the maximum from below.
     """
-    if not B4_GAMMA_MIN <= gamma <= 0.0:
-        raise ValueError(f"gamma={gamma} outside the supported range [{B4_GAMMA_MIN:g}, 0]")
+    check_number("gamma", gamma, B4_GAMMA_MIN, 0.0)
     per_part = (("0|123", _one_three_max(gamma)), ("01|23", _two_two_max(gamma)))
     return BisepBoundResult(gamma=gamma, value=max(v for _, v in per_part),
                             per_bipartition=per_part)
@@ -306,8 +304,7 @@ def witness_projector_d3(k: int) -> Observable:
     eight-group and five-setting forms expand to the same 20 strings and
     coefficients; the test oracles hold both forms and check this.
     """
-    if k not in (1, 2):
-        raise ValueError(f"excitation number k={k} must be 1 or 2")
+    k = check_integer("k", k, 1, 2)
     mat = (2.0 / 3.0) * np.eye(8) - dicke(3, k).density().matrix
     return Observable(mat, name=f"W_D3({k})")
 
@@ -330,10 +327,8 @@ class WitnessReport:
     @classmethod
     def build(cls, witness: str, value: float, uncertainty: float,
               parameters: dict | None = None) -> "WitnessReport":
-        if not abs(value) < math.inf:
-            raise ValueError(f"value {value} must be finite")
-        if not uncertainty >= 0:
-            raise ValueError(f"uncertainty {uncertainty} must be non-negative")
+        check_number("value", value)
+        check_number("uncertainty", uncertainty, 0.0)
         entangled = value + uncertainty < 0
         return cls(
             witness=witness,

@@ -146,5 +146,5 @@ class TestConversionSearch:
         assert find_conversion_circuit(xi_state(), target, max_depth=3).states_explored == 90
 
     def test_depth_cap(self):
-        with pytest.raises(ValueError, match="depth 8"):
+        with pytest.raises(ValueError, match="max_depth=9 "):
             find_conversion_circuit(xi_state(), dicke(4, 2, ("a", "b", "c", "d")), max_depth=9)

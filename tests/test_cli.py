@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import math
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,8 @@ from dickesim.witnesses import (
     propagate_wcs_error,
 )
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 SCHEMA_KEYS = [(command, key) for command, (_, schema) in SCHEMAS.items() for key in schema]
 
 
@@ -140,7 +143,6 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("command,key,bound", [
         ("qtc-sweep", "theta_points", 10 ** 4),
-        ("witness-scan", "gamma_points", 10 ** 4),
         ("odt-table", "trials", 10 ** 5),
         ("tomography-demo", "trials", 10 ** 5),
     ])
@@ -192,6 +194,22 @@ class TestConfigSchema:
             documented.setdefault(command, []).extend(re.findall(r"`(\w+)`", cells[1]))
         assert {c: sorted(keys) for c, keys in documented.items()} == {
             c: sorted(schema) for c, (_, schema) in SCHEMAS.items()}
+
+    def test_configs_in_use_parse(self, monkeypatch):
+        """Every benchmark operation's config at seeds 1-3 and the README's noisy.cfg
+        example use only schema keys, with accepted values."""
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # benchmark/ is only read
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "benchmark" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        ops = [op for name in workloads.WORKLOADS for seed in (1, 2, 3)
+               for op in workloads.build(name, seed).operations]
+        for op in ops:
+            assert set(op.config) <= set(SCHEMAS[op.command][1]), (op.command, op.config)
+            parse_params(op.command, op.config)
+        example = README.read_text().split("cat > noisy.cfg <<'CFG'\n", 1)[1].split("\nCFG\n", 1)[0]
+        assert parse_params("qtc-sweep", parse_config_text(example))["p_uncertainty"] == 0.00533
 
 
 class TestExitCodes:
@@ -270,8 +288,6 @@ class TestExitCodes:
         ("witness-scan", "gammas = [0.5]\n"),
         ("witness-scan", "gammas = [NaN]\n"),
         ("witness-scan", "gammas = [\"abc\"]\n"),
-        ("witness-scan", "gamma_min = -11\n"),
-        ("witness-scan", "gamma_max = 0.5\ngamma_points = 3\n"),
         ("resource-check", "gamma_grid = [-11]\n"),
         ("resource-check", "werner_p = 2\n"),
         ("resource-check", "gamma_grid = -1\n"),
@@ -283,9 +299,6 @@ class TestExitCodes:
         ("odt-table", "werner_p = 0.9\nn_per_setting = 0\n"),
         ("odt-table", "configurations = 5\n"),
         ("odt-table", "configurations = [[\"10\", 0.0, \"z\"]]\n"),
-        ("witness-scan", "gamma_points = -1\n"),
-        ("witness-scan", "gamma_points = 0\n"),
-        ("witness-scan", "gamma_points = \"x\"\n"),
         ("witness-scan", "jx2 = \"abc\"\n"),
         ("witness-scan", "d_jx2 = -1\n"),
         ("witness-scan", "d_jx2 = 1e300\nd_jy2 = 1e300\n"),
@@ -565,16 +578,6 @@ class TestWitnessScan:
         entangled = significance < -1.0 if significance is not None else value < 0
         verdict = WitnessReport.build("w", value, delta).verdict
         assert verdict == ("multipartite-entangled" if entangled else "inconclusive")
-
-    @pytest.mark.parametrize("config,gammas", [
-        ({"gamma_min": -3, "gamma_max": 0, "gamma_points": 10}, np.linspace(-3, 0, 10)),
-        ({"gamma_points": 4}, np.linspace(-3, 0, 4)),  # the range ends from GAMMA_RANGE
-    ], ids=["all-three-keys", "points-only"])
-    def test_range_keys_give_a_linspace(self, config, gammas):
-        args = build_parser().parse_args(["witness-scan", "--format", "json"])
-        text, code = run_command("witness-scan", config, args)
-        assert code == 0
-        assert [row["gamma"] for row in json.loads(text)["rows"]] == gammas.tolist()
 
 
 class TestTomographyDemo:

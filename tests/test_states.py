@@ -56,11 +56,11 @@ class TestDicke:
         assert states_close(dicke(2, 1), bell("psi+"))
 
     def test_range_validation(self):
-        with pytest.raises(ValueError, match="excitation"):
+        with pytest.raises(ValueError, match="k=4 "):
             dicke(3, 4)
-        with pytest.raises(ValueError, match="excitation"):
+        with pytest.raises(ValueError, match="k=-1 "):
             dicke(3, -1)
-        with pytest.raises(ValueError, match="qubit count"):
+        with pytest.raises(ValueError, match="n=9 "):
             dicke(9, 2)
 
     def test_permutation_invariance_up_to_six(self):
@@ -152,7 +152,7 @@ class TestWerner:
         assert np.abs(werner_dicke(0.0).matrix - np.eye(16) / 16).max() < 1e-12
 
     def test_p_validation(self):
-        with pytest.raises(ValueError, match=re.escape("p=1.2 outside [0, 1]")):
+        with pytest.raises(ValueError, match=re.escape("p=1.2 ")):
             werner_dicke(1.2)
         with pytest.raises(ValueError):
             werner_dicke(-0.1)

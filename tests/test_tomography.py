@@ -156,7 +156,7 @@ class TestSimulateCounts:
             simulate_counts(bell("psi+"), "ZZ", 0, seed=1)
 
     def test_nan_n_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match="n=nan "):
             simulate_counts(bell("psi+"), "ZZ", math.nan, seed=1)
 
     def test_integer_counts_enforced(self):
@@ -164,11 +164,11 @@ class TestSimulateCounts:
             CountsRecord("Z", {"0": 0.5, "1": 0.5}, 1, seed=0)
 
     def test_nan_exact_count_rejected(self):
-        with pytest.raises(ValueError, match="count nan"):
+        with pytest.raises(ValueError, match=re.escape("counts['0']=nan ")):
             CountsRecord("Z", {"0": math.nan, "1": 5.0}, 5.0, seed=None, exact=True)
 
     def test_infinite_stochastic_count_rejected(self):
-        with pytest.raises(ValueError, match="count inf"):
+        with pytest.raises(ValueError, match=re.escape("counts['0']=inf ")):
             CountsRecord("Z", {"0": math.inf, "1": 5}, 5.0, seed=0)
 
 
@@ -543,7 +543,7 @@ class TestFidelityWithError:
             fidelity_with_error(exact_records(bell("psi+"), 2), bell("psi+"), trials=5)
 
     def test_nan_trials_rejected(self):
-        with pytest.raises(ValueError, match="at least 10"):
+        with pytest.raises(ValueError, match="trials=nan "):
             fidelity_with_error(exact_records(bell("psi+"), 2), bell("psi+"), trials=math.nan)
 
     def test_bootstrap_deterministic(self):
@@ -571,16 +571,16 @@ class TestEntryChecks:
     def test_bad_seed_refused(self, monkeypatch, seed):
         records = poisson_records(bell("psi+"), 2, 100, seed=1)
         self.forbid_draws(monkeypatch)
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match=re.escape(f"seed={seed!r} ")):
             fidelity_with_error(records, bell("psi+"), trials=10, seed=seed)
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match=re.escape(f"seed={seed!r} ")):
             simulate_counts(bell("psi+"), "ZZ", 100, seed=seed)
 
     @pytest.mark.parametrize("trials", [10.5, 20.0, "20"])
     def test_non_integer_trials_refused(self, monkeypatch, trials):
         records = poisson_records(bell("psi+"), 2, 100, seed=1)
         self.forbid_draws(monkeypatch)
-        with pytest.raises(ValueError, match="trials must be an integer of at least 10"):
+        with pytest.raises(ValueError, match=re.escape(f"trials={trials!r} ")):
             fidelity_with_error(records, bell("psi+"), trials=trials)
 
     def test_numpy_integers_accepted(self):

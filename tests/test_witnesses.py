@@ -26,7 +26,6 @@ from dickesim import (
     witness_wm_calibrated,
 )
 from dickesim import witnesses
-from dickesim.cli import GAMMA_RANGE
 from dickesim.witnesses import MEASURED_J2, MEASURED_J2_ERR, PAPER_GAMMAS, pauli_decompose, pauli_matrix
 
 import oracles
@@ -244,7 +243,7 @@ class TestPropagateError:
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_non_finite_gamma_rejected(self, gamma):
-        with pytest.raises(ValueError, match=f"gamma={gamma} must be finite"):
+        with pytest.raises(ValueError, match=f"gamma={gamma} "):
             propagate_wcs_error(gamma, 0.1, 0.1, 0.1)
 
 
@@ -276,7 +275,7 @@ class TestBiseparableBound:
         # the check sees it where the curve runs straight (the flat 1|3 part
         # below -2.3), not where the slope changes by more than that.
         allowance = 1e-12
-        gammas = np.unique(np.concatenate([np.linspace(*GAMMA_RANGE), PAPER_GAMMAS]))
+        gammas = np.unique(np.concatenate([np.linspace(-3, 0, 10), PAPER_GAMMAS]))
         curves = [dict(r.per_bipartition, b4=r.value)
                   for r in (biseparable_bound_result(float(g)) for g in gammas)]
         for name in ("b4", "0|123", "01|23"):
@@ -435,11 +434,11 @@ class TestWitnessReport:
             WitnessReport.build("w", 0.0, -0.1)
 
     def test_nan_uncertainty_rejected(self):
-        with pytest.raises(ValueError, match="uncertainty nan"):
+        with pytest.raises(ValueError, match="uncertainty=nan "):
             WitnessReport.build("w", 0.1, math.nan)
 
     def test_nan_value_rejected(self):
-        with pytest.raises(ValueError, match="value nan"):
+        with pytest.raises(ValueError, match="value=nan "):
             WitnessReport.build("w", math.nan, 0.1)
 
 
