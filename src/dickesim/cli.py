@@ -3,15 +3,17 @@ witness-scan, tomography-demo.
 
 Every command is deterministic under fixed (config, seed): reports embed the
 effective config, the seed, and the package version, and never timestamps.
-Exit codes: 0 all golden checks pass, 1 check failure, 2 config or invocation error.
+Exit codes: 0 all golden checks pass (and --help), 1 check failure, 2 config or
+usage error, reported as one `config error:` line on stderr.
 """
 from __future__ import annotations
 
-import argparse
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .states import (
     xi_state,
 )
 from .tomography import (
+    MAX_SHOTS,
     MIN_TRIALS,
     MissingSettingError,
     fidelity_with_error,
@@ -119,9 +122,7 @@ WITNESS_DEVIATION = Number(0.0, 1e150)
 GRID_MAX = 10 ** 4
 GRID_POINTS = Number(1, GRID_MAX, whole=True)
 GAMMA_LIST = ListOf(GAMMA, GRID_MAX)
-# Shots per setting: below numpy's Poisson limit (~9.2e18), and three records
-# pooled for one Pauli string still sum below 2^53, exact in any order.
-SHOTS = Number(1, 10 ** 15, whole=True)
+SHOTS = Number(1, MAX_SHOTS, whole=True)
 # 1e5 trials take about 0.2 GB and 20 s a row
 TRIALS = Number(MIN_TRIALS, 10 ** 5, whole=True)
 # odt-table rows: twice the reference table, so at TRIALS' maximum (20 s a row,
@@ -488,23 +489,85 @@ def run_command(command: str, params: dict, args) -> tuple[str, int]:
     return text, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dickesim",
-        description="Dicke-state networking protocol simulator")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", type=Path, default=None, help="key=value or JSON config file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--fixtures-dir", type=Path, default=None,
-                        help="override the packaged fixtures directory")
-    return parser
+@dataclass(frozen=True)
+class Invocation:
+    """One command line: the command and its shared flags."""
+
+    command: str
+    config: Path | None = None
+    seed: int = 0
+    out: Path | None = None
+    format: str | None = None
+    fixtures_dir: Path | None = None
+
+
+def _report_format(value: str) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError(value)
+    return value
+
+
+# flag -> (Invocation field, parser of its value, the value as usage writes it, help)
+_FLAGS = {
+    "--config": ("config", Path, "PATH", "key=value or JSON config file"),
+    "--seed": ("seed", int, "INT", "non-negative seed of every random draw (default 0)"),
+    "--out": ("out", Path, "PATH", "write the report here instead of stdout"),
+    "--format": ("format", _report_format, "csv|json", "report format (default: the command's own)"),
+    "--fixtures-dir": ("fixtures_dir", Path, "PATH", "override the packaged fixtures directory"),
+}
+
+USAGE = "\n".join([
+    "usage: dickesim COMMAND " + " ".join(f"[{flag} {meta}]" for flag, (_, _, meta, _) in _FLAGS.items()),
+    "",
+    "Dicke-state networking protocol simulator.",
+    "",
+    "commands: " + ", ".join(COMMANDS),
+    "",
+    *(f"  {flag + ' ' + meta:<20} {text}" for flag, (_, _, meta, text) in _FLAGS.items()),
+    f"  {'-h, --help':<20} print this help and exit",
+    "",
+])
+
+
+def parse_args(argv: Sequence[str]) -> Invocation | None:
+    """`argv` as an Invocation, or None when it asks for help (-h or --help).
+
+    It holds exactly one command of COMMANDS, and flags of _FLAGS written
+    `--flag value` or `--flag=value`, before or after the command; the last of a
+    repeated flag wins. Flag names are exact, never abbreviated, and a value that
+    starts with `--` is written `--flag=value`. Any other spelling is a ConfigError."""
+    commands, values = [], {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("-"):
+            commands.append(token)
+            continue
+        flag, equals, value = token.partition("=")
+        if flag not in _FLAGS:
+            raise ConfigError(f"unknown flag {flag!r}; flags: {', '.join(_FLAGS)}, --help")
+        if not equals:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"{flag} needs a value")
+        field, parse, meta, _ = _FLAGS[flag]
+        try:
+            values[field] = parse(value)
+        except ValueError:
+            raise ConfigError(f"{flag} takes {meta}, got {value!r}") from None
+    if len(commands) != 1 or commands[0] not in COMMANDS:
+        found = f"got {', '.join(map(repr, commands))}" if commands else "got none"
+        raise ConfigError(f"expected one command of {', '.join(COMMANDS)}; {found}")
+    return Invocation(commands[0], **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(USAGE)
+            return EXIT_OK
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         params = {}

@@ -72,10 +72,12 @@ def check_integer(name: str, value, lo: int, hi: float = math.inf) -> int:
 
 @lru_cache(maxsize=64)
 def pauli_matrix(string: str) -> np.ndarray:
-    """Kronecker product of single-qubit Paulis, e.g. "XXI"; cached, so read-only."""
+    """Kronecker product of single-qubit Paulis, e.g. "XXI"; cached, so read-only.
+    Each step forms np.kron's elementwise products, without its generic wrapper."""
     out = np.array([[1.0 + 0j]])
     for ch in string:
-        out = np.kron(out, PAULIS[ch])
+        dim = 2 * len(out)
+        out = (out[:, None, :, None] * PAULIS[ch][None, :, None, :]).reshape(dim, dim)
     out.setflags(write=False)
     return out
 

@@ -33,6 +33,9 @@ from .witnesses import Observable, WitnessReport
 
 # the fewest bootstrap trials fidelity_with_error takes
 MIN_TRIALS = 10
+# the most shots per setting: below numpy's Poisson limit (~9.2e18), and three
+# records pooled for one Pauli string still sum below 2^53, exact in any order
+MAX_SHOTS = 10 ** 15
 
 
 class MissingSettingError(LookupError):
@@ -113,10 +116,11 @@ def _outcome_strings(n: int) -> list[str]:
 
 def simulate_counts(state: State, settings: str | Iterable[str], n: int,
                     seed: int) -> CountsRecord | list[CountsRecord]:
-    """Poisson(N * p) draw per outcome; deterministic under the given seed. A sequence
-    of settings gives a list, record i drawn from its Born row with default_rng(seed + i)."""
+    """Poisson(n * p) draw per outcome for n in [1, MAX_SHOTS]; deterministic under the
+    given seed. A sequence of settings gives a list, record i drawn from its Born row
+    with default_rng(seed + i)."""
     seed = check_integer("seed", seed, 0)
-    check_number("n", n, 1.0)
+    check_number("n", n, 1.0, MAX_SHOTS)
     table = _settings(settings)
     records = []
     for i, (setting, probs) in enumerate(zip(table, born_probabilities(state, table))):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dickesim import cli, protocols
-from dickesim.cli import SCHEMAS, build_parser, main, parse_params, run_command
+from dickesim.cli import SCHEMAS, main, parse_args, parse_params, run_command
 from dickesim.circuits import find_conversion_circuit
 from dickesim.fixtures import (
     B4_FILE,
@@ -249,6 +249,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: --seed must be a non-negative integer, got {seed}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["qtc-sweep", "--bogus", "1"],
+        ["qtc-sweep", "--conf", "c.cfg"],
+        ["qtc-sweep", "--seed"],
+        ["qtc-sweep", "--out", "--seed", "1"],
+        ["qtc-sweep", "--seed", "x"],
+        ["qtc-sweep", "--format", "xml"],
+        [],
+        ["no-such-command"],
+        ["qtc-sweep", "odt-table"],
+    ], ids=["unknown-flag", "abbreviation", "no-value", "flag-for-value", "seed-not-int",
+            "format-xml", "no-command", "unknown-command", "two-commands"])
+    def test_usage_error_is_config_error(self, capsys, monkeypatch, argv):
+        """A refused command line returns 2, raises no SystemExit, prints one line and runs nothing."""
+        monkeypatch.setattr(cli, "run_command", lambda *args: pytest.fail("the command ran"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--config=c.cfg", "--seed=7", "--out=r.json", "--format=json", "--fixtures-dir=fx", "odt-table"],
+        ["--seed", "3", "--format=csv", "odt-table", "--config", "c.cfg", "--seed", "7", "--out", "r.json",
+         "--format", "json", "--fixtures-dir", "fx"],
+    ], ids=["equals-before-command", "repeated-flag"])
+    def test_accepted_spellings(self, argv):
+        spaced = ["odt-table", "--config", "c.cfg", "--seed", "7", "--out", "r.json", "--format", "json",
+                  "--fixtures-dir", "fx"]
+        assert parse_args(argv) == parse_args(spaced) == cli.Invocation(
+            "odt-table", config=Path("c.cfg"), seed=7, out=Path("r.json"), format="json",
+            fixtures_dir=Path("fx"))
+        assert parse_args(["odt-table"]) == cli.Invocation("odt-table", None, 0, None, None, None)
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help(self, capsys, monkeypatch, flag):
+        monkeypatch.setattr(cli, "run_command", lambda *args: pytest.fail("the command ran"))
+        assert main(["qtc-sweep", flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for name in [*cli.COMMANDS, "--config", "--seed", "--out", "--format", "--fixtures-dir"]:
+            assert name in captured.out
+
+    def test_entry_point_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["dickesim", "no-such-command"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry_point()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_stdout_report_equals_out_file(self, tmp_path, capsysbinary):
         out = tmp_path / "w.csv"
         assert main(["witness-scan", "--out", str(out)]) == 0
@@ -425,7 +474,7 @@ class TestQtcSweep:
         assert main(["qtc-sweep", "--config", str(path), "--out", str(out)]) == 0
         grid = data_rows(out.read_text())
         assert len(grid) == 101
-        args = build_parser().parse_args(["qtc-sweep"])
+        args = parse_args(["qtc-sweep"])
         for row in grid:
             theta = float(row.split(",")[0])
             text, code = run_command("qtc-sweep", {**config, "theta_points": 1, "theta_min": theta,
@@ -446,7 +495,7 @@ class TestQtcSweep:
         monkeypatch.setattr(protocols, "run_qtc", counted("run_qtc", protocols.run_qtc))
         monkeypatch.setattr(cli, "run_qtc", counted("run_qtc", cli.run_qtc))
         monkeypatch.setattr(cli, "qtc_mixed_band", counted("band", cli.qtc_mixed_band))
-        _, code = run_command("qtc-sweep", config, build_parser().parse_args(["qtc-sweep"]))
+        _, code = run_command("qtc-sweep", config, parse_args(["qtc-sweep"]))
         assert code == 0
         assert (calls.count("run_qtc"), calls.count("band")) == (qtc_calls, band_calls)
 
@@ -552,7 +601,7 @@ class TestWitnessScan:
         assert propagate_wcs_error(B4_GAMMA_MIN, d_min, 0.0, 0.0) == math.sqrt(5e-324)
         config = {"gammas": [B4_GAMMA_MIN], "jx2": 1e100, "jy2": 1e100, "jz2": -1e100,
                   "d_jx2": d_min, "d_jy2": 0.0, "d_jz2": 0.0}
-        args = build_parser().parse_args(["witness-scan", "--format", "json"])
+        args = parse_args(["witness-scan", "--format", "json"])
         text, code = run_command("witness-scan", config, args)
         row = json.loads(text)["rows"][0]
         assert code == 0 and row["delta"] == math.sqrt(5e-324)

@@ -60,6 +60,7 @@ CONTRACTS = {
     "run_qtc-client-empty": (lambda: run_qtc([]), "client"),
     "simulate_counts-n-inf": (lambda: simulate_counts(bell("psi+"), "ZZ", math.inf, seed=0), "n"),
     "simulate_counts-n-nan": (lambda: simulate_counts(bell("psi+"), "ZZ", math.nan, seed=0), "n"),
+    "simulate_counts-n-above-cap": (lambda: simulate_counts(bell("psi+"), "ZZ", 1e300, seed=0), "n"),
     "exact_counts-n-inf": (lambda: exact_counts(bell("psi+"), "ZZ", n=math.inf), "n"),
     "exact_counts-n-negative": (lambda: exact_counts(bell("psi+"), "ZZ", n=-1), "n"),
     "fidelity_with_error-target-stack": (

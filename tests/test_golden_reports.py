@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dickesim.cli import SCHEMAS, build_parser, run_command
+from dickesim.cli import SCHEMAS, parse_args, run_command
 
 GOLDEN = Path(__file__).parent / "golden"
 ENVIRONMENT = GOLDEN / "environment.json"
@@ -47,7 +47,7 @@ REPORTS = [(name, fmt) for name in CASES for fmt in ("csv", "json")]
 def render(name: str, fmt: str) -> tuple[bytes, int]:
     """(report bytes, exit code) of one golden report."""
     command, params = CASES[name]
-    text, code = run_command(command, params, build_parser().parse_args([command, "--format", fmt]))
+    text, code = run_command(command, params, parse_args([command, "--format", fmt]))
     return text.encode(), code
 
 

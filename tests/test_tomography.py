@@ -791,7 +791,7 @@ class TestReadOnlyCounts:
                    for s in itertools.product("XYZ", repeat=2)]
         monkeypatch.setattr(cli, "_pauli_records", lambda *args: records)
         cfg = cli.parse_params("tomography-demo", {"trials": 10})
-        data, header, rows, _ = cli.cmd_tomography_demo(cfg, cli.build_parser().parse_args(["tomography-demo"]))
+        data, header, rows, _ = cli.cmd_tomography_demo(cfg, cli.parse_args(["tomography-demo"]))
         assert header == ["setting", "outcome", "count"]
         assert rows[4:6] == [["X|Z", "00", "93"], ["X|Z", "11", "7"]]
         assert json.dumps(data["counts"][2]) == (

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -74,8 +75,11 @@ class TestCollectiveSpin:
             assert not j.flags.writeable and not j2.flags.writeable
 
     def test_matches_oracle_sum(self):
-        cs = collective_spin(4)
-        assert np.abs(cs.jx - oracles.collective_j(4, oracles.SX)).max() < 1e-12
+        # byte for byte, so a build step that rounds differently or clears Y's -0.0 parts fails
+        for n in range(1, 5):
+            cs = collective_spin(n)
+            for name, sigma in (("jx", oracles.SX), ("jy", oracles.SY), ("jz", oracles.SZ)):
+                assert getattr(cs, name).tobytes() == oracles.collective_j(n, sigma).tobytes(), (n, name)
 
     def test_range(self):
         with pytest.raises(ValueError):
@@ -100,7 +104,12 @@ class TestCollectiveSpin:
 
 class TestPauliTools:
     def test_pauli_matrix_matches_kron(self):
-        assert np.abs(pauli_matrix("XZ") - np.kron(oracles.SX, oracles.SZ)).max() == 0
+        # all 340 strings of length 1-4, byte for byte against the oracle's np.kron chain
+        strings = ["".join(p) for n in range(1, 5) for p in itertools.product("IXYZ", repeat=n)]
+        assert len(strings) == 340
+        for string in strings:
+            expected = oracles.kron_chain([oracles.PAULI_BY_LETTER[ch] for ch in string])
+            assert pauli_matrix(string).tobytes() == expected.tobytes(), string
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_decompose_matches_oracle(self, n):
