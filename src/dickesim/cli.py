@@ -29,7 +29,7 @@ from .protocols import (
     derive_correction_table,
     qtc_mixed_band,
     qtc_theory_fidelity,
-    run_odt,
+    run_odt_stack,
     run_qtc,
 )
 from .register import MixedState, RegisterLayout, fidelity, project, single_qubit
@@ -56,8 +56,10 @@ from .states import (
 )
 from .tomography import (
     MAX_SHOTS,
+    MAX_TRIALS,
     MIN_TRIALS,
     MissingSettingError,
+    bootstrap_fidelities,
     fidelity_with_error,
     simulate_counts,
     tomography_linear,
@@ -123,10 +125,11 @@ GRID_MAX = 10 ** 4
 GRID_POINTS = Number(1, GRID_MAX, whole=True)
 GAMMA_LIST = ListOf(GAMMA, GRID_MAX)
 SHOTS = Number(1, MAX_SHOTS, whole=True)
-# 1e5 trials take about 0.2 GB and 20 s a row
-TRIALS = Number(MIN_TRIALS, 10 ** 5, whole=True)
-# odt-table rows: twice the reference table, so at TRIALS' maximum (20 s a row,
-# one row at a time) the longest accepted table finishes in about 8 minutes
+# a bootstrap stack holds at most MAX_TRIALS (row, trial) members: 1e5 take about
+# 0.2 GB and 20 s, however an odt-table's rows are joined
+TRIALS = Number(MIN_TRIALS, MAX_TRIALS, whole=True)
+# odt-table rows: twice the reference table. At TRIALS' maximum each row bootstraps
+# as a stack of its own (20 s), so the longest accepted table finishes in about 8 minutes
 ODT_ROWS = ListOf(Row((OneOf(("01", "10")), ANGLE, OneOf(RESOURCE_LABELS), PROBABILITY, DEVIATION),
                       required=3), 2 * len(ODT_TABLE_I))
 
@@ -360,32 +363,35 @@ def cmd_odt_table(cfg: dict, args) -> tuple:
     werner_p, lam, n_per_setting = cfg["werner_p"], cfg["dephase_lambda"], cfg["n_per_setting"]
     pure = dicke(4, 2, RESOURCE_LABELS)
     resource = werner_dicke(werner_p) if werner_p is not None else pure if lam > 0.0 else None
+    configurations = cfg["configurations"]
+    ports = ["b" if receiver != "b" else "a" for _, _, receiver, *_ in configurations]
+    # the rows of one (projection, receiver) run as one client stack on each resource
+    groups, ideal, noisy = {}, {}, {}
+    for row_index, (proj, _, receiver, *_) in enumerate(configurations):
+        groups.setdefault((proj, receiver, ports[row_index]), []).append(row_index)
+    for (proj, receiver, port), indices in groups.items():
+        for runs, state, dephase in ((ideal, pure, 0.0), (noisy, resource, lam)):
+            if state is not None:
+                clients = [ClientParams(configurations[i][1], dephase_lambda=dephase) for i in indices]
+                stack = run_odt_stack(clients, state, port, receiver, proj)
+                runs.update((i, stack.member(member)) for member, i in enumerate(indices))
+    estimates = [(noisy[i].teleport_fidelity if noisy else None, None) for i in range(len(configurations))]
+    if noisy and n_per_setting is not None:
+        # score every receiver through simulated single-qubit tomography, one bootstrap for all rows
+        records = [_pauli_records(noisy[i].receiver_state, n_per_setting, args.seed + 10 * i)
+                   for i in range(len(configurations))]
+        targets = client_ket([ClientParams(theta=theta) for _, theta, *_ in configurations])
+        try:
+            estimates = bootstrap_fidelities(records, targets, trials=cfg["trials"], seed=args.seed)
+        except MissingSettingError as err:
+            raise _no_counts(err, n_per_setting) from None
     rows = []
-    failures = 0
-    for row_index, (proj, theta, receiver, *reference) in enumerate(cfg["configurations"]):
+    for row_index, (proj, theta, receiver, *reference) in enumerate(configurations):
         ref_f, ref_df = (reference + [None, None])[:2]
-        port = "b" if receiver != "b" else "a"
-        client = ClientParams(theta=theta)
-        ideal = run_odt(client, resource=pure, port=port, receiver=receiver, sodt_projection=proj)
-        if abs(ideal.teleport_fidelity - 1.0) > CHECK_TOL:
-            failures += 1
-        noisy_f = noisy_unc = None
-        if resource is not None:
-            noisy_client = ClientParams(theta=theta, dephase_lambda=lam)
-            noisy = run_odt(noisy_client, resource=resource, port=port,
-                            receiver=receiver, sodt_projection=proj)
-            noisy_f = noisy.teleport_fidelity
-            if n_per_setting is not None:
-                # score the receiver through simulated single-qubit tomography
-                records = _pauli_records(noisy.receiver_state, n_per_setting,
-                                         args.seed + 10 * row_index)
-                try:
-                    noisy_f, noisy_unc = fidelity_with_error(records, client_ket(client),
-                                                             trials=cfg["trials"], seed=args.seed)
-                except MissingSettingError as err:
-                    raise _no_counts(err, n_per_setting) from None
-        rows.append([proj, theta, receiver, port, ideal.teleport_fidelity,
-                     ideal.success_probability, noisy_f, noisy_unc, ref_f, ref_df])
+        run = ideal[row_index]
+        rows.append([proj, theta, receiver, ports[row_index], run.teleport_fidelity,
+                     run.success_probability, *estimates[row_index], ref_f, ref_df])
+    failures = sum(abs(run.teleport_fidelity - 1.0) > CHECK_TOL for run in ideal.values())
 
     header = ["projection", "theta", "receiver", "port", "fidelity_ideal",
               "success_probability", "fidelity_noisy", "fidelity_noisy_uncertainty",

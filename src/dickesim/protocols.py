@@ -10,12 +10,14 @@ Clone and receiver fidelities are evaluated against the client's actual
 input state (equal to the pure target ket whenever the client is pure),
 matching how the experiment scores its output states.
 
-Telecloning takes a sequence of clients as one stack (see register): a whole
-theta grid and all four outcomes are one pass through the register, and a
-single client is the one-member stack. Stacks meet by the register's one
-rule, numpy broadcasting: each outcome's correction is a (K, 1) gate stack
-over the (K, S) post-states, and the (S,) client stack is scored against
-the (K, S) clones as it is.
+Both protocols take a sequence of clients as one stack (see register): a
+whole theta grid and all four outcomes are one pass through the register,
+and a single client is the one-member stack (run_odt is run_odt_stack's
+one-client case). Stacks meet by the register's one rule, numpy
+broadcasting: each outcome's correction is a (K, 1) gate stack over the
+(K, S) post-states, and the (S,) client stack is scored against the (K, S)
+clones, or the (S,) receivers, as it is. Port and receiver are checked
+against the resource's labels before any tensor is built.
 """
 from __future__ import annotations
 
@@ -116,14 +118,29 @@ class QtcResult:
 
 @dataclass(frozen=True, eq=False)
 class OdtResult:
-    """Open-destination run: post-selected receiver state and bookkeeping."""
+    """Open-destination run: post-selected receiver state and bookkeeping.
 
-    success_probability: float
-    sodt_probability: float
+    For a stack of clients every number is an array over the clients and
+    every state a stack; `member` gives one client's result.
+    """
+
+    success_probability: float | np.ndarray
+    sodt_probability: float | np.ndarray
     receiver_state: MixedState
-    teleport_fidelity: float
+    teleport_fidelity: float | np.ndarray
     intermediate_state: State
-    alternative_outcomes: tuple[tuple[str, float], ...]
+    alternative_outcomes: tuple[tuple[str, float | np.ndarray], ...]
+
+    def member(self, index: int) -> "OdtResult":
+        """The result of client `index` of a stacked run, as a single run gives it."""
+        return OdtResult(
+            success_probability=float(self.success_probability[index]),
+            sodt_probability=float(self.sodt_probability[index]),
+            receiver_state=self.receiver_state.member(index),
+            teleport_fidelity=float(self.teleport_fidelity[index]),
+            intermediate_state=self.intermediate_state.member(index),
+            alternative_outcomes=tuple((xz, float(q[index])) for xz, q in self.alternative_outcomes),
+        )
 
 
 def bell_measure(state: State, q1: str, q2: str) -> list[BranchOutcome]:
@@ -201,14 +218,22 @@ def _correction_table(port: str, labels: tuple[str, ...]) -> tuple[tuple[str, st
     return tuple(sorted(table))
 
 
-def _client_input(client: ClientParams | Sequence[ClientParams]) -> State:
-    """Pure clients as a ket, dephased ones as a density matrix; a stack may not mix them."""
-    clients = [client] if isinstance(client, ClientParams) else client
+def _client_input(clients: Sequence[ClientParams]) -> State:
+    """Pure clients as a ket stack, dephased ones as a density-matrix stack; a stack may not mix them."""
     pure = {c.dephase_lambda == 0.0 for c in clients}
     if len(pure) != 1:
         raise ValueError("client must be one ClientParams or a non-empty stack of them, "
                          "all pure or all dephased")
-    return client_ket(client) if pure.pop() else client_state(client)
+    return client_ket(clients) if pure.pop() else client_state(clients)
+
+
+def _check_qubits(resource: State, **qubits: str) -> None:
+    """Each named qubit (port, receiver) is a label of the resource, and no two are one label."""
+    for name, label in qubits.items():
+        if label not in resource.labels:
+            raise RegisterError(f"{name}={label!r} is not a qubit of the resource {resource.labels}")
+    if len(set(qubits.values())) < len(qubits):
+        raise RegisterError(" and ".join(f"{n}={q!r}" for n, q in qubits.items()) + " must be distinct")
 
 
 def qtc_theory_fidelity(theta: float) -> float:
@@ -233,6 +258,7 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     client_in = _client_input(clients)
     if resource is None:
         resource = dicke(4, 2, RESOURCE_LABELS)
+    _check_qubits(resource, port=port)
     clone_labels = tuple(x for x in resource.labels if x != port)
     table = dict(_correction_table(port, resource.labels))
 
@@ -288,36 +314,47 @@ def qtc_mixed_band(theta: float | Sequence[float], p: float,
 
 def run_odt(client: ClientParams, resource: State | None = None, port: str = "b",
             receiver: str = "a", sodt_projection: str = "01") -> OdtResult:
+    """Open-destination teleportation of one client: run_odt_stack's one-member case."""
+    if not isinstance(client, ClientParams):
+        raise ValueError(f"client must be one ClientParams, got {type(client).__name__}")
+    return run_odt_stack([client], resource, port, receiver, sodt_projection).member(0)
+
+
+def run_odt_stack(clients: Sequence[ClientParams], resource: State | None = None, port: str = "b",
+                  receiver: str = "a", sodt_projection: str = "01") -> OdtResult:
     """Open-destination teleportation with post-selection on |+1> of (X, port).
 
     The two non-participating server qubits are projected onto the chosen
     computational pattern; the remaining alternative (X, port) outcomes are
     enumerated with their probabilities but left uncorrected.
+
+    The clients, all pure or all dephased, run as one stack and give a stacked
+    result (see OdtResult) whose member i equals the run of client i alone bit
+    for bit. A branch that vanishes for some clients only raises RegisterError.
     """
-    if not isinstance(client, ClientParams):
-        raise ValueError(f"client must be one ClientParams, got {type(client).__name__}")
     if resource is None:
         resource = dicke(4, 2, RESOURCE_LABELS)
     if sodt_projection not in ("01", "10"):
         raise ValueError(f"sodt_projection must be '01' or '10', got {sodt_projection!r}")
-    pos = resource.layout.positions((receiver, port))
-    sodt = tuple(x for i, x in enumerate(resource.labels) if i not in pos)
+    _check_qubits(resource, port=port, receiver=receiver)
+    sodt = tuple(x for x in resource.labels if x not in (receiver, port))
 
-    client_in = _client_input(client)
+    client_in = _client_input(list(clients))
     full = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, port))
     prob_sodt, after_sodt = project(full, sodt, sodt_projection)
 
     probs, post, kept = _bell_stack(after_sodt, CLIENT_LABEL, port)
     accepted = _BELL_XZ.index("+1")  # psi+
-    if accepted not in kept:
+    if accepted not in kept:  # it vanished for every client
+        largest = float(probs[accepted].max())
         raise ImpossibleBranchError(
-            f"outcome |+1> of {(CLIENT_LABEL, port)} has probability {probs[accepted]}", probs[accepted])
+            f"outcome |+1> of {(CLIENT_LABEL, port)} has probability {largest}", largest)
     receiver_mixed = post.member(kept.index(accepted)).density()
     return OdtResult(
-        success_probability=float(prob_sodt * probs[accepted]),
-        sodt_probability=float(prob_sodt),
+        success_probability=prob_sodt * probs[accepted],
+        sodt_probability=prob_sodt,
         receiver_state=receiver_mixed,
         teleport_fidelity=fidelity(client_in, receiver_mixed),
         intermediate_state=after_sodt,
-        alternative_outcomes=tuple((xz, float(q)) for xz, q in zip(_BELL_XZ, probs) if xz != "+1"),
+        alternative_outcomes=tuple((xz, q) for xz, q in zip(_BELL_XZ, probs) if xz != "+1"),
     )

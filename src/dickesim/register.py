@@ -448,9 +448,10 @@ def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
         dropped = [len(lead) + p for p in drop_pos]
         t = _matrices(t, len(lead), kept, dropped) @ _matrices(t.conj(), len(lead), dropped, kept)
     else:
-        for p in sorted(drop_pos, reverse=True):
-            row = len(lead) + p
-            t = np.trace(t, axis1=row, axis2=row + (t.ndim - len(lead)) // 2)
+        for p in sorted(drop_pos, reverse=True):  # sum its two diagonal slices, a + b as np.trace does
+            row, col = len(lead) + p, len(lead) + p + (t.ndim - len(lead)) // 2
+            a, b = (t[tuple(i if ax in (row, col) else slice(None) for ax in range(t.ndim))] for i in (0, 1))
+            t = a + b
     return MixedState._trusted(kept_layout, t.reshape(lead + (kept_layout.dim,) * 2))
 
 
@@ -486,8 +487,8 @@ def fidelity(s1: State, s2: State):
     s1, s2 = _aligned_pair(s1, s2)
     lead = _broadcast(s1.stack_shape, s2.stack_shape)
     if isinstance(s1, PureState) and isinstance(s2, PureState):
-        # abs and ** 2 stay NumPy-scalar operations: their array forms round differently
-        overlaps = _dots(s1.amplitudes, s2.amplitudes).reshape(-1)
+        # abs and ** 2 stay scalar (libm hypot and pow) on Python numbers: array forms round differently
+        overlaps = _dots(s1.amplitudes, s2.amplitudes).reshape(-1).tolist()
         return _scalar(np.array([abs(x) ** 2 for x in overlaps]).reshape(lead))
     if isinstance(s1, PureState):
         psi = s1.amplitudes
@@ -497,8 +498,8 @@ def fidelity(s1: State, s2: State):
         return fidelity(s2, s1)
     inner = s1.root @ s2.matrix @ s1.root
     sums = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum(axis=-1)
-    # a NumPy scalar's ** 2 is libm pow, an array's is x * x: square each member's sum alone
-    return _scalar(np.array([min(total ** 2, 1.0) for total in sums.reshape(-1)]).reshape(lead))
+    # a scalar's ** 2 is libm pow, an array's is x * x: square each member's sum alone
+    return _scalar(np.array([min(total ** 2, 1.0) for total in sums.reshape(-1).tolist()]).reshape(lead))
 
 
 def states_close(s1: State, s2: State) -> bool:

@@ -33,6 +33,9 @@ from .witnesses import Observable, WitnessReport
 
 # the fewest bootstrap trials fidelity_with_error takes
 MIN_TRIALS = 10
+# the most (set, trial) members one bootstrap stack joins, and the most trials a
+# command takes; a single set of more trials still runs as one stack
+MAX_TRIALS = 10 ** 5
 # the most shots per setting: below numpy's Poisson limit (~9.2e18), and three
 # records pooled for one Pauli string still sum below 2^53, exact in any order
 MAX_SHOTS = 10 ** 15
@@ -304,25 +307,33 @@ def _trial_states(seed: int, trials: int) -> Iterator[dict]:
                "has_uint32": 0, "uinteger": 0}
 
 
-def _redraw(records: tuple[CountsRecord, ...], trials: int, seed: int) -> np.ndarray:
-    """(trials x columns) parametric bootstrap counts.
+def _redraw(records, trials: int, seed: int) -> np.ndarray:
+    """(trials x columns) parametric bootstrap counts of one record set, or
+    (sets x trials x columns) of a list of sets that share one layout.
 
-    Trial t redraws every stochastic column from Poisson(observed) with
-    default_rng((seed, t))'s stream, in column order; one generator is reset
-    to each trial's state in turn. Exact columns stay, and a record whose
-    redraw totals zero keeps its observed counts.
+    Trial t redraws every stochastic column of a set from Poisson(observed)
+    with default_rng((seed, t))'s stream, in column order; one generator is
+    set to each trial's state, computed once, for each set in turn. Exact
+    columns stay, and a record whose redraw totals zero keeps its observed counts.
     """
-    observed, owner, drawn = _columns(records)
-    counts = np.tile(observed, (trials, 1))
+    one = isinstance(records[0], CountsRecord)
+    sets = [records] if one else records
+    _, owner, drawn = _columns(sets[0])
+    observed = np.array([_columns(records)[0] for records in sets])
     bits = np.random.PCG64()
-    gen, lam = np.random.Generator(bits), observed[drawn]
+    gen, lam = np.random.Generator(bits), observed[:, drawn]
+    draws = np.empty((len(sets), trials, lam.shape[1]))
+    rows = list(zip(draws, lam))  # each set's draw table and Poisson means, paired once
     for t, state in enumerate(_trial_states(seed, trials)):
-        bits.state = state
-        counts[t, drawn] = gen.poisson(lam)
-    totals = counts @ (owner[:, None] == np.arange(len(records)))
-    keep = (totals == 0)[:, owner]
-    counts[keep] = np.broadcast_to(observed, counts.shape)[keep]
-    return counts
+        for row, row_lam in rows:
+            bits.state = state
+            row[t] = gen.poisson(row_lam)
+    counts = np.repeat(observed[:, None], trials, axis=1)
+    counts[..., drawn] = draws
+    totals = counts @ (owner[:, None] == np.arange(len(sets[0])))
+    keep = (totals == 0)[..., owner]
+    counts[keep] = np.broadcast_to(observed[:, None], counts.shape)[keep]
+    return counts[0] if one else counts
 
 
 def tomography_linear(records: Iterable[CountsRecord],
@@ -370,17 +381,43 @@ def fidelity_with_error(records: Iterable[CountsRecord], target: State,
     Each trial redraws every outcome count from Poisson centered on the
     observed value and repeats the inversion; exact records bootstrap to a
     zero-width uncertainty. Trial seeds derive from (seed, trial index).
+    The one-set case of bootstrap_fidelities.
     """
-    trials = check_integer("trials", trials, MIN_TRIALS)
-    seed = check_integer("seed", seed, 0)
     if target.stack_shape:
         raise ValueError(f"target must be a single state, not a stack of shape {target.stack_shape}")
-    records = tuple(records)
-    k, parity = _inversion_parity(records)  # every inversion error comes before any draw
-    if target.n != k:
-        raise ValueError(f"target has {target.n} qubits, the records {k}")
-    exact = all(r.exact for r in records)
-    counts = _columns(records)[0][None] if exact else _redraw(records, trials, seed)
-    # every trial's rho is one member of a stack, valid as _project_psd builds it: one fidelity call
-    values = fidelity(MixedState._trusted(RegisterLayout(target.labels), _invert(k, parity, counts)), target)
-    return float(np.mean(values)), float(np.std(values))
+    return bootstrap_fidelities([records], type(target)._trusted(target.layout, target._array[None]),
+                                trials, seed)[0]
+
+
+def bootstrap_fidelities(record_sets: Iterable[Iterable[CountsRecord]], targets: State,
+                         trials: int, seed: int = 0) -> list[tuple[float, float]]:
+    """fidelity_with_error of several record sets that share one layout (record by
+    record the same setting, outcomes and exactness), set i against member i of the
+    (sets,) target stack, each equal to its own call bit for bit. Trial t's state is
+    computed once for all sets; sets join one stack while sets x trials <= MAX_TRIALS."""
+    trials, seed = check_integer("trials", trials, MIN_TRIALS), check_integer("seed", seed, 0)
+    sets = [tuple(records) for records in record_sets]
+    if targets.stack_shape != (len(sets),):
+        raise ValueError(f"targets must be a stack of {len(sets)} states, one per record set, "
+                         f"not of shape {targets.stack_shape}")
+    k, parity = [_inversion_parity(records) for records in sets][0]  # every inversion error before any draw
+    if len({tuple((r.setting, tuple(r.counts), r.exact) for r in records) for records in sets}) > 1:
+        raise ValueError("record sets do not share one layout of settings, outcomes and exactness")
+    if targets.n != k:
+        raise ValueError(f"target has {targets.n} qubits, the records {k}")
+    exact = all(r.exact for r in sets[0])
+    # exact counts need not be integers, so their pooled sums could round with the stack:
+    # an exact set, one member, inverts alone as fidelity_with_error inverts it
+    per_stack = 1 if exact else max(MAX_TRIALS // trials, 1)
+    estimates = []
+    for start in range(0, len(sets), per_stack):
+        chunk = sets[start:start + per_stack]
+        counts = _columns(chunk[0])[0][None, None] if exact else _redraw(chunk, trials, seed)
+        # every trial's rho is one member of a stack, valid as _project_psd builds it: one
+        # fidelity call, member j of set i against target i (a lone set's as a single state)
+        rho = MixedState._trusted(targets.layout, _invert(k, parity, counts.reshape(-1, counts.shape[-1])))
+        members = targets.member(start) if len(chunk) == 1 else type(targets)._trusted(
+            targets.layout, np.repeat(targets._array[start:start + len(chunk)], counts.shape[1], axis=0))
+        values = fidelity(rho, members).reshape(counts.shape[:2])
+        estimates += [(float(np.mean(v)), float(np.std(v))) for v in values]
+    return estimates

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dickesim import cli, protocols
+from dickesim import cli, protocols, tomography
 from dickesim.cli import SCHEMAS, main, parse_args, parse_params, run_command
 from dickesim.circuits import find_conversion_circuit
 from dickesim.fixtures import (
@@ -23,10 +23,16 @@ from dickesim.fixtures import (
     DEFAULT_DIR,
     load_b4_samples,
 )
-from dickesim.protocols import derive_correction_table
+from dickesim.protocols import derive_correction_table, run_odt
 from dickesim.reporting import ConfigError, ListOf, Number, OneOf, Row, parse_config_text
-from dickesim.states import RESOURCE_LABELS, dicke, xi_state
-from dickesim.tomography import MIN_TRIALS
+from dickesim.states import RESOURCE_LABELS, ClientParams, client_ket, dicke, werner_dicke, xi_state
+from dickesim.tomography import (
+    MIN_TRIALS,
+    MissingSettingError,
+    fidelity_with_error,
+    simulate_counts,
+    tomography_linear,
+)
 from dickesim.witnesses import (
     B4_GAMMA_MIN,
     PAPER_GAMMAS,
@@ -510,9 +516,10 @@ class TestQtcSweep:
 
 class TestOdtTable:
     def test_failed_teleport_check_exits_one(self, tmp_path, monkeypatch):
-        real = cli.run_odt
-        monkeypatch.setattr(cli, "run_odt",
-                            lambda *a, **k: dataclasses.replace(real(*a, **k), teleport_fidelity=0.9))
+        def failing(*args, real=cli.run_odt_stack, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, teleport_fidelity=np.full_like(result.teleport_fidelity, 0.9))
+        monkeypatch.setattr(cli, "run_odt_stack", failing)
         out = tmp_path / "o.json"
         assert main(["odt-table", "--format", "json", "--out", str(out)]) == 1
         report = json.loads(out.read_text())
@@ -565,6 +572,98 @@ class TestOdtTable:
             assert row["fidelity_noisy_uncertainty"] > 0
             assert 0.8 < row["fidelity_noisy"] < 1.0
             assert row["reference_fidelity"] is None
+
+    @staticmethod
+    def _data_rows(text):
+        return [line for line in text.splitlines() if not line.startswith("#")][1:]
+
+    @pytest.mark.parametrize("config", [{}, {"werner_p": 0.85, "dephase_lambda": 0.04}],
+                             ids=["default", "noisy"])
+    def test_rows_equal_one_row_tables(self, config):
+        """The rows of one (projection, receiver) run as one stack; each row is
+        still the run of its row alone."""
+        args = parse_args(["odt-table"])
+        text, code = run_command("odt-table", config, args)
+        table = self._data_rows(text)
+        assert code == 0 and len(table) == len(cli.ODT_TABLE_I) == 12
+        for row, line in zip(cli.ODT_TABLE_I, table):
+            one, code = run_command("odt-table", {**config, "configurations": [list(row)]}, args)
+            assert code == 0 and self._data_rows(one) == [line]
+
+    def test_bootstrap_rows_equal_single_client_runs(self):
+        """One bootstrap serves every row; row i still equals its client run alone,
+        its records drawn at seed + 10 i and bootstrapped at seed. Only row 0 is a
+        one-row table's row: that table draws its records at seed."""
+        config = {"werner_p": 0.85, "dephase_lambda": 0.04, "n_per_setting": 3000, "trials": 20}
+        args = parse_args(["odt-table", "--seed", "5", "--format", "json"])
+        text, code = run_command("odt-table", config, args)
+        rows = json.loads(text)["rows"]
+        assert code == 0 and len(rows) == 12
+        for i, (row, (proj, theta, receiver, *_)) in enumerate(zip(rows, cli.ODT_TABLE_I)):
+            port = "b" if receiver != "b" else "a"
+            ideal = run_odt(ClientParams(theta), port=port, receiver=receiver, sodt_projection=proj)
+            noisy = run_odt(ClientParams(theta, dephase_lambda=0.04), werner_dicke(0.85), port, receiver, proj)
+            records = simulate_counts(noisy.receiver_state, ["X", "Y", "Z"], 3000, 5 + 10 * i)
+            f, df = fidelity_with_error(records, client_ket(ClientParams(theta)), trials=20, seed=5)
+            assert [row[key] for key in ("fidelity_ideal", "success_probability", "fidelity_noisy",
+                                         "fidelity_noisy_uncertainty")] == [
+                ideal.teleport_fidelity, ideal.success_probability, f, df]
+        one, _ = run_command("odt-table", {**config, "configurations": [list(cli.ODT_TABLE_I[0])]}, args)
+        assert json.loads(one)["rows"] == rows[:1]
+
+    @pytest.mark.parametrize("config,odt_calls,bootstrap_calls", [
+        ({}, 4, 0),
+        ({"werner_p": 0.9}, 8, 0),
+        ({"werner_p": 0.9, "n_per_setting": 2000, "trials": 10}, 8, 1),
+    ], ids=["ideal", "noisy", "bootstrap"])
+    def test_stacked_calls(self, monkeypatch, config, odt_calls, bootstrap_calls):
+        """The default table's rows form 4 (projection, receiver) groups: one stacked
+        run per group and resource, and one bootstrap for every row."""
+        calls = []
+
+        def counted(name, real):
+            return lambda *a, **k: calls.append(name) or real(*a, **k)
+        monkeypatch.setattr(cli, "run_odt_stack", counted("odt", cli.run_odt_stack))
+        monkeypatch.setattr(cli, "bootstrap_fidelities", counted("bootstrap", cli.bootstrap_fidelities))
+        _, code = run_command("odt-table", config, parse_args(["odt-table"]))
+        assert code == 0
+        assert (calls.count("odt"), calls.count("bootstrap")) == (odt_calls, bootstrap_calls)
+
+    def test_split_bootstrap_stacks_give_the_same_bytes(self, monkeypatch):
+        """Rows join one bootstrap stack only while rows x trials <= MAX_TRIALS; a
+        table split into several stacks renders the bytes of one that is not."""
+        config, args = {"werner_p": 0.85, "n_per_setting": 1000, "trials": 10}, parse_args(["odt-table"])
+        sizes, invert = [], tomography._invert
+        monkeypatch.setattr(tomography, "_invert",
+                            lambda k, parity, counts: sizes.append(len(counts)) or invert(k, parity, counts))
+        whole, _ = run_command("odt-table", config, args)
+        assert sizes == [120]
+        # below trials, each row is a stack of its own: a lone row is never split
+        for limit, stacks in ((120, [120]), (50, [50, 50, 20]), (30, [30] * 4), (10, [10] * 12), (4, [10] * 12)):
+            monkeypatch.setattr(tomography, "MAX_TRIALS", limit)
+            sizes.clear()
+            assert run_command("odt-table", config, args)[0] == whole
+            assert sizes == stacks
+
+    def test_refused_row_names_its_settings(self, tmp_path, capsys):
+        """Every row's records are drawn before the one bootstrap; the first row
+        whose records miss a setting is still the one refused, with its settings."""
+        config = tmp_path / "c.cfg"
+        config.write_text("werner_p = 0.9\nn_per_setting = 2\n")
+        assert main(["odt-table", "--config", str(config), "--seed", "16"]) == 2
+        err = capsys.readouterr().err
+        refused = None
+        for i, (proj, theta, receiver, *_) in enumerate(cli.ODT_TABLE_I):
+            port = "b" if receiver != "b" else "a"
+            state = run_odt(ClientParams(theta), werner_dicke(0.9), port, receiver, proj).receiver_state
+            try:
+                tomography_linear(simulate_counts(state, ["X", "Y", "Z"], 2, 16 + 10 * i))
+            except MissingSettingError as missing:
+                refused = (i, missing.missing)
+                break
+        assert refused == (11, ("Y",))  # the last row: every earlier row drew counts
+        assert err == ("config error: n_per_setting = 2 drew no counts for setting Y; "
+                       "tomography needs counts for every setting\n")
 
 
 class TestWitnessScan:

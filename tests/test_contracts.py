@@ -51,6 +51,11 @@ CONTRACTS = {
         lambda: find_conversion_circuit(xi_state(), dicke(4, 2, ("a", "b", "c", "d")), max_depth=-1),
         "max_depth"),
     "run_odt-client-sequence": (lambda: run_odt([ClientParams(1.0), ClientParams(1.0)]), "client"),
+    "run_odt-port-unknown": (lambda: run_odt(ClientParams(1.0), port="q"), "port"),
+    "run_odt-receiver-unknown": (lambda: run_odt(ClientParams(1.0), receiver="q"), "receiver"),
+    "run_odt-receiver-is-port": (lambda: run_odt(ClientParams(1.0), port="b", receiver="b"), "receiver"),
+    "run_qtc-port-unknown": (lambda: run_qtc(ClientParams(1.0), port="q"), "port"),
+    "run_qtc-port-is-client": (lambda: run_qtc(ClientParams(1.0), port="X"), "port"),
     "qtc_mixed_band-p-above-one": (lambda: qtc_mixed_band(1.0, p=2.0, dephase_lambda=0.0), "p"),
     "qtc_mixed_band-p_uncertainty-nan": (
         lambda: qtc_mixed_band(1.0, 0.5, 0.0, p_uncertainty=math.nan), "p_uncertainty"),

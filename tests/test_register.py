@@ -351,6 +351,33 @@ class TestPartialTrace:
         with pytest.raises(RegisterError, match="at least one"):
             partial_trace(bell("psi+"), ())
 
+    @staticmethod
+    def _np_trace_form(state, keep):
+        """The reduction by np.trace over each dropped qubit, highest first."""
+        lead, kept = state.stack_shape, sorted(state.layout.positions(keep))
+        t = state.matrix.reshape(lead + (2,) * (2 * state.n))
+        for p in sorted(set(range(state.n)) - set(kept), reverse=True):
+            row = len(lead) + p
+            t = np.trace(t, axis1=row, axis2=row + (t.ndim - len(lead)) // 2)
+        return t.reshape(lead + (2 ** len(kept),) * 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mixed_equals_np_trace_form(self, n):
+        """A mixed reduction sums each dropped qubit's two diagonal slices, the
+        a + b that np.trace forms: every keep set, on single states, (S,) stacks
+        and (K, S) stacks, gives np.trace's bytes."""
+        rng = np.random.default_rng(50 + n)
+        layout = RegisterLayout("abcd"[:n])
+        stack = MixedState(layout, np.array([oracles.random_density(rng, 2 ** n, 2) for _ in range(5)]))
+        gates = np.array([oracles.haar_unitary(rng, 2) for _ in range(3)])[:, None]
+        states = [stack.member(0), stack, apply_gate(stack, gates, "a")]
+        assert states[2].stack_shape == (3, 5)
+        for state in states:
+            for size in range(1, n + 1):
+                for keep in itertools.combinations(layout.labels, size):
+                    reduced = partial_trace(state, keep)
+                    assert reduced.matrix.tobytes() == self._np_trace_form(state, keep).tobytes(), keep
+
 
 class TestRepeatedLabels:
     """A repeated label is refused, naming the labels, for pure and mixed states."""
@@ -423,6 +450,23 @@ class TestFidelity:
         psi = dicke(3, 1)
         rotated = PureState(psi.layout, np.exp(1j * 0.7) * psi.amplitudes)
         assert states_close(psi, rotated)
+
+    def test_python_and_numpy_scalars_square_alike(self):
+        """fidelity squares each member's overlap or root sum on Python numbers
+        (.tolist()); libm hypot and pow give them the bits of the NumPy scalar
+        forms, signed zeros and subnormals included. Squares stay below overflow,
+        as a fidelity's do."""
+        rng = np.random.default_rng(61)
+        size = 20000
+        real = rng.normal(size=(2, size)) * 10.0 ** rng.integers(-330, 150, size=(2, size))
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1e-160])
+        real = np.concatenate([real, np.array(np.meshgrid(special, special)).reshape(2, -1)], axis=1)
+        overlaps = real[0] + 1j * real[1]
+        assert (np.array([abs(x) ** 2 for x in overlaps.tolist()]).tobytes()
+                == np.array([abs(x) ** 2 for x in overlaps]).tobytes())
+        totals = np.abs(real[0])
+        assert (np.array([min(t ** 2, 1.0) for t in totals.tolist()]).tobytes()
+                == np.array([min(t ** 2, 1.0) for t in totals]).tobytes())
 
 
 class TestPermute:

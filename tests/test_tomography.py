@@ -18,6 +18,7 @@ from dickesim import (
     basis_ket,
     bell,
     born_probabilities,
+    bootstrap_fidelities,
     dicke,
     estimate_correlator,
     estimate_witness,
@@ -557,6 +558,42 @@ class TestFidelityWithError:
         monkeypatch.setattr(tomography, "_redraw", lambda *args: pytest.fail("a trial was drawn"))
         with pytest.raises(ValueError, match="target has 2 qubits, the records 1"):
             fidelity_with_error(records, bell("psi+"), trials=10)
+
+
+class TestBootstrapStacks:
+    """bootstrap_fidelities runs several record sets as one stack; each set's
+    estimate equals its own fidelity_with_error call bit for bit."""
+
+    @staticmethod
+    def record_sets(n, pure, exact=False, count=5):
+        rng = np.random.default_rng(70 + n)
+        states = [_random_state(rng, n, pure=pure) for _ in range(count)]
+        if exact:
+            sets = [[exact_counts(state, s, n=300.0) for s in all_settings(n)] for state in states]
+        else:
+            sets = [simulate_counts(state, all_settings(n), 400, seed=10 * i) for i, state in enumerate(states)]
+        arrays = [t.amplitudes if pure else t.matrix for t in states]
+        return sets, (PureState if pure else MixedState)(states[0].layout, np.array(arrays))
+
+    @pytest.mark.parametrize("n,pure,exact", [(1, True, False), (2, True, False), (1, False, False),
+                                              (2, False, False), (2, True, True)])
+    def test_equals_per_set_calls(self, n, pure, exact):
+        sets, targets = self.record_sets(n, pure, exact)
+        stacked = bootstrap_fidelities(sets, targets, trials=30, seed=4)
+        assert stacked == [fidelity_with_error(records, targets.member(i), trials=30, seed=4)
+                           for i, records in enumerate(sets)]
+
+    def test_refusals(self, monkeypatch):
+        sets, targets = self.record_sets(1, pure=True)
+        monkeypatch.setattr(tomography, "_redraw", lambda *args: pytest.fail("a trial was drawn"))
+        with pytest.raises(ValueError, match="targets must be a stack of 4 states"):
+            bootstrap_fidelities(sets[:4], targets, trials=10)
+        shuffled = [sets[0], list(reversed(sets[1])), *sets[2:]]
+        with pytest.raises(ValueError, match="do not share one layout"):
+            bootstrap_fidelities(shuffled, targets, trials=10)
+        empty = CountsRecord("Y", {"0": 0, "1": 0}, 1.0, seed=None)
+        with pytest.raises(MissingSettingError, match="'Y'"):
+            bootstrap_fidelities([*sets[:3], [sets[3][0], empty, sets[3][2]], sets[4]], targets, trials=10)
 
 
 class TestEntryChecks:
