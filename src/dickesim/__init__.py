@@ -74,14 +74,12 @@ from .protocols import (
     qtc_mixed_band,
     qtc_theory_fidelity,
     run_odt,
-    run_odt_stack,
     run_qtc,
 )
 from .tomography import (
     CountsRecord,
     MissingSettingError,
     born_probabilities,
-    bootstrap_fidelities,
     estimate_correlator,
     estimate_witness,
     exact_counts,

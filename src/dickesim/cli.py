@@ -29,7 +29,7 @@ from .protocols import (
     derive_correction_table,
     qtc_mixed_band,
     qtc_theory_fidelity,
-    run_odt_stack,
+    run_odt,
     run_qtc,
 )
 from .register import MixedState, RegisterLayout, fidelity, project, single_qubit
@@ -59,7 +59,6 @@ from .tomography import (
     MAX_TRIALS,
     MIN_TRIALS,
     MissingSettingError,
-    bootstrap_fidelities,
     fidelity_with_error,
     simulate_counts,
     tomography_linear,
@@ -368,12 +367,12 @@ def cmd_odt_table(cfg: dict, args) -> tuple:
     # the rows of one (projection, receiver) run as one client stack on each resource
     groups, ideal, noisy = {}, {}, {}
     for row_index, (proj, _, receiver, *_) in enumerate(configurations):
-        groups.setdefault((proj, receiver, ports[row_index]), []).append(row_index)
-    for (proj, receiver, port), indices in groups.items():
+        groups.setdefault((proj, receiver), []).append(row_index)
+    for (proj, receiver), indices in groups.items():
         for runs, state, dephase in ((ideal, pure, 0.0), (noisy, resource, lam)):
             if state is not None:
                 clients = [ClientParams(configurations[i][1], dephase_lambda=dephase) for i in indices]
-                stack = run_odt_stack(clients, state, port, receiver, proj)
+                stack = run_odt(clients, state, ports[indices[0]], receiver, proj)
                 runs.update((i, stack.member(member)) for member, i in enumerate(indices))
     estimates = [(noisy[i].teleport_fidelity if noisy else None, None) for i in range(len(configurations))]
     if noisy and n_per_setting is not None:
@@ -382,7 +381,7 @@ def cmd_odt_table(cfg: dict, args) -> tuple:
                    for i in range(len(configurations))]
         targets = client_ket([ClientParams(theta=theta) for _, theta, *_ in configurations])
         try:
-            estimates = bootstrap_fidelities(records, targets, trials=cfg["trials"], seed=args.seed)
+            estimates = fidelity_with_error(records, targets, trials=cfg["trials"], seed=args.seed)
         except MissingSettingError as err:
             raise _no_counts(err, n_per_setting) from None
     rows = []

@@ -12,19 +12,19 @@ matching how the experiment scores its output states.
 
 Both protocols take a sequence of clients as one stack (see register): a
 whole theta grid and all four outcomes are one pass through the register,
-and a single client is the one-member stack (run_odt is run_odt_stack's
-one-client case). Stacks meet by the register's one rule, numpy
-broadcasting: each outcome's correction is a (K, 1) gate stack over the
-(K, S) post-states, and the (S,) client stack is scored against the (K, S)
-clones, or the (S,) receivers, as it is. Port and receiver are checked
-against the resource's labels before any tensor is built.
+and a single client is the one-member stack. Stacks meet by the register's
+one rule, numpy broadcasting: each outcome's correction is a (K, 1) gate
+stack over the (K, S) post-states, and the (S,) client stack is scored
+against the (K, S) clones, or the (S,) receivers, as it is. One prologue
+(_prepare) checks the clients, and the port and receiver against the
+resource's labels, before any tensor is built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -218,13 +218,27 @@ def _correction_table(port: str, labels: tuple[str, ...]) -> tuple[tuple[str, st
     return tuple(sorted(table))
 
 
-def _client_input(clients: Sequence[ClientParams]) -> State:
-    """Pure clients as a ket stack, dephased ones as a density-matrix stack; a stack may not mix them."""
-    pure = {c.dephase_lambda == 0.0 for c in clients}
-    if len(pure) != 1:
-        raise ValueError("client must be one ClientParams or a non-empty stack of them, "
+def _prepare(client: ClientParams | Iterable[ClientParams], resource: State | None,
+             **qubits: str) -> tuple[bool, State, State, State]:
+    """Both protocols' opening: (single, client input, resource, register after CX on (X, port)).
+
+    `client` is one ClientParams or a non-empty sequence of them, all pure or
+    all dephased; anything else is refused before any tensor is built. Pure
+    clients enter as a ket stack, dephased ones as a density-matrix stack. The
+    resource defaults to the Dicke state; the named qubits are its labels.
+    """
+    single = isinstance(client, ClientParams)
+    clients = [client] if single else list(client) if isinstance(client, Iterable) else []
+    if not (clients and all(isinstance(c, ClientParams) for c in clients)
+            and len({c.dephase_lambda == 0.0 for c in clients}) == 1):
+        raise ValueError("client must be one ClientParams or a non-empty sequence of them, "
                          "all pure or all dephased")
-    return client_ket(clients) if pure.pop() else client_state(clients)
+    client_in = client_ket(clients) if clients[0].dephase_lambda == 0.0 else client_state(clients)
+    if resource is None:
+        resource = dicke(4, 2, RESOURCE_LABELS)
+    _check_qubits(resource, **qubits)
+    rotated = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, qubits["port"]))
+    return single, client_in, resource, rotated
 
 
 def _check_qubits(resource: State, **qubits: str) -> None:
@@ -253,16 +267,9 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     gives a stacked result (see QtcResult) whose member i equals the run of
     client i alone bit for bit. One client is run as a one-member stack.
     """
-    single = isinstance(client, ClientParams)
-    clients = [client] if single else list(client)
-    client_in = _client_input(clients)
-    if resource is None:
-        resource = dicke(4, 2, RESOURCE_LABELS)
-    _check_qubits(resource, port=port)
+    single, client_in, resource, rotated = _prepare(client, resource, port=port)
     clone_labels = tuple(x for x in resource.labels if x != port)
     table = dict(_correction_table(port, resource.labels))
-
-    rotated = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, port))
     probs, post, kept = _bell_stack(rotated, CLIENT_LABEL, port)
 
     # each kept outcome's P on every clone, as one gate P (x) P (x) P on its row of
@@ -271,7 +278,7 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     corrected = apply_gate(post, gates[:, None], clone_labels)
     # the (S,) clients against the (K, S) clones: one square root serves every row
     per_clone = {label: fidelity(client_in, partial_trace(corrected, (label,))) for label in clone_labels}
-    average = np.zeros(len(clients))
+    average = np.zeros(client_in.stack_shape)
     for prob, mean in zip(probs[kept], sum(per_clone.values()) / len(per_clone)):
         average += prob * mean
     posts = {b: corrected.member(i) for i, b in enumerate(kept)}
@@ -312,36 +319,24 @@ def qtc_mixed_band(theta: float | Sequence[float], p: float,
     return (float(low[0]), float(high[0])) if single else (low, high)
 
 
-def run_odt(client: ClientParams, resource: State | None = None, port: str = "b",
-            receiver: str = "a", sodt_projection: str = "01") -> OdtResult:
-    """Open-destination teleportation of one client: run_odt_stack's one-member case."""
-    if not isinstance(client, ClientParams):
-        raise ValueError(f"client must be one ClientParams, got {type(client).__name__}")
-    return run_odt_stack([client], resource, port, receiver, sodt_projection).member(0)
-
-
-def run_odt_stack(clients: Sequence[ClientParams], resource: State | None = None, port: str = "b",
-                  receiver: str = "a", sodt_projection: str = "01") -> OdtResult:
+def run_odt(client: ClientParams | Sequence[ClientParams], resource: State | None = None,
+            port: str = "b", receiver: str = "a", sodt_projection: str = "01") -> OdtResult:
     """Open-destination teleportation with post-selection on |+1> of (X, port).
 
     The two non-participating server qubits are projected onto the chosen
     computational pattern; the remaining alternative (X, port) outcomes are
     enumerated with their probabilities but left uncorrected.
 
-    The clients, all pure or all dephased, run as one stack and give a stacked
-    result (see OdtResult) whose member i equals the run of client i alone bit
-    for bit. A branch that vanishes for some clients only raises RegisterError.
+    A sequence of clients, all pure or all dephased, runs as one stack and
+    gives a stacked result (see OdtResult) whose member i equals the run of
+    client i alone bit for bit. One client is run as a one-member stack. A
+    branch that vanishes for some clients only raises RegisterError.
     """
-    if resource is None:
-        resource = dicke(4, 2, RESOURCE_LABELS)
     if sodt_projection not in ("01", "10"):
         raise ValueError(f"sodt_projection must be '01' or '10', got {sodt_projection!r}")
-    _check_qubits(resource, port=port, receiver=receiver)
+    single, client_in, resource, rotated = _prepare(client, resource, port=port, receiver=receiver)
     sodt = tuple(x for x in resource.labels if x not in (receiver, port))
-
-    client_in = _client_input(list(clients))
-    full = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, port))
-    prob_sodt, after_sodt = project(full, sodt, sodt_projection)
+    prob_sodt, after_sodt = project(rotated, sodt, sodt_projection)
 
     probs, post, kept = _bell_stack(after_sodt, CLIENT_LABEL, port)
     accepted = _BELL_XZ.index("+1")  # psi+
@@ -350,7 +345,7 @@ def run_odt_stack(clients: Sequence[ClientParams], resource: State | None = None
         raise ImpossibleBranchError(
             f"outcome |+1> of {(CLIENT_LABEL, port)} has probability {largest}", largest)
     receiver_mixed = post.member(kept.index(accepted)).density()
-    return OdtResult(
+    result = OdtResult(
         success_probability=prob_sodt * probs[accepted],
         sodt_probability=prob_sodt,
         receiver_state=receiver_mixed,
@@ -358,3 +353,4 @@ def run_odt_stack(clients: Sequence[ClientParams], resource: State | None = None
         intermediate_state=after_sodt,
         alternative_outcomes=tuple((xz, q) for xz, q in zip(_BELL_XZ, probs) if xz != "+1"),
     )
+    return result.member(0) if single else result

@@ -202,8 +202,11 @@ def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> t
     counts T; the uncertainty follows from Poisson fluctuations of the two
     parity classes, sqrt((1 - v^2)/T), and is 0 when only exact records cover
     the string. MissingSettingError names the string when no record with
-    counts covers it; pooled counts that overflow a float raise ValueError.
+    counts covers it. A pauli_string that is not a non-empty string of I, X,
+    Y and Z, or pooled counts that overflow a float, raise ValueError.
     """
+    if not (isinstance(pauli_string, str) and pauli_string and set(pauli_string) <= set("IXYZ")):
+        raise ValueError(f"pauli_string={pauli_string!r} is not a non-empty string of I, X, Y, Z")
     values, uncertainties = _pooled(list(records), (pauli_string,))
     return float(values[0]), float(uncertainties[0])
 
@@ -307,17 +310,15 @@ def _trial_states(seed: int, trials: int) -> Iterator[dict]:
                "has_uint32": 0, "uinteger": 0}
 
 
-def _redraw(records, trials: int, seed: int) -> np.ndarray:
-    """(trials x columns) parametric bootstrap counts of one record set, or
-    (sets x trials x columns) of a list of sets that share one layout.
+def _redraw(sets: Sequence[Sequence[CountsRecord]], trials: int, seed: int) -> np.ndarray:
+    """(sets x trials x columns) parametric bootstrap counts of a list of
+    record sets that share one layout.
 
     Trial t redraws every stochastic column of a set from Poisson(observed)
     with default_rng((seed, t))'s stream, in column order; one generator is
     set to each trial's state, computed once, for each set in turn. Exact
     columns stay, and a record whose redraw totals zero keeps its observed counts.
     """
-    one = isinstance(records[0], CountsRecord)
-    sets = [records] if one else records
     _, owner, drawn = _columns(sets[0])
     observed = np.array([_columns(records)[0] for records in sets])
     bits = np.random.PCG64()
@@ -333,7 +334,7 @@ def _redraw(records, trials: int, seed: int) -> np.ndarray:
     totals = counts @ (owner[:, None] == np.arange(len(sets[0])))
     keep = (totals == 0)[..., owner]
     counts[keep] = np.broadcast_to(observed[:, None], counts.shape)[keep]
-    return counts[0] if one else counts
+    return counts
 
 
 def tomography_linear(records: Iterable[CountsRecord],
@@ -374,50 +375,47 @@ def _project_psd(rho: np.ndarray) -> np.ndarray:
     return (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def fidelity_with_error(records: Iterable[CountsRecord], target: State,
-                        trials: int, seed: int = 0) -> tuple[float, float]:
+def fidelity_with_error(records: Iterable[CountsRecord] | Iterable[Iterable[CountsRecord]], target: State,
+                        trials: int, seed: int = 0) -> tuple[float, float] | list[tuple[float, float]]:
     """Reconstruction fidelity against a target with a parametric bootstrap.
 
     Each trial redraws every outcome count from Poisson centered on the
     observed value and repeats the inversion; exact records bootstrap to a
     zero-width uncertainty. Trial seeds derive from (seed, trial index).
-    The one-set case of bootstrap_fidelities.
+
+    A single target takes one record set and gives (mean, std). An (S,) target
+    stack takes S record sets that share one layout (record by record the same
+    setting, outcomes and exactness) and gives S pairs, set i against member i,
+    each equal to its own one-set call bit for bit. Trial t's state is computed
+    once for all sets; sets join one stack while sets x trials <= MAX_TRIALS.
     """
-    if target.stack_shape:
-        raise ValueError(f"target must be a single state, not a stack of shape {target.stack_shape}")
-    return bootstrap_fidelities([records], type(target)._trusted(target.layout, target._array[None]),
-                                trials, seed)[0]
-
-
-def bootstrap_fidelities(record_sets: Iterable[Iterable[CountsRecord]], targets: State,
-                         trials: int, seed: int = 0) -> list[tuple[float, float]]:
-    """fidelity_with_error of several record sets that share one layout (record by
-    record the same setting, outcomes and exactness), set i against member i of the
-    (sets,) target stack, each equal to its own call bit for bit. Trial t's state is
-    computed once for all sets; sets join one stack while sets x trials <= MAX_TRIALS."""
     trials, seed = check_integer("trials", trials, MIN_TRIALS), check_integer("seed", seed, 0)
-    sets = [tuple(records) for records in record_sets]
-    if targets.stack_shape != (len(sets),):
-        raise ValueError(f"targets must be a stack of {len(sets)} states, one per record set, "
-                         f"not of shape {targets.stack_shape}")
+    single = not target.stack_shape
+    sets = [records] if single else list(records)
+    if single:
+        target = type(target)._trusted(target.layout, target._array[None])
+    elif target.stack_shape != (len(sets),) or any(isinstance(s, CountsRecord) for s in sets):
+        raise ValueError(f"target stack of shape {target.stack_shape} takes a list of record sets, "
+                         f"one per member; got {len(sets)} items")
+    sets = [tuple(records) for records in sets]
     k, parity = [_inversion_parity(records) for records in sets][0]  # every inversion error before any draw
     if len({tuple((r.setting, tuple(r.counts), r.exact) for r in records) for records in sets}) > 1:
         raise ValueError("record sets do not share one layout of settings, outcomes and exactness")
-    if targets.n != k:
-        raise ValueError(f"target has {targets.n} qubits, the records {k}")
+    if target.n != k:
+        raise ValueError(f"target has {target.n} qubits, the records {k}")
     exact = all(r.exact for r in sets[0])
     # exact counts need not be integers, so their pooled sums could round with the stack:
-    # an exact set, one member, inverts alone as fidelity_with_error inverts it
+    # an exact set, one member, inverts alone as a one-set call inverts it
     per_stack = 1 if exact else max(MAX_TRIALS // trials, 1)
     estimates = []
     for start in range(0, len(sets), per_stack):
         chunk = sets[start:start + per_stack]
         counts = _columns(chunk[0])[0][None, None] if exact else _redraw(chunk, trials, seed)
         # every trial's rho is one member of a stack, valid as _project_psd builds it: one
-        # fidelity call, member j of set i against target i (a lone set's as a single state)
-        rho = MixedState._trusted(targets.layout, _invert(k, parity, counts.reshape(-1, counts.shape[-1])))
-        members = targets.member(start) if len(chunk) == 1 else type(targets)._trusted(
-            targets.layout, np.repeat(targets._array[start:start + len(chunk)], counts.shape[1], axis=0))
+        # fidelity call, member j of set i against target i
+        rho = MixedState._trusted(target.layout, _invert(k, parity, counts.reshape(-1, counts.shape[-1])))
+        members = type(target)._trusted(
+            target.layout, np.repeat(target._array[start:start + len(chunk)], counts.shape[1], axis=0))
         values = fidelity(rho, members).reshape(counts.shape[:2])
         estimates += [(float(np.mean(v)), float(np.std(v))) for v in values]
-    return estimates
+    return estimates[0] if single else estimates

@@ -516,10 +516,10 @@ class TestQtcSweep:
 
 class TestOdtTable:
     def test_failed_teleport_check_exits_one(self, tmp_path, monkeypatch):
-        def failing(*args, real=cli.run_odt_stack, **kwargs):
+        def failing(*args, real=cli.run_odt, **kwargs):
             result = real(*args, **kwargs)
             return dataclasses.replace(result, teleport_fidelity=np.full_like(result.teleport_fidelity, 0.9))
-        monkeypatch.setattr(cli, "run_odt_stack", failing)
+        monkeypatch.setattr(cli, "run_odt", failing)
         out = tmp_path / "o.json"
         assert main(["odt-table", "--format", "json", "--out", str(out)]) == 1
         report = json.loads(out.read_text())
@@ -623,8 +623,8 @@ class TestOdtTable:
 
         def counted(name, real):
             return lambda *a, **k: calls.append(name) or real(*a, **k)
-        monkeypatch.setattr(cli, "run_odt_stack", counted("odt", cli.run_odt_stack))
-        monkeypatch.setattr(cli, "bootstrap_fidelities", counted("bootstrap", cli.bootstrap_fidelities))
+        monkeypatch.setattr(cli, "run_odt", counted("odt", cli.run_odt))
+        monkeypatch.setattr(cli, "fidelity_with_error", counted("bootstrap", cli.fidelity_with_error))
         _, code = run_command("odt-table", config, parse_args(["odt-table"]))
         assert code == 0
         assert (calls.count("odt"), calls.count("bootstrap")) == (odt_calls, bootstrap_calls)

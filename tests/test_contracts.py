@@ -25,6 +25,7 @@ from dickesim import (
     client_ket,
     collective_spin,
     dicke,
+    estimate_correlator,
     exact_counts,
     fidelity_with_error,
     find_conversion_circuit,
@@ -41,6 +42,9 @@ from dickesim import (
     xi_state,
 )
 
+# records that cover every Pauli string over Z and I on two qubits
+ZZ_RECORDS = [CountsRecord("ZZ", {"00": 5, "11": 5}, 10.0, seed=None)]
+
 # id -> (call, the argument its message must name)
 CONTRACTS = {
     "GateSpec-control-is-target": (lambda: GateSpec("CX", "a", control="a"), "control"),
@@ -50,7 +54,10 @@ CONTRACTS = {
     "find_conversion_circuit-max_depth-negative": (
         lambda: find_conversion_circuit(xi_state(), dicke(4, 2, ("a", "b", "c", "d")), max_depth=-1),
         "max_depth"),
-    "run_odt-client-sequence": (lambda: run_odt([ClientParams(1.0), ClientParams(1.0)]), "client"),
+    "run_odt-client-empty": (lambda: run_odt([]), "client"),
+    "run_odt-client-float": (lambda: run_odt(1.0), "client"),
+    "run_odt-client-mixed-purity": (
+        lambda: run_odt([ClientParams(1.0), ClientParams(1.0, dephase_lambda=0.1)]), "client"),
     "run_odt-port-unknown": (lambda: run_odt(ClientParams(1.0), port="q"), "port"),
     "run_odt-receiver-unknown": (lambda: run_odt(ClientParams(1.0), receiver="q"), "receiver"),
     "run_odt-receiver-is-port": (lambda: run_odt(ClientParams(1.0), port="b", receiver="b"), "receiver"),
@@ -63,11 +70,18 @@ CONTRACTS = {
         lambda: qtc_mixed_band(1.0, 0.5, 0.0, p_uncertainty=math.inf), "p_uncertainty"),
     "qtc_mixed_band-theta-empty": (lambda: qtc_mixed_band([], 0.9, 0.1), "theta"),
     "run_qtc-client-empty": (lambda: run_qtc([]), "client"),
+    "run_qtc-client-float-item": (lambda: run_qtc([1.0]), "client"),
+    "run_qtc-client-str": (lambda: run_qtc("ab"), "client"),
+    "run_qtc-client-none": (lambda: run_qtc(None), "client"),
     "simulate_counts-n-inf": (lambda: simulate_counts(bell("psi+"), "ZZ", math.inf, seed=0), "n"),
     "simulate_counts-n-nan": (lambda: simulate_counts(bell("psi+"), "ZZ", math.nan, seed=0), "n"),
     "simulate_counts-n-above-cap": (lambda: simulate_counts(bell("psi+"), "ZZ", 1e300, seed=0), "n"),
     "exact_counts-n-inf": (lambda: exact_counts(bell("psi+"), "ZZ", n=math.inf), "n"),
     "exact_counts-n-negative": (lambda: exact_counts(bell("psi+"), "ZZ", n=-1), "n"),
+    "estimate_correlator-pauli_string-letter": (
+        lambda: estimate_correlator(ZZ_RECORDS, "XQ"), "pauli_string"),
+    "estimate_correlator-pauli_string-empty": (lambda: estimate_correlator(ZZ_RECORDS, ""), "pauli_string"),
+    "estimate_correlator-pauli_string-int": (lambda: estimate_correlator(ZZ_RECORDS, 5), "pauli_string"),
     "fidelity_with_error-target-stack": (
         lambda: fidelity_with_error(
             [CountsRecord(s, {"0": 1.0, "1": 1.0}, 2.0, None, exact=True) for s in "XYZ"],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from dickesim import (
     ClientParams,
     ImpossibleBranchError,
     MixedState,
+    OdtResult,
     PureState,
     RegisterError,
     RegisterLayout,
@@ -427,6 +429,28 @@ class TestRunOdt:
         result = run_odt(ClientParams(theta=0.5))
         assert isinstance(result.receiver_state, MixedState)
         assert np.trace(result.receiver_state.matrix).real == pytest.approx(1.0, abs=1e-10)
+
+
+class TestStackedOdt:
+    """A client sequence runs as one stack; member i is the run of client i alone."""
+
+    @pytest.mark.parametrize("dephase,resource", [
+        (0.0, None), (0.0, werner_dicke(0.8)), (0.3, werner_dicke(0.8)), (0.3, None)])
+    @pytest.mark.parametrize("projection,receiver", [("01", "a"), ("10", "a"), ("01", "b"), ("10", "b")])
+    def test_members_equal_single_runs(self, dephase, resource, projection, receiver):
+        clients = [ClientParams(theta=t, phi=1.9, dephase_lambda=dephase) for t in THETA_GRID]
+        port = _odt_port(receiver)
+        stacked = run_odt(clients, resource, port, receiver, projection)
+        for i, client in enumerate(clients):
+            single, member = run_odt(client, resource, port, receiver, projection), stacked.member(i)
+            for field in dataclasses.fields(OdtResult):
+                a, b = getattr(single, field.name), getattr(member, field.name)
+                if isinstance(a, (PureState, MixedState)):
+                    assert (type(a), a.labels) == (type(b), b.labels), field.name
+                    array_a, array_b = (x.amplitudes if isinstance(x, PureState) else x.matrix for x in (a, b))
+                    assert array_a.tobytes() == array_b.tobytes(), field.name
+                else:
+                    assert a == b, field.name
 
 
 class TestBranchAveragedEqualsPerBranch:

@@ -18,7 +18,6 @@ from dickesim import (
     basis_ket,
     bell,
     born_probabilities,
-    bootstrap_fidelities,
     dicke,
     estimate_correlator,
     estimate_witness,
@@ -561,8 +560,8 @@ class TestFidelityWithError:
 
 
 class TestBootstrapStacks:
-    """bootstrap_fidelities runs several record sets as one stack; each set's
-    estimate equals its own fidelity_with_error call bit for bit."""
+    """fidelity_with_error runs several record sets against a target stack as
+    one stack; each set's estimate equals its own one-set call bit for bit."""
 
     @staticmethod
     def record_sets(n, pure, exact=False, count=5):
@@ -579,21 +578,27 @@ class TestBootstrapStacks:
                                               (2, False, False), (2, True, True)])
     def test_equals_per_set_calls(self, n, pure, exact):
         sets, targets = self.record_sets(n, pure, exact)
-        stacked = bootstrap_fidelities(sets, targets, trials=30, seed=4)
+        stacked = fidelity_with_error(sets, targets, trials=30, seed=4)
         assert stacked == [fidelity_with_error(records, targets.member(i), trials=30, seed=4)
                            for i, records in enumerate(sets)]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_member_stack_equals_single_target(self, exact):
+        sets, targets = self.record_sets(2, pure=False, exact=exact, count=1)
+        assert fidelity_with_error(sets, targets, trials=30, seed=4) == [
+            fidelity_with_error(sets[0], targets.member(0), trials=30, seed=4)]
 
     def test_refusals(self, monkeypatch):
         sets, targets = self.record_sets(1, pure=True)
         monkeypatch.setattr(tomography, "_redraw", lambda *args: pytest.fail("a trial was drawn"))
-        with pytest.raises(ValueError, match="targets must be a stack of 4 states"):
-            bootstrap_fidelities(sets[:4], targets, trials=10)
+        with pytest.raises(ValueError, match="takes a list of record sets, one per member; got 4 items"):
+            fidelity_with_error(sets[:4], targets, trials=10)
         shuffled = [sets[0], list(reversed(sets[1])), *sets[2:]]
         with pytest.raises(ValueError, match="do not share one layout"):
-            bootstrap_fidelities(shuffled, targets, trials=10)
+            fidelity_with_error(shuffled, targets, trials=10)
         empty = CountsRecord("Y", {"0": 0, "1": 0}, 1.0, seed=None)
         with pytest.raises(MissingSettingError, match="'Y'"):
-            bootstrap_fidelities([*sets[:3], [sets[3][0], empty, sets[3][2]], sets[4]], targets, trials=10)
+            fidelity_with_error([*sets[:3], [sets[3][0], empty, sets[3][2]], sets[4]], targets, trials=10)
 
 
 class TestEntryChecks:
@@ -666,7 +671,7 @@ class TestBootstrapDraws:
                    simulate_counts(plus, "Y", 300, seed=4))
         expected, kept = _redraw_oracle(records, 200, seed)
         assert kept > 0
-        assert tomography._redraw(records, 200, seed).tobytes() == expected.tobytes()
+        assert tomography._redraw([records], 200, seed)[0].tobytes() == expected.tobytes()
 
     def test_generators_built(self, monkeypatch):
         """The bootstrap builds no default_rng; simulate_counts one per setting."""
