@@ -2,7 +2,12 @@
 
 Both protocols tensor a client qubit X onto the four-qubit resource, apply
 CX with X as control and the port as target, and project (X, port) onto the
-four sigma-x (x) sigma-z outcomes at once (_bell_stack): one post-state
+four sigma-x (x) sigma-z outcomes at once (_bell_stack). The CX-rotated
+register is built in one pass (_cx_register): CX is a flip of the port bit
+on the client's |1> blocks, so each block is a client entry times the
+resource with that bit's rows (and a density matrix's columns) permuted.
+Every entry is the one product np.kron forms, and CX's matmul would only add
+exact zero products to it, so the results keep their bytes. One post-state
 stack, of shape (outcome, *clients), holds every outcome that does not
 vanish. Telecloning corrects every outcome; open-destination teleportation
 first projects the other two server qubits and keeps only |+1> (psi+).
@@ -16,8 +21,8 @@ and a single client is the one-member stack. Stacks meet by the register's
 one rule, numpy broadcasting: each outcome's correction is a (K, 1) gate
 stack over the (K, S) post-states, and the (S,) client stack is scored
 against the (K, S) clones, or the (S,) receivers, as it is. One prologue
-(_prepare) checks the clients, and the port and receiver against the
-resource's labels, before any tensor is built.
+(_prepare) checks the clients, the resource (one four-qubit state), and the
+port and receiver against the resource's labels, before any state is built.
 """
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ from .register import (
     MixedState,
     PureState,
     RegisterError,
+    RegisterLayout,
     State,
     apply_gate,
     check_number,
@@ -223,9 +229,10 @@ def _prepare(client: ClientParams | Iterable[ClientParams], resource: State | No
     """Both protocols' opening: (single, client input, resource, register after CX on (X, port)).
 
     `client` is one ClientParams or a non-empty sequence of them, all pure or
-    all dephased; anything else is refused before any tensor is built. Pure
-    clients enter as a ket stack, dephased ones as a density-matrix stack. The
-    resource defaults to the Dicke state; the named qubits are its labels.
+    all dephased, and `resource` one four-qubit state (the Dicke state by
+    default); anything else is refused before any state is built, as is a
+    named qubit that is not a label of the resource. Pure clients enter as a
+    ket stack, dephased ones as a density-matrix stack.
     """
     single = isinstance(client, ClientParams)
     clients = [client] if single else list(client) if isinstance(client, Iterable) else []
@@ -233,12 +240,39 @@ def _prepare(client: ClientParams | Iterable[ClientParams], resource: State | No
             and len({c.dephase_lambda == 0.0 for c in clients}) == 1):
         raise ValueError("client must be one ClientParams or a non-empty sequence of them, "
                          "all pure or all dephased")
-    client_in = client_ket(clients) if clients[0].dephase_lambda == 0.0 else client_state(clients)
     if resource is None:
         resource = dicke(4, 2, RESOURCE_LABELS)
+    if not (isinstance(resource, (PureState, MixedState)) and not resource.stack_shape
+            and resource.n == len(RESOURCE_LABELS)):
+        got = (f"{resource.n} qubits, stack shape {resource.stack_shape}"
+               if isinstance(resource, (PureState, MixedState)) else type(resource).__name__)
+        raise ValueError(f"resource must be one four-qubit PureState or MixedState, got {got}")
     _check_qubits(resource, **qubits)
-    rotated = apply_gate(tensor(client_in, resource), CX, (CLIENT_LABEL, qubits["port"]))
-    return single, client_in, resource, rotated
+    client_in = client_ket(clients) if clients[0].dephase_lambda == 0.0 else client_state(clients)
+    return single, client_in, resource, _cx_register(client_in, resource, qubits["port"])
+
+
+def _cx_register(client: State, resource: State, port: str) -> State:
+    """CX(X -> port) on tensor(client, resource), built in one pass.
+
+    CX flips the port bit where X reads 1, so client block i of the register
+    (each block a copy of the resource) has its rows permuted by that flip
+    when i = 1, and a density matrix's block (i, j) its columns too when
+    j = 1: block (i, j) is c_ij times the permuted resource. Each entry is the
+    one product c * r that np.kron forms, and the CX matmul only adds exact
+    zero products to it, so this equals apply_gate(tensor(...), CX, ...) as
+    values; only the signs of some zero entries may differ. As in tensor, a ket
+    on either side enters as its density matrix unless both are kets.
+    """
+    layout = RegisterLayout((CLIENT_LABEL,) + resource.labels)
+    index = np.arange(resource.layout.dim)
+    rows = np.array([index, index ^ (1 << (resource.n - 1 - resource.layout.position(port)))])
+    if isinstance(client, PureState) and isinstance(resource, PureState):
+        blocks = client.amplitudes[..., :, None] * resource.amplitudes[rows]
+        return PureState._trusted(layout, blocks.reshape(client.stack_shape + (layout.dim,)))
+    rho = resource.density().matrix[rows[:, :, None, None], rows]  # rho[row i, col j] as (2, dim, 2, dim)
+    blocks = client.density().matrix[..., :, None, :, None] * rho
+    return MixedState._trusted(layout, blocks.reshape(client.stack_shape + (layout.dim,) * 2))
 
 
 def _check_qubits(resource: State, **qubits: str) -> None:

@@ -83,6 +83,14 @@ class CountsRecord:
         return float(sum(self.counts.values()))
 
 
+def _record_set(records) -> tuple[CountsRecord, ...]:
+    """`records`, an iterable of CountsRecords, as a tuple; anything else is refused by name."""
+    items = tuple(records) if isinstance(records, Iterable) else None
+    if items is None or not all(isinstance(r, CountsRecord) for r in items):
+        raise ValueError(f"records must be an iterable of CountsRecord, got {records!r:.80}")
+    return items
+
+
 def _settings(settings: str | Iterable[str]) -> tuple[str, ...]:
     """One setting, or a sequence of them, as a non-empty tuple of checked settings."""
     table = (settings,) if isinstance(settings, str) else tuple(settings)
@@ -207,13 +215,13 @@ def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> t
     """
     if not (isinstance(pauli_string, str) and pauli_string and set(pauli_string) <= set("IXYZ")):
         raise ValueError(f"pauli_string={pauli_string!r} is not a non-empty string of I, X, Y, Z")
-    values, uncertainties = _pooled(list(records), (pauli_string,))
+    values, uncertainties = _pooled(_record_set(records), (pauli_string,))
     return float(values[0]), float(uncertainties[0])
 
 
 def estimate_witness(records: Iterable[CountsRecord], observable: Observable) -> WitnessReport:
     """Witness expectation from local-setting records, errors in quadrature."""
-    records = list(records)
+    records = _record_set(records)
     if not records:
         raise ValueError("no records supplied")
     terms = [(c, s) for c, s in observable.settings if set(s) != {"I"}]
@@ -346,7 +354,7 @@ def tomography_linear(records: Iterable[CountsRecord],
     have none. Negative eigenvalues from shot noise are clipped to zero and
     the trace renormalized.
     """
-    records = tuple(records)
+    records = _record_set(records)
     k, parity = _inversion_parity(records)
     labels = tuple(labels) if labels is not None else tuple(f"q{i}" for i in range(k))
     if len(labels) != k:
@@ -397,7 +405,7 @@ def fidelity_with_error(records: Iterable[CountsRecord] | Iterable[Iterable[Coun
     elif target.stack_shape != (len(sets),) or any(isinstance(s, CountsRecord) for s in sets):
         raise ValueError(f"target stack of shape {target.stack_shape} takes a list of record sets, "
                          f"one per member; got {len(sets)} items")
-    sets = [tuple(records) for records in sets]
+    sets = [_record_set(records) for records in sets]
     k, parity = [_inversion_parity(records) for records in sets][0]  # every inversion error before any draw
     if len({tuple((r.setting, tuple(r.counts), r.exact) for r in records) for records in sets}) > 1:
         raise ValueError("record sets do not share one layout of settings, outcomes and exactness")

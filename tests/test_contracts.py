@@ -2,9 +2,10 @@
 
 Each row of CONTRACTS is one call with one invalid argument. It must raise a
 ValueError whose message names that argument, before any state is evolved:
-gate application and the telecloning run are replaced by stubs that fail if
-they are reached. The numeric rows are refused by register.check_number or
-register.check_integer, whose message starts with name=value.
+gate application, the protocols' CX-rotated register build and the
+telecloning run are replaced by stubs that fail if they are reached. The
+numeric rows are refused by register.check_number or register.check_integer,
+whose message starts with name=value.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from dickesim import (
     CountsRecord,
     GateSpec,
     Observable,
+    PureState,
+    RegisterLayout,
     WitnessReport,
     bell,
     circuits,
@@ -36,14 +39,18 @@ from dickesim import (
     run_qtc,
     simulate_counts,
     tomography,
+    tomography_linear,
     werner_dicke,
     witness_projector_d3,
     witness_wcs,
     xi_state,
 )
+from dickesim.states import RESOURCE_LABELS
 
 # records that cover every Pauli string over Z and I on two qubits
 ZZ_RECORDS = [CountsRecord("ZZ", {"00": 5, "11": 5}, 10.0, seed=None)]
+# two Dicke resources as one stack, which the protocols do not take
+DICKE_STACK = PureState(RegisterLayout(RESOURCE_LABELS), np.array([dicke(4, 2).amplitudes] * 2))
 
 # id -> (call, the argument its message must name)
 CONTRACTS = {
@@ -63,6 +70,10 @@ CONTRACTS = {
     "run_odt-receiver-is-port": (lambda: run_odt(ClientParams(1.0), port="b", receiver="b"), "receiver"),
     "run_qtc-port-unknown": (lambda: run_qtc(ClientParams(1.0), port="q"), "port"),
     "run_qtc-port-is-client": (lambda: run_qtc(ClientParams(1.0), port="X"), "port"),
+    "run_qtc-resource-stack": (lambda: run_qtc(ClientParams(1.0), resource=DICKE_STACK), "resource"),
+    "run_odt-resource-stack": (lambda: run_odt(ClientParams(1.0), resource=DICKE_STACK), "resource"),
+    "run_qtc-resource-three-qubits": (
+        lambda: run_qtc(ClientParams(1.0), resource=dicke(3, 1, ("a", "b", "c"))), "resource"),
     "qtc_mixed_band-p-above-one": (lambda: qtc_mixed_band(1.0, p=2.0, dephase_lambda=0.0), "p"),
     "qtc_mixed_band-p_uncertainty-nan": (
         lambda: qtc_mixed_band(1.0, 0.5, 0.0, p_uncertainty=math.nan), "p_uncertainty"),
@@ -87,6 +98,13 @@ CONTRACTS = {
             [CountsRecord(s, {"0": 1.0, "1": 1.0}, 2.0, None, exact=True) for s in "XYZ"],
             client_ket([ClientParams(1.0), ClientParams(2.0)]), trials=10),
         "target"),
+    "tomography_linear-records-ints": (lambda: tomography_linear([1, 2]), "records"),
+    "fidelity_with_error-records-ints": (
+        lambda: fidelity_with_error([1, 2], bell("psi+"), trials=10), "records"),
+    "fidelity_with_error-records-stack-of-ints": (
+        lambda: fidelity_with_error([5, 6], client_ket([ClientParams(1.0), ClientParams(2.0)]), trials=10),
+        "records"),
+    "estimate_correlator-records-ints": (lambda: estimate_correlator([1, 2], "ZZ"), "records"),
     "dicke-k-fractional": (lambda: dicke(4, 2.5), "k"),
     "dicke-n-float": (lambda: dicke(4.0, 2), "n"),
     "collective_spin-n-fractional": (lambda: collective_spin(2.5), "n"),
@@ -103,8 +121,8 @@ CONTRACTS = {
 def test_refused_at_entry(monkeypatch, call, name):
     def unreachable(*args, **kwargs):
         raise AssertionError("the call ran past its argument checks")
-    for module, attr in ((circuits, "apply_gate"), (protocols, "apply_gate"), (protocols, "run_qtc"),
-                         (tomography, "apply_gate")):
+    for module, attr in ((circuits, "apply_gate"), (protocols, "apply_gate"), (protocols, "_cx_register"),
+                         (protocols, "run_qtc"), (tomography, "apply_gate")):
         monkeypatch.setattr(module, attr, unreachable)
     with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
         call()

@@ -37,7 +37,7 @@ from dickesim import (
 from dickesim import protocols
 from dickesim.fixtures import load_correction_table
 from dickesim.protocols import BELL_LABELS, CorrectionSearchError
-from dickesim.register import PAULIS
+from dickesim.register import CX, PAULIS, apply_gate
 from dickesim.states import RESOURCE_LABELS
 
 import oracles
@@ -186,6 +186,11 @@ class TestRunQtc:
     def test_unknown_port(self):
         with pytest.raises(RegisterError):
             run_qtc(ClientParams(theta=1.0), port="q")
+
+    @pytest.mark.parametrize("run,qubits", [(run_qtc, {}), (run_odt, {"receiver": "c"})])
+    def test_resource_labelled_like_the_client(self, run, qubits):
+        with pytest.raises(RegisterError, match="duplicate qubit label 'X'"):
+            run(ClientParams(theta=1.0), dicke(4, 2, ("X", "b", "c", "d")), port="b", **qubits)
 
 
 THETA_GRID = np.linspace(0, math.pi, 5).tolist()
@@ -451,6 +456,76 @@ class TestStackedOdt:
                     assert array_a.tobytes() == array_b.tobytes(), field.name
                 else:
                     assert a == b, field.name
+
+
+def _reference_register(client, resource, port):
+    """The composition the one-pass builder replaces: tensor, then CX(X -> port)."""
+    return apply_gate(tensor(client, resource), CX, ("X", port))
+
+
+def _array(state):
+    return state.amplitudes if isinstance(state, PureState) else state.matrix
+
+
+def _flat(value):
+    """A value's content down to the bytes of every array and state, for byte comparison."""
+    if isinstance(value, (PureState, MixedState)):
+        return type(value).__name__, value.labels, _flat(_array(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple(_flat(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return tuple((key, _flat(v)) for key, v in value.items())
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_flat, value))
+    return value
+
+
+_RNG = np.random.default_rng(33)
+_BUILDER_RESOURCES = {
+    "dicke-ket": dicke(4, 2),
+    "haar-ket": PureState(RegisterLayout(RESOURCE_LABELS), oracles.haar_ket(_RNG, 16)),
+    "werner": werner_dicke(0.7),
+    "random-density": MixedState(RegisterLayout(RESOURCE_LABELS), oracles.random_density(_RNG, 16)),
+}
+# theta 0 and pi give exact zero amplitudes, whose signs the two builds may set differently
+_BUILDER_THETAS = (0.0, 0.4, math.pi / 2, 2.6, math.pi)
+
+
+class TestCxRegister:
+    """protocols._cx_register builds CX(X -> port) on tensor(client, resource) in one pass."""
+
+    @pytest.mark.parametrize("resource", _BUILDER_RESOURCES.values(), ids=_BUILDER_RESOURCES)
+    @pytest.mark.parametrize("mixed_client", [False, True], ids=["ket-client", "density-client"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("port", RESOURCE_LABELS)
+    def test_equals_tensor_then_cx(self, resource, mixed_client, stacked, port):
+        clients = [ClientParams(theta=t, phi=0.9, dephase_lambda=0.2 if mixed_client else 0.0)
+                   for t in _BUILDER_THETAS]
+        for params in ([clients] if stacked else clients):
+            client = (client_state if mixed_client else client_ket)(params)
+            built = protocols._cx_register(client, resource, port)
+            expected = _reference_register(client, resource, port)
+            assert (type(built), built.labels) == (type(expected), expected.labels)
+            # equal as values: the signs of some zero entries may differ
+            assert np.array_equal(_array(built), _array(expected))
+
+    @pytest.mark.parametrize("resource", [None, werner_dicke(0.8), dicke(4, 2).density()],
+                             ids=["dicke", "werner", "dicke-density"])
+    @pytest.mark.parametrize("dephase", [0.0, 0.3])
+    @pytest.mark.parametrize("port", RESOURCE_LABELS)
+    def test_protocol_results_keep_their_bytes(self, monkeypatch, resource, dephase, port):
+        clients = [ClientParams(theta=t, phi=1.2, dephase_lambda=dephase) for t in _BUILDER_THETAS]
+        receiver = "a" if port != "a" else "b"
+        runs = [lambda: run_qtc(clients, resource, port), lambda: run_qtc(clients[1], resource, port),
+                lambda: run_odt(clients, resource, port, receiver, "01"),
+                lambda: run_odt(clients[3], resource, port, receiver, "10")]
+        built = [_flat(run()) for run in runs]
+        monkeypatch.setattr(protocols, "_cx_register", _reference_register)
+        assert built == [_flat(run()) for run in runs]
 
 
 class TestBranchAveragedEqualsPerBranch:
