@@ -1,33 +1,34 @@
 """Branch-resolved 1->3 telecloning and open-destination teleportation.
 
-Both protocols tensor a client qubit X onto the four-qubit resource, apply
-CX with X as control and the port as target, and project (X, port) onto the
-four sigma-x (x) sigma-z outcomes at once (_bell_stack). The CX-rotated
-register is built in one pass (_cx_register): CX is a flip of the port bit
-on the client's |1> blocks, so each block is a client entry times the
-resource with that bit's rows (and a density matrix's columns) permuted.
-Every entry is the one product np.kron forms, and CX's matmul would only add
-exact zero products to it, so the results keep their bytes. One post-state
-stack, of shape (outcome, *clients), holds every outcome that does not
-vanish. Telecloning corrects every outcome; open-destination teleportation
-first projects the other two server qubits and keeps only |+1> (psi+).
-Clone and receiver fidelities are evaluated against the client's actual
-input state (equal to the pure target ket whenever the client is pure),
-matching how the experiment scores its output states.
+Every protocol computation (both runs and the correction-table derivation)
+enters through one prologue, _prepare: it checks the clients, the resource
+(one four-qubit state), and the port and receiver against the resource's
+labels before any state is built, tensors the client qubit X onto the
+resource and applies CX(X -> port) in one pass (_cx_register: CX flips the
+port bit on the client's |1> blocks, so every entry is the one product
+np.kron forms and the results keep their bytes). The CX stays: without it the
+open-destination run sums the diagonal in another order, and its numbers move
+in their last bits. (X, port) is then
+projected onto the four sigma-x (x) sigma-z outcomes at once (_bell_stack);
+one post-state stack, of shape (outcome, *clients), holds every outcome that
+does not vanish. Telecloning corrects every outcome; open-destination
+teleportation first projects the other two server qubits and keeps only |+1>
+(psi+). Fidelities are taken against the client's actual input state (the
+pure target ket whenever the client is pure), as the experiment scores them.
+bell_measure is the public Bell measurement of any state; no run calls it.
 
-Both protocols take a sequence of clients as one stack (see register): a
-whole theta grid and all four outcomes are one pass through the register,
-and a single client is the one-member stack. Stacks meet by the register's
-one rule, numpy broadcasting: each outcome's correction is a (K, 1) gate
-stack over the (K, S) post-states, and the (S,) client stack is scored
-against the (K, S) clones, or the (S,) receivers, as it is. One prologue
-(_prepare) checks the clients, the resource (one four-qubit state), and the
-port and receiver against the resource's labels, before any state is built.
+A sequence of clients runs as one stack (see register) and a single client as
+the one-member stack. Stacks meet by numpy broadcasting: each outcome's
+correction is a (K, 1) gate stack over the (K, S) post-states, and the (S,)
+clients are scored against the (K, S) clones, or the (S,) receivers, as they
+are. Every result leaves by one split rule, _member: member i of a stacked
+result, and a single client's result, take entry i of each array as a float
+and member i of each state stack, field by field.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -50,7 +51,6 @@ from .register import (
     partial_trace,
     pauli_matrix,
     project,
-    tensor,
 )
 from .states import (
     CLIENT_LABEL,
@@ -109,17 +109,7 @@ class QtcResult:
 
     def member(self, index: int) -> "QtcResult":
         """The result of client `index` of a stacked run, as a single run gives it."""
-        return QtcResult(
-            branches=tuple(
-                BranchOutcome(b.outcome_label, float(b.probability[index]),
-                              None if b.post_state is None else b.post_state.member(index),
-                              b.correction)
-                for b in self.branches),
-            clone_labels=self.clone_labels,
-            clone_fidelities={outcome: {label: float(v[index]) for label, v in per_clone.items()}
-                              for outcome, per_clone in self.clone_fidelities.items()},
-            average_clone_fidelity=float(self.average_clone_fidelity[index]),
-        )
+        return _member(self, index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,14 +129,24 @@ class OdtResult:
 
     def member(self, index: int) -> "OdtResult":
         """The result of client `index` of a stacked run, as a single run gives it."""
-        return OdtResult(
-            success_probability=float(self.success_probability[index]),
-            sodt_probability=float(self.sodt_probability[index]),
-            receiver_state=self.receiver_state.member(index),
-            teleport_fidelity=float(self.teleport_fidelity[index]),
-            intermediate_state=self.intermediate_state.member(index),
-            alternative_outcomes=tuple((xz, float(q[index])) for xz, q in self.alternative_outcomes),
-        )
+        return _member(self, index)
+
+
+def _member(value, index: int):
+    """Member `index` of a stacked result or any part of it: an array's entry as a float,
+    a state stack's member, tuples, dicts and results item by item and field by
+    field; labels, corrections and None are every member's and stay as they are."""
+    if isinstance(value, np.ndarray):
+        return float(value[index])
+    if isinstance(value, (PureState, MixedState)):
+        return value.member(index)
+    if isinstance(value, tuple):
+        return tuple(_member(item, index) for item in value)
+    if isinstance(value, dict):
+        return {key: _member(item, index) for key, item in value.items()}
+    if isinstance(value, (BranchOutcome, QtcResult, OdtResult)):
+        return replace(value, **{f.name: _member(getattr(value, f.name), index) for f in fields(value)})
+    return value
 
 
 def bell_measure(state: State, q1: str, q2: str) -> list[BranchOutcome]:
@@ -194,7 +194,7 @@ def derive_correction_table(resource: PureState, port: str = "b") -> dict[str, s
     """Map each Bell outcome to the Pauli P with P^{x3} restoring the canonical state.
 
     Derived by exhaustive search at two generic client amplitudes rather than
-    transcribed; requires the ideal Dicke resource.
+    transcribed; requires the ideal Dicke resource, and `port` one of its qubits.
     """
     if not isinstance(resource, PureState) or fidelity(resource, dicke(4, 2, resource.labels)) < 1 - 1e-9:
         raise RegisterError("correction table is defined for the ideal Dicke resource")
@@ -203,25 +203,26 @@ def derive_correction_table(resource: PureState, port: str = "b") -> dict[str, s
 
 @lru_cache(maxsize=8)
 def _correction_table(port: str, labels: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-    """Both sample clients run as one stack; a branch's correction is the first
-    Pauli P in PAULIS order with |<target|P(x)P(x)P|post>|^2 >= 1 - 1e-9 for every
-    member, all four P taken in one contraction."""
-    clients = client_ket((ClientParams(theta=0.8, phi=0.37), ClientParams(theta=2.1, phi=2.0)))
-    branches = bell_measure(tensor(clients, dicke(4, 2, labels)), CLIENT_LABEL, port)
+    """Both sample clients run as one stack through _prepare; a branch's correction
+    is the first Pauli P in PAULIS order with |<target|P(x)P(x)P|post>|^2 >= 1 - 1e-9
+    for every member, all branches and all four P taken in one contraction."""
+    samples = (ClientParams(theta=0.8, phi=0.37), ClientParams(theta=2.1, phi=2.0))
+    _, clients, _, rotated = _prepare(samples, dicke(4, 2, labels), port=port)
+    _, post, kept = _bell_stack(rotated, CLIENT_LABEL, port)
     clone_labels = tuple(x for x in labels if x != port)
     # the canonical clones alpha|D(3,1)> + beta|D(3,2)> of each client alpha|0> + beta|1>
     d1, d2 = (dicke(3, k, clone_labels) for k in (1, 2))
     target = clients.amplitudes @ np.array([d1.amplitudes, d2.amplitudes])
     corrections = np.array([pauli_matrix(p * len(clone_labels)) for p in PAULIS])
+    # each post-state is over clone_labels, in resource order
+    overlaps = np.einsum("si,pij,ksj->kps", target.conj(), corrections, post.amplitudes)
+    restored = dict(zip(kept, (abs(overlaps) ** 2 >= 1 - 1e-9).all(axis=2)))  # outcome -> per P
     table = []
-    for branch in branches:  # each post-state is over clone_labels, in resource order
-        overlaps = np.einsum("si,pij,sj->ps", target.conj(), corrections, branch.post_state.amplitudes)
-        restored = (abs(overlaps) ** 2 >= 1 - 1e-9).all(axis=1)
-        if not restored.any():
-            raise CorrectionSearchError(
-                f"no Pauli corrects outcome {branch.outcome_label}", branch.outcome_label)
-        table.append((branch.outcome_label, list(PAULIS)[int(np.argmax(restored))]))
-    return tuple(sorted(table))
+    for b, label in enumerate(BELL_LABELS):  # in sorted order
+        if b not in restored or not restored[b].any():
+            raise CorrectionSearchError(f"no Pauli corrects outcome {label}", label)
+        table.append((label, list(PAULIS)[int(np.argmax(restored[b]))]))
+    return tuple(table)
 
 
 def _prepare(client: ClientParams | Iterable[ClientParams], resource: State | None,
@@ -324,7 +325,7 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
                           for i, b in enumerate(kept)},
         average_clone_fidelity=average,
     )
-    return result.member(0) if single else result
+    return _member(result, 0) if single else result
 
 
 def qtc_mixed_band(theta: float | Sequence[float], p: float,
@@ -350,7 +351,7 @@ def qtc_mixed_band(theta: float | Sequence[float], p: float,
         resource = None if weight == 1.0 and dephase_lambda == 0.0 else werner_dicke(weight)
         values.append(run_qtc(clients, resource, port).average_clone_fidelity)
     low, high = np.min(values, axis=0), np.max(values, axis=0)
-    return (float(low[0]), float(high[0])) if single else (low, high)
+    return _member((low, high), 0) if single else (low, high)
 
 
 def run_odt(client: ClientParams | Sequence[ClientParams], resource: State | None = None,
@@ -387,4 +388,4 @@ def run_odt(client: ClientParams | Sequence[ClientParams], resource: State | Non
         intermediate_state=after_sodt,
         alternative_outcomes=tuple((xz, q) for xz, q in zip(_BELL_XZ, probs) if xz != "+1"),
     )
-    return result.member(0) if single else result
+    return _member(result, 0) if single else result

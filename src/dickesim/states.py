@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .register import (
     check_number,
     fidelity,
     from_terms,
-    permute_to,
 )
 
 RESOURCE_LABELS = ("a", "b", "c", "d")
@@ -110,20 +108,15 @@ def dicke_physical() -> PureState:
 
 
 def physical_logical_permutation() -> tuple[str, ...]:
-    """Label order mapping the physical-basis state onto dicke(4, 2).
+    """Label order mapping the physical-basis state onto dicke(4, 2): the identity.
 
-    Searched over all 4! orders rather than hardcoded; the first match in
-    lexicographic order is returned (the Dicke state is permutation
-    symmetric, so the search lands on the identity order).
+    Checked rather than searched for: the Dicke state is unchanged by every
+    qubit permutation, so a permuted physical state matches it exactly when
+    the physical state itself does: the identity order matches or none does.
     """
-    target = dicke(4, 2, RESOURCE_LABELS)
-    phys = dicke_physical()
-    for order in permutations(RESOURCE_LABELS):
-        candidate = permute_to(phys, order)
-        relabeled = PureState(target.layout, candidate.amplitudes)
-        if fidelity(relabeled, target) >= 1.0 - 1e-10:
-            return order
-    raise RegisterError("no label permutation maps the physical state onto dicke(4, 2)")
+    if fidelity(dicke_physical(), dicke(4, 2, RESOURCE_LABELS)) < 1.0 - 1e-10:
+        raise RegisterError("no label permutation maps the physical state onto dicke(4, 2)")
+    return RESOURCE_LABELS
 
 
 def werner_dicke(p: float) -> MixedState:

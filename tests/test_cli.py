@@ -645,6 +645,14 @@ class TestOdtTable:
             assert run_command("odt-table", config, args)[0] == whole
             assert sizes == stacks
 
+    @pytest.mark.parametrize("row", [["01", 0.0], ["01", 0.0, "a", 0.9, 0.01, 7]], ids=["two", "six"])
+    def test_row_field_count_is_config_error(self, tmp_path, capsys, row):
+        config = tmp_path / "c.cfg"
+        config.write_text(json.dumps({"configurations": [row]}))
+        assert main(["odt-table", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: configurations: each row needs 3 to 5 fields, got {row!r}\n")
+
     def test_refused_row_names_its_settings(self, tmp_path, capsys):
         """Every row's records are drawn before the one bootstrap; the first row
         whose records miss a setting is still the one refused, with its settings."""

@@ -27,6 +27,7 @@ from dickesim import (
     circuits,
     client_ket,
     collective_spin,
+    derive_correction_table,
     dicke,
     estimate_correlator,
     exact_counts,
@@ -72,6 +73,9 @@ CONTRACTS = {
     "run_qtc-port-is-client": (lambda: run_qtc(ClientParams(1.0), port="X"), "port"),
     "run_qtc-resource-stack": (lambda: run_qtc(ClientParams(1.0), resource=DICKE_STACK), "resource"),
     "run_odt-resource-stack": (lambda: run_odt(ClientParams(1.0), resource=DICKE_STACK), "resource"),
+    "derive_correction_table-port-unknown": (lambda: derive_correction_table(dicke(4, 2), port="z"), "port"),
+    "derive_correction_table-port-is-client": (
+        lambda: derive_correction_table(dicke(4, 2), port="X"), "port"),
     "run_qtc-resource-three-qubits": (
         lambda: run_qtc(ClientParams(1.0), resource=dicke(3, 1, ("a", "b", "c"))), "resource"),
     "qtc_mixed_band-p-above-one": (lambda: qtc_mixed_band(1.0, p=2.0, dephase_lambda=0.0), "p"),

@@ -78,6 +78,12 @@ class TestBellMeasure:
         with pytest.raises(RegisterError):
             bell_measure(dicke(4, 2), "a", "a")
 
+    def test_branch_probabilities_off_one_are_refused(self):
+        # a ket whose norm is 1.00005: its four outcomes sum to its squared norm
+        state = PureState._trusted(RegisterLayout(("X", "b", "c")), np.full(8, 8 ** -0.5) * 1.00005)
+        with pytest.raises(RegisterError, match=r"^branch probabilities sum to 1\.0001000025000002, not 1$"):
+            bell_measure(state, "X", "b")
+
     def test_pre_correction_reductions_for_excited_client(self):
         """Input |1>, outcome phi+: every clone reads (2|0><0| + |1><1|)/3."""
         state = tensor(client_ket(ClientParams(theta=math.pi)), dicke(4, 2))
@@ -113,6 +119,23 @@ class TestCorrectionTable:
     @pytest.mark.parametrize("port", "abcd")
     def test_every_port_gives_the_packaged_table(self, port):
         assert derive_correction_table(dicke(4, 2), port=port) == load_correction_table()
+
+    @pytest.mark.parametrize("port", "pqrs")
+    def test_relabelled_resource_gives_the_packaged_table(self, port):
+        assert derive_correction_table(dicke(4, 2, tuple("pqrs")), port=port) == load_correction_table()
+
+    def test_vanished_branch_names_it(self, monkeypatch):
+        """A Bell outcome the sample clients never reach has no correction."""
+        bell_stack = protocols._bell_stack
+
+        def without_phi_minus(rotated, q1, q2):
+            probs, post, kept = bell_stack(rotated, q1, q2)
+            return probs, post.member(slice(None, None, 2)), kept[::2]
+        monkeypatch.setattr(protocols, "_bell_stack", without_phi_minus)
+        protocols._correction_table.cache_clear()
+        with pytest.raises(CorrectionSearchError, match="no Pauli corrects outcome phi-") as exc:
+            derive_correction_table(dicke(4, 2))
+        assert exc.value.branch == "phi-"
 
     def test_no_fitting_pauli_names_the_branch(self, monkeypatch):
         # without X nothing restores phi+, the first outcome searched
@@ -474,7 +497,7 @@ def _flat(value):
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, float):
-        return np.float64(value).tobytes()
+        return type(value).__name__, np.float64(value).tobytes()
     if dataclasses.is_dataclass(value):
         return tuple(_flat(getattr(value, f.name)) for f in dataclasses.fields(value))
     if isinstance(value, dict):
@@ -526,6 +549,48 @@ class TestCxRegister:
         built = [_flat(run()) for run in runs]
         monkeypatch.setattr(protocols, "_cx_register", _reference_register)
         assert built == [_flat(run()) for run in runs]
+
+
+def _numbers(value):
+    """Every number of a result; states, labels, corrections and None left out."""
+    if value is None or isinstance(value, (str, PureState, MixedState)):
+        return []
+    if dataclasses.is_dataclass(value):
+        return _numbers([getattr(value, f.name) for f in dataclasses.fields(value)])
+    if isinstance(value, dict):
+        return _numbers(list(value.values()))
+    if isinstance(value, (tuple, list)):
+        return [x for item in value for x in _numbers(item)]
+    return [value]
+
+
+def _clients(theta, dephase):
+    """One client for a number, a list of them for a sequence."""
+    params = [ClientParams(t, phi=1.2, dephase_lambda=dephase) for t in np.atleast_1d(theta)]
+    return params if np.ndim(theta) else params[0]
+
+
+# each entry run at a theta, or stacked over a theta grid
+_SPLIT_RUNS = {
+    "run_qtc": lambda theta, dephase, port: run_qtc(_clients(theta, dephase), werner_dicke(0.8), port),
+    "run_odt": lambda theta, dephase, port: run_odt(
+        _clients(theta, dephase), werner_dicke(0.8), port, "a" if port != "a" else "b", "10"),
+    "qtc_mixed_band": lambda theta, dephase, port: qtc_mixed_band(theta, 0.9, dephase, 0.03, 1.2, port),
+}
+
+
+class TestMemberRule:
+    """protocols._member splits every stacked result: member i is client i's run alone."""
+
+    @pytest.mark.parametrize("run", _SPLIT_RUNS.values(), ids=_SPLIT_RUNS)
+    @pytest.mark.parametrize("dephase", [0.0, 0.3])
+    @pytest.mark.parametrize("port", RESOURCE_LABELS)
+    def test_member_equals_single_run(self, run, dephase, port):
+        stacked = run(THETA_GRID, dephase, port)
+        for i, theta in enumerate(THETA_GRID):
+            single = run(theta, dephase, port)
+            assert {type(x) for x in _numbers(single)} == {float}
+            assert _flat(protocols._member(stacked, i)) == _flat(single)
 
 
 class TestBranchAveragedEqualsPerBranch:

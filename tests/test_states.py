@@ -24,6 +24,7 @@ from dickesim import (
     werner_weight_for_fidelity,
     xi_state,
 )
+from dickesim import states
 
 import oracles
 
@@ -140,6 +141,12 @@ class TestDickePhysical:
         order = physical_logical_permutation()
         assert sorted(order) == ["a", "b", "c", "d"]
         assert order == ("a", "b", "c", "d")
+
+    def test_state_off_the_dicke_state_has_no_order(self, monkeypatch):
+        # the Dicke state is permutation symmetric: if the identity order fails, every order does
+        monkeypatch.setattr(states, "dicke_physical", xi_state)
+        with pytest.raises(RegisterError, match=r"no label permutation maps the physical state onto dicke\(4, 2\)"):
+            physical_logical_permutation()
 
 
 class TestWerner:
