@@ -20,8 +20,12 @@ bell_measure is the public Bell measurement of any state; no run calls it.
 A sequence of clients runs as one stack (see register) and a single client as
 the one-member stack. Stacks meet by numpy broadcasting: each outcome's
 correction is a (K, 1) gate stack over the (K, S) post-states, and the (S,)
-clients are scored against the (K, S) clones, or the (S,) receivers, as they
-are. Every result leaves by one split rule, _member: member i of a stacked
+clients are scored against the (S,) receivers, or against telecloning's
+distinct clones as one (U, S) stack: every register operation acts on each
+member as on that member alone, so byte-equal rows give byte-equal results,
+and _score_clones traces each distinct branch row and scores each distinct
+clone once (a dephased client's twelve on a Werner-Dicke resource are one).
+Every result leaves by one split rule, _member: member i of a stacked
 result, and a single client's result, take entry i of each array as a float
 and member i of each state stack, field by field.
 """
@@ -301,6 +305,7 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     A sequence of clients, all pure or all dephased, runs as one stack and
     gives a stacked result (see QtcResult) whose member i equals the run of
     client i alone bit for bit. One client is run as a one-member stack.
+    Byte-equal branches and clones are scored once (see _score_clones).
     """
     single, client_in, resource, rotated = _prepare(client, resource, port=port)
     clone_labels = tuple(x for x in resource.labels if x != port)
@@ -311,8 +316,7 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     # post-states; entries 0, +-1, +-i multiply exactly
     gates = np.array([pauli_matrix(table[BELL_LABELS[b]] * len(clone_labels)) for b in kept])
     corrected = apply_gate(post, gates[:, None], clone_labels)
-    # the (S,) clients against the (K, S) clones: one square root serves every row
-    per_clone = {label: fidelity(client_in, partial_trace(corrected, (label,))) for label in clone_labels}
+    per_clone = _score_clones(client_in, corrected, clone_labels)
     average = np.zeros(client_in.stack_shape)
     for prob, mean in zip(probs[kept], sum(per_clone.values()) / len(per_clone)):
         average += prob * mean
@@ -326,6 +330,27 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
         average_clone_fidelity=average,
     )
     return _member(result, 0) if single else result
+
+
+def _score_clones(client_in: State, corrected: State, clone_labels: tuple[str, ...]) -> dict:
+    """Each clone label's (K, S) fidelities of the (S,) clients against the (K, S)
+    corrected branches: each distinct branch row traced once, each distinct clone
+    scored once, in one fidelity call whose one square root serves every row."""
+    branch_reps, branch = _byte_groups(corrected._array)
+    distinct = corrected._trusted(corrected.layout, corrected._array[branch_reps])
+    # (L * D, S, 2, 2): label j's clone of distinct row d at j * D + d
+    reduced = np.concatenate([partial_trace(distinct, (label,)).matrix for label in clone_labels])
+    clone_reps, clone = _byte_groups(reduced)
+    values = fidelity(client_in, MixedState._trusted(client_in.layout, reduced[clone_reps]))
+    return {label: values[clone[j * len(branch_reps) + branch]] for j, label in enumerate(clone_labels)}
+
+
+def _byte_groups(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The index of the first row of each set of byte-equal rows (along the first
+    axis), and each row's set: bytes, not values, so -0.0 and NaN never merge."""
+    sets: dict[bytes, int] = {}
+    which = [sets.setdefault(row.tobytes(), len(sets)) for row in rows]
+    return [which.index(g) for g in range(len(sets))], np.array(which)
 
 
 def qtc_mixed_band(theta: float | Sequence[float], p: float,

@@ -119,9 +119,11 @@ class RegisterLayout:
         except ValueError:
             raise RegisterError(f"unknown qubit label {label!r} (register has {self.labels})") from None
 
-    def positions(self, labels: Iterable[str] | str) -> tuple[int, ...]:
+    def positions(self, labels: Iterable[str] | str, name: str = "labels") -> tuple[int, ...]:
         """Positions of one label, or of several in the order given; like any
         register, the named labels must be at least one and none repeated."""
+        if not isinstance(labels, (str, Iterable)):
+            raise RegisterError(f"{name}={labels!r} is not a qubit label or a sequence of them")
         named = RegisterLayout((labels,) if isinstance(labels, str) else tuple(labels))
         return tuple(self.position(x) for x in named.labels)
 
@@ -303,11 +305,19 @@ def from_terms(terms: Sequence[tuple[str, complex]], labels: Sequence[str]) -> P
     return PureState(layout, amps / np.linalg.norm(amps))
 
 
+def _check_states(**states) -> None:
+    """Refuse, by name, an argument that is not a PureState or MixedState."""
+    for name, state in states.items():
+        if not isinstance(state, _State):
+            raise RegisterError(f"{name}={state!r} is not a PureState or MixedState")
+
+
 def tensor(s1: State, s2: State) -> State:
     """Kronecker composition; layouts concatenate, label sets must be disjoint.
 
     At most one factor may be a stack; the single one joins every member.
     """
+    _check_states(s1=s1, s2=s2)
     if s1.stack_shape and s2.stack_shape:
         raise RegisterError("tensor product of two stacks is not defined")
     layout = RegisterLayout(s1.labels + s2.labels)
@@ -350,7 +360,10 @@ def apply_gate(state: State, gate: np.ndarray, labels: Sequence[str] | str) -> S
     stack gives gate b to row b of a (B, S) state, and an (M,) gate stack on a
     single state gives an (M,) stack, member i the state under gate i."""
     pos = state.layout.positions(labels)
-    gate, d = np.asarray(gate, dtype=complex), 2 ** len(pos)
+    try:
+        gate, d = np.asarray(gate, dtype=complex), 2 ** len(pos)
+    except (TypeError, ValueError):
+        raise RegisterError(f"gate={gate!r} is not a numeric matrix or stack of them") from None
     if gate.shape[-2:] != (d, d):
         raise RegisterError(f"gate shape {gate.shape} does not act on {len(pos)} qubits")
     shape = _broadcast(gate.shape[:-2], state.stack_shape)
@@ -370,6 +383,8 @@ def _projection_kets(onto: np.ndarray | str, k: int) -> np.ndarray:
     if isinstance(onto, str):
         if len(onto) != k:
             raise RegisterError(f"projection bitstring {onto!r} does not match {k} qubits")
+        if onto.strip("01"):
+            raise RegisterError(f"onto={onto!r} is not a bitstring of 0s and 1s")
         kets = np.zeros((1, 2 ** k), dtype=complex)
         kets[0, int(onto, 2)] = 1.0
         return kets
@@ -399,6 +414,9 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
     member is projected as a single ket would project it alone, bit for bit.
     """
     pos = state.layout.positions(labels)
+    if len(pos) == state.n:
+        raise RegisterError(f"labels={labels!r} leaves no qubit of {state.labels}: "
+                            "a post-state needs at least one")
     kets = _projection_kets(onto, len(pos))
     lead = (len(kets),) + state.stack_shape
     rest = RegisterLayout(tuple(x for i, x in enumerate(state.labels) if i not in pos))
@@ -438,7 +456,7 @@ def _scalar(values: np.ndarray):
 
 def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
     """Reduced density operator on the kept labels (layout order preserved)."""
-    keep_pos = sorted(state.layout.positions(keep))
+    keep_pos = sorted(state.layout.positions(keep, "keep"))
     n, lead = state.n, state.stack_shape
     drop_pos = [i for i in range(n) if i not in keep_pos]
     kept_layout = RegisterLayout(tuple(state.labels[p] for p in keep_pos))
@@ -457,6 +475,8 @@ def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
 
 def permute_to(state: State, label_order: Sequence[str]) -> State:
     """Same state re-expressed with the register labels in a new order."""
+    if not isinstance(label_order, Iterable):
+        raise RegisterError(f"label_order={label_order!r} is not a sequence of labels")
     order = tuple(label_order)
     if len(order) != state.n:
         raise RegisterError(f"label order {order} is not a permutation of {state.labels}")
@@ -484,6 +504,7 @@ def fidelity(s1: State, s2: State):
     (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2. A float for two single states;
     with a stack an array over the broadcast stack shape, one value per member.
     """
+    _check_states(s1=s1, s2=s2)
     s1, s2 = _aligned_pair(s1, s2)
     lead = _broadcast(s1.stack_shape, s2.stack_shape)
     if isinstance(s1, PureState) and isinstance(s2, PureState):

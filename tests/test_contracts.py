@@ -2,10 +2,10 @@
 
 Each row of CONTRACTS is one call with one invalid argument. It must raise a
 ValueError whose message names that argument, before any state is evolved:
-gate application, the protocols' CX-rotated register build and the
-telecloning run are replaced by stubs that fail if they are reached. The
-numeric rows are refused by register.check_number or register.check_integer,
-whose message starts with name=value.
+gate application, the register's contractions, the protocols' CX-rotated
+register build and the telecloning run are replaced by stubs that fail if
+they are reached. The numeric rows are refused by register.check_number or
+register.check_integer, whose message starts with name=value.
 """
 from __future__ import annotations
 
@@ -31,14 +31,20 @@ from dickesim import (
     dicke,
     estimate_correlator,
     exact_counts,
+    fidelity,
     fidelity_with_error,
     find_conversion_circuit,
+    partial_trace,
+    permute_to,
+    project,
     propagate_wcs_error,
     protocols,
     qtc_mixed_band,
+    register,
     run_odt,
     run_qtc,
     simulate_counts,
+    tensor,
     tomography,
     tomography_linear,
     werner_dicke,
@@ -46,6 +52,7 @@ from dickesim import (
     witness_wcs,
     xi_state,
 )
+from dickesim.register import PAULI_X, apply_gate
 from dickesim.states import RESOURCE_LABELS
 
 # records that cover every Pauli string over Z and I on two qubits
@@ -118,6 +125,13 @@ CONTRACTS = {
     "ClientParams-theta-bool": (lambda: ClientParams(True), "theta"),
     "WitnessReport-uncertainty-inf": (lambda: WitnessReport.build("w", 0.0, math.inf), "uncertainty"),
     "propagate_wcs_error-d_jx2-inf": (lambda: propagate_wcs_error(-1, math.inf, 0, 0), "d_jx2"),
+    "project-onto-not-binary": (lambda: project(bell("psi+"), "a", "2"), "onto"),
+    "apply_gate-labels-int": (lambda: apply_gate(bell("psi+"), PAULI_X, 0), "labels"),
+    "partial_trace-keep-int": (lambda: partial_trace(bell("psi+"), 0), "keep"),
+    "permute_to-label_order-none": (lambda: permute_to(bell("psi+"), None), "label_order"),
+    "apply_gate-gate-str": (lambda: apply_gate(bell("psi+"), "X", "a"), "gate"),
+    "fidelity-s2-int": (lambda: fidelity(bell("psi+"), 3), "s2"),
+    "tensor-s2-none": (lambda: tensor(bell("psi+"), None), "s2"),
 }
 
 
@@ -126,7 +140,8 @@ def test_refused_at_entry(monkeypatch, call, name):
     def unreachable(*args, **kwargs):
         raise AssertionError("the call ran past its argument checks")
     for module, attr in ((circuits, "apply_gate"), (protocols, "apply_gate"), (protocols, "_cx_register"),
-                         (protocols, "run_qtc"), (tomography, "apply_gate")):
+                         (protocols, "run_qtc"), (tomography, "apply_gate"), (register, "_apply_to_axes"),
+                         (register, "_matrices")):
         monkeypatch.setattr(module, attr, unreachable)
     with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
         call()

@@ -551,6 +551,60 @@ class TestCxRegister:
         assert built == [_flat(run()) for run in runs]
 
 
+def _per_label_scores(client_in, corrected, clone_labels):
+    """The composition the scoring step replaces: one partial trace and one fidelity per clone."""
+    return {label: fidelity(client_in, partial_trace(corrected, (label,))) for label in clone_labels}
+
+
+_SCORING_RESOURCES = {**_BUILDER_RESOURCES, "dicke-density": dicke(4, 2).density()}
+
+
+class TestCloneScoring:
+    """protocols._score_clones traces each distinct branch row and scores each distinct
+    clone once; byte-equal inputs give byte-equal outputs, so no result byte moves."""
+
+    @pytest.mark.parametrize("resource", _SCORING_RESOURCES.values(), ids=_SCORING_RESOURCES)
+    @pytest.mark.parametrize("dephase", [0.0, 0.3])
+    @pytest.mark.parametrize("port", RESOURCE_LABELS)
+    def test_equals_per_label_composition(self, monkeypatch, resource, dephase, port):
+        clients = [ClientParams(theta=t, phi=1.2, dephase_lambda=dephase) for t in _BUILDER_THETAS]
+        runs = [lambda: run_qtc(clients, resource, port), lambda: run_qtc(clients[1], resource, port)]
+        scored = [_flat(run()) for run in runs]
+        monkeypatch.setattr(protocols, "_score_clones", _per_label_scores)
+        assert scored == [_flat(run()) for run in runs]
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["kets", "densities"])
+    def test_rows_equal_in_one_member_only_are_scored_apart(self, mixed):
+        """Rows are grouped by all their bytes: two branch rows whose first members
+        agree keep their own values where their second members differ."""
+        labels = ("a", "c", "d")
+        d1, d2 = (dicke(3, k, labels).amplitudes for k in (1, 2))
+        corrected = PureState._trusted(RegisterLayout(labels), np.array([[d1, d1], [d1, d2]]))
+        corrected = corrected.density() if mixed else corrected
+        client = client_ket([ClientParams(theta=0.4), ClientParams(theta=2.0)])
+        scores = protocols._score_clones(client, corrected, labels)
+        assert _flat(scores) == _flat(_per_label_scores(client, corrected, labels))
+        assert scores["a"][0, 1] != scores["a"][1, 1]
+
+    def test_dephased_werner_run_scores_one_row(self, monkeypatch):
+        """On a Werner-Dicke resource every branch and every clone of a dephased client
+        is the same bytes: one partial trace per clone of one row, one fidelity call."""
+        calls = []
+
+        def counted(name, op):
+            def call(*args):
+                calls.append((name, *(a.stack_shape for a in args if hasattr(a, "stack_shape"))))
+                return op(*args)
+            return call
+        monkeypatch.setattr(protocols, "partial_trace", counted("partial_trace", partial_trace))
+        monkeypatch.setattr(protocols, "fidelity", counted("fidelity", fidelity))
+        clients = [ClientParams(theta=t, phi=0.4, dephase_lambda=0.05) for t in THETA_GRID]
+        result = run_qtc(clients, resource=werner_dicke(0.9), port="b")
+        size = (len(THETA_GRID),)
+        assert calls == [("partial_trace", (1, *size))] * 3 + [("fidelity", size, (1, *size))]
+        assert len(result.clone_fidelities) == 4
+
+
 def _numbers(value):
     """Every number of a result; states, labels, corrections and None left out."""
     if value is None or isinstance(value, (str, PureState, MixedState)):

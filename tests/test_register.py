@@ -116,6 +116,10 @@ class TestShapeContracts:
                              "a gate stack needs at least one member"),
         "projection-bitstring": (lambda: project(PureState(AB, np.eye(4)[0]), "a", "01"),
                                  "projection bitstring '01' does not match 1 qubits"),
+        "projection-bitstring-sign": (lambda: project(basis_ket("000", ("a", "b", "c")), ("a", "b"), "+1"),
+                                      re.escape("onto='+1' is not a bitstring of 0s and 1s")),
+        "projection-every-qubit": (lambda: project(bell("psi+"), ["a", "b"], "01"),
+                                   re.escape("labels=['a', 'b'] leaves no qubit of ('a', 'b')")),
         "projection-ket-length": (lambda: project(PureState(AB, np.eye(4)[0]), "a", np.ones(3) / 2),
                                   "projection ket has length 3, expected 2"),
         "projection-table-width": (lambda: project(PureState(AB, np.eye(4)[0]), "a", np.eye(4)),
