@@ -13,7 +13,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .register import CX, HADAMARD, PAULI_I, PAULI_X, PAULI_Z, PureState, apply_gate, check_integer, check_number
+from .register import (CX, HADAMARD, PAULI_I, PAULI_X, PAULI_Z, PureState, apply_gate, check_integer,
+                       check_number, check_states)
 
 CZBAR = np.kron(np.diag([0, 1]), PAULI_I) + np.kron(np.diag([1, 0]), PAULI_Z)  # control first
 CZBAR.setflags(write=False)
@@ -96,6 +97,9 @@ class Circuit:
 
 def run_circuit(state, circuit: Circuit):
     """Apply the circuit steps in order; unitary overall."""
+    check_states(state=state)
+    if not isinstance(circuit, Circuit):
+        raise ValueError(f"circuit must be a Circuit, got {circuit!r:.80}")
     for step in circuit.steps:
         state = apply_gate(state, step.matrix(), step.labels)
     return state

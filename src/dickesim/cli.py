@@ -8,6 +8,7 @@ usage error, reported as one `config error:` line on stderr.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import sys
@@ -82,6 +83,19 @@ from .witnesses import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+
+# glibc's mallopt parameter numbers (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# glibc maps each array above its adaptive mmap threshold afresh and unmaps it
+# on free, so a noisy qtc-sweep's register temporaries (1.65 MB each at 101
+# thetas) are faulted in again on every use. A fixed 32 MiB threshold, the most
+# glibc's adaptive one reaches, keeps them in the heap. Smaller pairs leave the
+# faults on larger sweeps: 4 MiB with a 32 MiB trim at 401 thetas, 16 MiB with
+# 32 MiB at 1,001.
+MMAP_THRESHOLD_BYTES = 32 << 20
+# a sweep holds several such stacks at once; a free heap top up to this stays mapped
+TRIM_THRESHOLD_BYTES = 2 * MMAP_THRESHOLD_BYTES
 
 CHECK_TOL = 1e-9
 
@@ -567,7 +581,27 @@ def parse_args(argv: Sequence[str]) -> Invocation | None:
     return Invocation(commands[0], **values)
 
 
+def _keep_freed_arrays_mapped() -> None:
+    """Fix glibc's mmap and trim thresholds for this process, so freed arrays stay
+    mapped and are reused. Does nothing where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # a trim threshold set alone would also pin the mmap threshold at 128 KiB,
+    # which faults more than glibc's default, so it follows only an accepted one
+    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES):
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    """Run one command line (sys.argv[1:] by default) and return its exit code.
+
+    It first sets the process's allocation policy (_keep_freed_arrays_mapped),
+    which persists in the calling process after main returns. Importing this
+    module or the library sets nothing."""
+    _keep_freed_arrays_mapped()
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:

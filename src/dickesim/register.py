@@ -120,12 +120,18 @@ class RegisterLayout:
             raise RegisterError(f"unknown qubit label {label!r} (register has {self.labels})") from None
 
     def positions(self, labels: Iterable[str] | str, name: str = "labels") -> tuple[int, ...]:
-        """Positions of one label, or of several in the order given; like any
-        register, the named labels must be at least one and none repeated."""
+        """Positions of one label (a str), or of several in the order given; like
+        any register, the named labels must be at least one and none repeated.
+        Every refusal starts with name=labels, naming the caller's argument."""
         if not isinstance(labels, (str, Iterable)):
             raise RegisterError(f"{name}={labels!r} is not a qubit label or a sequence of them")
-        named = RegisterLayout((labels,) if isinstance(labels, str) else tuple(labels))
-        return tuple(self.position(x) for x in named.labels)
+        named = (labels,) if isinstance(labels, str) else tuple(labels)
+        if not named:
+            raise RegisterError(f"{name}={labels!r} names no qubit")
+        try:
+            return tuple(self.position(x) for x in RegisterLayout(named).labels)
+        except RegisterError as err:  # a repeated or unknown label
+            raise RegisterError(f"{name}={labels!r}: {err}") from None
 
 
 def _owned(arr: np.ndarray) -> np.ndarray:
@@ -305,7 +311,7 @@ def from_terms(terms: Sequence[tuple[str, complex]], labels: Sequence[str]) -> P
     return PureState(layout, amps / np.linalg.norm(amps))
 
 
-def _check_states(**states) -> None:
+def check_states(**states) -> None:
     """Refuse, by name, an argument that is not a PureState or MixedState."""
     for name, state in states.items():
         if not isinstance(state, _State):
@@ -317,7 +323,7 @@ def tensor(s1: State, s2: State) -> State:
 
     At most one factor may be a stack; the single one joins every member.
     """
-    _check_states(s1=s1, s2=s2)
+    check_states(s1=s1, s2=s2)
     if s1.stack_shape and s2.stack_shape:
         raise RegisterError("tensor product of two stacks is not defined")
     layout = RegisterLayout(s1.labels + s2.labels)
@@ -473,17 +479,16 @@ def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
     return MixedState._trusted(kept_layout, t.reshape(lead + (kept_layout.dim,) * 2))
 
 
-def permute_to(state: State, label_order: Sequence[str]) -> State:
-    """Same state re-expressed with the register labels in a new order."""
-    if not isinstance(label_order, Iterable):
-        raise RegisterError(f"label_order={label_order!r} is not a sequence of labels")
-    order = tuple(label_order)
-    if len(order) != state.n:
-        raise RegisterError(f"label order {order} is not a permutation of {state.labels}")
-    perm = state.layout.positions(order)
+def permute_to(state: State, label_order: Sequence[str] | str) -> State:
+    """Same state re-expressed with the register labels in a new order. A str
+    is one label, as every register operation reads it, not a label per character."""
+    perm = state.layout.positions(label_order, "label_order")
+    if len(perm) != state.n:
+        raise RegisterError(f"label_order={label_order!r} is not a permutation of {state.labels}")
     lead = len(state.stack_shape)
     axes = [lead + side * state.n + p for side in range(state.SIDES) for p in perm]
-    return state._like(RegisterLayout(order), state._tensor().transpose([*range(lead), *axes]))
+    order = RegisterLayout(tuple(state.labels[p] for p in perm))
+    return state._like(order, state._tensor().transpose([*range(lead), *axes]))
 
 
 def _aligned_pair(s1: State, s2: State) -> tuple[State, State]:
@@ -504,7 +509,7 @@ def fidelity(s1: State, s2: State):
     (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2. A float for two single states;
     with a stack an array over the broadcast stack shape, one value per member.
     """
-    _check_states(s1=s1, s2=s2)
+    check_states(s1=s1, s2=s2)
     s1, s2 = _aligned_pair(s1, s2)
     lead = _broadcast(s1.stack_shape, s2.stack_shape)
     if isinstance(s1, PureState) and isinstance(s2, PureState):

@@ -26,6 +26,7 @@ from .register import (
     apply_gate,
     check_integer,
     check_number,
+    check_states,
     fidelity,
     pauli_matrix,
 )
@@ -103,8 +104,9 @@ def born_probabilities(state: State, settings: str | Iterable[str]) -> np.ndarra
     """Outcome probabilities of measuring every qubit in the setting's bases. A
     sequence of M settings is one stack, each qubit turned by one (M, 2, 2) stack
     of AXIS_BASES unitaries; row i of the (M, 2^n) result is setting i's alone, bit for bit."""
+    check_states(state=state)
     if state.stack_shape:
-        raise ValueError(f"tomography measures a single state, not a stack of shape {state.stack_shape}")
+        raise ValueError(f"state is a stack of shape {state.stack_shape}; tomography measures a single state")
     table = _settings(settings)
     for setting in table:
         if len(setting) != state.n:
@@ -221,6 +223,8 @@ def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> t
 
 def estimate_witness(records: Iterable[CountsRecord], observable: Observable) -> WitnessReport:
     """Witness expectation from local-setting records, errors in quadrature."""
+    if not isinstance(observable, Observable):
+        raise ValueError(f"observable must be an Observable, got {observable!r:.80}")
     records = _record_set(records)
     if not records:
         raise ValueError("no records supplied")

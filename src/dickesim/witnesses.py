@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .register import NORM_TOL, PAULIS, PureState, State, check_integer, check_number, pauli_matrix
+from .register import NORM_TOL, PAULIS, PureState, State, check_integer, check_number, check_states, pauli_matrix
 from .states import dicke
 
 # reference measured second moments of the collective spin, with uncertainties
@@ -85,11 +85,13 @@ class Observable:
         return tuple(pauli_decompose(self.matrix))
 
     def expectation(self, state: State) -> float:
+        """<state|matrix|state>, or tr(state matrix), of one state of the matrix's size."""
+        check_states(state=state)
         if state.stack_shape:
-            raise ValueError(f"an expectation takes a single state, not a stack of shape {state.stack_shape}")
+            raise ValueError(f"state is a stack of shape {state.stack_shape}; an expectation takes a single state")
         if self.matrix.shape != (2 ** state.n,) * 2:
-            raise ValueError(f"observable of dimension {len(self.matrix)} on a {state.n}-qubit state "
-                             f"of dimension {2 ** state.n}")
+            raise ValueError(f"state has {state.n} qubits (dimension {2 ** state.n}), "
+                             f"the observable dimension {len(self.matrix)}")
         if isinstance(state, PureState):
             return float(np.real(state.amplitudes.conj() @ self.matrix @ state.amplitudes))
         return float(np.real(np.trace(state.matrix @ self.matrix)))

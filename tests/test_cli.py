@@ -4,10 +4,13 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -393,6 +396,86 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1
         n = re.search(r"n_per_setting = \d+", config_text).group()
         assert n in err and f"setting {setting};" in err
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+class TestAllocationPolicy:
+    """main() fixes glibc's mmap and trim thresholds for its process; here a
+    stand-in C library records the mallopt calls instead."""
+
+    POLICY = [("mallopt", cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD_BYTES),
+              ("mallopt", cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD_BYTES)]
+
+    @staticmethod
+    def _install_libc(monkeypatch, events: list, accepted: int = 1):
+        def mallopt(param, value):
+            events.append(("mallopt", param, value))
+            return accepted
+
+        def cdll(name):
+            assert name is None  # the process's own C library
+            return SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        return mallopt
+
+    def test_two_calls_before_argv_parsing(self, monkeypatch, capsys):
+        assert (cli.M_TRIM_THRESHOLD, cli.M_MMAP_THRESHOLD) == (-1, -3)  # malloc.h
+        events = []
+        mallopt = self._install_libc(monkeypatch, events)
+        parse = cli.parse_args
+        monkeypatch.setattr(cli, "parse_args", lambda argv: events.append(("parse",)) or parse(argv))
+        assert main(["--help"]) == 0
+        assert events == [*self.POLICY, ("parse",)]
+        assert mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int) and mallopt.restype is cli.ctypes.c_int
+        assert main(["no-such-command"]) == 2
+        assert events == [*self.POLICY, ("parse",)] * 2
+
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["no-such-command"], 2), (["qtc-sweep"], 0)],
+                             ids=["help", "config-error", "noisy-run"])
+    def test_exit_code_and_output_are_kept(self, tmp_path, monkeypatch, capsysbinary, argv, code):
+        config = tmp_path / "c.cfg"
+        config.write_text("p = 0.9\ndephase_lambda = 0.05\np_uncertainty = 0.02\ntheta_points = 5\n")
+        argv = argv + ["--config", str(config)]
+        events, outputs = [], []
+        for install in (lambda: self._install_libc(monkeypatch, events),
+                        lambda: monkeypatch.setattr(cli.ctypes, "CDLL", _no_libc)):
+            install()
+            assert main(argv) == code
+            outputs.append(capsysbinary.readouterr())
+        assert events == self.POLICY
+        assert outputs[0] == outputs[1] and (outputs[0].out or outputs[0].err)
+
+    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: int(name), lambda name: SimpleNamespace()],
+                             ids=["OSError", "TypeError", "no-mallopt"])
+    def test_silent_without_mallopt(self, monkeypatch, capsys, cdll):
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._keep_freed_arrays_mapped() is None
+        assert capsys.readouterr() == ("", "")
+
+    def test_trim_follows_an_accepted_mmap_threshold(self, monkeypatch):
+        events = []
+        self._install_libc(monkeypatch, events, accepted=0)
+        cli._keep_freed_arrays_mapped()
+        assert events == self.POLICY[:1]
+
+    def test_importing_sets_nothing(self):
+        # a fresh interpreter: the package and the cli are imported before any call
+        child = """
+import contextlib, ctypes, io
+calls = []
+ctypes.CDLL = lambda name: type("Libc", (), {"mallopt": staticmethod(lambda *a: calls.append(a) or 1)})()
+import dickesim, dickesim.cli
+imported = len(calls)
+with contextlib.redirect_stdout(io.StringIO()):
+    dickesim.cli.main(["--help"])
+print(imported, len(calls))
+"""
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.stdout.split() == ["0", "2"]
 
 
 class TestResourceCheck:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from dickesim import (
+    Circuit,
     ClientParams,
     CountsRecord,
     GateSpec,
@@ -24,12 +25,14 @@ from dickesim import (
     RegisterLayout,
     WitnessReport,
     bell,
+    born_probabilities,
     circuits,
     client_ket,
     collective_spin,
     derive_correction_table,
     dicke,
     estimate_correlator,
+    estimate_witness,
     exact_counts,
     fidelity,
     fidelity_with_error,
@@ -41,6 +44,7 @@ from dickesim import (
     protocols,
     qtc_mixed_band,
     register,
+    run_circuit,
     run_odt,
     run_qtc,
     simulate_counts,
@@ -52,7 +56,7 @@ from dickesim import (
     witness_wcs,
     xi_state,
 )
-from dickesim.register import PAULI_X, apply_gate
+from dickesim.register import PAULI_I, PAULI_X, apply_gate, pauli_matrix
 from dickesim.states import RESOURCE_LABELS
 
 # records that cover every Pauli string over Z and I on two qubits
@@ -132,6 +136,15 @@ CONTRACTS = {
     "apply_gate-gate-str": (lambda: apply_gate(bell("psi+"), "X", "a"), "gate"),
     "fidelity-s2-int": (lambda: fidelity(bell("psi+"), 3), "s2"),
     "tensor-s2-none": (lambda: tensor(bell("psi+"), None), "s2"),
+    "partial_trace-keep-empty": (lambda: partial_trace(bell("psi+"), []), "keep"),
+    "apply_gate-labels-empty": (lambda: apply_gate(bell("psi+"), PAULI_I, ()), "labels"),
+    # a str is one label, as every register operation reads it
+    "permute_to-label_order-str": (lambda: permute_to(bell("psi+"), "ba"), "label_order"),
+    "Observable.expectation-state-int": (lambda: Observable(pauli_matrix("Z")).expectation(3), "state"),
+    "born_probabilities-state-int": (lambda: born_probabilities(3, "Z"), "state"),
+    "estimate_witness-observable-int": (lambda: estimate_witness(ZZ_RECORDS, 3), "observable"),
+    "run_circuit-circuit-int": (lambda: run_circuit(xi_state(), 3), "circuit"),
+    "run_circuit-state-int": (lambda: run_circuit(3, Circuit(())), "state"),
 }
 
 

@@ -125,7 +125,7 @@ class TestShapeContracts:
         "projection-table-width": (lambda: project(PureState(AB, np.eye(4)[0]), "a", np.eye(4)),
                                    r"projection kets have shape \(4, 4\), expected \(B, 2\)"),
         "permutation-length": (lambda: permute_to(bell("psi+"), ("a",)),
-                               re.escape("label order ('a',) is not a permutation of ('a', 'b')")),
+                               re.escape("label_order=('a',) is not a permutation of ('a', 'b')")),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -352,7 +352,7 @@ class TestPartialTrace:
         assert np.abs(rho.matrix - expected).max() < 1e-10
 
     def test_empty_keep_rejected(self):
-        with pytest.raises(RegisterError, match="at least one"):
+        with pytest.raises(RegisterError, match=re.escape("keep=() names no qubit")):
             partial_trace(bell("psi+"), ())
 
     @staticmethod
@@ -497,6 +497,12 @@ class TestPermute:
     def test_not_a_permutation(self):
         with pytest.raises(RegisterError):
             permute_to(bell("psi+"), ("a", "q"))
+
+    def test_a_string_is_one_label(self):
+        state = basis_ket("10", ("ab", "c"))
+        assert permute_to(state, ("c", "ab")).labels == ("c", "ab")
+        with pytest.raises(RegisterError, match=re.escape("label_order='ab' is not a permutation")):
+            permute_to(state, "ab")
 
 
 LABELS = ("a", "b", "c")

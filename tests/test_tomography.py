@@ -112,12 +112,12 @@ class TestBornProbabilities:
     def test_a_stack_is_refused(self, stack):
         state = self.STACKS[stack]()
         setting = "Z"
-        message = re.escape(f"not a stack of shape {state.stack_shape}")
+        message = re.escape(f"state is a stack of shape {state.stack_shape}; ")
         for measure in (lambda: born_probabilities(state, setting), lambda: exact_counts(state, setting),
                         lambda: simulate_counts(state, setting, 100, seed=1)):
-            with pytest.raises(ValueError, match="tomography measures a single state, " + message):
+            with pytest.raises(ValueError, match=message + "tomography measures a single state"):
                 measure()
-        with pytest.raises(ValueError, match="an expectation takes a single state, " + message):
+        with pytest.raises(ValueError, match=message + "an expectation takes a single state"):
             Observable(pauli_matrix("Z")).expectation(state)
 
 

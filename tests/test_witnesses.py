@@ -406,7 +406,8 @@ class TestObservable:
                              ids=["pure", "mixed"])
     def test_expectation_refuses_a_state_of_another_size(self, state):
         # a three-qubit witness on the four-qubit resource names both dimensions
-        with pytest.raises(ValueError, match=re.escape("dimension 8 on a 4-qubit state of dimension 16")):
+        message = "state has 4 qubits (dimension 16), the observable dimension 8"
+        with pytest.raises(ValueError, match=re.escape(message)):
             witness_projector_d3(1).expectation(state())
 
 
