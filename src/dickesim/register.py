@@ -365,6 +365,7 @@ def apply_gate(state: State, gate: np.ndarray, labels: Sequence[str] | str) -> S
     gate stack broadcasts against the state's stack shape, so a (B, 1) gate
     stack gives gate b to row b of a (B, S) state, and an (M,) gate stack on a
     single state gives an (M,) stack, member i the state under gate i."""
+    check_states(state=state)
     pos = state.layout.positions(labels)
     try:
         gate, d = np.asarray(gate, dtype=complex), 2 ** len(pos)
@@ -419,6 +420,7 @@ def project(state: State, labels: Sequence[str] | str, onto: np.ndarray | str):
     error is then raised when any branch of any member vanishes. Every
     member is projected as a single ket would project it alone, bit for bit.
     """
+    check_states(state=state)
     pos = state.layout.positions(labels)
     if len(pos) == state.n:
         raise RegisterError(f"labels={labels!r} leaves no qubit of {state.labels}: "
@@ -462,6 +464,7 @@ def _scalar(values: np.ndarray):
 
 def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
     """Reduced density operator on the kept labels (layout order preserved)."""
+    check_states(state=state)
     keep_pos = sorted(state.layout.positions(keep, "keep"))
     n, lead = state.n, state.stack_shape
     drop_pos = [i for i in range(n) if i not in keep_pos]
@@ -482,6 +485,7 @@ def partial_trace(state: State, keep: Sequence[str] | str) -> MixedState:
 def permute_to(state: State, label_order: Sequence[str] | str) -> State:
     """Same state re-expressed with the register labels in a new order. A str
     is one label, as every register operation reads it, not a label per character."""
+    check_states(state=state)
     perm = state.layout.positions(label_order, "label_order")
     if len(perm) != state.n:
         raise RegisterError(f"label_order={label_order!r} is not a permutation of {state.labels}")

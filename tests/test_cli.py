@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,6 +42,7 @@ from dickesim.witnesses import (
     PAPER_GAMMAS,
     WitnessReport,
     biseparable_bound,
+    biseparable_bound_result,
     propagate_wcs_error,
 )
 
@@ -784,6 +786,20 @@ class TestWitnessScan:
         out = tmp_path / "w.csv"
         assert main(["witness-scan", "--out", str(out)]) == 0
         assert "does not reach threshold -15" in out.read_text()
+
+    def test_scan_is_silent(self, tmp_path, capsys):
+        # the 10-point grid on [-3, 0] and B4_GAMMA_MIN, then the default
+        # resource-check, with every warning an error and the b4 cache empty,
+        # so each gamma's scan runs here: both exit 0 and write nothing to stderr
+        grid = [-3.0 + 3.0 * k / 9 for k in range(10)] + [B4_GAMMA_MIN]
+        config = tmp_path / "c.cfg"
+        config.write_text(f"gammas = [{', '.join(map(repr, grid))}]\n")
+        biseparable_bound_result.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["witness-scan", "--config", str(config), "--out", str(tmp_path / "w.csv")]) == 0
+            assert main(["resource-check", "--out", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_moments_at_their_bound_stay_finite(self):
         """At the moment bound and the smallest nonzero error, value and significance are finite."""

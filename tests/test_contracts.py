@@ -145,6 +145,10 @@ CONTRACTS = {
     "estimate_witness-observable-int": (lambda: estimate_witness(ZZ_RECORDS, 3), "observable"),
     "run_circuit-circuit-int": (lambda: run_circuit(xi_state(), 3), "circuit"),
     "run_circuit-state-int": (lambda: run_circuit(3, Circuit(())), "state"),
+    "apply_gate-state-int": (lambda: apply_gate(3, PAULI_X, "a"), "state"),
+    "project-state-int": (lambda: project(3, "a", "0"), "state"),
+    "partial_trace-state-int": (lambda: partial_trace(3, "a"), "state"),
+    "permute_to-state-int": (lambda: permute_to(3, ("a",)), "state"),
 }
 
 

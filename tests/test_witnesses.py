@@ -30,6 +30,7 @@ from dickesim import witnesses
 from dickesim.witnesses import MEASURED_J2, MEASURED_J2_ERR, PAPER_GAMMAS, pauli_decompose, pauli_matrix
 
 import oracles
+import screen_sweep
 
 # frozen dense-oracle values for the transcribed four-qubit witness
 WM_IDEAL_TRANSCRIBED = 2.75
@@ -331,6 +332,88 @@ class TestBiseparableBound:
         up = max(oracles.b4_one_three_upper(gamma),
                  oracles.b4_two_two_upper(gamma, oracles.b4_family_lower(gamma)))
         assert up - 1e-7 <= biseparable_bound(gamma) <= up + 1e-9
+
+
+def _scan_parts(monkeypatch, gamma):
+    """{class: (coeffs_at, screen, values_at)} as the two class scans hand them to _zoom_max."""
+    parts = []
+
+    def record(coeffs_at, screen, values_at, *box):
+        parts.append((coeffs_at, screen, values_at))
+        return 0.0
+
+    monkeypatch.setattr(witnesses, "_zoom_max", record)
+    screen_sweep.class_maxima(gamma)
+    return dict(zip(("1|3", "2|2"), parts))
+
+
+class TestScanScreen:
+    """The b4 scan's screen leaves out only grid points that cannot hold a round's maximum."""
+
+    # the paper's four (at -1 the 2|2 triplet's top eigenvalue is double at the
+    # grid points n_x = 0, n_z = +-1), -5/3, -3 and -10 (the 2|2 scan zooms onto
+    # that crossing below -3), and three of benchmark/reference.json's gammas
+    GAMMAS = (0.0, -0.12, -1.0, -5 / 3, -2.5, -3.0, -10.0, -0.41, -1.98, -2.77)
+
+    def test_screen_moves_no_bit(self, monkeypatch):
+        screened = [screen_sweep.class_maxima(g) for g in self.GAMMAS]
+        monkeypatch.setattr(witnesses, "_zoom_max", screen_sweep.unscreened(witnesses._zoom_max))
+        assert [screen_sweep.class_maxima(g) for g in self.GAMMAS] == screened
+
+    def test_a_subset_keeps_each_members_bits(self, monkeypatch):
+        # the rule the pruning rests on: eigvalsh on the (k, 8, 8) stack of 1|3,
+        # and eigh, einsum and eigvalsh on the (k, 4, 4) stacks of 2|2, give each
+        # member of any subset of a round the bits of its whole-round evaluation
+        rounds, zoom_max = [], witnesses._zoom_max
+
+        def recording(coeffs_at, screen, values_at, *box):
+            def values(cx, cz):
+                rounds.append((values_at, cx, cz, values_at(cx, cz)))
+                return rounds[-1][-1]
+            return zoom_max(coeffs_at, screen_sweep.keep_all, values, *box)
+
+        monkeypatch.setattr(witnesses, "_zoom_max", recording)
+        screen_sweep.class_maxima(-5 / 3)
+        assert len(rounds) == 2 * (witnesses.ZOOMS + 1)
+        rng = np.random.default_rng(7)
+        for values_at, cx, cz, whole in rounds:
+            for idx in (np.flatnonzero(rng.random(cx.size) < 0.3), [0], [cx.size - 1], np.arange(1, cx.size, 7)):
+                assert values_at(cx[idx], cz[idx]).tobytes() == whole[idx].tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, -5 / 3, -3.0, -10.0])
+    def test_brackets_hold(self, monkeypatch, gamma):
+        # random points of each box, and for 2|2 points next to the triplet
+        # crossing (n_x = 0, |2 gamma n_z| = 1 - gamma), where the gap closes
+        parts = _scan_parts(monkeypatch, gamma)
+        rng = np.random.default_rng(11)
+        crossing = min(1.0, (1 - gamma) / (2 * max(abs(gamma), 1e-9)))
+        nx = np.concatenate([rng.random(2000), 10.0 ** rng.uniform(-9, -1, 1000), [0.0]])
+        nz = np.concatenate([rng.uniform(-1, 1, 2000), crossing * (1 + rng.normal(0, 1e-4, 1000)), [crossing]])
+        for name, grid in (("1|3", [rng.uniform(0, math.pi, 3000)]), ("2|2", [nx, np.clip(nz, -1, 1)])):
+            coeffs_at, screen, values_at = parts[name]
+            cx, cz = coeffs_at(*grid)
+            lower, upper = screen(cx, cz)
+            values = values_at(cx, cz)
+            assert (lower <= values).all() and (values <= upper).all(), name
+            assert np.isfinite(upper).mean() > 0.9, name
+
+    def test_screen_leaves_points_out(self, monkeypatch):
+        # counted, not timed: LAPACK sees fewer points than the whole grids hold
+        counts, zoom_max = [], witnesses._zoom_max
+
+        def counting(coeffs_at, screen, values_at, *box):
+            counts.append(0)
+
+            def values(cx, cz):
+                counts[-1] += cx.size
+                return values_at(cx, cz)
+            return zoom_max(coeffs_at, screen, values, *box)
+
+        monkeypatch.setattr(witnesses, "_zoom_max", counting)
+        screen_sweep.class_maxima(-1.0)
+        rounds = witnesses.ZOOMS + 1
+        whole = (rounds * witnesses.ONE_THREE_ANGLES, rounds * witnesses.TWO_TWO_SLOPES ** 2)
+        assert counts[0] < 0.75 * whole[0] and counts[1] < 0.6 * whole[1], (counts, whole)
 
 
 class TestProjectorWitness:
