@@ -85,10 +85,12 @@ class CountsRecord:
 
 
 def _record_set(records) -> tuple[CountsRecord, ...]:
-    """`records`, an iterable of CountsRecords, as a tuple; anything else is refused by name."""
+    """`records`, a non-empty iterable of CountsRecords, as a tuple; anything else is refused by name."""
     items = tuple(records) if isinstance(records, Iterable) else None
     if items is None or not all(isinstance(r, CountsRecord) for r in items):
         raise ValueError(f"records must be an iterable of CountsRecord, got {records!r:.80}")
+    if not items:
+        raise ValueError("no records supplied")
     return items
 
 
@@ -212,8 +214,9 @@ def estimate_correlator(records: Iterable[CountsRecord], pauli_string: str) -> t
     counts T; the uncertainty follows from Poisson fluctuations of the two
     parity classes, sqrt((1 - v^2)/T), and is 0 when only exact records cover
     the string. MissingSettingError names the string when no record with
-    counts covers it. A pauli_string that is not a non-empty string of I, X,
-    Y and Z, or pooled counts that overflow a float, raise ValueError.
+    counts covers it. No records, a pauli_string that is not a non-empty
+    string of I, X, Y and Z, or pooled counts that overflow a float, raise
+    ValueError.
     """
     if not (isinstance(pauli_string, str) and pauli_string and set(pauli_string) <= set("IXYZ")):
         raise ValueError(f"pauli_string={pauli_string!r} is not a non-empty string of I, X, Y, Z")
@@ -226,8 +229,6 @@ def estimate_witness(records: Iterable[CountsRecord], observable: Observable) ->
     if not isinstance(observable, Observable):
         raise ValueError(f"observable must be an Observable, got {observable!r:.80}")
     records = _record_set(records)
-    if not records:
-        raise ValueError("no records supplied")
     terms = [(c, s) for c, s in observable.settings if set(s) != {"I"}]
     values, uncertainties = _pooled(records, [s for _, s in terms])
     coeffs = np.array([c for c, _ in terms])
@@ -241,10 +242,8 @@ def estimate_witness(records: Iterable[CountsRecord], observable: Observable) ->
 
 def _inversion_parity(records: tuple[CountsRecord, ...]) -> tuple[int, np.ndarray]:
     """(k, parity table) of the linear inversion of k <= 2 qubits, one table
-    column per non-identity Pauli string in product("IXYZ") order. Raises when
-    there are no records, then when k > 2, then naming every missing setting."""
-    if not records:
-        raise ValueError("no records supplied")
+    column per non-identity Pauli string in product("IXYZ") order, of a
+    non-empty record set. Raises when k > 2, then naming every missing setting."""
     k = len(records[0].setting)
     if k > 2:
         raise ValueError("linear inversion is provided for 1 or 2 qubits")
@@ -356,14 +355,20 @@ def tomography_linear(records: Iterable[CountsRecord],
     Requires records covering all 3^k Pauli settings for k <= 2 qubits, each
     with counts; MissingSettingError names the settings that are absent or
     have none. Negative eigenvalues from shot noise are clipped to zero and
-    the trace renormalized.
+    the trace renormalized. labels name the k qubits (q0, q1, ... by
+    default); a str is one label, as in every register operation, and labels
+    that are not k of them are refused by name before the inversion.
     """
     records = _record_set(records)
     k, parity = _inversion_parity(records)
-    labels = tuple(labels) if labels is not None else tuple(f"q{i}" for i in range(k))
-    if len(labels) != k:
-        raise ValueError(f"{len(labels)} labels given for a {k}-qubit reconstruction")
-    return MixedState._trusted(RegisterLayout(labels), _invert(k, parity, _columns(records)[0][None])[0])
+    if labels is None:
+        labels = tuple(f"q{i}" for i in range(k))
+    if not isinstance(labels, Iterable):
+        raise ValueError(f"labels={labels!r} is not a qubit label or a sequence of them")
+    named = (labels,) if isinstance(labels, str) else tuple(labels)
+    if len(named) != k:
+        raise ValueError(f"labels={labels!r}: {len(named)} labels given for a {k}-qubit reconstruction")
+    return MixedState._trusted(RegisterLayout(named), _invert(k, parity, _columns(records)[0][None])[0])
 
 
 def _project_psd(rho: np.ndarray) -> np.ndarray:

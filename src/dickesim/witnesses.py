@@ -197,11 +197,21 @@ def propagate_wcs_error(gamma: float, d_jx2: float, d_jy2: float, d_jz2: float) 
 
 @dataclass(frozen=True)
 class BisepBoundResult:
-    """Biseparability bound with the maximum reached in each bipartition class."""
+    """Biseparability bound with the maximum reached in each bipartition class.
+
+    `scanned` holds each class's scanned maximum, or None where
+    biseparable_bound_result skipped the scan; per_bipartition runs a
+    skipped scan on first read, with the bits a full run gives it.
+    """
 
     gamma: float
     value: float
-    per_bipartition: tuple[tuple[str, float], ...]
+    scanned: tuple[tuple[str, float | None], ...]
+
+    @cached_property
+    def per_bipartition(self) -> tuple[tuple[str, float], ...]:
+        return tuple((name, scan(self.gamma) if v is None else v)
+                     for (name, v), scan in zip(self.scanned, (_one_three_max, _two_two_max)))
 
 
 B4_GAMMA_MIN = -10.0
@@ -262,6 +272,13 @@ def _zoom_max(coeffs_at, screen, values_at, lo: Sequence[float], hi: Sequence[fl
     return float(values[i])
 
 
+def _spin_three_halves(gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F_3, Jx, Jz) on the spin-3/2 states m = 3/2, 1/2, -1/2, -3/2 (see _one_three_max)."""
+    m = np.array([1.5, 0.5, -0.5, -1.5])
+    up = np.diag(np.sqrt([0.75, 1.0, 0.75]), 1)
+    return np.diag(3.75 + (gamma - 1) * m * m), up + up.T, np.diag(m)
+
+
 # The screens' error model. A backward-stable symmetric eigensolver returns
 # each eigenvalue within c u ||A|| of the exact one, u = 2^-53 and c a modest
 # multiple of the size, and a unit eigenvector within c u ||A|| / gap in angle
@@ -272,6 +289,13 @@ def _zoom_max(coeffs_at, screen, values_at, lo: Sequence[float], hi: Sequence[fl
 # at 1.6 million random points of each class's box for gamma in [-10, 0],
 # half of the 2|2 points next to the triplet crossing, the two sides differed
 # by at most 9.3 u S (1|3) and 4.7 u S (1 + S/g) (2|2).
+# biseparable_bound_result skips a class whose upper bound plus a margin lies
+# below another class's scanned value. The bound and the skipped scan are each
+# eigenvalues of matrices of norm below S <= 6 (1 + |gamma|) plus a few terms
+# of that size, and the scan's value is reached by a product state, so it
+# exceeds the bound by at most a few c u S. The margin, 1e-6 (1 + |gamma|), is
+# about 1e9 u S: far above that rounding, and far below the 0.001 to 0.15 by
+# which one class beats the other away from their crossing.
 def _one_three_max(gamma: float) -> float:
     """Maximum over 1|3 product states.
 
@@ -284,15 +308,12 @@ def _one_three_max(gamma: float) -> float:
     which F_3 = 15/4 + (gamma - 1) Jz^2. Its 4x4 block holds the top
     eigenvalue: the m = +-1/2 states reach (14 + gamma)/4 + |cz|/2, while the
     complement, two spin-1/2 copies, tops out at (2 + gamma)/4 + |c|/2
-    <= (2 + gamma)/4 + 1/2 + |cz|/2, since |cx| <= 1. The block's and the
-    8x8's top eigenvalue are then two eigensolver values of one number, from
-    matrices of norm below S = 6 + 4|gamma|.
+    <= (2 + gamma)/4 + |cx|/2 + |cz|/2, below that while |cx| < 6. The
+    block's and the 8x8's top eigenvalue are then two eigensolver values of
+    one number, from matrices of norm below S = 6 + 4|gamma|.
     """
     f3, jx, jz = _spin_parts(3, gamma)
-    # the block of (F_3, Jx, Jz) on the spin-3/2 states m = 3/2, 1/2, -1/2, -3/2
-    m = np.array([1.5, 0.5, -0.5, -1.5])
-    up = np.diag(np.sqrt([0.75, 1.0, 0.75]), 1)
-    block = [np.diag(3.75 + (gamma - 1) * m * m), up + up.T, np.diag(m)]
+    block = _spin_three_halves(gamma)
     margin = 1e-11 * (6 + 4 * abs(gamma))
 
     def screen(cx, cz):
@@ -376,6 +397,53 @@ def _two_two_max(gamma: float) -> float:
                      [0.0, -1.0], [1.0, 1.0], TWO_TWO_SLOPES)
 
 
+def _one_three_bound(gamma: float) -> float:
+    """Upper bound on the 1|3 maximum, (2 + gamma)/4 plus the maximum over t of
+    lambda_max(F_3 + sin t Jx + gamma cos t Jz) (see _one_three_max).
+
+    lambda_max is convex in the point (sin t, cos t), and each arc of that
+    half-circle between two of the scan's first-round angles lies in the
+    triangle of its chord and the tangents at its ends, whose apex is the
+    arc's midpoint over cos h, h the arc's half-width. The maximum over the
+    arc is then at most the largest value at a vertex. Every vertex's Jx
+    coefficient is at most 1/cos h < 6, so the spin-3/2 block holds its top
+    eigenvalue.
+    """
+    ends = np.linspace(0.0, math.pi, ONE_THREE_ANGLES)
+    h = (ends[1] - ends[0]) / 2
+    apex = ends[:-1] + h
+    cx = np.concatenate([np.sin(ends), np.sin(apex) / math.cos(h)])
+    cz = gamma * np.concatenate([np.cos(ends), np.cos(apex) / math.cos(h)])
+    tops = np.linalg.eigvalsh(_shifted(*_spin_three_halves(gamma), cx, cz))[:, -1]
+    return (2 + gamma) / 4 + float(tops.max())
+
+
+def _two_two_bound(gamma: float) -> float:
+    """Upper bound on the 2|2 maximum.
+
+    For pairs a and b with mean spins (x, y, z), <F_4> = <F_2>_a + <F_2>_b +
+    2 (x_a x_b + y_a y_b + gamma z_a z_b) <= H(a) + H(b) with
+    H = <F_2> + x^2 + y^2 + |gamma| z^2, since 2uv <= u^2 + v^2 and gamma <= 0.
+    Rotated about z to y = 0, and with x^2 = max_s (2 s x - s^2) reached at
+    s = x in [-1, 1], H is at most the maximum over s, t in [-1, 1] of
+    G = lambda_max(F_2 + 2 s Jx + 2 |gamma| t Jz) - q, q = s^2 + |gamma| t^2.
+    G is even in s and in t, so cells of the scan's first-round slopes cover
+    [0, 1]^2. On each, q lies above its tangent plane at the cell's centre,
+    which bounds G by a convex function, at most its largest corner value.
+    The slack is at most (1 + |gamma|) d^2 per pair for cells of half-width d.
+    """
+    f2, jx, jz = _spin_parts(2, gamma)
+    g, k = abs(gamma), TWO_TWO_SLOPES - 1
+    s = np.linspace(0.0, 1.0, TWO_TWO_SLOPES)
+    sx, tz = np.meshgrid(s, s, indexing="ij")
+    tops = np.linalg.eigvalsh(_shifted(f2, jx, jz, 2 * sx.ravel(), 2 * g * tz.ravel()))[:, -1]
+    tops = tops.reshape(sx.shape)
+    mid = (s[:-1] + s[1:]) / 2
+    corners = [tops[i:i + k, j:j + k] - 2 * mid[:, None] * s[i:i + k, None] - 2 * g * mid * s[j:j + k]
+               for i in (0, 1) for j in (0, 1)]
+    return 2 * float((np.max(corners, axis=0) + mid[:, None] ** 2 + g * mid ** 2).max())
+
+
 @lru_cache(maxsize=64)
 def biseparable_bound_result(gamma: float) -> BisepBoundResult:
     """Maximum of <Jx^2 + Jy^2 + gamma Jz^2> over pure biseparable four-qubit states.
@@ -385,11 +453,21 @@ def biseparable_bound_result(gamma: float) -> BisepBoundResult:
     z-rotations, which reduce each class to a scan over a few moments (see
     _one_three_max and _two_two_max). Every scanned value is reached by an
     explicit product state, so the result bounds the maximum from below.
+
+    The classes are scanned in order of decreasing upper bound
+    (_one_three_bound, _two_two_bound), and one whose bound plus a rounding
+    margin lies below the best value so far is skipped: its scan could not
+    reach value, which keeps the winning scan's bits.
     """
     check_number("gamma", gamma, B4_GAMMA_MIN, 0.0)
-    per_part = (("0|123", _one_three_max(gamma)), ("01|23", _two_two_max(gamma)))
-    return BisepBoundResult(gamma=gamma, value=max(v for _, v in per_part),
-                            per_bipartition=per_part)
+    scans = (_one_three_max, _two_two_max)
+    bounds = (_one_three_bound(gamma), _two_two_bound(gamma))
+    values, best = [None, None], -math.inf
+    for i in sorted(range(2), key=lambda i: -bounds[i]):
+        if not bounds[i] + 1e-6 * (1 + abs(gamma)) < best:
+            values[i] = scans[i](gamma)
+            best = max(best, values[i])
+    return BisepBoundResult(gamma=gamma, value=best, scanned=tuple(zip(("0|123", "01|23"), values)))
 
 
 def biseparable_bound(gamma: float) -> float:

@@ -1,14 +1,19 @@
-"""Check that screening the b4 scan moves no bit of either class maximum.
+"""Check that screening the b4 scan and skipping a class move no bit of b4.
 
     python tests/screen_sweep.py
 
 Runs witnesses._one_three_max and _two_two_max twice at every gamma of the
 sweep: as the library runs them, and with _zoom_max given a screen that keeps
 every grid point, so LAPACK evaluates the whole grid as it did before the
-screen existed. It prints the number of gammas compared and exits 1, naming
-each gamma whose bits moved, if any did. The sweep is benchmark/reference.json's
-recorded gammas (read, never written), the 10-point witness-scan grid on
-[-3, 0], the paper's four and 401 evenly spaced on [-10, 0].
+screen existed. At each gamma it also checks that each class's upper bound
+(_one_three_bound, _two_two_bound) is at least both of that class's scan
+values up to rounding, and that biseparable_bound_result's value, which
+skips a class whose bound lies below the other's scan, is the larger class
+scan bit for bit. It prints the number of gammas compared and how many
+skipped each class, and exits 1, naming each gamma that failed, if any did.
+The sweep is benchmark/reference.json's recorded gammas (read, never
+written), the 10-point witness-scan grid on [-3, 0], the paper's four and 401
+evenly spaced on [-10, 0].
 
 pytest does not collect this file. Each OpenBLAS kernel set rounds LAPACK's
 values in its own way, and the screen must keep each one's bits, so CI runs it
@@ -44,6 +49,26 @@ def class_maxima(gamma: float) -> tuple[str, str]:
     return witnesses._one_three_max(gamma).hex(), witnesses._two_two_max(gamma).hex()
 
 
+def class_bounds(gamma: float) -> tuple[float, float]:
+    """The 1|3 and 2|2 upper bounds at gamma."""
+    return witnesses._one_three_bound(gamma), witnesses._two_two_bound(gamma)
+
+
+def rounding(gamma: float) -> float:
+    """How far a bound may round below its class's scan: each is an eigenvalue of
+    a matrix of norm below 6 + 4 |gamma| plus a few terms of that size, within a
+    few ulps of it (about 1e-14 at gamma = -10). The skip rule's margin,
+    1e-6 (1 + |gamma|), lies far above this."""
+    return 1e-12 * (1 + abs(gamma))
+
+
+def bound_failures(gamma: float, bounds, *maxima) -> list[str]:
+    """Each class whose bound lies below one of its scan values by more than rounding."""
+    return [f"{name} bound {bound!r} below its scan {float.fromhex(m[k])!r}"
+            for k, (name, bound) in enumerate(zip(("1|3", "2|2"), bounds))
+            for m in maxima if bound + rounding(gamma) < float.fromhex(m[k])]
+
+
 def sweep_gammas() -> list[float]:
     with open(ROOT / "benchmark" / "reference.json") as f:
         recorded = json.load(f)["recorded"]
@@ -54,17 +79,28 @@ def sweep_gammas() -> list[float]:
 def main() -> int:
     gammas = sweep_gammas()
     screened = [class_maxima(g) for g in gammas]
+    bounds = [class_bounds(g) for g in gammas]
+    results = [witnesses.biseparable_bound_result(g) for g in gammas]
     zoom_max = witnesses._zoom_max
     witnesses._zoom_max = unscreened(zoom_max)
     try:
         full = [class_maxima(g) for g in gammas]
     finally:
         witnesses._zoom_max = zoom_max
-    moved = [(g, s, f) for g, s, f in zip(gammas, screened, full) if s != f]
-    for gamma, s, f in moved:
-        print(f"gamma={gamma!r}: screened (1|3, 2|2) {s}, unscreened {f}")
-    print(f"{len(gammas)} gammas compared, {len(moved)} moved")
-    return 1 if moved else 0
+    failed = 0
+    for g, s, f, b, r in zip(gammas, screened, full, bounds, results):
+        problems = bound_failures(g, b, s, f)
+        if s != f:
+            problems.append(f"screened (1|3, 2|2) {s}, unscreened {f}")
+        if r.value.hex() != max(s, key=float.fromhex):
+            problems.append(f"value {r.value.hex()}, class scans {s}")
+        for problem in problems:
+            print(f"gamma={g!r}: {problem}")
+        failed += bool(problems)
+    skips = [sum(r.scanned[k][1] is None for r in results) for k in (0, 1)]
+    print(f"{len(gammas)} gammas compared, {failed} failed; "
+          f"the 1|3 scan was skipped at {skips[0]}, the 2|2 scan at {skips[1]}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

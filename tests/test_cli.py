@@ -790,7 +790,9 @@ class TestWitnessScan:
     def test_scan_is_silent(self, tmp_path, capsys):
         # the 10-point grid on [-3, 0] and B4_GAMMA_MIN, then the default
         # resource-check, with every warning an error and the b4 cache empty,
-        # so each gamma's scan runs here: both exit 0 and write nothing to stderr
+        # so each gamma's bounds and winning scan run here: both exit 0 and
+        # write nothing to stderr. Reading per_bipartition then runs every
+        # class scan b4 skipped, under the same filter.
         grid = [-3.0 + 3.0 * k / 9 for k in range(10)] + [B4_GAMMA_MIN]
         config = tmp_path / "c.cfg"
         config.write_text(f"gammas = [{', '.join(map(repr, grid))}]\n")
@@ -799,6 +801,8 @@ class TestWitnessScan:
             warnings.simplefilter("error")
             assert main(["witness-scan", "--config", str(config), "--out", str(tmp_path / "w.csv")]) == 0
             assert main(["resource-check", "--out", str(tmp_path / "r.json")]) == 0
+            for gamma in (*grid, *PAPER_GAMMAS):
+                assert len(biseparable_bound_result(gamma).per_bipartition) == 2
         assert capsys.readouterr().err == ""
 
     def test_moments_at_their_bound_stay_finite(self):

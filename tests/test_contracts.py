@@ -3,8 +3,8 @@
 Each row of CONTRACTS is one call with one invalid argument. It must raise a
 ValueError whose message names that argument, before any state is evolved:
 gate application, the register's contractions, the protocols' CX-rotated
-register build and the telecloning run are replaced by stubs that fail if
-they are reached. The numeric rows are refused by register.check_number or
+register build, the telecloning run and the tomography inversion are
+replaced by stubs that fail if they are reached. The numeric rows are refused by register.check_number or
 register.check_integer, whose message starts with name=value.
 """
 from __future__ import annotations
@@ -61,6 +61,8 @@ from dickesim.states import RESOURCE_LABELS
 
 # records that cover every Pauli string over Z and I on two qubits
 ZZ_RECORDS = [CountsRecord("ZZ", {"00": 5, "11": 5}, 10.0, seed=None)]
+# records that cover all nine two-qubit settings, enough for a linear inversion
+PAIR_RECORDS = [CountsRecord(a + b, {"00": 1, "11": 1}, 2.0, seed=None) for a in "XYZ" for b in "XYZ"]
 # two Dicke resources as one stack, which the protocols do not take
 DICKE_STACK = PureState(RegisterLayout(RESOURCE_LABELS), np.array([dicke(4, 2).amplitudes] * 2))
 
@@ -120,6 +122,26 @@ CONTRACTS = {
         lambda: fidelity_with_error([5, 6], client_ket([ClientParams(1.0), ClientParams(2.0)]), trials=10),
         "records"),
     "estimate_correlator-records-ints": (lambda: estimate_correlator([1, 2], "ZZ"), "records"),
+    "estimate_correlator-pauli_string-nan": (lambda: estimate_correlator(ZZ_RECORDS, math.nan), "pauli_string"),
+    "estimate_correlator-pauli_string-list": (
+        lambda: estimate_correlator(ZZ_RECORDS, ["Z", "Z"]), "pauli_string"),
+    "estimate_correlator-records-empty": (lambda: estimate_correlator([], "ZZ"), "records"),
+    "estimate_correlator-records-str": (lambda: estimate_correlator("ZZ", "ZZ"), "records"),
+    "estimate_correlator-counts-nan": (
+        lambda: estimate_correlator([CountsRecord("ZZ", {"00": math.nan}, 1.0, None)], "ZZ"), "counts"),
+    "estimate_correlator-counts-inf": (
+        lambda: estimate_correlator([CountsRecord("ZZ", {"00": -math.inf}, 1.0, None)], "ZZ"), "counts"),
+    "estimate_correlator-counts-fractional": (
+        lambda: estimate_correlator([CountsRecord("ZZ", {"00": 0.5}, 1.0, 0)], "ZZ"), "counts"),
+    "tomography_linear-records-empty": (lambda: tomography_linear([]), "records"),
+    "tomography_linear-records-none": (lambda: tomography_linear(None), "records"),
+    "tomography_linear-labels-int": (lambda: tomography_linear(PAIR_RECORDS, labels=5), "labels"),
+    "tomography_linear-labels-nan": (lambda: tomography_linear(PAIR_RECORDS, labels=math.nan), "labels"),
+    # a str is one label, as every register operation reads it
+    "tomography_linear-labels-str": (lambda: tomography_linear(PAIR_RECORDS, labels="ab"), "labels"),
+    "tomography_linear-labels-empty": (lambda: tomography_linear(PAIR_RECORDS, labels=()), "labels"),
+    "tomography_linear-labels-three": (
+        lambda: tomography_linear(PAIR_RECORDS, labels=("a", "b", "c")), "labels"),
     "dicke-k-fractional": (lambda: dicke(4, 2.5), "k"),
     "dicke-n-float": (lambda: dicke(4.0, 2), "n"),
     "collective_spin-n-fractional": (lambda: collective_spin(2.5), "n"),
@@ -157,8 +179,8 @@ def test_refused_at_entry(monkeypatch, call, name):
     def unreachable(*args, **kwargs):
         raise AssertionError("the call ran past its argument checks")
     for module, attr in ((circuits, "apply_gate"), (protocols, "apply_gate"), (protocols, "_cx_register"),
-                         (protocols, "run_qtc"), (tomography, "apply_gate"), (register, "_apply_to_axes"),
-                         (register, "_matrices")):
+                         (protocols, "run_qtc"), (tomography, "apply_gate"), (tomography, "_invert"),
+                         (register, "_apply_to_axes"), (register, "_matrices")):
         monkeypatch.setattr(module, attr, unreachable)
     with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
         call()

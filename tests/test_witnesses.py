@@ -416,6 +416,55 @@ class TestScanScreen:
         assert counts[0] < 0.75 * whole[0] and counts[1] < 0.6 * whole[1], (counts, whole)
 
 
+class TestClassBounds:
+    """Each bipartition class's upper bound, and the scans it lets b4 skip."""
+
+    # the paper's four and a dozen of benchmark/reference.json's gammas, on [-3, -0.18]
+    GAMMAS = PAPER_GAMMAS + (-3.0, -2.73, -2.56, -2.37, -2.2, -2.02, -1.84, -0.88, -0.7, -0.53, -0.35, -0.18)
+
+    def test_bounds_lie_above_the_scans_and_the_oracle_states(self):
+        for gamma in self.GAMMAS:
+            per_class = dict(biseparable_bound_result(gamma).per_bipartition)
+            one_three, two_two = screen_sweep.class_bounds(gamma)
+            rounding = screen_sweep.rounding(gamma)
+            assert max(per_class["0|123"], oracles.b4_one_three_lower(gamma)) <= one_three + rounding, gamma
+            assert max(per_class["01|23"], oracles.b4_family_lower(gamma)) <= two_two + rounding, gamma
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Each class scan's calls, counted through the module's names."""
+        calls = {"0|123": 0, "01|23": 0}
+        for name, attr in (("0|123", "_one_three_max"), ("01|23", "_two_two_max")):
+            def counting(gamma, name=name, scan=getattr(witnesses, attr)):
+                calls[name] += 1
+                return scan(gamma)
+            monkeypatch.setattr(witnesses, attr, counting)
+        return calls
+
+    @pytest.mark.parametrize("gamma,scanned", [(-1.0, {"0|123"}), (-2.5, {"01|23"}),
+                                               (-3.0, {"0|123", "01|23"})])
+    def test_a_skipped_class_is_scanned_on_first_read(self, monkeypatch, gamma, scanned):
+        # 1|3 wins clearly at -1 and 2|2 at -2.5; at -3 both classes reach 4, so both run
+        full = {"0|123": witnesses._one_three_max(gamma).hex(), "01|23": witnesses._two_two_max(gamma).hex()}
+        calls = self._counted(monkeypatch)
+        result = witnesses.biseparable_bound_result.__wrapped__(gamma)
+        assert {name for name, n in calls.items() if n} == scanned
+        assert result.value.hex() == max(full.values(), key=float.fromhex)
+        assert {name: v.hex() for name, v in result.per_bipartition} == full
+        assert calls == {"0|123": 1, "01|23": 1}
+
+    def test_margin_keeps_a_bound_that_rounds_below_its_scan(self, monkeypatch):
+        # a bound a few ulps below its own class's scan, with the other class's
+        # value between them: the margin must keep the scan that holds b4
+        gamma = 0.0
+        one_three = witnesses._one_three_max(gamma)
+        below = np.nextafter(np.nextafter(one_three, 0.0), 0.0)
+        monkeypatch.setattr(witnesses, "_one_three_bound", lambda g: np.nextafter(below, 0.0))
+        monkeypatch.setattr(witnesses, "_two_two_bound", lambda g: math.inf)
+        monkeypatch.setattr(witnesses, "_two_two_max", lambda g: float(below))
+        assert witnesses.biseparable_bound_result.__wrapped__(gamma).value == one_three
+
+
 class TestProjectorWitness:
     def test_on_own_dicke_state(self):
         for k in (1, 2):
