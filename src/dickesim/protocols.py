@@ -11,10 +11,11 @@ open-destination run sums the diagonal in another order, and its numbers move
 in their last bits. (X, port) is then
 projected onto the four sigma-x (x) sigma-z outcomes at once (_bell_stack);
 one post-state stack, of shape (outcome, *clients), holds every outcome that
-does not vanish. Telecloning corrects every outcome; open-destination
-teleportation first projects the other two server qubits and keeps only |+1>
-(psi+). Fidelities are taken against the client's actual input state (the
-pure target ket whenever the client is pure), as the experiment scores them.
+does not vanish. Telecloning corrects every outcome by CORRECTION_TABLE;
+open-destination teleportation first projects the other two server qubits and
+keeps only |+1> (psi+). Fidelities are taken against the client's actual input
+state (the pure target ket whenever the client is pure), as the experiment
+scores them.
 bell_measure is the public Bell measurement of any state; no run calls it.
 
 A sequence of clients runs as one stack (see register) and a single client as
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,6 +72,10 @@ BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 # each Bell element's (sigma-x outcome on the control, sigma-z outcome on the target)
 _BELL_XZ = ("+0", "-0", "+1", "-1")
 BRANCH_SUM_TOL = 1e-9
+# the Pauli P whose P (x) P (x) P restores telecloning's canonical clones after
+# each Bell outcome on (X, port). The symmetric Dicke resource gives every port
+# and every labelling this one table; derive_correction_table derives it.
+CORRECTION_TABLE = MappingProxyType({"phi+": "X", "phi-": "Y", "psi+": "I", "psi-": "Z"})
 
 _KETS = dict(zip("+-01", (*AXIS_BASES["X"], *AXIS_BASES["Z"])))
 # each Bell element's projection ket on (control, target), in BELL_LABELS order
@@ -199,6 +205,8 @@ def derive_correction_table(resource: PureState, port: str = "b") -> dict[str, s
 
     Derived by exhaustive search at two generic client amplitudes rather than
     transcribed; requires the ideal Dicke resource, and `port` one of its qubits.
+    This is the reference derivation of CORRECTION_TABLE, which run_qtc reads:
+    resource-check and the tests compare the two, and no run derives it.
     """
     if not isinstance(resource, PureState) or fidelity(resource, dicke(4, 2, resource.labels)) < 1 - 1e-9:
         raise RegisterError("correction table is defined for the ideal Dicke resource")
@@ -306,15 +314,16 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
     gives a stacked result (see QtcResult) whose member i equals the run of
     client i alone bit for bit. One client is run as a one-member stack.
     Byte-equal branches and clones are scored once (see _score_clones).
+    Each outcome's correction is CORRECTION_TABLE's, the same for every port
+    and labelling, so no run searches for it.
     """
     single, client_in, resource, rotated = _prepare(client, resource, port=port)
     clone_labels = tuple(x for x in resource.labels if x != port)
-    table = dict(_correction_table(port, resource.labels))
     probs, post, kept = _bell_stack(rotated, CLIENT_LABEL, port)
 
     # each kept outcome's P on every clone, as one gate P (x) P (x) P on its row of
     # post-states; entries 0, +-1, +-i multiply exactly
-    gates = np.array([pauli_matrix(table[BELL_LABELS[b]] * len(clone_labels)) for b in kept])
+    gates = np.array([pauli_matrix(CORRECTION_TABLE[BELL_LABELS[b]] * len(clone_labels)) for b in kept])
     corrected = apply_gate(post, gates[:, None], clone_labels)
     per_clone = _score_clones(client_in, corrected, clone_labels)
     average = np.zeros(client_in.stack_shape)
@@ -322,7 +331,7 @@ def run_qtc(client: ClientParams | Sequence[ClientParams], resource: State | Non
         average += prob * mean
     posts = {b: corrected.member(i) for i, b in enumerate(kept)}
     result = QtcResult(
-        branches=tuple(BranchOutcome(label, probs[b], posts.get(b), table[label])
+        branches=tuple(BranchOutcome(label, probs[b], posts.get(b), CORRECTION_TABLE[label])
                        for b, label in enumerate(BELL_LABELS)),
         clone_labels=clone_labels,
         clone_fidelities={BELL_LABELS[b]: {label: f[i] for label, f in per_clone.items()}

@@ -61,7 +61,8 @@ def _check_setting(setting: str) -> str:
 class CountsRecord:
     """Simulated coincidence counts for one measurement setting. `counts` is kept
     as a read-only copy, so a record is a value: neither an edit of the caller's
-    dict nor one through the record can change what it holds."""
+    dict nor one through the record can change what it holds. `total_requested`
+    must be a finite number >= 0; `seed` is not checked."""
 
     setting: str
     counts: Mapping[str, float]
@@ -71,6 +72,7 @@ class CountsRecord:
 
     def __post_init__(self):
         _check_setting(self.setting)
+        check_number("total_requested", self.total_requested, 0.0)
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         for outcome, value in self.counts.items():
             if len(outcome) != len(self.setting) or set(outcome) - {"0", "1"}:
@@ -357,7 +359,7 @@ def tomography_linear(records: Iterable[CountsRecord],
     have none. Negative eigenvalues from shot noise are clipped to zero and
     the trace renormalized. labels name the k qubits (q0, q1, ... by
     default); a str is one label, as in every register operation, and labels
-    that are not k of them are refused by name before the inversion.
+    that are not k distinct ones are refused by name before the inversion.
     """
     records = _record_set(records)
     k, parity = _inversion_parity(records)
@@ -368,6 +370,8 @@ def tomography_linear(records: Iterable[CountsRecord],
     named = (labels,) if isinstance(labels, str) else tuple(labels)
     if len(named) != k:
         raise ValueError(f"labels={labels!r}: {len(named)} labels given for a {k}-qubit reconstruction")
+    if len({str(x) for x in named}) != k:  # as RegisterLayout reads them
+        raise ValueError(f"labels={labels!r} must be distinct")
     return MixedState._trusted(RegisterLayout(named), _invert(k, parity, _columns(records)[0][None])[0])
 
 

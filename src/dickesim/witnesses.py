@@ -431,13 +431,26 @@ def _two_two_bound(gamma: float) -> float:
     [0, 1]^2. On each, q lies above its tangent plane at the cell's centre,
     which bounds G by a convex function, at most its largest corner value.
     The slack is at most (1 + |gamma|) d^2 per pair for cells of half-width d.
+
+    Each corner's lambda_max is the triplet's, (1 + gamma) + _triplet_top(a,
+    2 s, 2 |gamma| t) with a = 1 - gamma (see _two_two_max), not LAPACK's.
+    At s = 0 the triplet's roots are a and +-2 |gamma| t, so the top is their
+    maximum, exact even where the two cross (t = 1 at gamma = -1). For s > 0
+    the top root mu lies above a and 2 |gamma| t and the next root below both
+    (Cauchy interlacing), and p(mu) = 0 gives (mu - a)(mu - 2 |gamma| t) >=
+    2 s^2, so the two roots lie at least sqrt(2) s >= 0.07 apart, where
+    _triplet_top is within a few u of the root. Each corner adds the screens'
+    margin 1e-11 S, S = 4 + 4|gamma| (see the error model above
+    _one_three_max), so the bound lies 2e-11 S above the LAPACK form of the
+    same corners, give or take the rounding of both, and calls no LAPACK.
     """
-    f2, jx, jz = _spin_parts(2, gamma)
     g, k = abs(gamma), TWO_TWO_SLOPES - 1
     s = np.linspace(0.0, 1.0, TWO_TWO_SLOPES)
-    sx, tz = np.meshgrid(s, s, indexing="ij")
-    tops = np.linalg.eigvalsh(_shifted(f2, jx, jz, 2 * sx.ravel(), 2 * g * tz.ravel()))[:, -1]
-    tops = tops.reshape(sx.shape)
+    a, z = 1 - gamma, 2 * g * s
+    tops = np.empty((TWO_TWO_SLOPES, TWO_TWO_SLOPES))
+    tops[0] = np.maximum(a, z)
+    tops[1:] = _triplet_top(a, 2 * s[1:, None], z)[0]
+    tops += (1 + gamma) + 1e-11 * (4 + 4 * g)
     mid = (s[:-1] + s[1:]) / 2
     corners = [tops[i:i + k, j:j + k] - 2 * mid[:, None] * s[i:i + k, None] - 2 * g * mid * s[j:j + k]
                for i in (0, 1) for j in (0, 1)]

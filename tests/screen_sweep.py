@@ -62,6 +62,30 @@ def rounding(gamma: float) -> float:
     return 1e-12 * (1 + abs(gamma))
 
 
+def two_two_bound_by_lapack(gamma: float) -> float:
+    """witnesses._two_two_bound's corner bound with each corner's top eigenvalue
+    taken by LAPACK from the 4x4 matrix F_2 + 2 s Jx + 2 |gamma| t Jz, and no margin."""
+    f2, jx, jz = witnesses._spin_parts(2, gamma)
+    g, k = abs(gamma), witnesses.TWO_TWO_SLOPES - 1
+    s = np.linspace(0.0, 1.0, k + 1)
+    sx, tz = np.meshgrid(s, s, indexing="ij")
+    tops = np.linalg.eigvalsh(f2 + 2 * sx.reshape(-1, 1, 1) * jx + 2 * g * tz.reshape(-1, 1, 1) * jz)[:, -1]
+    tops = tops.reshape(sx.shape)
+    mid = (s[:-1] + s[1:]) / 2
+    corners = [tops[i:i + k, j:j + k] - 2 * mid[:, None] * s[i:i + k, None] - 2 * g * mid * s[j:j + k]
+               for i in (0, 1) for j in (0, 1)]
+    return 2 * float((np.max(corners, axis=0) + mid[:, None] ** 2 + g * mid ** 2).max())
+
+
+def two_two_bound_failure(gamma: float, bound: float) -> list[str]:
+    """The 2|2 bound if it lies below its LAPACK form, or above it by more than
+    twice each corner's margin 1e-11 (4 + 4 |gamma|) plus rounding."""
+    reference = two_two_bound_by_lapack(gamma)
+    if reference <= bound <= reference + 2e-11 * (4 + 4 * abs(gamma)) + rounding(gamma):
+        return []
+    return [f"2|2 bound {bound!r}, its LAPACK form {reference!r}"]
+
+
 def bound_failures(gamma: float, bounds, *maxima) -> list[str]:
     """Each class whose bound lies below one of its scan values by more than rounding."""
     return [f"{name} bound {bound!r} below its scan {float.fromhex(m[k])!r}"
@@ -69,11 +93,19 @@ def bound_failures(gamma: float, bounds, *maxima) -> list[str]:
             for m in maxima if bound + rounding(gamma) < float.fromhex(m[k])]
 
 
-def sweep_gammas() -> list[float]:
+def recorded_gammas() -> tuple[float, ...]:
+    """The gammas benchmark/reference.json records b4 at."""
     with open(ROOT / "benchmark" / "reference.json") as f:
-        recorded = json.load(f)["recorded"]
-    return sorted({float(g) for g in recorded} | {-3.0 + 3.0 * k / 9 for k in range(10)}
+        return tuple(float(g) for g in json.load(f)["recorded"])
+
+
+def sweep_gammas() -> list[float]:
+    return sorted(set(recorded_gammas()) | {-3.0 + 3.0 * k / 9 for k in range(10)}
                   | set(witnesses.PAPER_GAMMAS) | {float(g) for g in np.linspace(-10.0, 0.0, 401)})
+
+
+# how many of the sweep's gammas skip the 1|3 and the 2|2 scan
+EXPECTED_SKIPS = [133, 189]
 
 
 def main() -> int:
@@ -89,7 +121,7 @@ def main() -> int:
         witnesses._zoom_max = zoom_max
     failed = 0
     for g, s, f, b, r in zip(gammas, screened, full, bounds, results):
-        problems = bound_failures(g, b, s, f)
+        problems = bound_failures(g, b, s, f) + two_two_bound_failure(g, b[1])
         if s != f:
             problems.append(f"screened (1|3, 2|2) {s}, unscreened {f}")
         if r.value.hex() != max(s, key=float.fromhex):
@@ -100,7 +132,9 @@ def main() -> int:
     skips = [sum(r.scanned[k][1] is None for r in results) for k in (0, 1)]
     print(f"{len(gammas)} gammas compared, {failed} failed; "
           f"the 1|3 scan was skipped at {skips[0]}, the 2|2 scan at {skips[1]}")
-    return 1 if failed else 0
+    if skips != EXPECTED_SKIPS:
+        print(f"skip counts {skips}, expected {EXPECTED_SKIPS}")
+    return 1 if failed or skips != EXPECTED_SKIPS else 0
 
 
 if __name__ == "__main__":

@@ -142,6 +142,10 @@ CONTRACTS = {
     "tomography_linear-labels-empty": (lambda: tomography_linear(PAIR_RECORDS, labels=()), "labels"),
     "tomography_linear-labels-three": (
         lambda: tomography_linear(PAIR_RECORDS, labels=("a", "b", "c")), "labels"),
+    "tomography_linear-labels-duplicate": (
+        lambda: tomography_linear(PAIR_RECORDS, labels=["a", "a"]), "labels"),
+    "CountsRecord-total_requested-nan": (
+        lambda: CountsRecord("ZZ", {"00": 1}, total_requested=math.nan, seed=None), "total_requested"),
     "dicke-k-fractional": (lambda: dicke(4, 2.5), "k"),
     "dicke-n-float": (lambda: dicke(4.0, 2), "n"),
     "collective_spin-n-fractional": (lambda: collective_spin(2.5), "n"),

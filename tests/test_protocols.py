@@ -36,7 +36,7 @@ from dickesim import (
 )
 from dickesim import protocols
 from dickesim.fixtures import load_correction_table
-from dickesim.protocols import BELL_LABELS, CorrectionSearchError
+from dickesim.protocols import BELL_LABELS, CORRECTION_TABLE, CorrectionSearchError
 from dickesim.register import CX, PAULIS, apply_gate
 from dickesim.states import RESOURCE_LABELS
 
@@ -116,13 +116,25 @@ class TestCorrectionTable:
         table = derive_correction_table(dicke(4, 2), port="c")
         assert set(table) == set(BELL_LABELS)
 
+    # run_qtc reads CORRECTION_TABLE at every port and labelling: each derivation must equal it
     @pytest.mark.parametrize("port", "abcd")
     def test_every_port_gives_the_packaged_table(self, port):
-        assert derive_correction_table(dicke(4, 2), port=port) == load_correction_table()
+        table = derive_correction_table(dicke(4, 2), port=port)
+        assert table == load_correction_table() == CORRECTION_TABLE
 
     @pytest.mark.parametrize("port", "pqrs")
     def test_relabelled_resource_gives_the_packaged_table(self, port):
-        assert derive_correction_table(dicke(4, 2, tuple("pqrs")), port=port) == load_correction_table()
+        table = derive_correction_table(dicke(4, 2, tuple("pqrs")), port=port)
+        assert table == load_correction_table() == CORRECTION_TABLE
+
+    def test_runs_read_the_table_without_deriving_it(self, monkeypatch):
+        def underived(*args):
+            raise AssertionError("a telecloning run derived the correction table")
+        monkeypatch.setattr(protocols, "_correction_table", underived)
+        pure = run_qtc(ClientParams(theta=0.8), port="c")
+        assert {b.outcome_label: b.correction for b in pure.branches} == CORRECTION_TABLE
+        run_qtc([ClientParams(theta=0.8, dephase_lambda=0.1)] * 2, werner_dicke(0.9))
+        qtc_mixed_band([0.3, 1.2], p=0.9, dephase_lambda=0.05, p_uncertainty=0.02)
 
     def test_vanished_branch_names_it(self, monkeypatch):
         """A Bell outcome the sample clients never reach has no correction."""

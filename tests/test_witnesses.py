@@ -430,6 +430,13 @@ class TestClassBounds:
             assert max(per_class["0|123"], oracles.b4_one_three_lower(gamma)) <= one_three + rounding, gamma
             assert max(per_class["01|23"], oracles.b4_family_lower(gamma)) <= two_two + rounding, gamma
 
+    def test_two_two_bound_is_its_lapack_form_plus_the_margin(self):
+        # the closed-form corners never fall below LAPACK's and add at most the
+        # stated margin; at -1 the triplet's roots a and 2|gamma|t cross at the
+        # corner s = 0, t = 1
+        for gamma in PAPER_GAMMAS + screen_sweep.recorded_gammas():
+            assert screen_sweep.two_two_bound_failure(gamma, witnesses._two_two_bound(gamma)) == [], gamma
+
     @staticmethod
     def _counted(monkeypatch):
         """Each class scan's calls, counted through the module's names."""
