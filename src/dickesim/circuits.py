@@ -8,13 +8,12 @@ realizations of the conversion stage; PHASE models the glass-plate phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .register import (CX, HADAMARD, PAULI_I, PAULI_X, PAULI_Z, PureState, apply_gate, check_integer,
-                       check_number, check_states)
+from .register import (CX, HADAMARD, PAULI_I, PAULI_X, PAULI_Z, PureState, Record, apply_gate,
+                       check_integer, check_number, check_states)
 
 CZBAR = np.kron(np.diag([0, 1]), PAULI_I) + np.kron(np.diag([1, 0]), PAULI_Z)  # control first
 CZBAR.setflags(write=False)
@@ -25,29 +24,23 @@ GATE_KINDS = tuple(_MATRICES)
 MATCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GateSpec:
+class GateSpec(Record):
     """One gate: kind, target label, optional control label / phase angle."""
 
-    kind: str
-    target: str
-    control: str | None = None
-    phi: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+    def __init__(self, kind: str, target: str, control: str | None = None, phi: float | None = None):
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
         # a control is given exactly for CX and CZBAR, an angle exactly for PHASE
-        if (self.control is None) == (self.kind in ("CX", "CZBAR")):
-            raise ValueError(f"{self.kind} gate " + (
-                "needs a control label" if self.control is None else "takes no control label"))
-        if (self.phi is None) == (self.kind == "PHASE"):
-            raise ValueError(f"{self.kind} gate " + (
-                "needs an angle" if self.phi is None else "takes no angle"))
-        if self.control is not None and self.control == self.target:
-            raise ValueError(f"{self.kind} gate's control {self.control!r} is its target")
-        if self.phi is not None:
-            check_number("phi", self.phi)
+        if (control is None) == (kind in ("CX", "CZBAR")):
+            raise ValueError(f"{kind} gate " + (
+                "needs a control label" if control is None else "takes no control label"))
+        if (phi is None) == (kind == "PHASE"):
+            raise ValueError(f"{kind} gate " + ("needs an angle" if phi is None else "takes no angle"))
+        if control is not None and control == target:
+            raise ValueError(f"{kind} gate's control {control!r} is its target")
+        if phi is not None:
+            check_number("phi", phi)
+        self._set(kind, target, control, phi)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -76,11 +69,11 @@ class GateSpec:
         return cls(kind=kind, target=target, control=None if control == "-" else control, phi=phi)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     """Ordered gate sequence; applied first step first."""
 
-    steps: tuple[GateSpec, ...] = ()
+    def __init__(self, steps: tuple[GateSpec, ...] = ()):
+        self._set(steps)
 
     @property
     def depth(self) -> int:
@@ -121,16 +114,12 @@ CONVERSION_POOL = (
 MAX_DEPTH = 8
 
 
-@dataclass(frozen=True)
-class ConversionSearch:
+class ConversionSearch(Record):
     """Outcome of the breadth-first conversion search."""
 
-    found: bool
-    circuit: Circuit | None
-    fidelity: float
-    best_fidelity: float
-    best_circuit: Circuit
-    states_explored: int
+    def __init__(self, found: bool, circuit: Circuit | None, fidelity: float, best_fidelity: float,
+                 best_circuit: Circuit, states_explored: int):
+        self._set(found, circuit, fidelity, best_fidelity, best_circuit, states_explored)
 
 
 def _canonical_key(amps: np.ndarray) -> bytes:

@@ -9,10 +9,10 @@ usage error, reported as one `config error:` line on stderr.
 from __future__ import annotations
 
 import ctypes
+import gc
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +33,7 @@ from .protocols import (
     run_odt,
     run_qtc,
 )
-from .register import MixedState, RegisterLayout, fidelity, project, single_qubit
+from .register import MixedState, Record, RegisterLayout, fidelity, project, single_qubit
 from .reporting import (
     ConfigError,
     ListOf,
@@ -508,16 +508,12 @@ def run_command(command: str, params: dict, args) -> tuple[str, int]:
     return text, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(Record):
     """One command line: the command and its shared flags."""
 
-    command: str
-    config: Path | None = None
-    seed: int = 0
-    out: Path | None = None
-    format: str | None = None
-    fixtures_dir: Path | None = None
+    def __init__(self, command: str, config: Path | None = None, seed: int = 0, out: Path | None = None,
+                 format: str | None = None, fixtures_dir: Path | None = None):
+        self._set(command, config, seed, out, format, fixtures_dir)
 
 
 def _report_format(value: str) -> str:
@@ -598,9 +594,13 @@ def _keep_freed_arrays_mapped() -> None:
 def main(argv=None) -> int:
     """Run one command line (sys.argv[1:] by default) and return its exit code.
 
-    It first sets the process's allocation policy (_keep_freed_arrays_mapped),
-    which persists in the calling process after main returns. Importing this
-    module or the library sets nothing."""
+    It first moves the objects the collector tracks, the import's among them,
+    to its permanent generation (gc.freeze, once per process), so no collection
+    in the command rescans them, and sets the process's allocation policy
+    (_keep_freed_arrays_mapped). Both persist in the calling process after
+    main returns. Importing this module or the library sets nothing."""
+    if not gc.get_freeze_count():
+        gc.freeze()
     _keep_freed_arrays_mapped()
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)

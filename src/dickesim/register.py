@@ -19,7 +19,7 @@ rounding and is built unchecked, through _State._trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Sequence, Union
@@ -82,6 +82,44 @@ def pauli_matrix(string: str) -> np.ndarray:
     return out
 
 
+class Record:
+    """A frozen record. Its FIELDS are the parameters of its class's __init__,
+    which sets them once, through _set. Assigning or deleting an attribute
+    raises FrozenInstanceError, and repr lists the fields in order. A record
+    compares and hashes by its tuple of fields, unless its class, or a base,
+    is declared with eq=False: then by identity."""
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls.FIELDS = code.co_varnames[1:code.co_argcount]
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self.FIELDS, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.FIELDS)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class ImpossibleBranchError(RegisterError):
     """Projection onto an outcome whose probability is numerically zero."""
 
@@ -90,20 +128,20 @@ class ImpossibleBranchError(RegisterError):
         self.probability = probability
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Ordered qubit labels; position in the tuple fixes the tensor index."""
+class RegisterLayout(Record):
+    """Ordered qubit labels; position in the tuple fixes the tensor index.
+    Each label is str() of an item of `labels`, so a str gives one per character."""
 
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, labels: tuple[str, ...]):
+        if not isinstance(labels, Iterable):
+            raise RegisterError(f"labels={labels!r} is not a sequence of qubit labels")
+        labels = tuple(str(x) for x in labels)
         if not labels:
             raise RegisterError("register needs at least one qubit")
         if len(set(labels)) != len(labels):
             dup = next(x for x in labels if labels.count(x) > 1)
             raise RegisterError(f"duplicate qubit label {dup!r} in {labels} (must be distinct)")
+        self._set(labels)
 
     @property
     def n(self) -> int:
@@ -149,6 +187,13 @@ def _broadcast(*shapes: tuple[int, ...]) -> tuple[int, ...]:
         raise RegisterError(f"stack shapes {' and '.join(map(str, shapes))} do not broadcast") from None
 
 
+def _layout_dim(layout: RegisterLayout) -> int:
+    """The dimension of a state's `layout`, refused by name if it is not a RegisterLayout."""
+    if not isinstance(layout, RegisterLayout):
+        raise RegisterError(f"layout={layout!r:.80} is not a RegisterLayout")
+    return layout.dim
+
+
 def _require(ok: np.ndarray, stacked: bool, message) -> None:
     """Raise RegisterError(message(i)) for the first member i not flagged in `ok`
     (a NaN fails every `x <= tol` flag), naming the member when the state is a stack."""
@@ -157,14 +202,14 @@ def _require(ok: np.ndarray, stacked: bool, message) -> None:
         raise RegisterError((f"stack member {index}: " if stacked else "") + message(index))
 
 
-@dataclass(frozen=True, eq=False)
-class _State:
+class _State(Record, eq=False):
     """What a ket and a density matrix share: a layout, and a tensor with SIDES
     size-2 axes per qubit (a ket's one; a density matrix's rows, then columns)
     behind the stack axes. A density matrix is a ket with a row copy and a
     column copy of every qubit axis, so the contractions below loop over sides."""
 
-    layout: RegisterLayout
+    def __init__(self, layout: RegisterLayout):
+        self._set(layout)
 
     @property
     def n(self) -> int:
@@ -195,7 +240,7 @@ class _State:
         project divides by a branch probability as small as BRANCH_TOL, which
         scales up any slightly negative eigenvalue its input carried."""
         state = object.__new__(cls)
-        state.__dict__.update(zip((f.name for f in fields(cls)), (layout, _owned(arr))))
+        state._set(layout, _owned(arr))
         return state
 
     def _tensor(self) -> np.ndarray:
@@ -206,30 +251,28 @@ class _State:
         return self._trusted(layout, t.reshape(self.stack_shape + (layout.dim,) * self.SIDES))
 
 
-@dataclass(frozen=True, eq=False)
 class PureState(_State):
     """Normalized complex amplitude vector over a labeled register.
 
     A 2-D array whose rows have the register's dimension is a stack of kets.
     """
 
-    amplitudes: np.ndarray
     SIDES = 1
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes)
-        if not (amps.ndim == 2 and amps.shape[1] == self.layout.dim):
+    def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
+        d = _layout_dim(layout)
+        amps = np.asarray(amplitudes)
+        if not (amps.ndim == 2 and amps.shape[1] == d):
             amps = amps.reshape(-1)
         amps = _owned(np.array(amps, dtype=complex, order="C"))
-        if amps.shape[-1] != self.layout.dim:
-            raise RegisterError(
-                f"amplitude vector has length {amps.shape[-1]}, layout needs {self.layout.dim}")
+        if amps.shape[-1] != d:
+            raise RegisterError(f"amplitude vector has length {amps.shape[-1]}, layout needs {d}")
         if amps.size == 0:
             raise RegisterError("a stack needs at least one member")
-        norms = np.linalg.norm(amps.reshape(-1, self.layout.dim), axis=1)
+        norms = np.linalg.norm(amps.reshape(-1, d), axis=1)
         _require(abs(norms - 1.0) <= NORM_TOL, amps.ndim == 2,
                  lambda i: f"state norm {norms[i]} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
+        self._set(layout, amps)
 
     @property
     def _array(self) -> np.ndarray:
@@ -243,19 +286,17 @@ class PureState(_State):
         return MixedState._trusted(self.layout, amps[..., :, None] * amps.conj()[..., None, :])
 
 
-@dataclass(frozen=True, eq=False)
 class MixedState(_State):
     """Hermitian, unit-trace, positive-semidefinite operator over a register.
 
     A 3-D array of shape (S, dim, dim) is a stack of S density matrices.
     """
 
-    matrix: np.ndarray
     SIDES = 2
 
-    def __post_init__(self):
-        mat = _owned(np.array(self.matrix, dtype=complex, order="C"))
-        d = self.layout.dim
+    def __init__(self, layout: RegisterLayout, matrix: np.ndarray):
+        d = _layout_dim(layout)
+        mat = _owned(np.array(matrix, dtype=complex, order="C"))
         if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d):
             raise RegisterError(f"matrix shape {mat.shape} does not match register dimension {d}")
         if mat.size == 0:
@@ -270,7 +311,7 @@ class MixedState(_State):
         lo = np.linalg.eigvalsh(flat)[:, 0]  # ascending: each member's smallest
         _require(lo >= PSD_TOL, stacked,
                  lambda i: f"matrix has eigenvalue {float(lo[i])} below PSD tolerance {PSD_TOL}")
-        object.__setattr__(self, "matrix", mat)
+        self._set(layout, mat)
 
     @property
     def _array(self) -> np.ndarray:

@@ -7,7 +7,6 @@ polarization B, path A, path B); the client qubit carries label X.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from .register import (
     MixedState,
     PureState,
+    Record,
     RegisterError,
     RegisterLayout,
     check_integer,
@@ -30,21 +30,17 @@ DEFAULT_LABELS = ("a", "b", "c", "d", "e", "f", "g", "h")
 _ENCODING = {"H": "0", "V": "1", "r": "0", "l": "1"}
 
 
-@dataclass(frozen=True)
-class ClientParams:
+class ClientParams(Record):
     """Client qubit cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, optionally dephased.
 
     Dephasing multiplies the density-matrix off-diagonals by (1 - dephase_lambda).
     """
 
-    theta: float
-    phi: float = 0.0
-    dephase_lambda: float = 0.0
-
-    def __post_init__(self):
-        check_number("theta", self.theta, 0.0, math.pi)
-        check_number("phi", self.phi)
-        check_number("dephase_lambda", self.dephase_lambda, 0.0, 1.0)
+    def __init__(self, theta: float, phi: float = 0.0, dephase_lambda: float = 0.0):
+        check_number("theta", theta, 0.0, math.pi)
+        check_number("phi", phi)
+        check_number("dephase_lambda", dephase_lambda, 0.0, 1.0)
+        self._set(theta, phi, dephase_lambda)
 
     @property
     def alpha(self) -> float:

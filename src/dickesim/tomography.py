@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -21,6 +20,7 @@ from .register import (
     AXIS_BASES,
     MixedState,
     PureState,
+    Record,
     RegisterLayout,
     State,
     apply_gate,
@@ -57,29 +57,27 @@ def _check_setting(setting: str) -> str:
     return setting
 
 
-@dataclass(frozen=True, eq=False)
-class CountsRecord:
+class CountsRecord(Record, eq=False):
     """Simulated coincidence counts for one measurement setting. `counts` is kept
     as a read-only copy, so a record is a value: neither an edit of the caller's
     dict nor one through the record can change what it holds. `total_requested`
     must be a finite number >= 0; `seed` is not checked."""
 
-    setting: str
-    counts: Mapping[str, float]
-    total_requested: float
-    seed: int | None
-    exact: bool = False
-
-    def __post_init__(self):
-        _check_setting(self.setting)
-        check_number("total_requested", self.total_requested, 0.0)
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-        for outcome, value in self.counts.items():
-            if len(outcome) != len(self.setting) or set(outcome) - {"0", "1"}:
+    def __init__(self, setting: str, counts: Mapping[str, float], total_requested: float, seed: int | None,
+                 exact: bool = False):
+        _check_setting(setting)
+        check_number("total_requested", total_requested, 0.0)
+        try:
+            table = MappingProxyType(dict(counts))
+        except (TypeError, ValueError):
+            raise ValueError(f"counts={counts!r:.80} is not a mapping of outcomes to counts") from None
+        for outcome, value in table.items():
+            if len(outcome) != len(setting) or set(outcome) - {"0", "1"}:
                 raise ValueError(f"bad outcome key {outcome!r}")
             check_number(f"counts[{outcome!r}]", value, 0.0)
-            if not self.exact and value != int(value):
+            if not exact and value != int(value):
                 raise ValueError("stochastic counts must be integers")
+        self._set(setting, table, total_requested, seed, exact)
 
     @property
     def total(self) -> float:

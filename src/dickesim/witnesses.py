@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .register import NORM_TOL, PAULIS, PureState, State, check_integer, check_number, check_states, pauli_matrix
+from .register import (NORM_TOL, PAULIS, PureState, Record, State, check_integer, check_number, check_states,
+                       pauli_matrix)
 from .states import dicke
 
 # reference measured second moments of the collective spin, with uncertainties
@@ -63,21 +63,17 @@ def pauli_decompose(matrix: np.ndarray) -> list[tuple[float, str]]:
             if abs(c) > 1e-12]
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(Record, eq=False):
     """Hermitian operator with a name; its local settings follow from the matrix."""
 
-    matrix: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex, copy=True)
+    def __init__(self, matrix: np.ndarray, name: str = ""):
+        mat = np.array(matrix, dtype=complex, copy=True)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"observable matrix of shape {mat.shape} is not square 2-D")
         if not np.abs(mat - mat.conj().T).max() <= NORM_TOL:
             raise ValueError(f"observable matrix is not Hermitian within {NORM_TOL}")
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        self._set(mat, name)
 
     @cached_property
     def settings(self) -> tuple[tuple[float, str], ...]:
@@ -97,17 +93,12 @@ class Observable:
         return float(np.real(np.trace(state.matrix @ self.matrix)))
 
 
-@dataclass(frozen=True, eq=False)
-class CollectiveSpinSet:
+class CollectiveSpinSet(Record, eq=False):
     """J_k = sum_i sigma_i^k / 2 and its square J_k^2 for one register size, read-only."""
 
-    n: int
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    jx2: np.ndarray
-    jy2: np.ndarray
-    jz2: np.ndarray
+    def __init__(self, n: int, jx: np.ndarray, jy: np.ndarray, jz: np.ndarray,
+                 jx2: np.ndarray, jy2: np.ndarray, jz2: np.ndarray):
+        self._set(n, jx, jy, jz, jx2, jy2, jz2)
 
 
 def _collective_matrix(n: int, axis: str) -> np.ndarray:
@@ -195,8 +186,7 @@ def propagate_wcs_error(gamma: float, d_jx2: float, d_jy2: float, d_jz2: float) 
     return math.sqrt(d_jx2 ** 2 + d_jy2 ** 2 + gamma ** 2 * d_jz2 ** 2)
 
 
-@dataclass(frozen=True)
-class BisepBoundResult:
+class BisepBoundResult(Record):
     """Biseparability bound with the maximum reached in each bipartition class.
 
     `scanned` holds each class's scanned maximum, or None where
@@ -204,9 +194,8 @@ class BisepBoundResult:
     skipped scan on first read, with the bits a full run gives it.
     """
 
-    gamma: float
-    value: float
-    scanned: tuple[tuple[str, float | None], ...]
+    def __init__(self, gamma: float, value: float, scanned: tuple[tuple[str, float | None], ...]):
+        self._set(gamma, value, scanned)
 
     @cached_property
     def per_bipartition(self) -> tuple[tuple[str, float], ...]:
@@ -505,15 +494,11 @@ def fidelity_bound_from_d3_witness(value: float) -> FidelityBound:
     return _clamped(2.0 / 3.0 - value)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     """One witness evaluation: value, uncertainty and verdict."""
 
-    witness: str
-    parameters: dict
-    value: float
-    uncertainty: float
-    verdict: str
+    def __init__(self, witness: str, parameters: dict, value: float, uncertainty: float, verdict: str):
+        self._set(witness, parameters, value, uncertainty, verdict)
 
     @classmethod
     def build(cls, witness: str, value: float, uncertainty: float,

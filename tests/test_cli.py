@@ -479,6 +479,24 @@ print(imported, len(calls))
                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert proc.stdout.split() == ["0", "2"]
 
+    def test_main_freezes_the_collector_once(self):
+        # a fresh interpreter: importing freezes nothing, the first main() moves every
+        # tracked object to the permanent generation, and a second call adds none
+        child = """
+import contextlib, gc, io
+import dickesim, dickesim.cli
+counts = [gc.get_freeze_count()]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        dickesim.cli.main(["--help"])
+    counts.append(gc.get_freeze_count())
+print(*counts)
+"""
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        imported, first, second = map(int, proc.stdout.split())
+        assert imported == 0 and first > 0 and second == first
+
 
 class TestResourceCheck:
     def test_ideal_report(self, tmp_path):

@@ -20,6 +20,7 @@ from dickesim import (
     ClientParams,
     CountsRecord,
     GateSpec,
+    MixedState,
     Observable,
     PureState,
     RegisterLayout,
@@ -175,6 +176,11 @@ CONTRACTS = {
     "project-state-int": (lambda: project(3, "a", "0"), "state"),
     "partial_trace-state-int": (lambda: partial_trace(3, "a"), "state"),
     "permute_to-state-int": (lambda: permute_to(3, ("a",)), "state"),
+    "PureState-layout-tuple": (lambda: PureState(("a",), [1, 0]), "layout"),
+    "MixedState-layout-str": (lambda: MixedState("x", np.eye(2) / 2), "layout"),
+    "RegisterLayout-labels-int": (lambda: RegisterLayout(5), "labels"),
+    "RegisterLayout-labels-none": (lambda: RegisterLayout(None), "labels"),
+    "CountsRecord-counts-int": (lambda: CountsRecord("Z", 5, 1, 0), "counts"),
 }
 
 

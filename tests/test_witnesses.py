@@ -437,6 +437,23 @@ class TestClassBounds:
         for gamma in PAPER_GAMMAS + screen_sweep.recorded_gammas():
             assert screen_sweep.two_two_bound_failure(gamma, witnesses._two_two_bound(gamma)) == [], gamma
 
+    @pytest.mark.parametrize("gamma", [-1.0, -1.0 - 1e-9, -1.0 + 1e-9])
+    def test_two_two_bound_takes_the_s0_column_exactly(self, monkeypatch, gamma):
+        # at s = 0 the triplet's top root is max(1 - gamma, 2|gamma|t); next to its
+        # crossing at gamma = -1, t = 1 _triplet_top misses it by up to 1.4e-4, which
+        # the final value cannot show, since the maximising cell lies off that column
+        unwrapped = witnesses._two_two_bound(gamma)
+        slopes = []
+
+        def recording(a, x, z, top=witnesses._triplet_top):
+            slopes.append(np.broadcast_to(x, np.broadcast(x, z).shape).copy())
+            return top(a, x, z)
+        monkeypatch.setattr(witnesses, "_triplet_top", recording)
+        bound = witnesses._two_two_bound(gamma)
+        assert slopes and all((x != 0).all() for x in slopes)
+        assert bound.hex() == unwrapped.hex()
+        assert screen_sweep.two_two_bound_failure(gamma, bound) == []
+
     @staticmethod
     def _counted(monkeypatch):
         """Each class scan's calls, counted through the module's names."""
